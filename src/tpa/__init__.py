@@ -6,65 +6,35 @@ Layers, from the ground up:
   core          parameter objects, normalization, JSON round trip
   oracle        brute-force harmonic steady state at fixed velocity
   perturbative  closed-form weak-drive expansion, per velocity
-  averaging     velocity averages: exact Lorentzian moments and quadratures
-  analytics     line profiles, widths, and peak displacements
+  analytics     line profiles, widths, and peak displacements; depends
+                only on core
+  averaging     velocity averages: quadratures, the Gaussian closed forms,
+                and the Lorentzian closed forms taken from analytics
   validation    cross-check suites tying the layers together
   cli           scan / figure / validate command line front end
+
+The names below are the library API the README documents, plus the error
+types the command line maps to exit codes; everything else stays reachable
+through its module.
 """
 
 from ._version import __version__
 
-from .analytics import (LineshapeParams, LocatorError, WidthAuxiliaries, n2,
-                        n2_hom, n2_max, n2_sw, n2_tw, n3, numeric_fwhm,
-                        numeric_peak, stark_shift, stark_shift_sw,
-                        stark_shift_tw, width_auxiliaries, width_fwhm)
-from .averaging import (DEFAULT_ORACLE_QUAD, QuadratureError, QuadratureSpec,
-                        averaged_n2, averaged_n3, averaged_population,
-                        lorentz_int1, lorentz_int2, oracle_average,
-                        spatial_dc, velocity_average)
-from .cli import main, run_figure, run_scan, write_csv
+from .analytics import LineshapeParams, LocatorError, stark_shift, width_fwhm
+from .averaging import QuadratureError, averaged_population, oracle_average
 from .core import (AtomSpec, FieldSpec, NormalizedParams, ParameterError,
-                   PerVelocityContext, VelocityDistribution, denormalize,
-                   dump_parameters, epsilon_eff, load_parameters, normalize,
-                   per_velocity_context)
-from .oracle import (ConsistencyError, HarmonicDensityMatrix, LinearSystem,
-                     OracleError, SolverError, SteadyStateProblem,
-                     TruncationError, assemble, condition_number,
-                     dc_upper_population, dump_triplets, refine,
-                     solve_steady_state)
-from .perturbative import (PerturbativeComponents, order1_coherences,
-                           order1_twophoton, order2_components,
-                           order3_coherences, order3_upper_dc,
-                           upper_dc_series)
-from .validation import ValidationReport, ValidationRow, run_validation
+                   VelocityDistribution, denormalize, dump_parameters,
+                   load_parameters, normalize)
+from .oracle import OracleError
 
 __all__ = [
     "__version__",
-    # core
-    "ParameterError", "AtomSpec", "FieldSpec", "VelocityDistribution",
-    "PerVelocityContext", "NormalizedParams", "normalize", "denormalize",
-    "epsilon_eff", "per_velocity_context", "dump_parameters",
+    # parameters
+    "NormalizedParams", "LineshapeParams", "AtomSpec", "FieldSpec",
+    "VelocityDistribution", "normalize", "denormalize", "dump_parameters",
     "load_parameters",
-    # oracle
-    "OracleError", "SolverError", "TruncationError", "ConsistencyError",
-    "SteadyStateProblem", "LinearSystem", "HarmonicDensityMatrix", "assemble",
-    "solve_steady_state", "refine", "dc_upper_population", "condition_number",
-    "dump_triplets",
-    # perturbative
-    "PerturbativeComponents", "order1_coherences", "order1_twophoton",
-    "order2_components", "order3_upper_dc", "order3_coherences",
-    "upper_dc_series",
-    # averaging
-    "QuadratureError", "QuadratureSpec", "DEFAULT_ORACLE_QUAD",
-    "lorentz_int1", "lorentz_int2", "spatial_dc", "velocity_average",
-    "averaged_n2", "averaged_n3", "averaged_population", "oracle_average",
-    # analytics
-    "LocatorError", "LineshapeParams", "WidthAuxiliaries",
-    "width_auxiliaries", "width_fwhm", "n2", "n2_hom", "n2_tw", "n2_sw",
-    "n2_max", "n3", "stark_shift", "stark_shift_tw", "stark_shift_sw",
-    "numeric_fwhm", "numeric_peak",
-    # validation
-    "ValidationRow", "ValidationReport", "run_validation",
-    # cli
-    "run_scan", "run_figure", "write_csv", "main",
+    # results
+    "averaged_population", "oracle_average", "width_fwhm", "stark_shift",
+    # errors
+    "ParameterError", "OracleError", "QuadratureError", "LocatorError",
 ]

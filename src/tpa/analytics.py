@@ -6,8 +6,7 @@ two-photon detuning delta_tilde, the beam ratio A, and the Doppler width
 gamma_v_tilde. This module collects those profiles and the line parameters
 read off them:
 
-  * n2 and its beam-configuration limits (single running wave, equal
-    standing wave, homogeneous medium) plus the peak height n2_max;
+  * the order-2 profile n2 and its peak height n2_max;
   * the full width at half maximum of n2, in closed form (width_fwhm) and
     by direct root bracketing on any even profile (numeric_fwhm);
   * the third-order light-shift asymmetry n3, the closed-form peak
@@ -26,26 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import NormalizedParams, ParameterError
+from .core import NormalizedParams, ParameterError, _require_finite
 
-__all__ = [
-    "LocatorError",
-    "LineshapeParams",
-    "WidthAuxiliaries",
-    "width_auxiliaries",
-    "width_fwhm",
-    "n2",
-    "n2_hom",
-    "n2_tw",
-    "n2_sw",
-    "n2_max",
-    "n3",
-    "stark_shift",
-    "stark_shift_tw",
-    "stark_shift_sw",
-    "numeric_fwhm",
-    "numeric_peak",
-]
+__all__ = ["LocatorError", "LineshapeParams", "width_fwhm", "stark_shift"]
 
 
 class LocatorError(RuntimeError):
@@ -62,6 +44,8 @@ class LineshapeParams:
     mu: float = 1.0
 
     def __post_init__(self):
+        for name in ("x", "a_ratio", "gamma_v_tilde", "mu"):
+            _require_finite(name, getattr(self, name))
         if self.x == 0.0:
             raise ParameterError("x must be nonzero")
         if self.a_ratio < 0.0:
@@ -78,33 +62,19 @@ class LineshapeParams:
                    gamma_v_tilde=params.gamma_v_tilde, mu=params.mu)
 
 
-@dataclass(frozen=True)
-class WidthAuxiliaries:
-    """Intermediate quantities of the closed-form width: w and the mixing f."""
-
-    w: float
-    f: float
-
-
-def width_auxiliaries(a_ratio: float, gamma_v_tilde: float) -> WidthAuxiliaries:
-    a4 = a_ratio ** 4
-    g1 = 1.0 + gamma_v_tilde
-    w = g1 ** 2
-    f = 0.5 * (1.0 + a4 - 4.0 * g1 * a_ratio ** 2) / (1.0 + a4
-                                                      + 4.0 * g1 * a_ratio ** 2)
-    return WidthAuxiliaries(w=w, f=f)
-
-
 def width_fwhm(a_ratio: float, gamma_v_tilde: float) -> float:
     """Closed-form FWHM of the n2 profile, in units of gamma.
 
     Collapses to 2 for a homogeneous medium (any beam ratio) and to
     2*(1 + gamma_v_tilde) for a single running wave.
     """
-    aux = width_auxiliaries(a_ratio, gamma_v_tilde)
-    wf = (aux.w - 1.0) * aux.f
-    return 2.0 * math.sqrt(math.sqrt(aux.w + (aux.w - 1.0) ** 2 * aux.f ** 2)
-                           + wf)
+    a4 = a_ratio ** 4
+    g1 = 1.0 + gamma_v_tilde
+    w = g1 ** 2
+    f = 0.5 * (1.0 + a4 - 4.0 * g1 * a_ratio ** 2) / (1.0 + a4
+                                                      + 4.0 * g1 * a_ratio ** 2)
+    wf = (w - 1.0) * f
+    return 2.0 * math.sqrt(math.sqrt(w + (w - 1.0) ** 2 * f ** 2) + wf)
 
 
 def _profile_args(p: LineshapeParams, delta_tilde):
@@ -112,40 +82,18 @@ def _profile_args(p: LineshapeParams, delta_tilde):
     return d, d.ndim == 0
 
 
-def n2(p: LineshapeParams, delta_tilde):
-    """Lorentzian-averaged order-2 profile versus two-photon detuning."""
+def n2(p: LineshapeParams | NormalizedParams, delta_tilde):
+    """Lorentzian-averaged order-2 profile versus two-photon detuning.
+
+    Reads only x, a_ratio, gamma_v_tilde and mu, so a NormalizedParams of
+    a Lorentzian or homogeneous profile works as well as a LineshapeParams.
+    """
     d, scalar = _profile_args(p, delta_tilde)
     a2 = p.a_ratio ** 2
     g1 = 1.0 + p.gamma_v_tilde
     w = g1 ** 2 + d ** 2
     out = 8 * p.mu ** 2 * p.x ** 2 * (g1 * (1.0 + a2 ** 2) / w
                                       + 4.0 * a2 / (1.0 + d ** 2))
-    return float(out) if scalar else out
-
-
-def n2_hom(p: LineshapeParams, delta_tilde):
-    """Homogeneous-medium limit of n2 (no Doppler width)."""
-    d, scalar = _profile_args(p, delta_tilde)
-    a2 = p.a_ratio ** 2
-    out = (8 * p.mu ** 2 * p.x ** 2 * (a2 ** 2 + 4.0 * a2 + 1.0)
-           / (1.0 + d ** 2))
-    return float(out) if scalar else out
-
-
-def n2_tw(p: LineshapeParams, delta_tilde):
-    """Single running wave limit (A = 0) of n2."""
-    d, scalar = _profile_args(p, delta_tilde)
-    g1 = 1.0 + p.gamma_v_tilde
-    out = 8 * p.mu ** 2 * p.x ** 2 * g1 / (g1 ** 2 + d ** 2)
-    return float(out) if scalar else out
-
-
-def n2_sw(p: LineshapeParams, delta_tilde):
-    """Equal standing wave limit (A = 1) of n2."""
-    d, scalar = _profile_args(p, delta_tilde)
-    g1 = 1.0 + p.gamma_v_tilde
-    out = 8 * p.mu ** 2 * p.x ** 2 * (4.0 / (1.0 + d ** 2)
-                                      + 2.0 * g1 / (g1 ** 2 + d ** 2))
     return float(out) if scalar else out
 
 
@@ -157,8 +105,11 @@ def n2_max(p: LineshapeParams) -> float:
             * ((a2 ** 2 + 4.0 * a2 + 1.0) + 4.0 * gv * a2) / (1.0 + gv))
 
 
-def n3(p: LineshapeParams, delta_tilde):
-    """Lorentzian-averaged order-3 profile: the odd light-shift term."""
+def n3(p: LineshapeParams | NormalizedParams, delta_tilde):
+    """Lorentzian-averaged order-3 profile: the odd light-shift term.
+
+    Takes the same parameter objects as n2.
+    """
     d, scalar = _profile_args(p, delta_tilde)
     a2 = p.a_ratio ** 2
     gv = p.gamma_v_tilde

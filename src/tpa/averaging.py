@@ -6,7 +6,8 @@ are supported, parameterized by the half width at half maximum gamma_v:
 
   * homogeneous: delta function at v = 0; the average is just f(0);
   * lorentzian: gamma_v/pi / (gamma_v^2 + Omega^2), for which the moments
-    of the one-photon denominators close analytically (lorentz_int1/int2);
+    of the one-photon denominators close analytically (lorentz_int1/int2)
+    and the averaged series is the analytics profile n2 + n3;
   * gaussian: HWHM gamma_v; series averages close through the Faddeeva
     function, generic integrands use Gauss-Hermite quadrature.
 
@@ -34,22 +35,11 @@ import numpy as np
 from scipy.special import roots_hermite, wofz
 
 from . import oracle as oracle_mod
+from .analytics import n2, n3
 from .core import NormalizedParams, ParameterError, VelocityDistribution
 from .perturbative import upper_dc_series
 
-__all__ = [
-    "QuadratureError",
-    "QuadratureSpec",
-    "DEFAULT_ORACLE_QUAD",
-    "lorentz_int1",
-    "lorentz_int2",
-    "spatial_dc",
-    "velocity_average",
-    "averaged_n2",
-    "averaged_n3",
-    "averaged_population",
-    "oracle_average",
-]
+__all__ = ["QuadratureError", "averaged_population", "oracle_average"]
 
 _MAX_NODES = 2048
 _EPS = float(np.finfo(float).eps)
@@ -108,11 +98,6 @@ def lorentz_int2(n: int, gamma: float, gamma_v: float, delta: float) -> float:
                 * ((gamma + gamma_v) * (3 * gamma + gamma_v) + delta ** 2)
                 / (2 * gamma ** 3 * w ** 2))
     raise ParameterError(f"n must be 1 or 2, got {n}")
-
-
-def spatial_dc(rho: oracle_mod.HarmonicDensityMatrix, i: int, j: int) -> complex:
-    """Spatially uniform part of rho_ij."""
-    return rho.coeff(i, j, 0)
 
 
 def _eval(f, points, vectorized):
@@ -175,8 +160,7 @@ def _tan_map_sums(f, gamma_v, theta_max, start, vectorized):
 
 def velocity_average(f, dist: VelocityDistribution,
                      quad: QuadratureSpec | None = None, *,
-                     vectorized: bool = False,
-                     abs_floor: float = 0.0) -> float:
+                     vectorized: bool = False) -> float:
     """Average f(Omega) over the velocity distribution.
 
     Homogeneous media need no quadrature and return f(0). Gaussian profiles
@@ -196,7 +180,7 @@ def velocity_average(f, dist: VelocityDistribution,
             raise ParameterError(
                 "gaussian averaging requires the gauss_hermite method")
         sums = _gauss_hermite_sums(f, dist.gamma_v, quad.nodes, vectorized)
-        return _converge(sums, quad.tol, abs_floor)
+        return _converge(sums, quad.tol, 0.0)
     if quad.method != "adaptive_finite":
         raise ParameterError(
             "lorentzian averaging requires the adaptive_finite method")
@@ -208,40 +192,15 @@ def velocity_average(f, dist: VelocityDistribution,
         clipped = 1.0 - (2.0 / math.pi) * math.atan(h)
         tail = clipped * 0.5 * (float(f(edge)) + float(f(-edge)))
     sums = _tan_map_sums(f, dist.gamma_v, theta_max, quad.nodes, vectorized)
-    return _converge(sums, quad.tol, abs_floor) + tail
+    return _converge(sums, quad.tol, 0.0) + tail
 
 
-def _require_closed_form(params: NormalizedParams, what: str) -> None:
-    if params.kind == "gaussian":
-        raise ParameterError(
-            f"{what} closes only for lorentzian or homogeneous profiles; "
-            "average the per-velocity series for gaussian ones")
-
-
-def averaged_n2(params: NormalizedParams) -> float:
-    """Exact Lorentzian (or homogeneous) average of the order-2 dc population."""
-    _require_closed_form(params, "averaged_n2")
-    a2 = params.a_ratio ** 2
-    gv = params.gamma_v_tilde
-    d = params.delta_tilde
-    return (8 * params.mu ** 2 * params.x ** 2
-            * ((1.0 + a2 ** 2) * lorentz_int1(1.0, gv, d)
-               + 4.0 * a2 * lorentz_int1(1.0, 0.0, d)))
-
-
-def averaged_n3(params: NormalizedParams) -> float:
-    """Exact Lorentzian (or homogeneous) average of the order-3 dc population."""
-    _require_closed_form(params, "averaged_n3")
-    a2 = params.a_ratio ** 2
-    gv = params.gamma_v_tilde
-    d = params.delta_tilde
-    mu2 = params.mu ** 2
-    i1g = lorentz_int1(1.0, gv, d)
-    i10 = lorentz_int1(1.0, 0.0, d)
-    b2 = 2.0 * (1.0 + a2 ** 2) * i1g ** 2 / (1.0 + gv)
-    b1 = a2 * i10 * (2.0 * i10 + i1g * (2.0 + gv) / (1.0 + gv))
-    return (16 * mu2 * (mu2 - 1.0) * (1.0 + a2) * d * params.x ** 3
-            * (b1 + b2))
+def _lorentzian_series_dc(params: NormalizedParams, order: int) -> float:
+    """Closed Lorentzian (or homogeneous) average of the dc series."""
+    total = n2(params, params.delta_tilde)
+    if order >= 3:
+        total += n3(params, params.delta_tilde)
+    return total
 
 
 def _faddeeva_moments(delta: float, gamma_v: float) -> tuple[complex, complex]:
@@ -309,10 +268,7 @@ def averaged_population(params: NormalizedParams, order: int = 2,
             return _gaussian_series_dc(params, order)
         return velocity_average(lambda om: upper_dc_series(params, om, order),
                                 params.distribution(), quad, vectorized=True)
-    total = averaged_n2(params)
-    if order >= 3:
-        total += averaged_n3(params)
-    return total
+    return _lorentzian_series_dc(params, order)
 
 
 def oracle_average(params: NormalizedParams,
@@ -355,9 +311,7 @@ def oracle_average(params: NormalizedParams,
     if quad.method != "adaptive_finite":
         raise ParameterError(
             "lorentzian oracle averaging requires the adaptive_finite method")
-    reference = averaged_n2(params)
-    if order >= 3:
-        reference += averaged_n3(params)
+    reference = _lorentzian_series_dc(params, order)
     h = quad.domain_halfwidth if math.isfinite(quad.domain_halfwidth) else 10.0
     theta_max = math.atan(h)
 

@@ -49,11 +49,10 @@ from .averaging import QuadratureError, QuadratureSpec
 from .core import NormalizedParams, ParameterError
 from .oracle import DEFAULT_N_CAP, OracleError
 
-__all__ = ["ScanConfig", "SpectrumScan", "parse_scan_config", "run_scan",
-           "run_figure", "write_csv", "main"]
-
 _OBSERVABLES = ("n2", "n2+n3", "width", "stark", "n2max", "oracle_avg")
 _AXES = ("delta_tilde", "gamma_v_tilde", "a_ratio")
+# Sweep grids are held in memory; a million points is far beyond any figure.
+_MAX_SWEEP_COUNT = 1_000_000
 _FIXED_KEYS = {
     "n2": {"x", "mu", "delta_tilde", "gamma_v_tilde", "a_ratio"},
     "n2+n3": {"x", "mu", "delta_tilde", "gamma_v_tilde", "a_ratio"},
@@ -92,11 +91,18 @@ class SpectrumScan:
     metadata: dict
 
 
-def _float_item(doc: dict, key: str, where: str) -> float:
+def _float_item(doc: dict, key: str, where: str,
+                allow_inf: bool = False) -> float:
+    """doc[key] as a finite float (or infinite, when allow_inf); no booleans."""
+    raw = doc[key]
     try:
-        value = float(doc[key])
+        if isinstance(raw, bool):
+            raise TypeError
+        value = float(raw)
     except (TypeError, ValueError):
-        raise ParameterError(f"{where}.{key} must be a number, got {doc[key]!r}")
+        raise ParameterError(f"{where}.{key} must be a number, got {raw!r}")
+    if not (math.isfinite(value) or (allow_inf and math.isinf(value))):
+        raise ParameterError(f"{where}.{key} must be finite, got {raw!r}")
     return value
 
 
@@ -128,11 +134,10 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         raise ParameterError(f"sweep.axis must be one of {_AXES}, got {axis!r}")
     start = _float_item(sweep, "start", "sweep")
     stop = _float_item(sweep, "stop", "sweep")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ParameterError("sweep.start and sweep.stop must be finite")
     count = sweep["count"]
-    if not isinstance(count, int) or count < 2:
-        raise ParameterError(f"sweep.count must be an integer >= 2, got {count!r}")
+    if not isinstance(count, int) or not 2 <= count <= _MAX_SWEEP_COUNT:
+        raise ParameterError(f"sweep.count must be an integer in "
+                             f"[2, {_MAX_SWEEP_COUNT}], got {count!r}")
     grid = np.linspace(start, stop, count)
 
     fixed_doc = doc.get("fixed", {})
@@ -184,8 +189,8 @@ def parse_scan_config(doc: dict) -> ScanConfig:
                 raise ParameterError("quadrature.nodes must be an integer")
             kwargs["nodes"] = qdoc["nodes"]
         if "domain_halfwidth" in qdoc:
-            kwargs["domain_halfwidth"] = _float_item(qdoc, "domain_halfwidth",
-                                                     "quadrature")
+            kwargs["domain_halfwidth"] = _float_item(
+                qdoc, "domain_halfwidth", "quadrature", allow_inf=True)
         if "tol" in qdoc:
             kwargs["tol"] = _float_item(qdoc, "tol", "quadrature")
         quad = QuadratureSpec(**kwargs)
@@ -416,8 +421,9 @@ def _parse_a_values(raw: str):
     except ValueError:
         raise ParameterError(f"--a-values must be comma-separated numbers, "
                              f"got {raw!r}")
-    if not values or any(v < 0.0 for v in values):
-        raise ParameterError("--a-values must list one or more ratios >= 0")
+    if not values or not all(0.0 <= v < math.inf for v in values):
+        raise ParameterError("--a-values must list one or more finite "
+                             "ratios >= 0")
     return values
 
 

@@ -23,12 +23,9 @@ __all__ = [
     "AtomSpec",
     "FieldSpec",
     "VelocityDistribution",
-    "PerVelocityContext",
     "NormalizedParams",
     "normalize",
     "denormalize",
-    "epsilon_eff",
-    "per_velocity_context",
     "dump_parameters",
     "load_parameters",
 ]

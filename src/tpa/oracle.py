@@ -24,7 +24,6 @@ All quantities are in normalized (gamma = 1) units.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,23 +31,15 @@ import scipy.linalg as sla
 
 from .core import NormalizedParams, ParameterError
 
-__all__ = [
-    "OracleError",
-    "SolverError",
-    "TruncationError",
-    "ConsistencyError",
-    "SteadyStateProblem",
-    "LinearSystem",
-    "HarmonicDensityMatrix",
-    "assemble",
-    "solve_steady_state",
-    "refine",
-    "dc_upper_population",
-    "condition_number",
-    "dump_triplets",
-]
+__all__ = ["OracleError"]
 
 DEFAULT_N_CAP = 41
+
+# Largest defect |b - A c| a solve may leave, and largest imaginary part
+# the dc upper population may carry; the invariant threshold is the default
+# of HarmonicDensityMatrix.check_invariants.
+_RESIDUAL_TOL = 1e-10
+_IMAG_TOL = 1e-10
 
 # Spatial-harmonic parity of each matrix element: populations and the
 # two-photon coherence rho21 live on even n, one-photon coherences on odd n.
@@ -221,18 +212,15 @@ def condition_number(system: LinearSystem) -> float:
     return float(abs(np.linalg.cond(system.matrix, 1)))
 
 
-def solve_steady_state(problem: SteadyStateProblem, *,
-                       residual_tol: float = 1e-10,
-                       invariant_tol: float = 1e-8,
-                       check_condition: bool = False) -> HarmonicDensityMatrix:
+def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     """Direct dense solve with iterative refinement and structural checks.
 
     The system is row-equilibrated before LU factorization (the diagonal
     grows like n*Omega/2 and delta_big, so raw rows span many decades), and
     the solution is polished by two refinement steps with the residual
     accumulated in extended precision. The final residual must stay below
-    residual_tol; hermiticity, trace, parity, and population range are then
-    verified on the solution.
+    1e-10; hermiticity, trace, parity, and population range are then
+    verified on the solution to 1e-8.
     """
     system = assemble(problem)
     A, b = system.matrix, system.rhs
@@ -246,22 +234,16 @@ def solve_steady_state(problem: SteadyStateProblem, *,
         r = bq - aq @ xq
         xq = xq + sla.lu_solve((lu, piv), (r / scale).astype(complex))
     residual = float(np.max(np.abs(bq - aq @ xq)))
-    if not np.isfinite(residual) or residual > residual_tol:
+    if not np.isfinite(residual) or residual > _RESIDUAL_TOL:
         cond = condition_number(system)
         raise SolverError(
-            f"steady-state residual {residual:.3e} exceeds {residual_tol:g} "
+            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:g} "
             f"(dimension {system.dimension}, condition estimate {cond:.3e})")
-    if check_condition:
-        cond = condition_number(system)
-        if cond > 1e12:
-            import warnings
-            warnings.warn(f"steady-state system condition estimate {cond:.3e}",
-                          RuntimeWarning, stacklevel=2)
     nh = 2 * problem.n_max + 1
     rho = HarmonicDensityMatrix(
         n_max=problem.n_max,
         coeffs=np.asarray(xq, dtype=complex).reshape(3, 3, nh))
-    rho.check_invariants(invariant_tol)
+    rho.check_invariants()
     return rho
 
 
@@ -293,29 +275,10 @@ def refine(problem: SteadyStateProblem, tol: float,
         f"last change {last_change:.3e}")
 
 
-def dc_upper_population(rho: HarmonicDensityMatrix, *,
-                        imag_tol: float = 1e-10) -> float:
+def dc_upper_population(rho: HarmonicDensityMatrix) -> float:
     """Spatial dc component of the upper-level population, as a real number."""
     value = rho.dc(2, 2)
-    if abs(value.imag) > imag_tol:
+    if abs(value.imag) > _IMAG_TOL:
         raise ConsistencyError(
             f"dc upper population has imaginary part {value.imag:.3e}")
     return float(value.real)
-
-
-def dump_triplets(system: LinearSystem, target) -> None:
-    """Write nonzeros of the assembled matrix as 'row col re im' lines."""
-    rows, cols = np.nonzero(system.matrix)
-    if isinstance(target, (str, bytes)):
-        handle: io.TextIOBase = open(target, "w", encoding="ascii")
-        close = True
-    else:
-        handle = target
-        close = False
-    try:
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            v = system.matrix[r, c]
-            handle.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-    finally:
-        if close:
-            handle.close()

@@ -24,16 +24,6 @@ import numpy as np
 
 from .core import NormalizedParams, ParameterError, PerVelocityContext
 
-__all__ = [
-    "PerturbativeComponents",
-    "order1_coherences",
-    "order1_twophoton",
-    "order2_components",
-    "order3_upper_dc",
-    "order3_coherences",
-    "upper_dc_series",
-]
-
 
 @dataclass(frozen=True)
 class PerturbativeComponents:
@@ -130,21 +120,26 @@ def order2_components(ctx: PerVelocityContext,
     return PerturbativeComponents(order=2, terms=terms)
 
 
-def order3_upper_dc(ctx: PerVelocityContext,
-                    params: NormalizedParams) -> float:
-    """Third-order dc upper population; odd in delta, vanishes at mu = 1."""
+def _order3_dc(params: NormalizedParams, om):
+    """Third-order dc upper population at Omega = om (scalar or array)."""
     p1, p2, mu = params.phi1, params.phi2, params.mu
     delta = params.delta_tilde
-    kv = 0.5 * ctx.omega
-    ap = abs(ctx.d_plus) ** 2
-    am = abs(ctx.d_minus) ** 2
-    a0 = abs(ctx.d_zero) ** 2
+    ap = 1.0 + (delta - om) ** 2
+    am = 1.0 + (delta + om) ** 2
+    a0 = 1.0 + delta ** 2
+    kv = 0.5 * om
     s = p1 ** 2 + p2 ** 2
-    return float((32 * mu ** 2 * (mu ** 2 - 1) / params.delta_big_tilde ** 3) * (
+    return (32 * mu ** 2 * (mu ** 2 - 1) / params.delta_big_tilde ** 3) * (
         (delta - 2 * kv) / ap ** 2 * s * p1 ** 4
         + ((delta - kv) / ap * p1 ** 2 + (delta + kv) / am * p2 ** 2
            + delta / a0 * s) * p1 ** 2 * p2 ** 2 / a0
-        + (delta + 2 * kv) / am ** 2 * s * p2 ** 4))
+        + (delta + 2 * kv) / am ** 2 * s * p2 ** 4)
+
+
+def order3_upper_dc(ctx: PerVelocityContext,
+                    params: NormalizedParams) -> float:
+    """Third-order dc upper population; odd in delta, vanishes at mu = 1."""
+    return float(_order3_dc(params, ctx.omega))
 
 
 def order3_coherences(ctx: PerVelocityContext,
@@ -204,11 +199,5 @@ def upper_dc_series(params: NormalizedParams, omega, order: int = 3):
     out = (8 * mu ** 2 / dbig ** 2) * (p1 ** 4 / ap + p2 ** 4 / am
                                        + 4 * p1 ** 2 * p2 ** 2 / a0)
     if order >= 3:
-        kv = 0.5 * om
-        s = p1 ** 2 + p2 ** 2
-        out = out + (32 * mu ** 2 * (mu ** 2 - 1) / dbig ** 3) * (
-            (delta - 2 * kv) / ap ** 2 * s * p1 ** 4
-            + ((delta - kv) / ap * p1 ** 2 + (delta + kv) / am * p2 ** 2
-               + delta / a0 * s) * p1 ** 2 * p2 ** 2 / a0
-            + (delta + 2 * kv) / am ** 2 * s * p2 ** 4)
+        out = out + _order3_dc(params, om)
     return float(out[0]) if scalar else out

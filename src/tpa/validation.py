@@ -29,8 +29,6 @@ from . import analytics, averaging, oracle
 from .core import NormalizedParams, ParameterError
 from .perturbative import upper_dc_series
 
-__all__ = ["ValidationRow", "ValidationReport", "run_validation"]
-
 
 @dataclass(frozen=True)
 class ValidationRow:

@@ -16,6 +16,8 @@ from tpa.averaging import (averaged_population, lorentz_int1, lorentz_int2,
                            oracle_average)
 from tpa.core import NormalizedParams, VelocityDistribution
 
+from conftest import n2_hom, n2_sw, n2_tw
+
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -55,10 +57,10 @@ def test_criterion_05_wide_limit_peaks():
     worst = 0.0
     for gv in (1.0, 10.0, 100.0, 1e4):
         p = an.LineshapeParams(x=x, a_ratio=0.0, gamma_v_tilde=gv, mu=mu)
-        worst = max(worst, _rel(an.n2_tw(p, 0.0) * (1.0 + gv), want))
+        worst = max(worst, _rel(n2_tw(p, 0.0) * (1.0 + gv), want))
     sw = an.LineshapeParams(x=x, a_ratio=1.0, gamma_v_tilde=1e4, mu=mu)
     hom = an.LineshapeParams(x=x, a_ratio=1.0, gamma_v_tilde=0.0, mu=mu)
-    ratio = an.n2_sw(sw, 0.0) / an.n2_hom(hom, 0.0)
+    ratio = n2_sw(sw, 0.0) / n2_hom(hom, 0.0)
     ok = worst <= 1e-12 and abs(ratio - 2.0 / 3.0) <= 1e-3
     _report(5, ok, f"1/(1+gv) law dev {worst:.2e}, wide sw/hom {ratio:.6f}")
 

@@ -7,7 +7,7 @@ from tpa import analytics as an
 from tpa.averaging import averaged_population, oracle_average
 from tpa.core import NormalizedParams, ParameterError
 
-from conftest import rel_err
+from conftest import n2_hom, n2_sw, n2_tw, rel_err
 
 
 def _profile(x=1e-3, a=0.0, gv=0.0, mu=1.0):
@@ -23,6 +23,10 @@ def test_profile_params_validation():
         an.LineshapeParams(x=1e-3, a_ratio=-0.5)
     with pytest.raises(ParameterError):
         an.LineshapeParams(x=1e-3, gamma_v_tilde=-1.0)
+    for bad in ({"x": math.nan}, {"x": math.inf}, {"a_ratio": math.nan},
+                {"gamma_v_tilde": math.inf}, {"mu": math.nan}):
+        with pytest.raises(ParameterError):
+            an.LineshapeParams(**{"x": 1e-3, **bad})
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=0.7, mu=1.2,
                                x=2e-3, gamma_v_tilde=3.0)
     prof = an.LineshapeParams.from_params(p)
@@ -35,8 +39,6 @@ def test_width_examples():
     assert abs(an.width_fwhm(1.0, 1.0) - 2.2744) < 1e-3
     for a in (0.0, 0.5, 1.0):
         assert an.width_fwhm(a, 0.0) == pytest.approx(2.0, abs=1e-12)
-    aux = an.width_auxiliaries(0.0, 3.0)
-    assert (aux.w, aux.f) == (16.0, 0.5)
 
 
 def test_width_rises_then_saturates_toward_two():
@@ -64,11 +66,11 @@ def test_profiles_invariant_under_beam_exchange():
 def test_profile_limits():
     d = 0.9
     tw = _profile(x=1e-3, a=0.0, gv=2.0, mu=1.2)
-    assert an.n2(tw, d) == pytest.approx(an.n2_tw(tw, d), rel=1e-14)
+    assert an.n2(tw, d) == pytest.approx(n2_tw(tw, d), rel=1e-14)
     sw = _profile(x=1e-3, a=1.0, gv=2.0, mu=1.2)
-    assert an.n2(sw, d) == pytest.approx(an.n2_sw(sw, d), rel=1e-14)
+    assert an.n2(sw, d) == pytest.approx(n2_sw(sw, d), rel=1e-14)
     still = _profile(x=1e-3, a=0.6, gv=0.0, mu=1.2)
-    assert an.n2(still, d) == pytest.approx(an.n2_hom(still, d), rel=1e-14)
+    assert an.n2(still, d) == pytest.approx(n2_hom(still, d), rel=1e-14)
 
 
 def test_peak_value_sits_at_line_center():

@@ -3,10 +3,9 @@ import math
 import pytest
 
 from tpa import analytics, oracle
-from tpa.averaging import (QuadratureError, QuadratureSpec, averaged_n2,
-                           averaged_n3, averaged_population, lorentz_int1,
-                           lorentz_int2, oracle_average, spatial_dc,
-                           velocity_average)
+from tpa.averaging import (QuadratureError, QuadratureSpec,
+                           averaged_population, lorentz_int1, lorentz_int2,
+                           oracle_average, velocity_average)
 from tpa.core import NormalizedParams, ParameterError, VelocityDistribution
 from tpa.perturbative import upper_dc_series
 
@@ -92,29 +91,39 @@ def test_wide_gaussian_node_ladder_exhausts():
 
 
 def test_closed_averages_match_profile_forms(rng):
+    # the closed Lorentzian averages against quadrature of the per-velocity
+    # series, order 2 and the order-3 term each on their own
+    draws = []
     for _ in range(10):
         x = float(rng.uniform(1e-4, 1e-2)) * float(rng.choice([-1.0, 1.0]))
         gv = float(rng.uniform(0.0, 5.0))
-        p = NormalizedParams.build(
+        draws.append(NormalizedParams.build(
             delta_tilde=float(rng.uniform(-3.0, 3.0)),
             a_ratio=float(rng.uniform(0.0, 1.5)),
             mu=float(rng.uniform(0.5, 2.0)),
             phi_tilde=1.0, x=x, gamma_v_tilde=gv,
-            kind="homogeneous" if gv == 0.0 else "lorentzian")
-        prof = analytics.LineshapeParams.from_params(p)
-        assert rel_err(averaged_n2(p), analytics.n2(prof, p.delta_tilde)) < 1e-12
-        assert rel_err(averaged_n3(p), analytics.n3(prof, p.delta_tilde)) < 1e-12
+            kind="homogeneous" if gv == 0.0 else "lorentzian"))
+    for p in draws:
+        dist = p.distribution()
+        quad2 = velocity_average(lambda om: upper_dc_series(p, om, 2), dist,
+                                 vectorized=True)
+        quad3 = velocity_average(
+            lambda om: upper_dc_series(p, om, 3) - upper_dc_series(p, om, 2),
+            dist, vectorized=True)
+        closed2 = averaged_population(p, order=2)
+        assert rel_err(quad2, closed2) <= 1e-8
+        assert rel_err(quad3, averaged_population(p, order=3) - closed2) <= 1e-8
 
 
 def test_closed_averages_reject_gaussian_profiles():
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, x=1e-3,
                                gamma_v_tilde=1.0, kind="gaussian")
     with pytest.raises(ParameterError):
-        averaged_n2(p)
-    with pytest.raises(ParameterError):
-        averaged_n3(p)
-    with pytest.raises(ParameterError):
         averaged_population(p, order=4)
+    # a gaussian profile never falls back to the Lorentzian closed form
+    lorentz = (analytics.n2(p, p.delta_tilde)
+               + analytics.n3(p, p.delta_tilde))
+    assert rel_err(averaged_population(p, order=3), lorentz) > 1e-2
     # the gaussian series average itself is handled in closed form
     assert averaged_population(p, order=3) > 0.0
 
@@ -149,7 +158,7 @@ def test_lorentzian_series_average_closes():
                                delta_big_tilde=1e3, gamma_v_tilde=2.0)
     quadv = velocity_average(lambda om: upper_dc_series(p, om, 3),
                              p.distribution(), vectorized=True)
-    assert rel_err(quadv, averaged_n2(p) + averaged_n3(p)) <= 1e-8
+    assert rel_err(quadv, averaged_population(p, order=3)) <= 1e-8
 
 
 def test_oracle_average_homogeneous_is_single_solve():
@@ -180,10 +189,3 @@ def test_oracle_average_gaussian_matches_series():
                                phi_tilde=1.0, delta_big_tilde=1e3,
                                gamma_v_tilde=0.5, kind="gaussian")
     assert rel_err(oracle_average(p), averaged_population(p, order=3)) < 1e-3
-
-
-def test_spatial_dc_reads_central_harmonic():
-    p = NormalizedParams.build(delta_tilde=0.3, a_ratio=0.8,
-                               delta_big_tilde=200.0)
-    rho = oracle.solve_steady_state(oracle.SteadyStateProblem(p, 0.4, 5))
-    assert spatial_dc(rho, 2, 2) == rho.dc(2, 2)

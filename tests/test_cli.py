@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -121,10 +122,27 @@ def test_config_validation_errors():
         _oracle_doc(oracle={"order": 5}),
         _oracle_doc(quadrature={"nodes": 32.5}),
         _oracle_doc(out=12),
+        _n2_doc(fixed={"x": math.nan}),
+        _n2_doc(fixed={"x": True}),
+        _n2_doc(fixed={"x": 1e-3, "mu": math.inf}),
+        _n2_doc(sweep={"axis": "delta_tilde", "start": 0.0, "stop": 1.0,
+                       "count": 10 ** 10}),
+        _n2_doc(sweep={"axis": "delta_tilde", "start": -math.inf,
+                       "stop": 1.0, "count": 5}),
+        _oracle_doc(oracle={"refine_tol": math.nan}),
+        _oracle_doc(quadrature={"domain_halfwidth": math.nan}),
     ]
     for doc in bad_docs:
         with pytest.raises(ParameterError):
             cli.parse_scan_config(doc)
+
+
+def test_infinite_quadrature_window_accepted():
+    for halfwidth in (math.inf, "inf"):
+        cfg = cli.parse_scan_config(
+            _oracle_doc(quadrature={"domain_halfwidth": halfwidth}))
+        assert cfg.quad.domain_halfwidth == math.inf
+        assert cfg.metadata["quadrature"]["domain_halfwidth"] == "inf"
 
 
 def test_sweep_axis_cannot_repeat_in_fixed():
@@ -173,6 +191,18 @@ def test_main_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["figure", "--fig", "2", "--a-values", "1,-2"]) == 2
     capsys.readouterr()
+    assert cli.main(["figure", "--fig", "3", "--a-values", "0.5,nan"]) == 2
+    capsys.readouterr()
+
+
+def test_main_rejects_nan_parameter(tmp_path, capsys):
+    cfg_path = tmp_path / "nan.json"
+    out_path = tmp_path / "nan.csv"
+    cfg_path.write_text(json.dumps(_n2_doc(fixed={"x": math.nan})))
+    assert cli.main(["scan", "--config", str(cfg_path),
+                     "--out", str(out_path)]) == 2
+    assert "fixed.x must be finite" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_main_numerical_failure_exit(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -181,14 +180,3 @@ def test_condition_number_reported():
     system = oracle.assemble(_problem(n_max=3))
     cond = oracle.condition_number(system)
     assert math.isfinite(cond) and cond > 1.0
-
-
-def test_triplet_dump_rebuilds_matrix():
-    system = oracle.assemble(_problem(delta=0.4, a=0.6, omega=1.3, n_max=3))
-    buf = io.StringIO()
-    oracle.dump_triplets(system, buf)
-    rebuilt = np.zeros_like(system.matrix)
-    for line in buf.getvalue().splitlines():
-        r, c, re_part, im_part = line.split()
-        rebuilt[int(r), int(c)] = float(re_part) + 1j * float(im_part)
-    assert np.array_equal(rebuilt, system.matrix)
