@@ -3,7 +3,9 @@ atoms driven by two counterpropagating monochromatic waves.
 
 Layers, from the ground up:
 
-  core          parameter objects, normalization, JSON round trip
+  core          parameter objects, normalization, JSON round trip;
+                NormalizedParams is the only normalized parameter set,
+                taken by the solver, the series and the closed forms alike
   oracle        brute-force harmonic steady state at fixed velocity
   perturbative  closed-form weak-drive expansion, per velocity
   analytics     line profiles, widths, and peak displacements; depends
@@ -20,7 +22,7 @@ through its module.
 
 from ._version import __version__
 
-from .analytics import LineshapeParams, LocatorError, stark_shift, width_fwhm
+from .analytics import LocatorError, stark_shift, width_fwhm
 from .averaging import QuadratureError, averaged_population, oracle_average
 from .core import (AtomSpec, FieldSpec, NormalizedParams, ParameterError,
                    VelocityDistribution, denormalize, dump_parameters,
@@ -30,7 +32,7 @@ from .oracle import OracleError
 __all__ = [
     "__version__",
     # parameters
-    "NormalizedParams", "LineshapeParams", "AtomSpec", "FieldSpec",
+    "NormalizedParams", "AtomSpec", "FieldSpec",
     "VelocityDistribution", "normalize", "denormalize", "dump_parameters",
     "load_parameters",
     # results

@@ -14,52 +14,27 @@ read off them:
     (numeric_peak) for profiles only available pointwise.
 
 Everything is normalized: detunings and widths in units of gamma, x
-dimensionless, mu the ratio of the two transition dipoles.
+dimensionless, mu the ratio of the two transition dipoles. The profiles take
+NormalizedParams, the one normalized parameter set that the solver and the
+series use too, and read only its x, a_ratio, gamma_v_tilde and mu; the
+two-photon detuning is their second argument, so one parameter set serves a
+whole line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import NormalizedParams, ParameterError, _require_finite
+from .core import NormalizedParams, ParameterError
 
-__all__ = ["LocatorError", "LineshapeParams", "width_fwhm", "stark_shift"]
+__all__ = ["LocatorError", "width_fwhm", "stark_shift"]
 
 
 class LocatorError(RuntimeError):
     """Bracketing or refinement of a line feature failed."""
-
-
-@dataclass(frozen=True)
-class LineshapeParams:
-    """Line-profile inputs: pump strength, beam ratio, width, dipole ratio."""
-
-    x: float
-    a_ratio: float = 0.0
-    gamma_v_tilde: float = 0.0
-    mu: float = 1.0
-
-    def __post_init__(self):
-        for name in ("x", "a_ratio", "gamma_v_tilde", "mu"):
-            _require_finite(name, getattr(self, name))
-        if self.x == 0.0:
-            raise ParameterError("x must be nonzero")
-        if self.a_ratio < 0.0:
-            raise ParameterError(f"a_ratio must be >= 0, got {self.a_ratio}")
-        if self.gamma_v_tilde < 0.0:
-            raise ParameterError(
-                f"gamma_v_tilde must be >= 0, got {self.gamma_v_tilde}")
-        if self.mu <= 0.0:
-            raise ParameterError(f"mu must be positive, got {self.mu}")
-
-    @classmethod
-    def from_params(cls, params: NormalizedParams) -> "LineshapeParams":
-        return cls(x=params.x, a_ratio=params.a_ratio,
-                   gamma_v_tilde=params.gamma_v_tilde, mu=params.mu)
 
 
 def width_fwhm(a_ratio: float, gamma_v_tilde: float) -> float:
@@ -77,27 +52,21 @@ def width_fwhm(a_ratio: float, gamma_v_tilde: float) -> float:
     return 2.0 * math.sqrt(math.sqrt(w + (w - 1.0) ** 2 * f ** 2) + wf)
 
 
-def _profile_args(p: LineshapeParams, delta_tilde):
-    d = np.asarray(delta_tilde, dtype=float)
-    return d, d.ndim == 0
-
-
-def n2(p: LineshapeParams | NormalizedParams, delta_tilde):
+def n2(p: NormalizedParams, delta_tilde):
     """Lorentzian-averaged order-2 profile versus two-photon detuning.
 
-    Reads only x, a_ratio, gamma_v_tilde and mu, so a NormalizedParams of
-    a Lorentzian or homogeneous profile works as well as a LineshapeParams.
+    Scalar in, float out; arrays are evaluated elementwise.
     """
-    d, scalar = _profile_args(p, delta_tilde)
+    d = np.asarray(delta_tilde, dtype=float)
     a2 = p.a_ratio ** 2
     g1 = 1.0 + p.gamma_v_tilde
     w = g1 ** 2 + d ** 2
     out = 8 * p.mu ** 2 * p.x ** 2 * (g1 * (1.0 + a2 ** 2) / w
                                       + 4.0 * a2 / (1.0 + d ** 2))
-    return float(out) if scalar else out
+    return float(out) if d.ndim == 0 else out
 
 
-def n2_max(p: LineshapeParams) -> float:
+def n2_max(p: NormalizedParams) -> float:
     """Peak (line-center) value of n2."""
     a2 = p.a_ratio ** 2
     gv = p.gamma_v_tilde
@@ -105,12 +74,9 @@ def n2_max(p: LineshapeParams) -> float:
             * ((a2 ** 2 + 4.0 * a2 + 1.0) + 4.0 * gv * a2) / (1.0 + gv))
 
 
-def n3(p: LineshapeParams | NormalizedParams, delta_tilde):
-    """Lorentzian-averaged order-3 profile: the odd light-shift term.
-
-    Takes the same parameter objects as n2.
-    """
-    d, scalar = _profile_args(p, delta_tilde)
+def n3(p: NormalizedParams, delta_tilde):
+    """Lorentzian-averaged order-3 profile: the odd light-shift term."""
+    d = np.asarray(delta_tilde, dtype=float)
     a2 = p.a_ratio ** 2
     gv = p.gamma_v_tilde
     g1 = 1.0 + gv
@@ -121,10 +87,10 @@ def n3(p: LineshapeParams | NormalizedParams, delta_tilde):
     mu2 = p.mu ** 2
     out = (16 * mu2 * (mu2 - 1.0) * (1.0 + a2) * d * p.x ** 3
            * (b1 + b2))
-    return float(out) if scalar else out
+    return float(out) if d.ndim == 0 else out
 
 
-def stark_shift(p: LineshapeParams) -> float:
+def stark_shift(p: NormalizedParams) -> float:
     """Closed-form displacement of the n2 + n3 peak, in units of gamma.
 
     Linear in x and in mu^2 - 1; vanishes identically when the two dipoles
@@ -139,12 +105,12 @@ def stark_shift(p: LineshapeParams) -> float:
     return 2.0 * (1.0 + a2) * (p.mu ** 2 - 1.0) * p.x * num / den
 
 
-def stark_shift_tw(p: LineshapeParams) -> float:
+def stark_shift_tw(p: NormalizedParams) -> float:
     """Running-wave (A = 0) displacement: independent of the Doppler width."""
     return 2.0 * (p.mu ** 2 - 1.0) * p.x
 
 
-def stark_shift_sw(p: LineshapeParams) -> float:
+def stark_shift_sw(p: NormalizedParams) -> float:
     """Equal standing wave (A = 1) displacement."""
     gv = p.gamma_v_tilde
     return ((p.mu ** 2 - 1.0) * p.x

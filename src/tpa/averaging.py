@@ -11,7 +11,8 @@ are supported, parameterized by the half width at half maximum gamma_v:
   * gaussian: HWHM gamma_v; series averages close through the Faddeeva
     function, generic integrands use Gauss-Hermite quadrature.
 
-The non-closed Lorentzian averages use a tangent substitution
+The profile picks the rule: Gaussian averages always use Gauss-Hermite nodes,
+and the non-closed Lorentzian averages use a tangent substitution
 Omega = gamma_v * tan(theta), which maps the weighted line integral to a
 plain integral of f(gamma_v tan theta)/pi over theta; Gauss-Legendre nodes
 with doubling then converge geometrically for smooth f.
@@ -51,20 +52,18 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature policy: rule, starting node count, window, tolerance.
+    """Quadrature policy: starting node count, window, tolerance.
 
-    domain_halfwidth is measured in units of gamma_v and only applies to
-    finite-domain rules; inf integrates the whole compactified line.
+    The velocity profile picks the rule. domain_halfwidth is measured in
+    units of gamma_v and only applies to the Lorentzian rule; inf
+    integrates the whole compactified line.
     """
 
-    method: str = "adaptive_finite"
     nodes: int = 32
     domain_halfwidth: float = math.inf
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.method not in ("gauss_hermite", "adaptive_finite"):
-            raise ParameterError(f"unknown quadrature method {self.method!r}")
         if self.nodes < 8:
             raise ParameterError(f"nodes must be >= 8, got {self.nodes}")
         if not self.domain_halfwidth > 0.0:
@@ -74,8 +73,7 @@ class QuadratureSpec:
             raise ParameterError(f"tol must be positive, got {self.tol}")
 
 
-DEFAULT_ORACLE_QUAD = QuadratureSpec(method="adaptive_finite", nodes=32,
-                                     domain_halfwidth=10.0, tol=1e-6)
+DEFAULT_ORACLE_QUAD = QuadratureSpec(nodes=32, domain_halfwidth=10.0, tol=1e-6)
 
 
 def lorentz_int1(gamma: float, gamma_v: float, delta: float) -> float:
@@ -164,26 +162,20 @@ def velocity_average(f, dist: VelocityDistribution,
     """Average f(Omega) over the velocity distribution.
 
     Homogeneous media need no quadrature and return f(0). Gaussian profiles
-    require the gauss_hermite rule; Lorentzian profiles the adaptive_finite
-    rule, whose window is quad.domain_halfwidth * gamma_v (the default inf
-    integrates the full compactified line). When the window is finite, the
-    clipped Lorentzian mass is restored assuming f is constant beyond the
-    edge, f(+-R) each carrying half of it.
+    use Gauss-Hermite nodes over the whole line. Lorentzian profiles use the
+    tan-mapped Gauss-Legendre rule, whose window is
+    quad.domain_halfwidth * gamma_v (the default inf integrates the full
+    compactified line). When the window is finite, the clipped Lorentzian
+    mass is restored assuming f is constant beyond the edge, f(+-R) each
+    carrying half of it.
     """
     if dist.kind == "homogeneous":
         return float(f(0.0))
     if quad is None:
-        quad = (QuadratureSpec(method="gauss_hermite")
-                if dist.kind == "gaussian" else QuadratureSpec())
+        quad = QuadratureSpec()
     if dist.kind == "gaussian":
-        if quad.method != "gauss_hermite":
-            raise ParameterError(
-                "gaussian averaging requires the gauss_hermite method")
         sums = _gauss_hermite_sums(f, dist.gamma_v, quad.nodes, vectorized)
         return _converge(sums, quad.tol, 0.0)
-    if quad.method != "adaptive_finite":
-        raise ParameterError(
-            "lorentzian averaging requires the adaptive_finite method")
     h = quad.domain_halfwidth
     theta_max = 0.5 * math.pi if math.isinf(h) else math.atan(h)
     tail = 0.0
@@ -255,10 +247,10 @@ def averaged_population(params: NormalizedParams, order: int = 2,
     """Velocity-averaged dc upper population of the perturbative series.
 
     Lorentzian and homogeneous averages come out in closed form, as do
-    Gaussian ones through the Faddeeva function. Passing an explicit
-    Gauss-Hermite `quad` for a Gaussian profile integrates the per-velocity
-    series numerically instead, which is useful as a cross-check at moderate
-    widths but needs node counts growing like gamma_v_tilde^2.
+    Gaussian ones through the Faddeeva function. Passing an explicit `quad`
+    for a Gaussian profile integrates the per-velocity series numerically
+    instead, which is useful as a cross-check at moderate widths but needs
+    node counts growing like gamma_v_tilde^2.
     """
     if order not in (2, 3):
         raise ParameterError(f"order must be 2 or 3, got {order}")
@@ -284,7 +276,8 @@ def oracle_average(params: NormalizedParams,
     profiles use the windowed difference scheme described in the module
     docstring: the closed-form series through `order` is the reference, and
     only the solver's deviation from it is integrated over
-    |Omega| <= domain_halfwidth * gamma_v (default 10 widths).
+    |Omega| <= domain_halfwidth * gamma_v (default 10 widths). quad
+    defaults to DEFAULT_ORACLE_QUAD for both profiles.
     """
     info = {"n_used": 0, "reference": 0.0, "correction": 0.0}
 
@@ -294,23 +287,13 @@ def oracle_average(params: NormalizedParams,
         info["n_used"] = max(info["n_used"], n_used)
         return oracle_mod.dc_upper_population(rho)
 
-    kind = params.kind
-    if kind == "homogeneous":
-        value = dc_at(0.0)
-        info["correction"] = value
-        return (value, info) if return_info else value
-    if kind == "gaussian":
-        if quad is None:
-            quad = QuadratureSpec(method="gauss_hermite", tol=1e-6)
+    if quad is None:
+        quad = DEFAULT_ORACLE_QUAD
+    if params.kind != "lorentzian":
         value = velocity_average(dc_at, params.distribution(), quad)
         info["correction"] = value
         return (value, info) if return_info else value
 
-    if quad is None:
-        quad = DEFAULT_ORACLE_QUAD
-    if quad.method != "adaptive_finite":
-        raise ParameterError(
-            "lorentzian oracle averaging requires the adaptive_finite method")
     reference = _lorentzian_series_dc(params, order)
     h = quad.domain_halfwidth if math.isfinite(quad.domain_halfwidth) else 10.0
     theta_max = math.atan(h)

@@ -19,14 +19,15 @@ Scan configs are JSON with normalized (gamma = 1) parameters:
       "sweep": {"axis": "delta_tilde", "start": -6, "stop": 6, "count": 121},
       "fixed": {"x": 1e-3, "a_ratio": 1.0, "gamma_v_tilde": 2.0},
       "dist": {"kind": "lorentzian"},
-      "quadrature": {"method": "adaptive_finite", "nodes": 32,
-                     "domain_halfwidth": 10.0, "tol": 1e-6},
+      "quadrature": {"nodes": 32, "domain_halfwidth": 10.0, "tol": 1e-6},
       "oracle": {"n_cap": 41, "refine_tol": 1e-14, "order": 3},
       "out": "scan.csv"
     }
 
 Unknown keys are rejected everywhere. "quadrature" and "oracle" only apply
-to the oracle_avg observable. CSV output starts with a '#'-prefixed JSON
+to the oracle_avg observable; the quadrature rule follows dist.kind
+(Gauss-Hermite for gaussian, tan-mapped Gauss-Legendre for lorentzian, which
+alone uses domain_halfwidth). CSV output starts with a '#'-prefixed JSON
 metadata line and keeps 17 significant digits.
 """
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import analytics, averaging
 from ._version import __version__
-from .analytics import LineshapeParams, LocatorError
+from .analytics import LocatorError
 from .averaging import QuadratureError, QuadratureSpec
 from .core import NormalizedParams, ParameterError
 from .oracle import DEFAULT_N_CAP, OracleError
@@ -179,11 +180,9 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         if obs != "oracle_avg":
             raise ParameterError("'quadrature' only applies to oracle_avg")
         qdoc = doc["quadrature"]
-        _check_keys(qdoc, ("method", "nodes", "domain_halfwidth", "tol"),
-                    (), "quadrature")
+        _check_keys(qdoc, ("nodes", "domain_halfwidth", "tol"), (),
+                    "quadrature")
         kwargs = {}
-        if "method" in qdoc:
-            kwargs["method"] = str(qdoc["method"])
         if "nodes" in qdoc:
             if not isinstance(qdoc["nodes"], int):
                 raise ParameterError("quadrature.nodes must be an integer")
@@ -226,56 +225,66 @@ def parse_scan_config(doc: dict) -> ScanConfig:
     }
     if quad is not None:
         metadata["quadrature"] = {
-            "method": quad.method, "nodes": quad.nodes,
+            "nodes": quad.nodes,
             "domain_halfwidth": (quad.domain_halfwidth
                                  if math.isfinite(quad.domain_halfwidth)
                                  else "inf"),
             "tol": quad.tol}
     if "oracle" in doc:
         metadata["oracle"] = dict(oracle_opts)
-    return ScanConfig(observable=obs, axis=axis, grid=grid, fixed=fixed,
-                      kind=kind, quad=quad, oracle_opts=oracle_opts, out=out,
-                      metadata=metadata)
+    cfg = ScanConfig(observable=obs, axis=axis, grid=grid, fixed=fixed,
+                     kind=kind, quad=quad, oracle_opts=oracle_opts, out=out,
+                     metadata=metadata)
+    if obs != "width":  # the range rules are intervals: check the grid ends
+        _params_at(cfg, start)
+        _params_at(cfg, stop)
+    return cfg
 
 
-def _lineshape_at(vals: dict) -> LineshapeParams:
-    return LineshapeParams(x=vals["x"], a_ratio=vals.get("a_ratio", 0.0),
-                           gamma_v_tilde=vals.get("gamma_v_tilde", 0.0),
-                           mu=vals.get("mu", 1.0))
-
-
-def _closed_point(cfg: ScanConfig, value: float) -> float:
+def _values_at(cfg: ScanConfig, value: float) -> dict:
     vals = dict(cfg.fixed)
     vals[cfg.axis] = float(value)
-    obs = cfg.observable
-    if obs == "width":
-        return analytics.width_fwhm(vals.get("a_ratio", 0.0),
-                                    vals.get("gamma_v_tilde", 0.0))
-    p = _lineshape_at(vals)
+    return vals
+
+
+def _params_at(cfg: ScanConfig, value: float) -> NormalizedParams:
+    """Parameters at one sweep point; gamma_v_tilde = 0 is homogeneous.
+
+    The closed observables supply x and oracle_avg supplies delta_big_tilde.
+    """
+    vals = _values_at(cfg, value)
+    kind = cfg.kind if vals.get("gamma_v_tilde", 0.0) > 0.0 else "homogeneous"
+    return NormalizedParams.build(**vals, kind=kind)
+
+
+def _closed_point(obs: str, p: NormalizedParams, delta_tilde: float) -> float:
     if obs == "n2":
-        return analytics.n2(p, vals.get("delta_tilde", 0.0))
+        return analytics.n2(p, delta_tilde)
     if obs == "n2+n3":
-        d = vals.get("delta_tilde", 0.0)
-        return analytics.n2(p, d) + analytics.n3(p, d)
+        return analytics.n2(p, delta_tilde) + analytics.n3(p, delta_tilde)
     if obs == "stark":
         return analytics.stark_shift(p)
     return analytics.n2_max(p)
 
 
+def _closed_column(cfg: ScanConfig) -> np.ndarray:
+    obs = cfg.observable
+    if obs == "width":
+        return np.array([analytics.width_fwhm(v.get("a_ratio", 0.0),
+                                              v.get("gamma_v_tilde", 0.0))
+                         for v in (_values_at(cfg, g) for g in cfg.grid)])
+    if cfg.axis == "delta_tilde":
+        # the profiles take the detuning as an argument, so one parameter
+        # set serves every point of the line
+        p = _params_at(cfg, 0.0)
+        return np.array([_closed_point(obs, p, float(d)) for d in cfg.grid])
+    return np.array([_closed_point(obs, p, p.delta_tilde)
+                     for p in (_params_at(cfg, g) for g in cfg.grid)])
+
+
 def _oracle_point(cfg: ScanConfig, value: float):
-    vals = dict(cfg.fixed)
-    vals[cfg.axis] = float(value)
-    gv = vals.get("gamma_v_tilde", 0.0)
-    params = NormalizedParams.build(
-        delta_tilde=vals.get("delta_tilde", 0.0),
-        gamma_v_tilde=gv,
-        a_ratio=vals.get("a_ratio", 0.0),
-        mu=vals.get("mu", 1.0),
-        phi_tilde=vals.get("phi_tilde", 1.0),
-        delta_big_tilde=vals["delta_big_tilde"],
-        kind=cfg.kind if gv > 0.0 else "homogeneous")
     got, info = averaging.oracle_average(
-        params, cfg.quad, order=cfg.oracle_opts["order"],
+        _params_at(cfg, value), cfg.quad, order=cfg.oracle_opts["order"],
         n_cap=cfg.oracle_opts["n_cap"],
         refine_tol=cfg.oracle_opts["refine_tol"], return_info=True)
     return got, info["n_used"]
@@ -294,31 +303,22 @@ def run_scan(config: ScanConfig, workers: int = 1) -> SpectrumScan:
         n_used = np.array([float(r[1]) for r in results])
         columns = {"oracle_avg": values, "n_used": n_used}
     else:
-        values = np.array([_closed_point(config, v) for v in config.grid])
-        columns = {config.observable: values}
+        columns = {config.observable: _closed_column(config)}
     return SpectrumScan(axis=config.axis, grid=config.grid, columns=columns,
                         metadata=config.metadata)
 
 
-def _gaussian_width_curve(gv: float):
-    base = NormalizedParams.build(a_ratio=1.0, gamma_v_tilde=gv, x=1e-3,
-                                  phi_tilde=1.0,
+def _gaussian_line(gv: float, a: float, mu: float, order: int):
+    """The Gaussian-averaged series at x = 1e-3 as a function of delta_tilde."""
+    base = NormalizedParams.build(a_ratio=a, gamma_v_tilde=gv, x=1e-3, mu=mu,
                                   kind="gaussian" if gv > 0 else None)
-
-    def curve(d: float) -> float:
-        return averaging.averaged_population(base.with_delta(d), order=2)
-    return curve
+    return lambda d: averaging.averaged_population(base.with_delta(d),
+                                                   order=order)
 
 
 def _gaussian_peak_location(gv: float, a: float) -> float:
-    base = NormalizedParams.build(a_ratio=a, gamma_v_tilde=gv, x=1e-3,
-                                  phi_tilde=1.0, mu=math.sqrt(2.0),
-                                  kind="gaussian" if gv > 0 else None)
-
-    def curve(d: float) -> float:
-        return averaging.averaged_population(base.with_delta(d), order=3)
-    return analytics.numeric_peak(curve, bracket_halfwidth=4.0 * (1.0 + gv),
-                                  tol=1e-9)
+    return analytics.numeric_peak(_gaussian_line(gv, a, math.sqrt(2.0), 3),
+                                  bracket_halfwidth=4.0 * (1.0 + gv), tol=1e-9)
 
 
 def run_figure(fig: int, a_values=None) -> SpectrumScan:
@@ -335,12 +335,12 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
     if fig == 2:
         avals = [0.0, 0.25, 0.5, 0.75, 1.0] if a_values is None else list(a_values)
         grid = np.linspace(0.0, 20.0, 81)
-        ref = analytics.n2_max(LineshapeParams(x=1.0, a_ratio=1.0))
+        ref = analytics.n2_max(NormalizedParams.build(x=1.0, a_ratio=1.0))
         columns = {}
         for a in avals:
             columns[f"a={a:g}"] = np.array(
-                [analytics.n2_max(LineshapeParams(x=1.0, a_ratio=a,
-                                                  gamma_v_tilde=gv)) / ref
+                [analytics.n2_max(NormalizedParams.build(
+                    x=1.0, a_ratio=a, gamma_v_tilde=gv)) / ref
                  for gv in grid])
         meta_a = avals
     elif fig == 3:
@@ -355,8 +355,8 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
             raise ParameterError("figure 4 is defined for a_ratio = 1 only")
         grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 23)])
         lorentz = np.array([0.5 * analytics.width_fwhm(1.0, gv) for gv in grid])
-        gauss = np.array([0.5 * analytics.numeric_fwhm(_gaussian_width_curve(gv))
-                          for gv in grid])
+        gauss = np.array([0.5 * analytics.numeric_fwhm(
+            _gaussian_line(gv, 1.0, 1.0, 2)) for gv in grid])
         columns = {"lorentzian": lorentz, "gaussian": gauss}
         meta_a = [1.0]
     elif fig == 5:
@@ -365,10 +365,10 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
         grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 19)])
         mu = math.sqrt(2.0)
         lorentz = np.array(
-            [analytics.stark_shift_sw(LineshapeParams(x=1e-3, a_ratio=1.0,
-                                                      gamma_v_tilde=gv, mu=mu))
-             / analytics.stark_shift_tw(LineshapeParams(x=1e-3, a_ratio=0.0,
-                                                        gamma_v_tilde=gv, mu=mu))
+            [analytics.stark_shift_sw(NormalizedParams.build(
+                x=1e-3, a_ratio=1.0, gamma_v_tilde=gv, mu=mu))
+             / analytics.stark_shift_tw(NormalizedParams.build(
+                 x=1e-3, a_ratio=0.0, gamma_v_tilde=gv, mu=mu))
              for gv in grid])
         gauss = np.array([_gaussian_peak_location(gv, 1.0)
                           / _gaussian_peak_location(gv, 0.0) for gv in grid])

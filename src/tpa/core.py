@@ -51,7 +51,8 @@ class AtomSpec:
     gamma     : relaxation rate of all levels and coherences, > 0.
     delta_big : intermediate-level detuning (signed, nonzero); the expansion
                 parameter of the perturbative results is 1/delta_big.
-    mu        : ratio of the upper to the lower transition dipole projections.
+    mu        : ratio of the upper to the lower transition dipole projections,
+                > 0.
     """
 
     gamma: float
@@ -65,7 +66,9 @@ class AtomSpec:
         d = _require_finite("delta_big", self.delta_big)
         if d == 0.0:
             raise ParameterError("delta_big must be nonzero")
-        _require_finite("mu", self.mu)
+        m = _require_finite("mu", self.mu)
+        if m <= 0.0:
+            raise ParameterError(f"mu must be > 0, got {m}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ class NormalizedParams:
     gamma_v_tilde   : inhomogeneous HWHM gamma_v/gamma.
     x               : phi**2/(gamma*delta_big), the perturbative strength
                       (signed; carries the sign of delta_big).
-    a_ratio, mu     : as in FieldSpec/AtomSpec.
+    a_ratio, mu     : as in FieldSpec/AtomSpec (mu > 0).
     phi_tilde       : phi/gamma.
     delta_big_tilde : delta_big/gamma.
     kind            : velocity distribution kind.
@@ -193,6 +196,8 @@ class NormalizedParams:
                 f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.delta_big_tilde == 0.0:
             raise ParameterError("delta_big_tilde must be nonzero")
+        if self.mu <= 0.0:
+            raise ParameterError(f"mu must be > 0, got {self.mu}")
         if self.phi_tilde < 0.0 or self.a_ratio < 0.0 or self.gamma_v_tilde < 0.0:
             raise ParameterError("phi_tilde, a_ratio, gamma_v_tilde must be >= 0")
         if (self.gamma_v_tilde == 0.0) != (self.kind == "homogeneous"):

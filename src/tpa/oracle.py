@@ -255,7 +255,7 @@ def refine(problem: SteadyStateProblem, tol: float,
     coefficient changes by less than tol (absolute) between consecutive
     truncations. Returns (solution, n_used).
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ParameterError(f"tol must be >= 0, got {tol}")
     previous = None
     last_change = None

@@ -168,7 +168,7 @@ def _locator_rows(level: str) -> list:
     worst = 0.0
     ok = True
     for a, gv in lattice:
-        p = analytics.LineshapeParams(x=1e-3, a_ratio=a, gamma_v_tilde=gv)
+        p = NormalizedParams.build(x=1e-3, a_ratio=a, gamma_v_tilde=gv)
         got = analytics.numeric_fwhm(lambda d, p=p: analytics.n2(p, d))
         want = analytics.width_fwhm(a, gv)
         err = abs(got - want)
@@ -182,8 +182,8 @@ def _locator_rows(level: str) -> list:
     worst = 0.0
     ok = True
     for a, gv in cells:
-        p = analytics.LineshapeParams(x=1e-3, a_ratio=a, gamma_v_tilde=gv,
-                                      mu=math.sqrt(2.0))
+        p = NormalizedParams.build(x=1e-3, a_ratio=a, gamma_v_tilde=gv,
+                                   mu=math.sqrt(2.0))
         got = analytics.numeric_peak(
             lambda d, p=p: analytics.n2(p, d) + analytics.n3(p, d),
             bracket_halfwidth=4.0 * (1.0 + gv))

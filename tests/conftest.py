@@ -8,13 +8,28 @@ content up to two-order-higher contamination.
 
 Expected values of the order-2 profile in its three limits, written out
 separately from the general analytics.n2 so the tests compare two forms.
+
+Property tests run under one Hypothesis profile: derandomized, so every run
+draws the same examples, with no example database on disk and no per-example
+deadline. Hypothesis still caches the constants it reads from the sources,
+already while collecting; that cache goes to a temporary directory removed
+at exit, not to .hypothesis/.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import configuration, settings
 
 from tpa import oracle
 from tpa.core import NormalizedParams
+
+settings.register_profile("tpa", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tpa")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="tpa-hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def build_pair(delta, a, mu, phi, dbig):

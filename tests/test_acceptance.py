@@ -46,8 +46,8 @@ def test_criterion_03_wide_standing_wave_width_narrows():
 
 def test_criterion_04_equal_wave_peak_enhancement():
     still = dict(x=1e-3, gamma_v_tilde=0.0)
-    ratio = (an.n2(an.LineshapeParams(a_ratio=1.0, **still), 0.0)
-             / an.n2(an.LineshapeParams(a_ratio=0.0, **still), 0.0))
+    ratio = (an.n2(NormalizedParams.build(a_ratio=1.0, **still), 0.0)
+             / an.n2(NormalizedParams.build(a_ratio=0.0, **still), 0.0))
     _report(4, abs(ratio - 6.0) <= 1e-12 * 6.0, f"ratio {ratio:.14f}")
 
 
@@ -56,26 +56,26 @@ def test_criterion_05_wide_limit_peaks():
     want = 8.0 * mu ** 2 * x ** 2
     worst = 0.0
     for gv in (1.0, 10.0, 100.0, 1e4):
-        p = an.LineshapeParams(x=x, a_ratio=0.0, gamma_v_tilde=gv, mu=mu)
+        p = NormalizedParams.build(x=x, a_ratio=0.0, gamma_v_tilde=gv, mu=mu)
         worst = max(worst, _rel(n2_tw(p, 0.0) * (1.0 + gv), want))
-    sw = an.LineshapeParams(x=x, a_ratio=1.0, gamma_v_tilde=1e4, mu=mu)
-    hom = an.LineshapeParams(x=x, a_ratio=1.0, gamma_v_tilde=0.0, mu=mu)
+    sw = NormalizedParams.build(x=x, a_ratio=1.0, gamma_v_tilde=1e4, mu=mu)
+    hom = NormalizedParams.build(x=x, a_ratio=1.0, gamma_v_tilde=0.0, mu=mu)
     ratio = n2_sw(sw, 0.0) / n2_hom(hom, 0.0)
     ok = worst <= 1e-12 and abs(ratio - 2.0 / 3.0) <= 1e-3
     _report(5, ok, f"1/(1+gv) law dev {worst:.2e}, wide sw/hom {ratio:.6f}")
 
 
 def test_criterion_06_shift_special_cases():
-    zero = max(abs(an.stark_shift(an.LineshapeParams(
+    zero = max(abs(an.stark_shift(NormalizedParams.build(
         x=1e-3, a_ratio=a, gamma_v_tilde=gv, mu=1.0)))
         for a in (0.0, 0.5, 1.0) for gv in (0.0, 1.0, 10.0))
-    tw_dev = max(abs(an.stark_shift(an.LineshapeParams(
+    tw_dev = max(abs(an.stark_shift(NormalizedParams.build(
         x=1e-3, a_ratio=0.0, gamma_v_tilde=gv, mu=1.4))
         - 2.0 * (1.4 ** 2 - 1.0) * 1e-3) for gv in (0.0, 1.0, 7.0, 100.0))
-    wide = an.LineshapeParams(x=1e-3, a_ratio=1.0, gamma_v_tilde=1e4,
-                              mu=math.sqrt(2.0))
-    wide_tw = an.LineshapeParams(x=1e-3, a_ratio=0.0, gamma_v_tilde=1e4,
-                                 mu=math.sqrt(2.0))
+    wide = NormalizedParams.build(x=1e-3, a_ratio=1.0, gamma_v_tilde=1e4,
+                                  mu=math.sqrt(2.0))
+    wide_tw = NormalizedParams.build(x=1e-3, a_ratio=0.0, gamma_v_tilde=1e4,
+                                     mu=math.sqrt(2.0))
     ratio = an.stark_shift_sw(wide) / an.stark_shift_tw(wide_tw)
     ok = zero == 0.0 and tw_dev == 0.0 and abs(ratio - 0.5) <= 1e-3
     _report(6, ok, f"mu=1 max {zero:.1e}, single-beam dev {tw_dev:.1e}, "
@@ -88,7 +88,7 @@ def test_criterion_07_closed_forms_match_bracketing():
     worst_w = 0.0
     for a in avals:
         for gv in gvals:
-            prof = an.LineshapeParams(x=1e-3, a_ratio=a, gamma_v_tilde=gv)
+            prof = NormalizedParams.build(x=1e-3, a_ratio=a, gamma_v_tilde=gv)
             got = an.numeric_fwhm(lambda d: an.n2(prof, d))
             worst_w = max(worst_w, abs(got - an.width_fwhm(a, gv)))
     ok = worst_w <= 1e-6
@@ -98,8 +98,9 @@ def test_criterion_07_closed_forms_match_bracketing():
         worst = 0.0
         for a in avals:
             for gv in gvals:
-                prof = an.LineshapeParams(x=x, a_ratio=a, gamma_v_tilde=gv,
-                                          mu=math.sqrt(2.0))
+                prof = NormalizedParams.build(x=x, a_ratio=a,
+                                              gamma_v_tilde=gv,
+                                              mu=math.sqrt(2.0))
                 got = an.numeric_peak(
                     lambda d: an.n2(prof, d) + an.n3(prof, d),
                     bracket_halfwidth=4.0 * (1.0 + gv), tol=1e-9)

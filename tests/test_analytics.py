@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tpa import analytics as an
 from tpa.averaging import averaged_population, oracle_average
@@ -11,27 +13,32 @@ from conftest import n2_hom, n2_sw, n2_tw, rel_err
 
 
 def _profile(x=1e-3, a=0.0, gv=0.0, mu=1.0):
-    return an.LineshapeParams(x=x, a_ratio=a, gamma_v_tilde=gv, mu=mu)
+    return NormalizedParams.build(x=x, a_ratio=a, gamma_v_tilde=gv, mu=mu)
+
+
+# Generated profile inputs: signed drive, beam ratio (> 0 where the beams
+# are exchanged), Doppler width from the homogeneous limit up, dipole ratio.
+_x = st.floats(1e-6, 1e-1) | st.floats(-1e-1, -1e-6)
+_ratio = st.floats(0.1, 10.0)
+_width = st.just(0.0) | st.floats(1e-3, 50.0)
+_mu = st.floats(0.1, 3.0)
+_detuning = st.floats(-20.0, 20.0)
 
 
 def test_profile_params_validation():
     with pytest.raises(ParameterError):
-        an.LineshapeParams(x=0.0)
+        NormalizedParams.build(x=0.0)
+    for mu in (0.0, -1.2):
+        with pytest.raises(ParameterError):
+            NormalizedParams.build(x=1e-3, mu=mu)
     with pytest.raises(ParameterError):
-        an.LineshapeParams(x=1e-3, mu=0.0)
+        NormalizedParams.build(x=1e-3, a_ratio=-0.5)
     with pytest.raises(ParameterError):
-        an.LineshapeParams(x=1e-3, a_ratio=-0.5)
-    with pytest.raises(ParameterError):
-        an.LineshapeParams(x=1e-3, gamma_v_tilde=-1.0)
+        NormalizedParams.build(x=1e-3, gamma_v_tilde=-1.0)
     for bad in ({"x": math.nan}, {"x": math.inf}, {"a_ratio": math.nan},
                 {"gamma_v_tilde": math.inf}, {"mu": math.nan}):
         with pytest.raises(ParameterError):
-            an.LineshapeParams(**{"x": 1e-3, **bad})
-    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=0.7, mu=1.2,
-                               x=2e-3, gamma_v_tilde=3.0)
-    prof = an.LineshapeParams.from_params(p)
-    assert (prof.x, prof.a_ratio, prof.gamma_v_tilde, prof.mu) == (
-        2e-3, 0.7, 3.0, 1.2)
+            NormalizedParams.build(**{"x": 1e-3, **bad})
 
 
 def test_width_examples():
@@ -47,20 +54,22 @@ def test_width_rises_then_saturates_toward_two():
     assert abs(an.width_fwhm(1.0, 100.0) - 2.01) < 1e-3
 
 
-def test_profile_parities():
-    p = _profile(x=2e-3, a=0.7, gv=1.5, mu=1.3)
-    for d in (0.3, 1.1, 4.0):
-        assert an.n2(p, d) == pytest.approx(an.n2(p, -d), rel=1e-14)
-        assert an.n3(p, d) == pytest.approx(-an.n3(p, -d), rel=1e-14)
+@given(x=_x, a=st.just(0.0) | _ratio, gv=_width, mu=_mu, d=_detuning)
+def test_profile_parities(x, a, gv, mu, d):
+    p = _profile(x=x, a=a, gv=gv, mu=mu)
+    assert an.n2(p, d) == pytest.approx(an.n2(p, -d), rel=1e-14)
+    assert an.n3(p, d) == pytest.approx(-an.n3(p, -d), rel=1e-14)
 
 
-def test_profiles_invariant_under_beam_exchange():
-    for a in (0.5, 2.0, 0.25):
-        p = _profile(x=1e-3, a=a, gv=2.0, mu=1.4)
-        q = _profile(x=1e-3 * a ** 2, a=1.0 / a, gv=2.0, mu=1.4)
-        for d in (0.0, 0.8, 2.5):
-            assert rel_err(an.n2(q, d), an.n2(p, d)) < 1e-12
-            assert rel_err(an.n3(q, d), an.n3(p, d)) < 1e-12
+@given(x=_x, a=_ratio, gv=_width, mu=_mu, d=_detuning)
+def test_profiles_invariant_under_beam_exchange(x, a, gv, mu, d):
+    # relabelling the beams: phi -> A phi and A -> 1/A, so x -> A^2 x
+    p = _profile(x=x, a=a, gv=gv, mu=mu)
+    q = _profile(x=x * a ** 2, a=1.0 / a, gv=gv, mu=mu)
+    assert rel_err(an.n2(q, d), an.n2(p, d)) < 1e-12
+    assert rel_err(an.n3(q, d), an.n3(p, d)) < 1e-12
+    assert rel_err(an.n2_max(q), an.n2_max(p)) < 1e-12
+    assert rel_err(an.stark_shift(q), an.stark_shift(p)) < 1e-12
 
 
 def test_profile_limits():
@@ -147,6 +156,6 @@ def test_numeric_peak_of_solver_profile():
                                   delta_big_tilde=1e3)
     curve = lambda d: oracle_average(base.with_delta(float(d)))
     got = an.numeric_peak(curve, bracket_halfwidth=4.0, tol=1e-9)
-    want = an.stark_shift(an.LineshapeParams.from_params(base))
+    want = an.stark_shift(base)
     assert got * want > 0.0
     assert rel_err(got, want) <= 0.01

@@ -7,7 +7,7 @@ import pytest
 
 import tpa
 from tpa import analytics, cli
-from tpa.core import ParameterError
+from tpa.core import NormalizedParams, ParameterError
 
 
 def _n2_doc(**over):
@@ -42,8 +42,8 @@ def _render(scan) -> str:
 def test_scan_matches_closed_profile():
     cfg = cli.parse_scan_config(_n2_doc())
     scan = cli.run_scan(cfg)
-    prof = analytics.LineshapeParams(x=1e-3, a_ratio=0.7, gamma_v_tilde=1.5,
-                                     mu=1.2)
+    prof = NormalizedParams.build(x=1e-3, a_ratio=0.7, gamma_v_tilde=1.5,
+                                  mu=1.2)
     want = analytics.n2(prof, scan.grid)
     assert np.allclose(scan.columns["n2"], want, rtol=1e-14, atol=0.0)
 
@@ -131,6 +131,9 @@ def test_config_validation_errors():
                        "stop": 1.0, "count": 5}),
         _oracle_doc(oracle={"refine_tol": math.nan}),
         _oracle_doc(quadrature={"domain_halfwidth": math.nan}),
+        _oracle_doc(fixed={"delta_big_tilde": 100.0, "mu": 0.0}),
+        _n2_doc(fixed={"x": 1e-3, "mu": -1.0}),
+        _oracle_doc(quadrature={"method": "gauss_hermite"}),
     ]
     for doc in bad_docs:
         with pytest.raises(ParameterError):
@@ -143,6 +146,20 @@ def test_infinite_quadrature_window_accepted():
             _oracle_doc(quadrature={"domain_halfwidth": halfwidth}))
         assert cfg.quad.domain_halfwidth == math.inf
         assert cfg.metadata["quadrature"]["domain_halfwidth"] == "inf"
+
+
+def test_gaussian_quadrature_block_runs(tmp_path, capsys):
+    # the rule follows dist.kind, so a block that sets only tol applies as is
+    cfg_path = tmp_path / "gauss.json"
+    cfg_path.write_text(json.dumps(_oracle_doc(
+        sweep={"axis": "delta_tilde", "start": 0.0, "stop": 0.5, "count": 2},
+        fixed={"delta_big_tilde": 1e3, "gamma_v_tilde": 0.5},
+        dist={"kind": "gaussian"}, quadrature={"tol": 1e-5})))
+    assert cli.main(["scan", "--config", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[0][2:])["quadrature"] == {
+        "nodes": 32, "domain_halfwidth": "inf", "tol": 1e-5}
+    assert len(lines) == 4
 
 
 def test_sweep_axis_cannot_repeat_in_fixed():
@@ -193,6 +210,11 @@ def test_main_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["figure", "--fig", "3", "--a-values", "0.5,nan"]) == 2
     capsys.readouterr()
+    no_dipole = tmp_path / "mu.json"
+    no_dipole.write_text(json.dumps(_oracle_doc(
+        fixed={"delta_big_tilde": 100.0, "mu": 0.0})))
+    assert cli.main(["scan", "--config", str(no_dipole)]) == 2
+    assert "mu must be > 0" in capsys.readouterr().err
 
 
 def test_main_rejects_nan_parameter(tmp_path, capsys):

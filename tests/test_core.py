@@ -18,6 +18,14 @@ def test_atom_spec_validation():
         AtomSpec(gamma=1.0, delta_big=0.0)
     with pytest.raises(ParameterError):
         AtomSpec(gamma=math.inf, delta_big=100.0)
+    for mu in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            AtomSpec(gamma=1.0, delta_big=100.0, mu=mu)
+    doc = dump_parameters(AtomSpec(gamma=1.0, delta_big=100.0),
+                          FieldSpec(phi=1.0, a_ratio=1.0),
+                          VelocityDistribution.homogeneous())
+    with pytest.raises(ParameterError):
+        load_parameters({**doc, "mu": -1})
 
 
 def test_field_spec_validation():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tpa import oracle
+from tpa import averaging, oracle
 from tpa.core import NormalizedParams, ParameterError
 from tpa.oracle import (ConsistencyError, HarmonicDensityMatrix,
                         SteadyStateProblem, TruncationError)
@@ -125,11 +125,25 @@ def test_refine_stops_quickly_for_weak_drive():
     assert rho.n_max == 5
 
 
-def test_refine_argument_and_cap_errors():
+def test_refine_argument_and_cap_errors(monkeypatch):
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
                                delta_big_tilde=100.0)
-    with pytest.raises(ParameterError):
-        oracle.refine(SteadyStateProblem(p, 0.0), -1e-3)
+    for bad in (-1e-3, math.nan):
+        with pytest.raises(ParameterError):
+            oracle.refine(SteadyStateProblem(p, 0.0), bad)
+    # a NaN tolerance is refused before the first solve, also through
+    # the velocity average
+    solves = []
+    monkeypatch.setattr(oracle, "solve_steady_state",
+                        lambda problem: solves.append(problem))
+    lorentzian = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
+                                        delta_big_tilde=100.0,
+                                        gamma_v_tilde=1.0)
+    for params in (p, lorentzian):
+        with pytest.raises(ParameterError):
+            averaging.oracle_average(params, refine_tol=math.nan)
+    assert solves == []
+    monkeypatch.undo()
     with pytest.raises(TruncationError):
         oracle.refine(SteadyStateProblem(p, 0.0), 1e-14, n_cap=3)
     q = NormalizedParams.build(delta_tilde=0.5, a_ratio=0.5,
