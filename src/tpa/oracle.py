@@ -15,21 +15,32 @@ into one finite complex linear system over all c(i,j,n), |n| <= n_max:
   * relaxation adds -gamma on the diagonal, and the pump gamma*|1><1| is the
     single inhomogeneous entry, at (1,1,n=0).
 
-The full 9-component matrix is solved without imposing hermiticity; together
-with the trace and harmonic-parity structure it is checked afterwards, which
-validates the assembled operator rather than assuming it.
+Every row holds its diagonal and at most 8 couplings, so the operator is
+kept in row-slot form (a column and a value per slot), filled from a layout
+cached per truncation order. Each coupling flips an element between the
+even-n class (populations, rho12, rho21) and the odd-n class (the one-photon
+coherences) while shifting n by one, so the unknowns split into two sectors
+that never couple: the pumped sector (even-n class on even n, odd-n class on
+odd n), which holds the pump, and its complement, whose homogeneous
+equations leave it zero (Stenholm & Lamb, Phys. Rev. 181, 618 (1969)). Only
+the pumped block is factorized. The residual is then taken over all rows of
+the full 9-component system, so a coupling between the sectors, which the
+reduced solve cannot see, shows up as a defect in the unpumped rows.
+Hermiticity, trace, parity and population range are checked on the
+solution rather than imposed.
 
 All quantities are in normalized (gamma = 1) units.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .core import NormalizedParams, ParameterError
+from .core import NormalizedParams, ParameterError, _require_finite
 
 __all__ = ["OracleError"]
 
@@ -44,6 +55,22 @@ _IMAG_TOL = 1e-10
 # Spatial-harmonic parity of each matrix element: populations and the
 # two-photon coherence rho21 live on even n, one-photon coherences on odd n.
 _ODD_PARITY = {(0, 1), (1, 0), (2, 0), (0, 2)}
+
+# Couplings of element (i, j): (i', j', coefficient, rule), one entry per
+# factor of -i[M, rho], with the coefficients i, i*mu, -i, -i*mu numbered
+# 0..3. Rule "e" is coef * (E rho)_n, rule "ec" is coef * (E* rho)_n.
+_COUPLINGS = {
+    (i, j): ([(1, j, 0, "e"), (2, j, 1, "ec")] if i == 0 else
+             [(0, j, 0, "ec")] if i == 1 else [(0, j, 1, "e")])
+    + ([(i, 1, 2, "ec"), (i, 2, 3, "e")] if j == 0 else
+       [(i, 0, 2, "e")] if j == 1 else [(i, 0, 3, "ec")])
+    for i in range(3) for j in range(3)
+}
+# E = phi1 e^{ikz} - phi2 e^{-ikz}: each rule reads harmonic n + dn with the
+# field factor phi1 (f = 0) or -phi2 (f = 1).
+_RULES = {"e": ((-1, 0), (+1, 1)), "ec": ((+1, 0), (-1, 1))}
+_SLOTS = 9  # the diagonal and up to 8 couplings per row
+_PAD = 8  # value index of an empty slot: the zero after the 8 couplings
 
 
 class OracleError(RuntimeError):
@@ -71,6 +98,11 @@ class SteadyStateProblem:
     n_max: int = 9
 
     def __post_init__(self):
+        _require_finite("omega", self.omega)
+        if (isinstance(self.n_max, bool)
+                or not isinstance(self.n_max, (int, np.integer))):
+            raise ParameterError(
+                f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 3:
             raise ParameterError(
                 f"n_max must be >= 3 to hold the third harmonics, got {self.n_max}")
@@ -78,15 +110,24 @@ class SteadyStateProblem:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Dense assembled system A c = b over the stacked harmonic coefficients."""
+    """Assembled system A c = b in row-slot form.
 
-    matrix: np.ndarray
+    Row r of A holds vals[r, k] at column cols[r, k]: slot 0 is the
+    diagonal, slots 1..8 the couplings, and an empty slot holds 0.
+    """
+
+    cols: np.ndarray  # int, shape (dimension, 9)
+    vals: np.ndarray  # complex, shape (dimension, 9)
     rhs: np.ndarray
     n_max: int
 
     @property
     def dimension(self) -> int:
         return self.rhs.size
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x, in the precision of x (clongdouble x gives a clongdouble sum)."""
+        return (self.vals * x[self.cols]).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -109,20 +150,16 @@ class HarmonicDensityMatrix:
         c = self.coeffs
         nm = self.n_max
         # hermiticity: c(i,j,n) == conj(c(j,i,-n))
-        herm = np.max(np.abs(c - np.conj(np.transpose(c, (1, 0, 2))[:, :, ::-1])))
+        herm = np.abs(c - np.conj(c.transpose(1, 0, 2)[:, :, ::-1])).max()
         trace = c[0, 0] + c[1, 1] + c[2, 2]
         trace_dc = abs(trace[nm] - 1.0)
-        trace_ac = np.max(np.abs(np.delete(trace, nm))) if nm > 0 else 0.0
-        parity = 0.0
-        ns = np.arange(-nm, nm + 1)
-        for i in range(3):
-            for j in range(3):
-                odd = (i, j) in _ODD_PARITY
-                banned = (ns % 2 == 0) if odd else (ns % 2 != 0)
-                parity = max(parity, np.max(np.abs(c[i, j][banned])))
-        dc_imag = max(abs(c[i, i, nm].imag) for i in range(3))
-        dc_range = max(max(-c[i, i, nm].real, c[i, i, nm].real - 1.0, 0.0)
-                       for i in range(3))
+        ac = np.abs(trace)
+        ac[nm] = 0.0
+        trace_ac = ac.max()
+        parity = np.abs(c[_banned(nm)]).max()
+        dc = c[(0, 1, 2), (0, 1, 2), nm].tolist()
+        dc_imag = max(abs(z.imag) for z in dc)
+        dc_range = max(max(-z.real, z.real - 1.0, 0.0) for z in dc)
         return {
             "hermiticity": float(herm),
             "trace_dc": float(trace_dc),
@@ -144,8 +181,64 @@ def _index(i: int, j: int, n: int, n_max: int) -> int:
     return (3 * i + j) * (2 * n_max + 1) + (n + n_max)
 
 
+@functools.lru_cache(maxsize=None)
+def _banned(n_max: int) -> np.ndarray:
+    """Mask over c(i,j,n) of the coefficients parity forces to zero."""
+    odd_n = np.arange(-n_max, n_max + 1) % 2 == 1
+    odd_element = np.array([[(i, j) in _ODD_PARITY for j in range(3)]
+                            for i in range(3)])
+    mask = odd_n != odd_element[:, :, None]
+    mask.flags.writeable = False
+    return mask
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where the values of one truncation order go; see `_layout`."""
+
+    cols: np.ndarray  # (dimension, 9) column of each slot, own row if empty
+    kinds: np.ndarray  # (dimension, 8) value index of each coupling slot
+    half_n: np.ndarray  # (dimension,) n/2 of each row, for the advection
+    pumped: np.ndarray  # rows/columns of the pumped sector, ascending
+    block: np.ndarray  # flat position in the pumped block of each live slot
+    block_slots: np.ndarray  # flat index of that slot in vals[pumped]
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n_max: int) -> _Layout:
+    """Slot columns and value indices of the operator at one truncation order.
+
+    Coupling value index 2*c + f is coefficient c (i, i*mu, -i, -i*mu) times
+    field factor f (phi1, -phi2); index 8 is an empty slot.
+    """
+    nh = 2 * n_max + 1
+    dim = 9 * nh
+    n = np.arange(-n_max, n_max + 1)
+    cols = np.repeat(np.arange(dim)[:, None], _SLOTS, axis=1)
+    kinds = np.full((dim, _SLOTS - 1), _PAD)
+    for (i, j), couplings in _COUPLINGS.items():
+        rows = _index(i, j, -n_max, n_max) + np.arange(nh)
+        slot = 0
+        for ci, cj, coef, rule in couplings:
+            for dn, f in _RULES[rule]:
+                ok = np.abs(n + dn) <= n_max
+                cols[rows[ok], 1 + slot] = _index(ci, cj, 0, n_max) + n[ok] + dn
+                kinds[rows[ok], slot] = 2 * coef + f
+                slot += 1
+    pumped = np.flatnonzero(~_banned(n_max))
+    reduced = np.full(dim, -1)
+    reduced[pumped] = np.arange(pumped.size)
+    live = np.ones((pumped.size, _SLOTS), dtype=bool)
+    live[:, 1:] = kinds[pumped] != _PAD
+    block = np.arange(pumped.size)[:, None] * pumped.size + reduced[cols[pumped]]
+    cols.flags.writeable = False  # shared by every system of this order
+    return _Layout(cols=cols, kinds=kinds,
+                   half_n=np.tile(0.5 * n, 9), pumped=pumped,
+                   block=block[live], block_slots=np.flatnonzero(live))
+
+
 def assemble(problem: SteadyStateProblem) -> LinearSystem:
-    """Build the dense steady-state system for one velocity class.
+    """Build the row-slot steady-state system for one velocity class.
 
     Sign conventions follow directly from -i[M, rho] with the level basis
     (0, 1, 2) and M00 = 0, M11 = (delta + delta_big)/2,
@@ -153,92 +246,67 @@ def assemble(problem: SteadyStateProblem) -> LinearSystem:
     """
     p = problem.params
     nmax = problem.n_max
-    nh = 2 * nmax + 1
-    dim = 9 * nh
-    A = np.zeros((dim, dim), dtype=complex)
-    b = np.zeros(dim, dtype=complex)
+    lay = _layout(nmax)
     phi1, phi2, mu = p.phi1, p.phi2, p.mu
     d1 = 0.5 * (p.delta_tilde + p.delta_big_tilde)
     d2 = 0.5 * (p.delta_tilde - p.delta_big_tilde)
-    mdiag = (0.0, d1, -d2)
-    omega = problem.omega
-
-    def idx(i, j, n):
-        return _index(i, j, n, nmax)
-
-    for i in range(3):
-        for j in range(3):
-            for n in range(-nmax, nmax + 1):
-                r = idx(i, j, n)
-                # relaxation, advection, and free evolution of the element
-                A[r, r] += -(1.0 + 0.5j * n * omega) - 1j * (mdiag[i] - mdiag[j])
-
-                def couple_e(ci, cj, coef):
-                    # coef * (E rho)_n: E = phi1 e^{ikz} - phi2 e^{-ikz}
-                    if n - 1 >= -nmax:
-                        A[r, idx(ci, cj, n - 1)] += coef * phi1
-                    if n + 1 <= nmax:
-                        A[r, idx(ci, cj, n + 1)] += -coef * phi2
-
-                def couple_ec(ci, cj, coef):
-                    # coef * (E* rho)_n
-                    if n + 1 <= nmax:
-                        A[r, idx(ci, cj, n + 1)] += coef * phi1
-                    if n - 1 >= -nmax:
-                        A[r, idx(ci, cj, n - 1)] += -coef * phi2
-
-                if i == 0:
-                    couple_e(1, j, 1j)
-                    couple_ec(2, j, 1j * mu)
-                elif i == 1:
-                    couple_ec(0, j, 1j)
-                else:
-                    couple_e(0, j, 1j * mu)
-                if j == 0:
-                    couple_ec(i, 1, -1j)
-                    couple_e(i, 2, -1j * mu)
-                elif j == 1:
-                    couple_e(i, 0, -1j)
-                else:
-                    couple_ec(i, 0, -1j * mu)
-
-    b[idx(1, 1, 0)] = -1.0  # pump: gamma fills the ground state
-    return LinearSystem(matrix=A, rhs=b, n_max=nmax)
+    mdiag = np.array([0.0, d1, -d2])
+    # M_ii - M_jj of each element (i, j), for its free evolution
+    free = (mdiag[:, None] - mdiag[None, :]).ravel()
+    values = np.zeros(_PAD + 1, dtype=complex)
+    values[:_PAD] = (np.array([1j, 1j * mu, -1j, -1j * mu])[:, None]
+                     * np.array([phi1, -phi2])).ravel()
+    vals = np.empty(lay.cols.shape, dtype=complex)
+    vals[:, 1:] = values[lay.kinds]
+    # relaxation, advection, and free evolution of the element
+    vals[:, 0] = -1.0 - 1j * (lay.half_n * problem.omega
+                              + np.repeat(free, 2 * nmax + 1))
+    b = np.zeros(lay.cols.shape[0], dtype=complex)
+    b[_index(1, 1, 0, nmax)] = -1.0  # pump: gamma fills the ground state
+    return LinearSystem(cols=lay.cols, vals=vals, rhs=b, n_max=nmax)
 
 
-def condition_number(system: LinearSystem) -> float:
-    """1-norm condition estimate of the assembled operator."""
-    # cond keeps the complex dtype even though the norms are real
-    return float(abs(np.linalg.cond(system.matrix, 1)))
+def _pumped_block(rows: np.ndarray, lay: _Layout) -> np.ndarray:
+    """Dense pumped-sector block from the slot values of its rows."""
+    m = lay.pumped.size
+    block = np.zeros(m * m, dtype=complex)
+    block[lay.block] = rows.ravel()[lay.block_slots]
+    return block.reshape(m, m)
 
 
 def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
-    """Direct dense solve with iterative refinement and structural checks.
+    """Parity-reduced direct solve with iterative refinement and checks.
 
-    The system is row-equilibrated before LU factorization (the diagonal
-    grows like n*Omega/2 and delta_big, so raw rows span many decades), and
-    the solution is polished by two refinement steps with the residual
-    accumulated in extended precision. The final residual must stay below
-    1e-10; hermiticity, trace, parity, and population range are then
-    verified on the solution to 1e-8.
+    The pumped-sector block is row-equilibrated before LU factorization
+    (the diagonal grows like n*Omega/2 and delta_big, so raw rows span many
+    decades); the other sector is set to zero. The solution is polished by
+    two refinement steps with the residual of the full 9-component system
+    accumulated in extended precision. That final residual, over every row,
+    must stay below 1e-10; hermiticity, trace, parity, and population range
+    are then verified on the solution to 1e-8.
     """
     system = assemble(problem)
-    A, b = system.matrix, system.rhs
-    scale = np.max(np.abs(A), axis=1)
-    lu, piv = sla.lu_factor(A / scale[:, None])
-    x = sla.lu_solve((lu, piv), b / scale)
-    aq = A.astype(np.clongdouble)
-    bq = b.astype(np.clongdouble)
-    xq = x.astype(np.clongdouble)
+    lay = _layout(problem.n_max)
+    pumped = lay.pumped
+    rows = system.vals[pumped]
+    scale = np.max(np.abs(rows), axis=1)
+    lu_piv = sla.lu_factor(_pumped_block(rows / scale[:, None], lay),
+                           check_finite=False)
+    xq = np.zeros(system.dimension, dtype=np.clongdouble)
+    xq[pumped] = sla.lu_solve(lu_piv, system.rhs[pumped] / scale,
+                              check_finite=False)
     for _ in range(2):
-        r = bq - aq @ xq
-        xq = xq + sla.lu_solve((lu, piv), (r / scale).astype(complex))
-    residual = float(np.max(np.abs(bq - aq @ xq)))
+        r = system.rhs - system.apply(xq)
+        xq[pumped] += sla.lu_solve(lu_piv, (r[pumped] / scale).astype(complex),
+                                   check_finite=False)
+    residual = float(np.max(np.abs(system.rhs - system.apply(xq))))
     if not np.isfinite(residual) or residual > _RESIDUAL_TOL:
-        cond = condition_number(system)
+        # cond keeps the complex dtype even though the norms are real
+        cond = float(abs(np.linalg.cond(_pumped_block(rows, lay), 1)))
         raise SolverError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:g} "
-            f"(dimension {system.dimension}, condition estimate {cond:.3e})")
+            f"(dimension {system.dimension}, pumped block {pumped.size}, "
+            f"condition estimate {cond:.3e})")
     nh = 2 * problem.n_max + 1
     rho = HarmonicDensityMatrix(
         n_max=problem.n_max,

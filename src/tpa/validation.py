@@ -86,7 +86,7 @@ def _structural_rows(level: str, rng: np.random.Generator) -> list:
         # recompute the defect from the returned coefficients rather than
         # trusting the solver's own bookkeeping
         system = oracle.assemble(oracle.SteadyStateProblem(params, om, n_max))
-        defect = system.matrix @ rho.coeffs.reshape(-1) - system.rhs
+        defect = system.apply(rho.coeffs.reshape(-1)) - system.rhs
         residual = float(np.max(np.abs(defect)))
         worst_residual = max(worst_residual, residual)
         if residual > 1e-10:

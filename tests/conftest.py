@@ -9,6 +9,10 @@ content up to two-order-higher contamination.
 Expected values of the order-2 profile in its three limits, written out
 separately from the general analytics.n2 so the tests compare two forms.
 
+A dense reference assembler of the steady-state operator, the entry-by-entry
+triple loop the solver once used, so the row-slot operator and the
+parity-reduced solve are checked against an independent construction.
+
 Property tests run under one Hypothesis profile: derandomized, so every run
 draws the same examples, with no example database on disk and no per-example
 deadline. Hypothesis still caches the constants it reads from the sources,
@@ -81,3 +85,71 @@ def n2_sw(p, d):
     g1 = 1.0 + p.gamma_v_tilde
     return 8 * p.mu ** 2 * p.x ** 2 * (4.0 / (1.0 + d ** 2)
                                        + 2.0 * g1 / (g1 ** 2 + d ** 2))
+
+
+def reference_system(problem):
+    """Dense (A, b) of the steady-state system, built entry by entry.
+
+    Sign conventions follow directly from -i[M, rho] with the level basis
+    (0, 1, 2) and M00 = 0, M11 = (delta + delta_big)/2,
+    M22 = -(delta - delta_big)/2, M01 = -E, M20 = -mu*E.
+    """
+    p = problem.params
+    nmax = problem.n_max
+    nh = 2 * nmax + 1
+    dim = 9 * nh
+    A = np.zeros((dim, dim), dtype=complex)
+    b = np.zeros(dim, dtype=complex)
+    phi1, phi2, mu = p.phi1, p.phi2, p.mu
+    d1 = 0.5 * (p.delta_tilde + p.delta_big_tilde)
+    d2 = 0.5 * (p.delta_tilde - p.delta_big_tilde)
+    mdiag = (0.0, d1, -d2)
+    omega = problem.omega
+
+    def idx(i, j, n):
+        return (3 * i + j) * nh + (n + nmax)
+
+    for i in range(3):
+        for j in range(3):
+            for n in range(-nmax, nmax + 1):
+                r = idx(i, j, n)
+                # relaxation, advection, and free evolution of the element
+                A[r, r] += -(1.0 + 0.5j * n * omega) - 1j * (mdiag[i] - mdiag[j])
+
+                def couple_e(ci, cj, coef):
+                    # coef * (E rho)_n: E = phi1 e^{ikz} - phi2 e^{-ikz}
+                    if n - 1 >= -nmax:
+                        A[r, idx(ci, cj, n - 1)] += coef * phi1
+                    if n + 1 <= nmax:
+                        A[r, idx(ci, cj, n + 1)] += -coef * phi2
+
+                def couple_ec(ci, cj, coef):
+                    # coef * (E* rho)_n
+                    if n + 1 <= nmax:
+                        A[r, idx(ci, cj, n + 1)] += coef * phi1
+                    if n - 1 >= -nmax:
+                        A[r, idx(ci, cj, n - 1)] += -coef * phi2
+
+                if i == 0:
+                    couple_e(1, j, 1j)
+                    couple_ec(2, j, 1j * mu)
+                elif i == 1:
+                    couple_ec(0, j, 1j)
+                else:
+                    couple_e(0, j, 1j * mu)
+                if j == 0:
+                    couple_ec(i, 1, -1j)
+                    couple_e(i, 2, -1j * mu)
+                elif j == 1:
+                    couple_e(i, 0, -1j)
+                else:
+                    couple_ec(i, 0, -1j * mu)
+
+    b[idx(1, 1, 0)] = -1.0  # pump: gamma fills the ground state
+    return A, b
+
+
+def dense(system):
+    """The row-slot operator as a dense matrix, one column per unit vector."""
+    return np.column_stack([system.apply(e) for e in
+                            np.eye(system.dimension, dtype=complex)])

@@ -1,15 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tpa import averaging, oracle
 from tpa.core import NormalizedParams, ParameterError
-from tpa.oracle import (ConsistencyError, HarmonicDensityMatrix,
-                        SteadyStateProblem, TruncationError)
+from tpa.oracle import (ConsistencyError, HarmonicDensityMatrix, LinearSystem,
+                        SolverError, SteadyStateProblem, TruncationError)
 from tpa.perturbative import upper_dc_series
 
-from conftest import rel_err
+from conftest import dense, reference_system, rel_err
 
 
 def _problem(delta=0.0, a=1.0, mu=1.0, phi=1.0, dbig=1e3, omega=0.0, n_max=9,
@@ -24,6 +26,24 @@ def test_problem_rejects_tiny_truncation():
         _problem(n_max=2)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_nonfinite_velocity(omega):
+    p = NormalizedParams.build(delta_big_tilde=1e3)
+    with pytest.raises(ParameterError, match="omega"):
+        SteadyStateProblem(p, omega)
+
+
+@pytest.mark.parametrize("n_max", [5.5, 5.0, True, "5"])
+def test_problem_rejects_non_integer_truncation(n_max):
+    with pytest.raises(ParameterError, match="n_max must be an integer"):
+        _problem(n_max=n_max)
+
+
+def test_problem_accepts_numpy_scalars():
+    pr = _problem(omega=np.float64(0.7), n_max=np.int64(5))
+    assert oracle.solve_steady_state(pr).n_max == 5
+
+
 def test_zero_drive_gives_ground_state():
     rho = oracle.solve_steady_state(_problem(phi=0.0, n_max=5))
     assert rho.dc(1, 1) == pytest.approx(1.0, abs=1e-14)
@@ -35,7 +55,8 @@ def test_zero_drive_gives_ground_state():
 def test_system_dimension():
     system = oracle.assemble(_problem(n_max=5))
     assert system.dimension == 9 * 11 == 99
-    assert system.matrix.shape == (99, 99)
+    assert system.cols.shape == system.vals.shape == (99, 9)
+    assert dense(system).shape == (99, 99)
 
 
 def test_assembled_coupling_rows():
@@ -44,7 +65,7 @@ def test_assembled_coupling_rows():
     pr = _problem(delta=delta, a=a, mu=mu, phi=phi, dbig=dbig, omega=omega,
                   n_max=3)
     system = oracle.assemble(pr)
-    m = system.matrix
+    m = dense(system)
     n_max = 3
     idx = lambda i, j, n: (3 * i + j) * (2 * n_max + 1) + (n + n_max)
     phi1, phi2 = phi, a * phi
@@ -75,9 +96,96 @@ def test_solution_invariants_and_residual():
     report = rho.invariant_report()
     assert set(report) == {"hermiticity", "trace_dc", "trace_ac", "parity",
                            "dc_imag", "dc_range"}
-    system = oracle.assemble(pr)
-    defect = system.matrix @ rho.coeffs.reshape(-1) - system.rhs
+    matrix, rhs = reference_system(pr)
+    defect = matrix @ rho.coeffs.reshape(-1) - rhs
     assert np.max(np.abs(defect)) < 1e-10
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40)
+@given(n_max=st.sampled_from([3, 5, 7]),
+       delta=st.floats(-3.0, 3.0, **_finite),
+       a=st.floats(0.0, 1.5, **_finite),
+       mu=st.floats(0.5, 2.0, **_finite),
+       phi=st.floats(0.0, 1.5, **_finite),
+       dbig=st.floats(50.0, 5e3, **_finite),
+       sign=st.sampled_from([-1.0, 1.0]),
+       omega=st.floats(-5.0, 5.0, **_finite))
+def test_operator_and_reduced_solve_match_dense_reference(
+        n_max, delta, a, mu, phi, dbig, sign, omega):
+    pr = _problem(delta=delta, a=a, mu=mu, phi=phi, dbig=sign * dbig,
+                  omega=omega, n_max=n_max)
+    matrix, rhs = reference_system(pr)
+    system = oracle.assemble(pr)
+    assert np.array_equal(dense(system), matrix)
+    assert np.array_equal(system.rhs, rhs)
+    full = np.linalg.solve(matrix, rhs)
+    rho = oracle.solve_steady_state(pr)
+    assert np.max(np.abs(rho.coeffs.reshape(-1) - full)) < 1e-12
+    # parity on the unreduced system: the dense solve of all 9 components
+    # leaves the unpumped sector empty
+    unpumped = oracle._banned(n_max).reshape(-1)
+    assert np.max(np.abs(full[unpumped])) < 1e-14
+
+
+def _coupled_sectors(row_sector):
+    """An `assemble` whose operator couples the two parity sectors once.
+
+    "unpumped": a coupling of an unpumped row reads the dc ground population
+    (1, 1, 0) instead; "pumped": a pumped row's coupling to that population
+    reads the unpumped (1, 1, 1) instead. Refinement cannot remove the
+    first defect and only damps the second (its factorization is of the
+    uncorrupted block), so both stay far above the residual bound.
+    """
+    assemble = oracle.assemble
+
+    def corrupted(problem):
+        system = assemble(problem)
+        nm = problem.n_max
+        ground = oracle._index(1, 1, 0, nm)
+        live = system.vals != 0
+        live[:, 0] = False  # couplings only
+        if row_sector == "unpumped":
+            row = int(np.flatnonzero(oracle._banned(nm).reshape(-1))[0])
+            slot, col = int(np.flatnonzero(live[row])[0]), ground
+        else:
+            row, slot = np.argwhere(live & (system.cols == ground))[0]
+            col = oracle._index(1, 1, 1, nm)
+        cols = system.cols.copy()
+        cols[row, slot] = col
+        return LinearSystem(cols=cols, vals=system.vals, rhs=system.rhs,
+                            n_max=system.n_max)
+    return corrupted
+
+
+@pytest.mark.parametrize("row_sector", ["unpumped", "pumped"])
+def test_sector_coupling_fails_full_residual(monkeypatch, row_sector):
+    monkeypatch.setattr(oracle, "assemble", _coupled_sectors(row_sector))
+    with pytest.raises(SolverError, match="residual"):
+        oracle.solve_steady_state(_problem(delta=0.3, a=0.8, omega=0.9,
+                                           dbig=100.0, n_max=5))
+
+
+@pytest.mark.parametrize("element, n", [((2, 2), 1), ((0, 1), 2)])
+def test_banned_parity_fails_invariants(element, n):
+    rho = oracle.solve_steady_state(_problem(delta=0.3, a=0.8, n_max=5))
+    bad = HarmonicDensityMatrix(5, rho.coeffs.copy())
+    (i, j), nm = element, 5
+    # a hermitian pair at a parity the element may not carry; on the
+    # diagonal the ground state takes the opposite amount, so the trace
+    # and hermiticity stay exact
+    bad.coeffs[i, j, nm + n] += 1e-6
+    bad.coeffs[j, i, nm - n] += 1e-6
+    if i == j:
+        bad.coeffs[1, 1, nm + n] -= 1e-6
+        bad.coeffs[1, 1, nm - n] -= 1e-6
+    report = bad.invariant_report()
+    assert report["parity"] == pytest.approx(1e-6, rel=1e-6)
+    assert all(v < 1e-8 for k, v in report.items() if k != "parity")
+    with pytest.raises(ConsistencyError, match="parity"):
+        bad.check_invariants(1e-8)
 
 
 def test_upper_population_matches_weak_drive_series():
@@ -98,23 +206,22 @@ def test_error_falls_off_two_orders_faster_than_drive():
     assert 20.0 < ratio < 500.0
 
 
-def test_beam_exchange_symmetry(rng):
-    for _ in range(5):
-        delta = rng.uniform(-2.0, 2.0)
-        a = rng.uniform(0.3, 1.4)
-        mu = rng.uniform(0.6, 1.8)
-        phi = rng.uniform(0.3, 1.2)
-        omega = rng.uniform(-4.0, 4.0)
-        dbig = rng.uniform(100.0, 2000.0)
-        pr = _problem(delta=delta, a=a, mu=mu, phi=phi, dbig=dbig,
-                      omega=omega, n_max=7)
-        swapped = _problem(delta=delta, a=1.0 / a, mu=mu, phi=a * phi,
-                           dbig=dbig, omega=-omega, n_max=7)
-        rho = oracle.solve_steady_state(pr)
-        rho_sw = oracle.solve_steady_state(swapped)
-        for level in (0, 1, 2):
-            assert abs(rho.dc(level, level)
-                       - rho_sw.dc(level, level)) < 1e-10
+@given(delta=st.floats(-2.0, 2.0, **_finite),
+       a=st.floats(0.3, 1.4, **_finite),
+       mu=st.floats(0.6, 1.8, **_finite),
+       phi=st.floats(0.3, 1.2, **_finite),
+       omega=st.floats(-4.0, 4.0, **_finite),
+       dbig=st.floats(100.0, 2000.0, **_finite))
+def test_beam_exchange_symmetry(delta, a, mu, phi, omega, dbig):
+    pr = _problem(delta=delta, a=a, mu=mu, phi=phi, dbig=dbig,
+                  omega=omega, n_max=7)
+    swapped = _problem(delta=delta, a=1.0 / a, mu=mu, phi=a * phi,
+                       dbig=dbig, omega=-omega, n_max=7)
+    rho = oracle.solve_steady_state(pr)
+    rho_sw = oracle.solve_steady_state(swapped)
+    for level in (0, 1, 2):
+        assert abs(rho.dc(level, level)
+                   - rho_sw.dc(level, level)) < 1e-10
 
 
 def test_refine_stops_quickly_for_weak_drive():
@@ -190,7 +297,11 @@ def test_dc_population_imag_guard():
         oracle.dc_upper_population(bad)
 
 
-def test_condition_number_reported():
-    system = oracle.assemble(_problem(n_max=3))
-    cond = oracle.condition_number(system)
+def test_condition_number_reported(monkeypatch):
+    # a failed solve reports the condition estimate of its pumped block
+    monkeypatch.setattr(oracle, "assemble", _coupled_sectors("unpumped"))
+    with pytest.raises(SolverError) as failure:
+        oracle.solve_steady_state(_problem(n_max=3))
+    found = re.search(r"condition estimate (\S+)\)", str(failure.value))
+    cond = float(found.group(1))
     assert math.isfinite(cond) and cond > 1.0
