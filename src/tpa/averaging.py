@@ -195,6 +195,31 @@ def _lorentzian_series_dc(params: NormalizedParams, order: int) -> float:
     return total
 
 
+# Beyond |zeta| = 6, w'(zeta) is summed from its asymptotic series, cut at
+# its smallest term there (k = 36, 2e-14 relative); below it the identity
+# w' = -2 zeta w + 2i/sqrt(pi) loses at most |zeta|^2 < 36 times the
+# accuracy of w.
+_ASYMPTOTIC_ZETA = 6.0
+_ASYMPTOTIC_TERMS = 36
+
+
+def _faddeeva_derivative(zeta: complex, w: complex) -> complex:
+    """w'(zeta) for Im zeta > 0, given w = w(zeta).
+
+    The identity w' = -2 zeta w + 2i/sqrt(pi) cancels to a relative size
+    ~1/|zeta|^2, so at large |zeta| the asymptotic series
+    w'(zeta) = -(2i/sqrt(pi)) sum_{k>=1} (2k-1)!! / (2 zeta^2)^k
+    is summed instead (Horner form).
+    """
+    if abs(zeta) < _ASYMPTOTIC_ZETA:
+        return -2.0 * zeta * w + 2j / math.sqrt(math.pi)
+    x = 0.5 / (zeta * zeta)
+    total = 0.0
+    for k in range(_ASYMPTOTIC_TERMS, 0, -1):
+        total = (2 * k - 1) * x * (1.0 + total)
+    return -2j / math.sqrt(math.pi) * total
+
+
 def _faddeeva_moments(delta: float, gamma_v: float) -> tuple[complex, complex]:
     """Gaussian averages of the one-photon resolvents via the Faddeeva function.
 
@@ -204,18 +229,19 @@ def _faddeeva_moments(delta: float, gamma_v: float) -> tuple[complex, complex]:
       first  = < 1 / (1 - i u) >   (real part: Lorentzian kernel average)
       second = < 1 / (1 - i u)^2 > = -i d(first)/d(delta)
 
-    computed from w(zeta) with zeta = (delta + i) / (sigma sqrt(2)) and the
-    identity w'(zeta) = -2 zeta w(zeta) + 2i/sqrt(pi). Both are exact to
-    machine precision for any width, unlike Gauss-Hermite sums whose node
-    count grows like gamma_v^2 when the integrand stays unit width.
+    computed from w(zeta) and w'(zeta) with zeta = (delta + i) / (sigma
+    sqrt(2)). Both stay within 1e-12 of their exact values for any width,
+    down to the homogeneous limit gamma_v -> 0+ where |zeta| grows like
+    1/gamma_v, unlike Gauss-Hermite sums whose node count grows like
+    gamma_v^2 when the integrand stays unit width.
     """
     sigma = gamma_v / math.sqrt(2.0 * math.log(2.0))
     root2 = math.sqrt(2.0)
     zeta = (delta + 1j) / (sigma * root2)
     w = wofz(zeta)
     first = math.sqrt(0.5 * math.pi) / sigma * w
-    w_prime = -2.0 * zeta * w + 2j / math.sqrt(math.pi)
-    second = -1j * math.sqrt(0.5 * math.pi) / (sigma ** 2 * root2) * w_prime
+    second = (-1j * math.sqrt(0.5 * math.pi) / (sigma ** 2 * root2)
+              * _faddeeva_derivative(zeta, w))
     return complex(first), complex(second)
 
 

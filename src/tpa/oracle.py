@@ -16,18 +16,24 @@ into one finite complex linear system over all c(i,j,n), |n| <= n_max:
     single inhomogeneous entry, at (1,1,n=0).
 
 Every row holds its diagonal and at most 8 couplings, so the operator is
-kept in row-slot form (a column and a value per slot), filled from a layout
-cached per truncation order. Each coupling flips an element between the
-even-n class (populations, rho12, rho21) and the odd-n class (the one-photon
-coherences) while shifting n by one, so the unknowns split into two sectors
-that never couple: the pumped sector (even-n class on even n, odd-n class on
-odd n), which holds the pump, and its complement, whose homogeneous
-equations leave it zero (Stenholm & Lamb, Phys. Rev. 181, 618 (1969)). Only
-the pumped block is factorized. The residual is then taken over all rows of
-the full 9-component system, so a coupling between the sectors, which the
-reduced solve cannot see, shows up as a defect in the unpumped rows.
-Hermiticity, trace, parity and population range are checked on the
-solution rather than imposed.
+kept in row-slot form (a column and a value per live slot), filled from a
+layout cached per truncation order. Each coupling flips an element between
+the even-n class (populations, rho12, rho21) and the odd-n class (the
+one-photon coherences) while shifting n by one, so the unknowns split into
+two sectors that never couple: the pumped sector (even-n class on even n,
+odd-n class on odd n), which holds the pump, and its complement, whose
+homogeneous equations leave it zero (Stenholm & Lamb, Phys. Rev. 181, 618
+(1969)). Inside the pumped sector no coupling joins two elements of the same
+class, so both diagonal blocks are diagonal: the even class is eliminated
+exactly, through pivots -1 - i(n*Omega/2 + M_ii - M_jj) of modulus at least
+gamma, and the one LU factorization of a solve is of the Schur complement on
+the 4 one-photon coherences of each odd harmonic (the large-detuning
+elimination of the weak-drive theory, made exact; H. Risken, The
+Fokker-Planck Equation, ch. 9). The residual is then taken over all rows of
+the full 9-component system, so a coupling the reduced solve assumes absent,
+between the sectors or inside a class, shows up as a defect. Hermiticity,
+trace, parity and population range are checked on the solution rather than
+imposed.
 
 All quantities are in normalized (gamma = 1) units.
 """
@@ -70,7 +76,6 @@ _COUPLINGS = {
 # field factor phi1 (f = 0) or -phi2 (f = 1).
 _RULES = {"e": ((-1, 0), (+1, 1)), "ec": ((+1, 0), (-1, 1))}
 _SLOTS = 9  # the diagonal and up to 8 couplings per row
-_PAD = 8  # value index of an empty slot: the zero after the 8 couplings
 
 
 class OracleError(RuntimeError):
@@ -112,12 +117,15 @@ class SteadyStateProblem:
 class LinearSystem:
     """Assembled system A c = b in row-slot form.
 
-    Row r of A holds vals[r, k] at column cols[r, k]: slot 0 is the
-    diagonal, slots 1..8 the couplings, and an empty slot holds 0.
+    Row r of A holds vals[k] at column cols[k] for the slots k from
+    starts[r] up to the next row's start: its diagonal first, then its
+    couplings. Only live slots are stored, so a row at the edge of the
+    truncation holds fewer than 9.
     """
 
-    cols: np.ndarray  # int, shape (dimension, 9)
-    vals: np.ndarray  # complex, shape (dimension, 9)
+    cols: np.ndarray  # int, shape (slots,)
+    vals: np.ndarray  # complex, or clongdouble for the residual; (slots,)
+    starts: np.ndarray  # int, shape (dimension,)
     rhs: np.ndarray
     n_max: int
 
@@ -126,8 +134,8 @@ class LinearSystem:
         return self.rhs.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x, in the precision of x (clongdouble x gives a clongdouble sum)."""
-        return (self.vals * x[self.cols]).sum(axis=1)
+        """A x, in the wider precision of vals and x."""
+        return np.add.reduceat(self.vals * x[self.cols], self.starts)
 
 
 @dataclass(frozen=True)
@@ -157,9 +165,9 @@ class HarmonicDensityMatrix:
         ac[nm] = 0.0
         trace_ac = ac.max()
         parity = np.abs(c[_banned(nm)]).max()
-        dc = c[(0, 1, 2), (0, 1, 2), nm].tolist()
-        dc_imag = max(abs(z.imag) for z in dc)
-        dc_range = max(max(-z.real, z.real - 1.0, 0.0) for z in dc)
+        dc = c[(0, 1, 2), (0, 1, 2), nm]
+        dc_imag = np.abs(dc.imag).max()
+        dc_range = np.maximum(np.maximum(-dc.real, dc.real - 1.0), 0.0).max()
         return {
             "hermiticity": float(herm),
             "trace_dc": float(trace_dc),
@@ -171,7 +179,8 @@ class HarmonicDensityMatrix:
 
     def check_invariants(self, tol: float = 1e-8) -> dict:
         report = self.invariant_report()
-        bad = {k: v for k, v in report.items() if v > tol}
+        # "not <=" so that a NaN violation is flagged too
+        bad = {k: v for k, v in report.items() if not v <= tol}
         if bad:
             raise ConsistencyError(f"invariant violations above {tol:g}: {bad}")
         return report
@@ -196,45 +205,108 @@ def _banned(n_max: int) -> np.ndarray:
 class _Layout:
     """Where the values of one truncation order go; see `_layout`."""
 
-    cols: np.ndarray  # (dimension, 9) column of each slot, own row if empty
-    kinds: np.ndarray  # (dimension, 8) value index of each coupling slot
+    cols: np.ndarray  # (slots,) column of each live slot, rows in order
+    starts: np.ndarray  # (dimension,) slot of each row's diagonal
+    couplings: np.ndarray  # slot of each coupling
+    kinds: np.ndarray  # value index of each coupling
     half_n: np.ndarray  # (dimension,) n/2 of each row, for the advection
-    pumped: np.ndarray  # rows/columns of the pumped sector, ascending
-    block: np.ndarray  # flat position in the pumped block of each live slot
-    block_slots: np.ndarray  # flat index of that slot in vals[pumped]
+    # The pumped sector split into its two classes: eliminated (populations,
+    # rho12, rho21 on even n) and kept (one-photon coherences on odd n).
+    elim: np.ndarray  # rows of the eliminated class, ascending
+    kept: np.ndarray  # rows of the kept class, ascending
+    elim_diag: np.ndarray  # slot of the diagonal of each eliminated row
+    kept_diag: np.ndarray  # slot of the diagonal of each kept row
+    # Couplings of the kept rows, row by row: slot, eliminated-class index of
+    # the column, first coupling of each row; the same for eliminated rows,
+    # plus the eliminated-class index of the row of each coupling.
+    kept_slots: np.ndarray
+    kept_cols: np.ndarray
+    kept_starts: np.ndarray
+    elim_slots: np.ndarray
+    elim_cols: np.ndarray
+    elim_starts: np.ndarray
+    elim_rows: np.ndarray
+    # Schur complement paths kept row -> eliminated element -> kept column:
+    # the kept and the eliminated coupling of each path, grouped by target
+    # entry; each group starts at path_starts and sums into path_targets,
+    # the flat position of its entry in the kept-class block.
+    path_kept: np.ndarray
+    path_elim: np.ndarray
+    path_starts: np.ndarray
+    path_targets: np.ndarray
+
+
+def _segments(rows: np.ndarray) -> np.ndarray:
+    """First position of each run of equal values in sorted `rows`."""
+    return np.flatnonzero(np.diff(rows, prepend=-1))
 
 
 @functools.lru_cache(maxsize=None)
 def _layout(n_max: int) -> _Layout:
-    """Slot columns and value indices of the operator at one truncation order.
+    """Slot columns, value indices and elimination paths at one truncation.
 
     Coupling value index 2*c + f is coefficient c (i, i*mu, -i, -i*mu) times
-    field factor f (phi1, -phi2); index 8 is an empty slot.
+    field factor f (phi1, -phi2).
     """
     nh = 2 * n_max + 1
     dim = 9 * nh
     n = np.arange(-n_max, n_max + 1)
-    cols = np.repeat(np.arange(dim)[:, None], _SLOTS, axis=1)
-    kinds = np.full((dim, _SLOTS - 1), _PAD)
+    slot_cols = np.repeat(np.arange(dim)[:, None], _SLOTS, axis=1)
+    slot_kinds = np.full((dim, _SLOTS), -1)  # -1: diagonal or empty
     for (i, j), couplings in _COUPLINGS.items():
         rows = _index(i, j, -n_max, n_max) + np.arange(nh)
-        slot = 0
+        slot = 1
         for ci, cj, coef, rule in couplings:
             for dn, f in _RULES[rule]:
                 ok = np.abs(n + dn) <= n_max
-                cols[rows[ok], 1 + slot] = _index(ci, cj, 0, n_max) + n[ok] + dn
-                kinds[rows[ok], slot] = 2 * coef + f
+                slot_cols[rows[ok], slot] = _index(ci, cj, 0, n_max) + n[ok] + dn
+                slot_kinds[rows[ok], slot] = 2 * coef + f
                 slot += 1
-    pumped = np.flatnonzero(~_banned(n_max))
-    reduced = np.full(dim, -1)
-    reduced[pumped] = np.arange(pumped.size)
-    live = np.ones((pumped.size, _SLOTS), dtype=bool)
-    live[:, 1:] = kinds[pumped] != _PAD
-    block = np.arange(pumped.size)[:, None] * pumped.size + reduced[cols[pumped]]
-    cols.flags.writeable = False  # shared by every system of this order
-    return _Layout(cols=cols, kinds=kinds,
-                   half_n=np.tile(0.5 * n, 9), pumped=pumped,
-                   block=block[live], block_slots=np.flatnonzero(live))
+    live = slot_kinds >= 0
+    live[:, 0] = True
+    cols = slot_cols[live]
+    kinds = slot_kinds[live]
+    row_of = np.repeat(np.arange(dim), live.sum(axis=1))
+    starts = _segments(row_of)
+    couplings = np.flatnonzero(kinds >= 0)
+
+    pumped = ~_banned(n_max).reshape(-1)
+    odd_element = np.repeat([(i, j) in _ODD_PARITY for i in range(3)
+                             for j in range(3)], nh)
+    elim = np.flatnonzero(pumped & ~odd_element)
+    kept = np.flatnonzero(pumped & odd_element)
+    position = np.full(dim, -1)
+    position[elim] = np.arange(elim.size)
+    position[kept] = np.arange(kept.size)
+
+    def class_couplings(rows):
+        slots = couplings[np.isin(row_of[couplings], rows)]
+        row = position[row_of[slots]]
+        return slots, position[cols[slots]], _segments(row), row
+
+    kept_slots, kept_cols, kept_starts, kept_rows = class_couplings(kept)
+    elim_slots, elim_cols, elim_starts, elim_rows = class_couplings(elim)
+    # every path kept coupling k -> eliminated element -> its couplings
+    fan = np.diff(np.append(elim_starts, elim_slots.size))[kept_cols]
+    path_kept = np.repeat(np.arange(kept_slots.size), fan)
+    first = np.cumsum(fan) - fan
+    path_elim = (elim_starts[kept_cols][path_kept]
+                 + np.arange(path_kept.size) - first[path_kept])
+    target = kept_rows[path_kept] * kept.size + elim_cols[path_elim]
+    order = np.argsort(target, kind="stable")
+    target = target[order]
+    path_starts = _segments(target)
+    for a in (cols, starts):
+        a.flags.writeable = False  # shared by every system of this order
+    return _Layout(
+        cols=cols, starts=starts, couplings=couplings, kinds=kinds[couplings],
+        half_n=np.tile(0.5 * n, 9), elim=elim, kept=kept,
+        elim_diag=starts[elim], kept_diag=starts[kept],
+        kept_slots=kept_slots, kept_cols=kept_cols, kept_starts=kept_starts,
+        elim_slots=elim_slots, elim_cols=elim_cols, elim_starts=elim_starts,
+        elim_rows=elim_rows, path_kept=path_kept[order],
+        path_elim=path_elim[order], path_starts=path_starts,
+        path_targets=target[path_starts])
 
 
 def assemble(problem: SteadyStateProblem) -> LinearSystem:
@@ -253,59 +325,79 @@ def assemble(problem: SteadyStateProblem) -> LinearSystem:
     mdiag = np.array([0.0, d1, -d2])
     # M_ii - M_jj of each element (i, j), for its free evolution
     free = (mdiag[:, None] - mdiag[None, :]).ravel()
-    values = np.zeros(_PAD + 1, dtype=complex)
-    values[:_PAD] = (np.array([1j, 1j * mu, -1j, -1j * mu])[:, None]
-                     * np.array([phi1, -phi2])).ravel()
-    vals = np.empty(lay.cols.shape, dtype=complex)
-    vals[:, 1:] = values[lay.kinds]
+    values = (np.array([1j, 1j * mu, -1j, -1j * mu])[:, None]
+              * np.array([phi1, -phi2])).ravel()
+    vals = np.empty(lay.cols.size, dtype=complex)
+    vals[lay.couplings] = values[lay.kinds]
     # relaxation, advection, and free evolution of the element
-    vals[:, 0] = -1.0 - 1j * (lay.half_n * problem.omega
-                              + np.repeat(free, 2 * nmax + 1))
-    b = np.zeros(lay.cols.shape[0], dtype=complex)
+    vals[lay.starts] = -1.0 - 1j * (lay.half_n * problem.omega
+                                    + np.repeat(free, 2 * nmax + 1))
+    b = np.zeros(lay.starts.size, dtype=complex)
     b[_index(1, 1, 0, nmax)] = -1.0  # pump: gamma fills the ground state
-    return LinearSystem(cols=lay.cols, vals=vals, rhs=b, n_max=nmax)
-
-
-def _pumped_block(rows: np.ndarray, lay: _Layout) -> np.ndarray:
-    """Dense pumped-sector block from the slot values of its rows."""
-    m = lay.pumped.size
-    block = np.zeros(m * m, dtype=complex)
-    block[lay.block] = rows.ravel()[lay.block_slots]
-    return block.reshape(m, m)
+    return LinearSystem(cols=lay.cols, vals=vals, starts=lay.starts, rhs=b,
+                        n_max=nmax)
 
 
 def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
-    """Parity-reduced direct solve with iterative refinement and checks.
+    """Direct solve on the one-photon coherences, with refinement and checks.
 
-    The pumped-sector block is row-equilibrated before LU factorization
-    (the diagonal grows like n*Omega/2 and delta_big, so raw rows span many
-    decades); the other sector is set to zero. The solution is polished by
-    two refinement steps with the residual of the full 9-component system
-    accumulated in extended precision. That final residual, over every row,
-    must stay below 1e-10; hermiticity, trace, parity, and population range
-    are then verified on the solution to 1e-8.
+    In the pumped sector every coupling joins the eliminated class
+    (populations, rho12, rho21 on even n) to the kept class (one-photon
+    coherences on odd n), so both diagonal blocks are diagonal. The
+    eliminated class is solved for exactly through its diagonal, whose
+    pivots -1 - i(n*Omega/2 + M_ii - M_jj) never fall below gamma = 1 in
+    modulus, which leaves the Schur complement
+    S = D_kept - C_kept,elim D_elim^-1 C_elim,kept on the 4 coherences of each
+    odd harmonic. S is row-equilibrated (its diagonal grows like n*Omega/2
+    and delta_big, so raw rows span many decades) and LU-factorized; each
+    solve with it back-substitutes the eliminated class through its
+    diagonal, and the unpumped sector stays zero. The solution is polished
+    by two refinement steps with the residual of the full 9-component
+    system accumulated in extended precision. That final residual, over
+    every row, must stay below 1e-10: it sees any coupling the reduced
+    solve assumes absent, between the sectors or inside a class.
+    Hermiticity, trace, parity, and population range are then verified on
+    the solution to 1e-8.
     """
     system = assemble(problem)
     lay = _layout(problem.n_max)
-    pumped = lay.pumped
-    rows = system.vals[pumped]
-    scale = np.max(np.abs(rows), axis=1)
-    lu_piv = sla.lu_factor(_pumped_block(rows / scale[:, None], lay),
-                           check_finite=False)
+    vals = system.vals
+    pivots = vals[lay.elim_diag]
+    # entries of C_kept,elim and of D_elim^-1 C_elim,kept
+    coupled = vals[lay.kept_slots]
+    damped = vals[lay.elim_slots] / pivots[lay.elim_rows]
+    m = lay.kept.size
+    schur = np.zeros(m * m, dtype=complex)
+    schur[::m + 1] = vals[lay.kept_diag]
+    schur[lay.path_targets] -= np.add.reduceat(
+        coupled[lay.path_kept] * damped[lay.path_elim], lay.path_starts)
+    schur = schur.reshape(m, m)
+    scale = np.abs(schur).max(axis=1)
+    lu_piv = sla.lu_factor(schur / scale[:, None], check_finite=False)
+    extended = LinearSystem(cols=system.cols, starts=system.starts,
+                            vals=vals.astype(np.clongdouble),
+                            rhs=system.rhs, n_max=system.n_max)
     xq = np.zeros(system.dimension, dtype=np.clongdouble)
-    xq[pumped] = sla.lu_solve(lu_piv, system.rhs[pumped] / scale,
-                              check_finite=False)
-    for _ in range(2):
-        r = system.rhs - system.apply(xq)
-        xq[pumped] += sla.lu_solve(lu_piv, (r[pumped] / scale).astype(complex),
-                                   check_finite=False)
-    residual = float(np.max(np.abs(system.rhs - system.apply(xq))))
+    # one solve of A x = b, then two refinement steps, each solving for the
+    # correction from the residual r of the full system
+    r = system.rhs
+    for _ in range(3):
+        z = r[lay.elim] / pivots
+        x_kept = sla.lu_solve(
+            lu_piv, (r[lay.kept] - np.add.reduceat(
+                coupled * z[lay.kept_cols], lay.kept_starts)) / scale,
+            check_finite=False)
+        xq[lay.kept] += x_kept
+        xq[lay.elim] += z - np.add.reduceat(damped * x_kept[lay.elim_cols],
+                                            lay.elim_starts)
+        r = (system.rhs - extended.apply(xq)).astype(complex)
+    residual = float(np.abs(r).max())
     if not np.isfinite(residual) or residual > _RESIDUAL_TOL:
         # cond keeps the complex dtype even though the norms are real
-        cond = float(abs(np.linalg.cond(_pumped_block(rows, lay), 1)))
+        cond = float(abs(np.linalg.cond(schur, 1)))
         raise SolverError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:g} "
-            f"(dimension {system.dimension}, pumped block {pumped.size}, "
+            f"(dimension {system.dimension}, Schur complement {m}, "
             f"condition estimate {cond:.3e})")
     nh = 2 * problem.n_max + 1
     rho = HarmonicDensityMatrix(

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tpa import analytics, oracle
-from tpa.averaging import (QuadratureError, QuadratureSpec,
+from tpa.averaging import (QuadratureError, QuadratureSpec, _faddeeva_moments,
                            averaged_population, lorentz_int1, lorentz_int2,
                            oracle_average, velocity_average)
 from tpa.core import NormalizedParams, ParameterError, VelocityDistribution
@@ -140,6 +142,69 @@ def test_gaussian_average_narrow_width_limit():
     for order in (2, 3):
         assert rel_err(averaged_population(narrow, order=order),
                        upper_dc_series(still, 0.0, order=order)) <= 1e-8
+
+
+def _faddeeva_reference(delta, gamma_v):
+    """Both Faddeeva moments from mpmath, at 80 digits.
+
+    w' = -2 zeta w + 2i/sqrt(pi) loses about 2 log10|zeta| digits to
+    cancellation, 23 at gamma_v = 1e-10; 80 digits leave more than 50.
+    """
+    with mpmath.workdps(80):
+        sigma = mpmath.mpf(gamma_v) / mpmath.sqrt(2 * mpmath.log(2))
+        zeta = (mpmath.mpf(delta) + 1j) / (sigma * mpmath.sqrt(2))
+        w = mpmath.exp(-zeta ** 2) * mpmath.erfc(-1j * zeta)
+        w_prime = -2 * zeta * w + 2j / mpmath.sqrt(mpmath.pi)
+        scale = mpmath.sqrt(mpmath.pi / 2) / sigma
+        return (complex(scale * w),
+                complex(-1j * scale / (sigma * mpmath.sqrt(2)) * w_prime))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3, -1.7, 5.0, -20.0])
+def test_faddeeva_moments_match_mpmath(delta):
+    # from the homogeneous limit, where |zeta| ~ 1/gamma_v is huge, to
+    # widths of 100 where zeta sits near the real axis
+    for gv in np.geomspace(1e-10, 100.0, 25):
+        got = _faddeeva_moments(delta, float(gv))
+        want = _faddeeva_reference(delta, float(gv))
+        for g, w in zip(got, want):
+            assert rel_err(g, w) <= 1e-12, (gv, g, w)
+
+
+_PROFILE_DRAWS = dict(a=st.floats(0.0, 2.0), mu=st.floats(0.3, 2.5),
+                      phi=st.floats(0.1, 3.0), d=st.floats(-10.0, 10.0))
+
+
+@given(kind=st.sampled_from(["lorentzian", "gaussian"]),
+       log_gv=st.floats(-10.0, -6.0), order=st.sampled_from([2, 3]),
+       **_PROFILE_DRAWS)
+def test_averaged_population_continuous_at_zero_width(kind, log_gv, a, mu,
+                                                      phi, d, order):
+    # every closed average tends to the homogeneous value as gamma_v -> 0+:
+    # a Lorentzian one linearly, a Gaussian one quadratically in gamma_v
+    kw = dict(delta_tilde=d, a_ratio=a, mu=mu, phi_tilde=phi,
+              delta_big_tilde=1e3)
+    gv = 10.0 ** log_gv
+    narrow = NormalizedParams.build(gamma_v_tilde=gv, kind=kind, **kw)
+    still = NormalizedParams.build(**kw)
+    assert rel_err(averaged_population(narrow, order=order),
+                   averaged_population(still, order=order)) <= 10.0 * gv + 1e-12
+
+
+@given(kind=st.sampled_from(["lorentzian", "gaussian"]),
+       gv=st.floats(0.05, 20.0), **_PROFILE_DRAWS)
+def test_averaged_orders_separate_under_detuning_flip(kind, gv, a, mu, phi,
+                                                      d):
+    # Delta -> -Delta: the order-2 average is even and the order-3 term odd,
+    # so the order-3 averages at +-Delta sum to twice the order-2 one
+    kw = dict(delta_tilde=d, a_ratio=a, mu=mu, phi_tilde=phi,
+              gamma_v_tilde=gv, kind=kind)
+    plus = NormalizedParams.build(delta_big_tilde=1e3, **kw)
+    minus = NormalizedParams.build(delta_big_tilde=-1e3, **kw)
+    two = [averaged_population(p, order=2) for p in (plus, minus)]
+    three = [averaged_population(p, order=3) for p in (plus, minus)]
+    assert rel_err(two[1], two[0]) <= 1e-14
+    assert rel_err(0.5 * (three[0] + three[1]), two[0]) <= 1e-14
 
 
 def test_lorentzian_series_average_closes():

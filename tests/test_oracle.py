@@ -1,8 +1,10 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from tpa import averaging, oracle
@@ -55,7 +57,11 @@ def test_zero_drive_gives_ground_state():
 def test_system_dimension():
     system = oracle.assemble(_problem(n_max=5))
     assert system.dimension == 9 * 11 == 99
-    assert system.cols.shape == system.vals.shape == (99, 9)
+    # each row holds its diagonal first and at most 8 couplings
+    assert system.starts.shape == (99,)
+    assert system.cols.shape == system.vals.shape
+    assert 99 < system.cols.size <= 9 * 99
+    assert np.array_equal(system.cols[system.starts], np.arange(99))
     assert dense(system).shape == (99, 99)
 
 
@@ -102,19 +108,16 @@ def test_solution_invariants_and_residual():
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
+_draws = dict(delta=st.floats(-3.0, 3.0, **_finite),
+              a=st.floats(0.0, 1.5, **_finite),
+              mu=st.floats(0.5, 2.0, **_finite),
+              phi=st.floats(0.0, 1.5, **_finite),
+              dbig=st.floats(50.0, 5e3, **_finite),
+              sign=st.sampled_from([-1.0, 1.0]),
+              omega=st.floats(-5.0, 5.0, **_finite))
 
 
-@settings(max_examples=40)
-@given(n_max=st.sampled_from([3, 5, 7]),
-       delta=st.floats(-3.0, 3.0, **_finite),
-       a=st.floats(0.0, 1.5, **_finite),
-       mu=st.floats(0.5, 2.0, **_finite),
-       phi=st.floats(0.0, 1.5, **_finite),
-       dbig=st.floats(50.0, 5e3, **_finite),
-       sign=st.sampled_from([-1.0, 1.0]),
-       omega=st.floats(-5.0, 5.0, **_finite))
-def test_operator_and_reduced_solve_match_dense_reference(
-        n_max, delta, a, mu, phi, dbig, sign, omega):
+def _matches_dense_reference(n_max, delta, a, mu, phi, dbig, sign, omega):
     pr = _problem(delta=delta, a=a, mu=mu, phi=phi, dbig=sign * dbig,
                   omega=omega, n_max=n_max)
     matrix, rhs = reference_system(pr)
@@ -130,14 +133,92 @@ def test_operator_and_reduced_solve_match_dense_reference(
     assert np.max(np.abs(full[unpumped])) < 1e-14
 
 
-def _coupled_sectors(row_sector):
-    """An `assemble` whose operator couples the two parity sectors once.
+@settings(max_examples=40)
+@given(n_max=st.sampled_from([3, 5, 7]), **_draws)
+def test_operator_and_reduced_solve_match_dense_reference(
+        n_max, delta, a, mu, phi, dbig, sign, omega):
+    _matches_dense_reference(n_max, delta, a, mu, phi, dbig, sign, omega)
+
+
+@settings(max_examples=6)
+@given(n_max=st.sampled_from([15, 31]), **_draws)
+def test_deep_operator_and_reduced_solve_match_dense_reference(
+        n_max, delta, a, mu, phi, dbig, sign, omega):
+    _matches_dense_reference(n_max, delta, a, mu, phi, dbig, sign, omega)
+
+
+_COHERENCES = [3 * i + j for i, j in oracle._ODD_PARITY]
+
+
+def _element_and_harmonic(n_max):
+    """Element number 3*i + j and harmonic n of every unknown."""
+    element, n = np.divmod(np.arange(9 * (2 * n_max + 1)), 2 * n_max + 1)
+    return element, n - n_max
+
+
+def _row_of_slot(system):
+    return np.repeat(np.arange(system.dimension),
+                     np.diff(np.append(system.starts, system.cols.size)))
+
+
+def _coupling_slots(system):
+    """Mask over the slots: every slot but each row's diagonal."""
+    coupling = np.ones(system.cols.size, dtype=bool)
+    coupling[system.starts] = False
+    return coupling
+
+
+@pytest.mark.parametrize("n_max", range(3, 42, 2))
+def test_couplings_alternate_between_classes(n_max):
+    # the elimination needs both diagonal blocks of the pumped sector to be
+    # diagonal: no coupling may join two elements of the same class
+    system = oracle.assemble(_problem(a=0.7, omega=0.9, n_max=n_max))
+    element, n = _element_and_harmonic(n_max)
+    coherence = np.isin(element, _COHERENCES)
+    pumped = ~oracle._banned(n_max).reshape(-1)
+    coupling = _coupling_slots(system)
+    row, col = _row_of_slot(system)[coupling], system.cols[coupling]
+    assert np.array_equal(pumped[row], pumped[col])
+    assert not np.any(coherence[row] == coherence[col])
+    kept = np.flatnonzero(pumped & coherence)
+    assert kept.size == 4 * (n_max + 1)
+    assert np.all(n[kept] % 2 == 1)
+    lay = oracle._layout(n_max)
+    assert np.array_equal(lay.kept, kept)
+    assert np.array_equal(lay.elim, np.flatnonzero(pumped & ~coherence))
+    # every row of both classes has couplings, one segment each
+    assert lay.kept_starts.size == lay.kept.size
+    assert lay.elim_starts.size == lay.elim.size
+
+
+@pytest.mark.parametrize("n_max", [3, 4, 7, 31])
+def test_solve_factorizes_only_the_coherence_block(monkeypatch, n_max):
+    shapes = []
+
+    def lu_factor(a, **kw):
+        shapes.append(a.shape)
+        return scipy.linalg.lu_factor(a, **kw)
+    monkeypatch.setattr(oracle, "sla", SimpleNamespace(
+        lu_factor=lu_factor, lu_solve=scipy.linalg.lu_solve))
+    oracle.solve_steady_state(_problem(delta=0.3, a=0.8, omega=0.9,
+                                       dbig=100.0, n_max=n_max))
+    # four one-photon coherences on each odd harmonic
+    size = 4 * (n_max + n_max % 2)
+    assert shapes == [(size, size)]
+
+
+def _miswired(kind):
+    """An `assemble` whose operator holds one coupling the solve ignores.
 
     "unpumped": a coupling of an unpumped row reads the dc ground population
     (1, 1, 0) instead; "pumped": a pumped row's coupling to that population
-    reads the unpumped (1, 1, 1) instead. Refinement cannot remove the
-    first defect and only damps the second (its factorization is of the
-    uncorrupted block), so both stay far above the residual bound.
+    reads the unpumped (1, 1, 1) instead; "coherence": a one-photon
+    coherence's coupling to that population reads the coherence (0, 2, 1),
+    a coupling inside the kept class. The reduced solve is built from the
+    cached layout, so only the full residual sees the change. Refinement
+    cannot remove the first defect and only damps the others (its
+    factorization is of the uncorrupted operator), so all stay far above
+    the residual bound.
     """
     assemble = oracle.assemble
 
@@ -145,24 +226,29 @@ def _coupled_sectors(row_sector):
         system = assemble(problem)
         nm = problem.n_max
         ground = oracle._index(1, 1, 0, nm)
-        live = system.vals != 0
-        live[:, 0] = False  # couplings only
-        if row_sector == "unpumped":
+        if kind == "unpumped":
             row = int(np.flatnonzero(oracle._banned(nm).reshape(-1))[0])
-            slot, col = int(np.flatnonzero(live[row])[0]), ground
+            slot, col = system.starts[row] + 1, ground
         else:
-            row, slot = np.argwhere(live & (system.cols == ground))[0]
-            col = oracle._index(1, 1, 1, nm)
+            to_ground = _coupling_slots(system) & (system.cols == ground)
+            if kind == "coherence":
+                element, _ = _element_and_harmonic(nm)
+                to_ground &= np.isin(element[_row_of_slot(system)],
+                                     _COHERENCES)
+                col = oracle._index(0, 2, 1, nm)
+            else:
+                col = oracle._index(1, 1, 1, nm)
+            slot = np.flatnonzero(to_ground)[0]
         cols = system.cols.copy()
-        cols[row, slot] = col
-        return LinearSystem(cols=cols, vals=system.vals, rhs=system.rhs,
-                            n_max=system.n_max)
+        cols[slot] = col
+        return LinearSystem(cols=cols, vals=system.vals, starts=system.starts,
+                            rhs=system.rhs, n_max=system.n_max)
     return corrupted
 
 
-@pytest.mark.parametrize("row_sector", ["unpumped", "pumped"])
-def test_sector_coupling_fails_full_residual(monkeypatch, row_sector):
-    monkeypatch.setattr(oracle, "assemble", _coupled_sectors(row_sector))
+@pytest.mark.parametrize("kind", ["unpumped", "pumped", "coherence"])
+def test_sector_coupling_fails_full_residual(monkeypatch, kind):
+    monkeypatch.setattr(oracle, "assemble", _miswired(kind))
     with pytest.raises(SolverError, match="residual"):
         oracle.solve_steady_state(_problem(delta=0.3, a=0.8, omega=0.9,
                                            dbig=100.0, n_max=5))
@@ -288,6 +374,18 @@ def test_corrupted_solution_fails_checks():
         bad2.check_invariants(1e-8)
 
 
+def test_nan_solution_fails_checks():
+    nan = HarmonicDensityMatrix(3, np.full((3, 3, 7), np.nan, complex))
+    with pytest.raises(ConsistencyError, match="nan"):
+        nan.check_invariants()
+    # one NaN harmonic in an otherwise valid solution
+    rho = oracle.solve_steady_state(_problem(n_max=3))
+    bad = HarmonicDensityMatrix(3, rho.coeffs.copy())
+    bad.coeffs[0, 1, 4] = complex(np.nan, 0.0)
+    with pytest.raises(ConsistencyError, match="hermiticity"):
+        bad.check_invariants(1e-8)
+
+
 def test_dc_population_imag_guard():
     rho = oracle.solve_steady_state(_problem())
     assert oracle.dc_upper_population(rho) == pytest.approx(rho.dc(2, 2).real)
@@ -298,8 +396,8 @@ def test_dc_population_imag_guard():
 
 
 def test_condition_number_reported(monkeypatch):
-    # a failed solve reports the condition estimate of its pumped block
-    monkeypatch.setattr(oracle, "assemble", _coupled_sectors("unpumped"))
+    # a failed solve reports the condition estimate of its Schur complement
+    monkeypatch.setattr(oracle, "assemble", _miswired("unpumped"))
     with pytest.raises(SolverError) as failure:
         oracle.solve_steady_state(_problem(n_max=3))
     found = re.search(r"condition estimate (\S+)\)", str(failure.value))
