@@ -242,6 +242,19 @@ def test_oracle_average_homogeneous_is_single_solve():
     assert info["n_used"] == n_used
 
 
+@given(delta=st.floats(-3.0, 3.0), a=st.floats(0.3, 3.0),
+       mu=st.floats(0.5, 2.0), phi=st.floats(0.3, 2.0),
+       dbig=st.floats(100.0, 2000.0))
+def test_oracle_average_homogeneous_invariant_under_beam_exchange(
+        delta, a, mu, phi, dbig):
+    # (phi, A) -> (A phi, 1/A) mirrors the standing wave, z -> -z, which
+    # maps each truncation onto itself: both ladders solve mirror systems
+    kw = dict(delta_tilde=delta, mu=mu, delta_big_tilde=dbig)
+    p = NormalizedParams.build(a_ratio=a, phi_tilde=phi, **kw)
+    q = NormalizedParams.build(a_ratio=1.0 / a, phi_tilde=a * phi, **kw)
+    assert rel_err(oracle_average(q), oracle_average(p)) < 1e-10
+
+
 def test_oracle_average_lorentzian_matches_series():
     p = NormalizedParams.build(delta_tilde=1.0, a_ratio=1.0, mu=1.0,
                                phi_tilde=1.0, delta_big_tilde=1e3,

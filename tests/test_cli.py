@@ -234,6 +234,35 @@ def test_main_numerical_failure_exit(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_main_truncation_failure_names_its_knobs(tmp_path, capsys):
+    # a strong drive outruns a small truncation cap: exit 3, and the
+    # message names the config keys that fix it
+    doc = _oracle_doc(fixed={"delta_big_tilde": 100.0, "phi_tilde": 30.0,
+                             "a_ratio": 1.0},
+                      oracle={"n_cap": 7})
+    cfg_path = tmp_path / "strong.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["scan", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: dc population not settled" in err
+    assert "edge harmonic" in err
+    assert "oracle.n_cap (now 7)" in err and "oracle.refine_tol" in err
+
+
+@pytest.mark.parametrize("doc", [
+    _oracle_doc(),
+    _n2_doc(observable="n2+n3", dist={"kind": "lorentzian"}),
+], ids=["oracle_avg", "n2+n3"])
+def test_main_scan_bytes_are_deterministic(tmp_path, doc):
+    cfg_path = tmp_path / "scan.json"
+    cfg_path.write_text(json.dumps(doc))
+    outs = [tmp_path / "one.csv", tmp_path / "two.csv"]
+    for out in outs:
+        assert cli.main(["scan", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_main_validate(capsys):
     assert cli.main(["validate", "--level", "fast"]) == 0
     assert "all checks passed" in capsys.readouterr().out

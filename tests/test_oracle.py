@@ -147,6 +147,17 @@ def test_deep_operator_and_reduced_solve_match_dense_reference(
     _matches_dense_reference(n_max, delta, a, mu, phi, dbig, sign, omega)
 
 
+@settings(max_examples=6)
+@given(n_max=st.sampled_from([15, 31]),
+       **dict(_draws, phi=st.floats(0.0, 30.0, **_finite),
+              omega=st.floats(-60.0, 60.0, **_finite)))
+def test_strong_drive_reduced_solve_matches_dense_reference(
+        n_max, delta, a, mu, phi, dbig, sign, omega):
+    # drives and velocities as deep as the truncation ladder goes: the one
+    # refinement step must still land within 1e-12 of the dense solve
+    _matches_dense_reference(n_max, delta, a, mu, phi, dbig, sign, omega)
+
+
 _COHERENCES = [3 * i + j for i, j in oracle._ODD_PARITY]
 
 
@@ -215,10 +226,10 @@ def _miswired(kind):
     reads the unpumped (1, 1, 1) instead; "coherence": a one-photon
     coherence's coupling to that population reads the coherence (0, 2, 1),
     a coupling inside the kept class. The reduced solve is built from the
-    cached layout, so only the full residual sees the change. Refinement
-    cannot remove the first defect and only damps the others (its
-    factorization is of the uncorrupted operator), so all stay far above
-    the residual bound.
+    cached layout, so only the full residual sees the change. The one
+    refinement step cannot remove the first defect and only damps the
+    others (its factorization is of the uncorrupted operator), so all stay
+    far above the residual bound.
     """
     assemble = oracle.assemble
 
@@ -344,6 +355,27 @@ def test_refine_argument_and_cap_errors(monkeypatch):
     with pytest.raises(TruncationError):
         # an exact-zero tolerance can never be met by the strict criterion
         oracle.refine(SteadyStateProblem(q, 0.3), 0.0, n_cap=7)
+
+
+def test_truncation_failure_names_its_knobs():
+    # at strong drive the ladder runs out while the edge harmonics are still
+    # live; the message shows that tail and names the settings to change
+    p = NormalizedParams.build(delta_tilde=0.0, a_ratio=1.0, phi_tilde=30.0,
+                               delta_big_tilde=100.0)
+    with pytest.raises(TruncationError) as failure:
+        oracle.refine(SteadyStateProblem(p, 0.0), 1e-14, n_cap=8)
+    message = str(failure.value)
+    assert "at n_max = 7;" in message
+    assert "oracle.n_cap (now 8)" in message
+    assert "oracle.refine_tol" in message
+    tail = float(re.search(r"\|c\(i,j,\+-7\)\| (\S+);", message).group(1))
+    last = oracle.solve_steady_state(SteadyStateProblem(p, 0.0, 7))
+    edge = max(abs(last.coeff(i, j, n)) for i in range(3) for j in range(3)
+               for n in (-7, 7))
+    assert tail == pytest.approx(edge, rel=1e-3)
+    assert tail > 1e-3
+    with pytest.raises(TruncationError, match="raise oracle.n_cap"):
+        oracle.refine(SteadyStateProblem(p, 0.0), 1e-14, n_cap=4)
 
 
 def test_single_beam_needs_no_sidebands():
