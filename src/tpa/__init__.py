@@ -7,7 +7,8 @@ Layers, from the ground up:
                 NormalizedParams is the only normalized parameter set,
                 taken by the solver, the series and the closed forms alike
   oracle        brute-force harmonic steady state at fixed velocity
-  perturbative  closed-form weak-drive expansion, per velocity
+  perturbative  closed-form weak-drive series of the dc upper population,
+                per velocity and vectorized in Omega
   analytics     line profiles, widths, and peak displacements; depends
                 only on core
   averaging     velocity averages: quadratures, the Gaussian closed forms,

@@ -54,9 +54,10 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Quadrature policy: starting node count, window, tolerance.
 
-    The velocity profile picks the rule. domain_halfwidth is measured in
-    units of gamma_v and only applies to the Lorentzian rule; inf
-    integrates the whole compactified line.
+    The velocity profile picks the rule. domain_halfwidth, in units of
+    gamma_v, is read only by the Lorentzian difference scheme of
+    `oracle_average`, whose window it sets (inf falls back to 10 widths);
+    `velocity_average` always integrates the whole line.
     """
 
     nodes: int = 32
@@ -76,25 +77,24 @@ class QuadratureSpec:
 DEFAULT_ORACLE_QUAD = QuadratureSpec(nodes=32, domain_halfwidth=10.0, tol=1e-6)
 
 
-def lorentz_int1(gamma: float, gamma_v: float, delta: float) -> float:
-    """Lorentzian average of gamma / (gamma^2 + (delta - Omega)^2)."""
-    if gamma <= 0.0 or gamma_v < 0.0:
-        raise ParameterError("gamma must be positive and gamma_v nonnegative")
-    w = (gamma + gamma_v) ** 2 + delta ** 2
-    return (gamma + gamma_v) / w
+def lorentz_int1(gamma_v: float, delta: float) -> float:
+    """Lorentzian average of 1 / (1 + (delta - Omega)^2)."""
+    if gamma_v < 0.0:
+        raise ParameterError("gamma_v must be nonnegative")
+    w = (1.0 + gamma_v) ** 2 + delta ** 2
+    return (1.0 + gamma_v) / w
 
 
-def lorentz_int2(n: int, gamma: float, gamma_v: float, delta: float) -> float:
-    """Lorentzian average of Omega / (gamma^2 + (delta - Omega)^2)^n, n in {1, 2}."""
-    if gamma <= 0.0 or gamma_v < 0.0:
-        raise ParameterError("gamma must be positive and gamma_v nonnegative")
-    w = (gamma + gamma_v) ** 2 + delta ** 2
+def lorentz_int2(n: int, gamma_v: float, delta: float) -> float:
+    """Lorentzian average of Omega / (1 + (delta - Omega)^2)^n, n in {1, 2}."""
+    if gamma_v < 0.0:
+        raise ParameterError("gamma_v must be nonnegative")
+    w = (1.0 + gamma_v) ** 2 + delta ** 2
     if n == 1:
-        return gamma_v * delta / (gamma * w)
+        return gamma_v * delta / w
     if n == 2:
-        return (gamma_v * delta
-                * ((gamma + gamma_v) * (3 * gamma + gamma_v) + delta ** 2)
-                / (2 * gamma ** 3 * w ** 2))
+        return (gamma_v * delta * ((1.0 + gamma_v) * (3.0 + gamma_v)
+                                   + delta ** 2) / (2 * w ** 2))
     raise ParameterError(f"n must be 1 or 2, got {n}")
 
 
@@ -163,11 +163,7 @@ def velocity_average(f, dist: VelocityDistribution,
 
     Homogeneous media need no quadrature and return f(0). Gaussian profiles
     use Gauss-Hermite nodes over the whole line. Lorentzian profiles use the
-    tan-mapped Gauss-Legendre rule, whose window is
-    quad.domain_halfwidth * gamma_v (the default inf integrates the full
-    compactified line). When the window is finite, the clipped Lorentzian
-    mass is restored assuming f is constant beyond the edge, f(+-R) each
-    carrying half of it.
+    tan-mapped Gauss-Legendre rule over the whole compactified line.
     """
     if dist.kind == "homogeneous":
         return float(f(0.0))
@@ -176,15 +172,9 @@ def velocity_average(f, dist: VelocityDistribution,
     if dist.kind == "gaussian":
         sums = _gauss_hermite_sums(f, dist.gamma_v, quad.nodes, vectorized)
         return _converge(sums, quad.tol, 0.0)
-    h = quad.domain_halfwidth
-    theta_max = 0.5 * math.pi if math.isinf(h) else math.atan(h)
-    tail = 0.0
-    if not math.isinf(h):
-        edge = h * dist.gamma_v
-        clipped = 1.0 - (2.0 / math.pi) * math.atan(h)
-        tail = clipped * 0.5 * (float(f(edge)) + float(f(-edge)))
-    sums = _tan_map_sums(f, dist.gamma_v, theta_max, quad.nodes, vectorized)
-    return _converge(sums, quad.tol, 0.0) + tail
+    sums = _tan_map_sums(f, dist.gamma_v, 0.5 * math.pi, quad.nodes,
+                         vectorized)
+    return _converge(sums, quad.tol, 0.0)
 
 
 def _lorentzian_series_dc(params: NormalizedParams, order: int) -> float:
@@ -268,24 +258,16 @@ def _gaussian_series_dc(params: NormalizedParams, order: int) -> float:
     return total
 
 
-def averaged_population(params: NormalizedParams, order: int = 2,
-                        quad: QuadratureSpec | None = None) -> float:
+def averaged_population(params: NormalizedParams, order: int = 2) -> float:
     """Velocity-averaged dc upper population of the perturbative series.
 
     Lorentzian and homogeneous averages come out in closed form, as do
-    Gaussian ones through the Faddeeva function. Passing an explicit `quad`
-    for a Gaussian profile integrates the per-velocity series numerically
-    instead, which is useful as a cross-check at moderate widths but needs
-    node counts growing like gamma_v_tilde^2.
+    Gaussian ones through the Faddeeva function.
     """
     if order not in (2, 3):
         raise ParameterError(f"order must be 2 or 3, got {order}")
-    kind = params.kind
-    if kind == "gaussian":
-        if quad is None:
-            return _gaussian_series_dc(params, order)
-        return velocity_average(lambda om: upper_dc_series(params, om, order),
-                                params.distribution(), quad, vectorized=True)
+    if params.kind == "gaussian":
+        return _gaussian_series_dc(params, order)
     return _lorentzian_series_dc(params, order)
 
 
@@ -308,8 +290,7 @@ def oracle_average(params: NormalizedParams,
     info = {"n_used": 0, "reference": 0.0, "correction": 0.0}
 
     def dc_at(om: float) -> float:
-        rho, n_used = oracle_mod.refine(
-            oracle_mod.SteadyStateProblem(params, om), refine_tol, n_cap)
+        rho, n_used = oracle_mod.refine(params, om, refine_tol, n_cap)
         info["n_used"] = max(info["n_used"], n_used)
         return oracle_mod.dc_upper_population(rho)
 

@@ -1,4 +1,4 @@
-"""Physical parameters, normalization conventions, and per-velocity quantities.
+"""Physical parameters, normalization conventions, and the velocity ensemble.
 
 Model: a three-level ladder atom (ground |1>, intermediate |0>, upper |2>)
 driven by two counterpropagating monochromatic waves of equal frequency with
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 __all__ = [
     "ParameterError",
@@ -134,34 +132,6 @@ class VelocityDistribution:
     @classmethod
     def gaussian(cls, gamma_v: float) -> "VelocityDistribution":
         return cls("gaussian", gamma_v)
-
-    def density(self, omega):
-        """Probability density at Omega (vectorized); a delta distribution
-        (kind 'homogeneous') has no finite density and raises."""
-        om = np.asarray(omega, dtype=float)
-        gv = self.gamma_v
-        if self.kind == "lorentzian":
-            return (gv / np.pi) / (gv * gv + om * om)
-        if self.kind == "gaussian":
-            ln2 = math.log(2.0)
-            return (math.sqrt(ln2) / (gv * math.sqrt(math.pi))
-                    ) * np.exp(-ln2 * (om / gv) ** 2)
-        raise ParameterError("a homogeneous ensemble has no velocity density")
-
-
-@dataclass(frozen=True)
-class PerVelocityContext:
-    """Complex coherence denominators for one velocity class (gamma = 1 units).
-
-    d_plus  = 1 - 1j*(delta - Omega)
-    d_minus = 1 - 1j*(delta + Omega)
-    d_zero  = 1 - 1j*delta
-    """
-
-    d_plus: complex
-    d_minus: complex
-    d_zero: complex
-    omega: float
 
 
 @dataclass(frozen=True)
@@ -284,19 +254,6 @@ def epsilon_eff(params: NormalizedParams) -> float:
     top = max(1.0, abs(params.delta_tilde), params.phi_tilde,
               params.gamma_v_tilde)
     return top / abs(params.delta_big_tilde)
-
-
-def per_velocity_context(params: NormalizedParams,
-                         omega: float) -> PerVelocityContext:
-    """Coherence denominators D+- = 1 - 1j*(delta -+ Omega), D0 = 1 - 1j*delta."""
-    d = params.delta_tilde
-    om = float(omega)
-    return PerVelocityContext(
-        d_plus=1.0 - 1j * (d - om),
-        d_minus=1.0 - 1j * (d + om),
-        d_zero=1.0 - 1j * d,
-        omega=om,
-    )
 
 
 # JSON document layout for a raw-unit parameter set. Unknown keys anywhere

@@ -106,7 +106,7 @@ class SteadyStateProblem:
 
     params: NormalizedParams
     omega: float
-    n_max: int = 9
+    n_max: int
 
     def __post_init__(self):
         _require_finite("omega", self.omega)
@@ -422,21 +422,21 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     return rho
 
 
-def refine(problem: SteadyStateProblem, tol: float,
+def refine(params: NormalizedParams, omega: float, tol: float,
            n_cap: int = DEFAULT_N_CAP):
     """Raise the truncation order until the dc upper population settles.
 
-    Solves on the ladder n_max = 3, 5, 7, ... and stops when the dc (2,2)
-    coefficient changes by less than tol (absolute) between consecutive
-    truncations. Returns (solution, n_used).
+    Solves the velocity class Omega = omega on the ladder n_max = 3, 5,
+    7, ..., n_cap and stops when the dc (2,2) coefficient changes by less
+    than tol (absolute) between consecutive truncations. Returns
+    (solution, n_used).
     """
     if not tol >= 0.0:
         raise ParameterError(f"tol must be >= 0, got {tol}")
     previous = None
     last_change = None
     for n in range(3, n_cap + 1, 2):
-        rho = solve_steady_state(SteadyStateProblem(problem.params,
-                                                    problem.omega, n))
+        rho = solve_steady_state(SteadyStateProblem(params, omega, n))
         value = rho.dc(2, 2)
         if previous is not None:
             last_change = abs(value - previous)

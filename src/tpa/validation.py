@@ -106,7 +106,7 @@ def _scaling_rows(level: str) -> list:
     rows = []
     params = NormalizedParams.build(delta_tilde=1.0, a_ratio=1.0, mu=1.0,
                                     phi_tilde=1.0, delta_big_tilde=1e3)
-    rho, _ = oracle.refine(oracle.SteadyStateProblem(params, 0.0), 1e-14)
+    rho, _ = oracle.refine(params, 0.0, 1e-14)
     got = oracle.dc_upper_population(rho)
     want = float(upper_dc_series(params, 0.0))
     rel = abs(got - want) / abs(want)
@@ -142,11 +142,11 @@ def _moment_rows(level: str) -> list:
         dist = averaging.VelocityDistribution.lorentzian(gv)
         for d in deltas:
             cases = [
-                (averaging.lorentz_int1(1.0, gv, d),
+                (averaging.lorentz_int1(gv, d),
                  lambda om, d=d: 1.0 / (1.0 + (d - om) ** 2)),
-                (averaging.lorentz_int2(1, 1.0, gv, d),
+                (averaging.lorentz_int2(1, gv, d),
                  lambda om, d=d: om / (1.0 + (d - om) ** 2)),
-                (averaging.lorentz_int2(2, 1.0, gv, d),
+                (averaging.lorentz_int2(2, gv, d),
                  lambda om, d=d: om / (1.0 + (d - om) ** 2) ** 2),
             ]
             for want, kernel in cases:

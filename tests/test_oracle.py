@@ -32,7 +32,9 @@ def test_problem_rejects_tiny_truncation():
 def test_problem_rejects_nonfinite_velocity(omega):
     p = NormalizedParams.build(delta_big_tilde=1e3)
     with pytest.raises(ParameterError, match="omega"):
-        SteadyStateProblem(p, omega)
+        SteadyStateProblem(p, omega, 9)
+    with pytest.raises(ParameterError, match="omega"):
+        oracle.refine(p, omega, 1e-14)
 
 
 @pytest.mark.parametrize("n_max", [5.5, 5.0, True, "5"])
@@ -324,7 +326,7 @@ def test_beam_exchange_symmetry(delta, a, mu, phi, omega, dbig):
 def test_refine_stops_quickly_for_weak_drive():
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.0,
                                phi_tilde=0.01, delta_big_tilde=100.0)
-    rho, n_used = oracle.refine(SteadyStateProblem(p, 0.7), 1e-14)
+    rho, n_used = oracle.refine(p, 0.7, 1e-14)
     assert n_used == 5
     assert rho.n_max == 5
 
@@ -334,7 +336,7 @@ def test_refine_argument_and_cap_errors(monkeypatch):
                                delta_big_tilde=100.0)
     for bad in (-1e-3, math.nan):
         with pytest.raises(ParameterError):
-            oracle.refine(SteadyStateProblem(p, 0.0), bad)
+            oracle.refine(p, 0.0, bad)
     # a NaN tolerance is refused before the first solve, also through
     # the velocity average
     solves = []
@@ -349,12 +351,12 @@ def test_refine_argument_and_cap_errors(monkeypatch):
     assert solves == []
     monkeypatch.undo()
     with pytest.raises(TruncationError):
-        oracle.refine(SteadyStateProblem(p, 0.0), 1e-14, n_cap=3)
+        oracle.refine(p, 0.0, 1e-14, n_cap=3)
     q = NormalizedParams.build(delta_tilde=0.5, a_ratio=0.5,
                                delta_big_tilde=100.0)
     with pytest.raises(TruncationError):
         # an exact-zero tolerance can never be met by the strict criterion
-        oracle.refine(SteadyStateProblem(q, 0.3), 0.0, n_cap=7)
+        oracle.refine(q, 0.3, 0.0, n_cap=7)
 
 
 def test_truncation_failure_names_its_knobs():
@@ -363,7 +365,7 @@ def test_truncation_failure_names_its_knobs():
     p = NormalizedParams.build(delta_tilde=0.0, a_ratio=1.0, phi_tilde=30.0,
                                delta_big_tilde=100.0)
     with pytest.raises(TruncationError) as failure:
-        oracle.refine(SteadyStateProblem(p, 0.0), 1e-14, n_cap=8)
+        oracle.refine(p, 0.0, 1e-14, n_cap=8)
     message = str(failure.value)
     assert "at n_max = 7;" in message
     assert "oracle.n_cap (now 8)" in message
@@ -375,7 +377,7 @@ def test_truncation_failure_names_its_knobs():
     assert tail == pytest.approx(edge, rel=1e-3)
     assert tail > 1e-3
     with pytest.raises(TruncationError, match="raise oracle.n_cap"):
-        oracle.refine(SteadyStateProblem(p, 0.0), 1e-14, n_cap=4)
+        oracle.refine(p, 0.0, 1e-14, n_cap=4)
 
 
 def test_single_beam_needs_no_sidebands():

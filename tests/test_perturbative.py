@@ -5,21 +5,27 @@ import pytest
 
 from tpa import oracle
 from tpa import perturbative as pt
-from tpa.core import NormalizedParams, ParameterError, per_velocity_context
+from tpa.core import NormalizedParams, ParameterError
 
-from conftest import build_pair, even_part, odd_part, rel_err, solve_pair
+from conftest import (build_pair, even_part, odd_part, order1_coherences,
+                      order1_twophoton, order2_components, order3_coherences,
+                      rel_err, solve_pair, term)
 
 
-def _setup(delta=0.0, a=1.0, mu=1.0, phi=1.0, dbig=100.0, omega=0.0):
-    p = NormalizedParams.build(delta_tilde=delta, a_ratio=a, mu=mu,
-                               phi_tilde=phi, delta_big_tilde=dbig)
-    return p, per_velocity_context(p, omega)
+def _params(delta=0.0, a=1.0, mu=1.0, phi=1.0, dbig=100.0):
+    return NormalizedParams.build(delta_tilde=delta, a_ratio=a, mu=mu,
+                                  phi_tilde=phi, delta_big_tilde=dbig)
+
+
+def _order3_dc(p, omega):
+    """Third-order dc upper population, the order-3 series less order 2."""
+    return pt.upper_dc_series(p, omega, 3) - pt.upper_dc_series(p, omega, 2)
 
 
 def _identity_rate(params, comps):
     """dc feeding rate implied by a rho20 harmonic pair."""
-    combo = (params.phi1 * comps.term(2, 0, +1)
-             - params.phi2 * comps.term(2, 0, -1))
+    combo = (params.phi1 * term(comps, 2, 0, +1)
+             - params.phi2 * term(comps, 2, 0, -1))
     return 2.0 * params.mu * combo.imag
 
 
@@ -31,50 +37,48 @@ def extraction_pair():
 
 
 def test_components_fill_hermitian_partners():
-    p, ctx = _setup()
-    comps = pt.order1_coherences(ctx, p)
-    assert comps.term(0, 1, +1) == pytest.approx(-0.02)
-    assert comps.term(0, 1, -1) == pytest.approx(+0.02)
-    assert comps.term(1, 0, -1) == pytest.approx(-0.02)
-    assert comps.term(2, 0, 1) == 0.0
-    assert comps.term(0, 1, 2) == 0.0
+    p = _params()
+    comps = order1_coherences(p, 0.0)
+    assert term(comps, 0, 1, +1) == pytest.approx(-0.02)
+    assert term(comps, 0, 1, -1) == pytest.approx(+0.02)
+    assert term(comps, 1, 0, -1) == pytest.approx(-0.02)
+    assert term(comps, 2, 0, 1) == 0.0
+    assert term(comps, 0, 1, 2) == 0.0
 
 
 def test_first_order_two_photon_coherence():
-    p, ctx = _setup()
-    comps = pt.order1_twophoton(ctx, p)
-    assert comps.term(2, 1, 0) == pytest.approx(0.04j)
-    assert comps.term(2, 1, +2) == pytest.approx(-0.02j)
-    assert comps.term(1, 2, -2) == pytest.approx(+0.02j)
+    p = _params()
+    comps = order1_twophoton(p, 0.0)
+    assert term(comps, 2, 1, 0) == pytest.approx(0.04j)
+    assert term(comps, 2, 1, +2) == pytest.approx(-0.02j)
+    assert term(comps, 1, 2, -2) == pytest.approx(+0.02j)
 
 
 def test_second_order_dc_populations():
-    p, ctx = _setup()
-    comps = pt.order2_components(ctx, p)
-    assert comps.term(2, 2, 0) == pytest.approx(4.8e-3)
-    assert comps.term(0, 0, 0) == pytest.approx(1.6e-3)
+    p = _params()
+    comps = order2_components(p, 0.0)
+    assert term(comps, 2, 2, 0) == pytest.approx(4.8e-3)
+    assert term(comps, 0, 0, 0) == pytest.approx(1.6e-3)
     assert pt.upper_dc_series(p, 0.0, order=2) == pytest.approx(4.8e-3)
 
 
 def test_third_order_dc_value_and_zeros():
-    p, ctx = _setup(delta=1.0, a=0.0, mu=math.sqrt(2.0))
-    assert pt.order3_upper_dc(ctx, p) == pytest.approx(1.6e-5)
+    p = _params(delta=1.0, a=0.0, mu=math.sqrt(2.0))
+    assert _order3_dc(p, 0.0) == pytest.approx(1.6e-5)
     # the light shift needs unequal dipole moments and a drive
-    p1, ctx1 = _setup(delta=1.0, a=0.5, mu=1.0, omega=0.9)
-    assert pt.order3_upper_dc(ctx1, p1) == 0.0
-    p0, ctx0 = _setup(delta=1.0, a=0.5, mu=1.4, phi=0.0, omega=0.9)
-    assert pt.order3_upper_dc(ctx0, p0) == 0.0
+    assert _order3_dc(_params(delta=1.0, a=0.5, mu=1.0), 0.9) == 0.0
+    assert _order3_dc(_params(delta=1.0, a=0.5, mu=1.4, phi=0.0), 0.9) == 0.0
 
 
 def test_third_order_dc_is_odd_in_detuning():
-    p, ctx = _setup(delta=0.7, a=0.6, mu=1.4, omega=1.3)
-    p_r, ctx_r = _setup(delta=-0.7, a=0.6, mu=1.4, omega=-1.3)
-    assert pt.order3_upper_dc(ctx_r, p_r) == pytest.approx(
-        -pt.order3_upper_dc(ctx, p), rel=1e-12)
+    p = _params(delta=0.7, a=0.6, mu=1.4)
+    p_r = _params(delta=-0.7, a=0.6, mu=1.4)
+    assert _order3_dc(p_r, -1.3) == pytest.approx(-_order3_dc(p, 1.3),
+                                                  rel=1e-12)
 
 
 def test_series_shapes_and_order_guard():
-    p, _ = _setup(delta=0.4, a=0.5)
+    p = _params(delta=0.4, a=0.5)
     val = pt.upper_dc_series(p, 0.3)
     assert isinstance(val, float)
     arr = pt.upper_dc_series(p, np.array([0.0, 0.3, 1.0]))
@@ -107,59 +111,55 @@ def test_second_order_even_in_inverted_ladder():
 
 
 def test_second_order_identity_between_coherence_and_dc():
-    p, ctx = _setup(delta=0.8, a=0.7, mu=1.3, phi=1.1, dbig=2e3, omega=1.7)
-    comps = pt.order2_components(ctx, p)
+    p = _params(delta=0.8, a=0.7, mu=1.3, phi=1.1, dbig=2e3)
+    comps = order2_components(p, 1.7)
     rate = _identity_rate(p, comps)
-    dc22 = pt.order2_components(ctx, p).term(2, 2, 0).real
+    dc22 = term(comps, 2, 2, 0).real
     assert rel_err(rate, dc22) < 1e-12
 
 
 def test_third_order_identity_vanishes_at_unit_mu():
-    p, ctx = _setup(delta=0.8, a=0.7, mu=1.0, phi=1.0, dbig=2e3, omega=1.7)
-    comps = pt.order3_coherences(ctx, p)
+    p = _params(delta=0.8, a=0.7, mu=1.0, phi=1.0, dbig=2e3)
+    comps = order3_coherences(p, 1.7)
     assert abs(_identity_rate(p, comps)) < 1e-18
 
 
 def test_third_order_identity_single_beam_closed_form():
-    p, ctx = _setup(delta=0.9, a=0.0, mu=math.sqrt(2.0), dbig=2e3, omega=1.3)
-    comps = pt.order3_coherences(ctx, p)
-    assert rel_err(_identity_rate(p, comps), pt.order3_upper_dc(ctx, p)) < 1e-12
+    p = _params(delta=0.9, a=0.0, mu=math.sqrt(2.0), dbig=2e3)
+    comps = order3_coherences(p, 1.3)
+    assert rel_err(_identity_rate(p, comps), _order3_dc(p, 1.3)) < 1e-12
 
 
 def test_solver_extraction_matches_low_orders(extraction_pair):
     p, omega, rho_plus, rho_minus = extraction_pair
-    ctx = per_velocity_context(p, omega)
-    c1 = pt.order1_coherences(ctx, p)
-    t1 = pt.order1_twophoton(ctx, p)
-    c2 = pt.order2_components(ctx, p)
+    c1 = order1_coherences(p, omega)
+    t1 = order1_twophoton(p, omega)
+    c2 = order2_components(p, omega)
     odd_targets = [(0, 1, +1, c1), (0, 1, -1, c1),
                    (2, 1, +2, t1), (2, 1, 0, t1), (2, 1, -2, t1)]
     for i, j, n, comps in odd_targets:
         got = odd_part(rho_plus, rho_minus, i, j, n)
-        assert rel_err(got, comps.term(i, j, n)) < 1e-3, (i, j, n)
+        assert rel_err(got, term(comps, i, j, n)) < 1e-3, (i, j, n)
     even_targets = [(2, 0, +1), (2, 0, -1), (2, 0, +3), (2, 0, -3),
                     (0, 1, +1), (0, 1, -1), (0, 1, +3), (0, 1, -3),
                     (2, 2, 0), (0, 0, 0), (0, 0, +2), (0, 0, -2), (2, 1, 0)]
     for i, j, n in even_targets:
         got = even_part(rho_plus, rho_minus, i, j, n)
-        assert rel_err(got, c2.term(i, j, n)) < 1e-3, (i, j, n)
+        assert rel_err(got, term(c2, i, j, n)) < 1e-3, (i, j, n)
 
 
 def test_third_order_identity_matches_solver(extraction_pair):
     p, omega, rho_plus, rho_minus = extraction_pair
-    ctx = per_velocity_context(p, omega)
     got = odd_part(rho_plus, rho_minus, 2, 2, 0).real
-    want = _identity_rate(p, pt.order3_coherences(ctx, p))
+    want = _identity_rate(p, order3_coherences(p, omega))
     assert rel_err(got, want) < 1e-3
 
 
 def test_third_order_dc_extraction_single_beam():
     pair = build_pair(delta=0.9, a=0.0, mu=math.sqrt(2.0), phi=1.0, dbig=2e3)
     rho_plus, rho_minus = solve_pair(pair, 1.3)
-    p = pair[0]
-    ctx = per_velocity_context(p, 1.3)
     got = odd_part(rho_plus, rho_minus, 2, 2, 0).real
-    assert rel_err(got, pt.order3_upper_dc(ctx, p)) < 1e-3
+    assert rel_err(got, _order3_dc(pair[0], 1.3)) < 1e-3
 
 
 def test_series_error_falls_two_orders_per_decade():
