@@ -25,6 +25,15 @@ difference scheme in `oracle_average` therefore integrates only the
 deviation from the closed-form series inside |Omega| <= h*gamma_v and keeps
 the series value as the tail model, which restores the expected
 1/delta_big^2 convergence of oracle minus theory.
+
+`oracle_average` evaluates a quadrature level at once and sweeps it inward,
+in descending |Omega|: slow atoms need the deepest truncations, so each
+velocity class starts its truncation ladder at two rungs below the n_used
+of the class before it (from n_max = 3 at a level's first class), and skips
+rungs that are known to be unsettled. A ladder that starts low enough
+settles where a fresh one would, on the identical solution; otherwise it
+settles deeper. An outward sweep would carry the deep rungs of the slow
+classes out to fast ones that settle at shallow truncations.
 """
 
 from __future__ import annotations
@@ -56,25 +65,25 @@ class QuadratureSpec:
 
     The velocity profile picks the rule. domain_halfwidth, in units of
     gamma_v, is read only by the Lorentzian difference scheme of
-    `oracle_average`, whose window it sets (inf falls back to 10 widths);
-    `velocity_average` always integrates the whole line.
+    `oracle_average`, whose window it sets; `velocity_average` always
+    integrates the whole line.
     """
 
     nodes: int = 32
-    domain_halfwidth: float = math.inf
+    domain_halfwidth: float = 10.0
     tol: float = 1e-10
 
     def __post_init__(self):
         if self.nodes < 8:
             raise ParameterError(f"nodes must be >= 8, got {self.nodes}")
-        if not self.domain_halfwidth > 0.0:
-            raise ParameterError(
-                f"domain_halfwidth must be positive, got {self.domain_halfwidth}")
+        if not 0.0 < self.domain_halfwidth < math.inf:
+            raise ParameterError("domain_halfwidth must be positive and "
+                                 f"finite, got {self.domain_halfwidth}")
         if not self.tol > 0.0:
             raise ParameterError(f"tol must be positive, got {self.tol}")
 
 
-DEFAULT_ORACLE_QUAD = QuadratureSpec(nodes=32, domain_halfwidth=10.0, tol=1e-6)
+DEFAULT_ORACLE_QUAD = QuadratureSpec(tol=1e-6)
 
 
 def lorentz_int1(gamma_v: float, delta: float) -> float:
@@ -285,31 +294,42 @@ def oracle_average(params: NormalizedParams,
     docstring: the closed-form series through `order` is the reference, and
     only the solver's deviation from it is integrated over
     |Omega| <= domain_halfwidth * gamma_v (default 10 widths). quad
-    defaults to DEFAULT_ORACLE_QUAD for both profiles.
+    defaults to DEFAULT_ORACLE_QUAD for both profiles. Each quadrature
+    level is solved in one inward sweep, as the module docstring describes.
     """
     info = {"n_used": 0, "reference": 0.0, "correction": 0.0}
-
-    def dc_at(om: float) -> float:
-        rho, n_used = oracle_mod.refine(params, om, refine_tol, n_cap)
-        info["n_used"] = max(info["n_used"], n_used)
-        return oracle_mod.dc_upper_population(rho)
-
     if quad is None:
         quad = DEFAULT_ORACLE_QUAD
-    if params.kind != "lorentzian":
-        value = velocity_average(dc_at, params.distribution(), quad)
+    lorentzian = params.kind == "lorentzian"
+
+    def level(points):
+        # one quadrature level, swept inward: each ladder starts two rungs
+        # below where its outer neighbour settled, from 3 at every level;
+        # the hint lives in this call, so concurrent averages stay apart
+        omegas = np.asarray(points, dtype=float).reshape(-1)
+        values = np.empty_like(omegas)
+        start = 3
+        for k in np.argsort(-np.abs(omegas), kind="stable"):
+            om = float(omegas[k])
+            rho, n_used = oracle_mod.refine(params, om, refine_tol, n_cap,
+                                            start=start)
+            info["n_used"] = max(info["n_used"], n_used)
+            start = max(3, n_used - 2)
+            values[k] = oracle_mod.dc_upper_population(rho)
+            if lorentzian:
+                values[k] -= float(upper_dc_series(params, om, order))
+        return values.reshape(np.shape(points))
+
+    if not lorentzian:
+        value = velocity_average(level, params.distribution(), quad,
+                                 vectorized=True)
         info["correction"] = value
         return (value, info) if return_info else value
 
     reference = _lorentzian_series_dc(params, order)
-    h = quad.domain_halfwidth if math.isfinite(quad.domain_halfwidth) else 10.0
-    theta_max = math.atan(h)
-
-    def diff(om: float) -> float:
-        return dc_at(om) - float(upper_dc_series(params, om, order))
-
-    sums = _tan_map_sums(diff, params.gamma_v_tilde, theta_max, quad.nodes,
-                         vectorized=False)
+    sums = _tan_map_sums(level, params.gamma_v_tilde,
+                         math.atan(quad.domain_halfwidth), quad.nodes,
+                         vectorized=True)
     correction = _converge(sums, quad.tol, abs_floor=1e-3 * abs(reference))
     info["reference"] = reference
     info["correction"] = correction

@@ -92,9 +92,8 @@ class SpectrumScan:
     metadata: dict
 
 
-def _float_item(doc: dict, key: str, where: str,
-                allow_inf: bool = False) -> float:
-    """doc[key] as a finite float (or infinite, when allow_inf); no booleans."""
+def _float_item(doc: dict, key: str, where: str) -> float:
+    """doc[key] as a finite float; no booleans."""
     raw = doc[key]
     try:
         if isinstance(raw, bool):
@@ -102,7 +101,7 @@ def _float_item(doc: dict, key: str, where: str,
         value = float(raw)
     except (TypeError, ValueError):
         raise ParameterError(f"{where}.{key} must be a number, got {raw!r}")
-    if not (math.isfinite(value) or (allow_inf and math.isinf(value))):
+    if not math.isfinite(value):
         raise ParameterError(f"{where}.{key} must be finite, got {raw!r}")
     return value
 
@@ -189,7 +188,7 @@ def parse_scan_config(doc: dict) -> ScanConfig:
             kwargs["nodes"] = qdoc["nodes"]
         if "domain_halfwidth" in qdoc:
             kwargs["domain_halfwidth"] = _float_item(
-                qdoc, "domain_halfwidth", "quadrature", allow_inf=True)
+                qdoc, "domain_halfwidth", "quadrature")
         if "tol" in qdoc:
             kwargs["tol"] = _float_item(qdoc, "tol", "quadrature")
         quad = QuadratureSpec(**kwargs)
@@ -224,12 +223,9 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         "dist": {"kind": kind},
     }
     if quad is not None:
-        metadata["quadrature"] = {
-            "nodes": quad.nodes,
-            "domain_halfwidth": (quad.domain_halfwidth
-                                 if math.isfinite(quad.domain_halfwidth)
-                                 else "inf"),
-            "tol": quad.tol}
+        metadata["quadrature"] = {"nodes": quad.nodes,
+                                  "domain_halfwidth": quad.domain_halfwidth,
+                                  "tol": quad.tol}
     if "oracle" in doc:
         metadata["oracle"] = dict(oracle_opts)
     cfg = ScanConfig(observable=obs, axis=axis, grid=grid, fixed=fixed,

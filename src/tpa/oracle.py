@@ -423,19 +423,30 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
 
 
 def refine(params: NormalizedParams, omega: float, tol: float,
-           n_cap: int = DEFAULT_N_CAP):
+           n_cap: int = DEFAULT_N_CAP, start: int = 3):
     """Raise the truncation order until the dc upper population settles.
 
-    Solves the velocity class Omega = omega on the ladder n_max = 3, 5,
-    7, ..., n_cap and stops when the dc (2,2) coefficient changes by less
-    than tol (absolute) between consecutive truncations. Returns
+    Solves the velocity class Omega = omega on the ladder n_max = start,
+    start + 2, ..., n_cap and stops when the dc (2,2) coefficient changes by
+    less than tol (absolute) between consecutive truncations. Returns
     (solution, n_used).
+
+    start (odd) lets a caller skip the rungs a neighbouring velocity class
+    showed to be unsettled; it is clamped to [3, top - 2], where top is the
+    deepest odd rung <= n_cap, so two rungs always fit. The stop test is the
+    same from any start: if k is the n_used of the ladder from 3, a start
+    <= k - 2 stops at k with the identical solution, and a larger start
+    stops deeper.
     """
     if not tol >= 0.0:
         raise ParameterError(f"tol must be >= 0, got {tol}")
+    if start % 2 == 0:
+        raise ParameterError(f"start must be an odd truncation, got {start}")
+    top = n_cap if n_cap % 2 else n_cap - 1
+    first = max(3, min(start, top - 2))
     previous = None
     last_change = None
-    for n in range(3, n_cap + 1, 2):
+    for n in range(first, n_cap + 1, 2):
         rho = solve_steady_state(SteadyStateProblem(params, omega, n))
         value = rho.dc(2, 2)
         if previous is not None:
@@ -450,10 +461,11 @@ def refine(params: NormalizedParams, omega: float, tol: float,
     # a live tail at the edge harmonics says the truncation is too short,
     # not the tolerance too tight
     tail = float(np.abs(rho.coeffs[:, :, [0, -1]]).max())
+    started = f"; ladder started at n_max = {first}" if first > 3 else ""
     raise TruncationError(
         f"dc population not settled to {tol:g} at n_max = {rho.n_max}; "
         f"last change {last_change:.3e}, largest edge harmonic "
-        f"|c(i,j,+-{rho.n_max})| {tail:.3e}; raise oracle.n_cap "
+        f"|c(i,j,+-{rho.n_max})| {tail:.3e}{started}; raise oracle.n_cap "
         f"(now {n_cap}) or loosen oracle.refine_tol")
 
 

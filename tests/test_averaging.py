@@ -264,6 +264,48 @@ def test_oracle_average_lorentzian_matches_series():
     assert info["n_used"] >= 3
 
 
+def test_oracle_average_sweep_settles_each_node_at_or_past_its_fresh_ladder(
+        monkeypatch):
+    # each quadrature level is swept inward with ladder starts carried from
+    # node to node; against the ladder from n_max = 3, every node settles at
+    # the same rung with the identical value, or deeper
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+                               phi_tilde=3.0, delta_big_tilde=100.0,
+                               gamma_v_tilde=2.0)
+    quad = QuadratureSpec(nodes=8, domain_halfwidth=10.0, tol=1e-3)
+    calls = []
+    refine = oracle.refine
+
+    def recorded(params, omega, tol, n_cap, start=3):
+        rho, n_used = refine(params, omega, tol, n_cap, start=start)
+        calls.append((omega, start, n_used, oracle.dc_upper_population(rho)))
+        return rho, n_used
+    monkeypatch.setattr(oracle, "refine", recorded)
+    value, info = oracle_average(p, quad, return_info=True)
+    monkeypatch.undo()
+    assert len(calls) in (8 * 3, 8 * 7, 8 * 15)
+    level_starts = (0, 8, 24, 56)
+    deeper = 0
+    for k, (omega, start, n_used, dc) in enumerate(calls):
+        if k in level_starts:
+            assert start == 3
+        else:
+            assert abs(omega) <= abs(calls[k - 1][0])
+            assert start == max(3, calls[k - 1][2] - 2)
+        rho, fresh = oracle.refine(p, omega, 1e-14)
+        assert n_used >= fresh
+        if n_used == fresh:
+            assert dc == oracle.dc_upper_population(rho)
+        deeper += n_used > fresh
+    assert deeper < len(calls)
+    assert info["n_used"] == max(c[2] for c in calls)
+    # the average over fresh ladders: deeper nodes move it only in roundoff
+    monkeypatch.setattr(oracle, "refine",
+                        lambda params, omega, tol, n_cap, start=3:
+                        refine(params, omega, tol, n_cap))
+    assert rel_err(value, oracle_average(p, quad)) < 1e-12
+
+
 def test_oracle_average_gaussian_matches_series():
     p = NormalizedParams.build(delta_tilde=1.0, a_ratio=1.0, mu=1.0,
                                phi_tilde=1.0, delta_big_tilde=1e3,

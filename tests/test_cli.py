@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tpa
-from tpa import analytics, cli
+from tpa import analytics, averaging, cli, oracle
 from tpa.core import NormalizedParams, ParameterError
 
 
@@ -140,12 +140,21 @@ def test_config_validation_errors():
             cli.parse_scan_config(doc)
 
 
-def test_infinite_quadrature_window_accepted():
+def test_infinite_quadrature_window_rejected(tmp_path, capsys):
+    # the Lorentzian window is finite; an infinite one would be written into
+    # the metadata although no run could use it
     for halfwidth in (math.inf, "inf"):
-        cfg = cli.parse_scan_config(
-            _oracle_doc(quadrature={"domain_halfwidth": halfwidth}))
-        assert cfg.quad.domain_halfwidth == math.inf
-        assert cfg.metadata["quadrature"]["domain_halfwidth"] == "inf"
+        with pytest.raises(ParameterError,
+                           match="quadrature.domain_halfwidth must be finite"):
+            cli.parse_scan_config(
+                _oracle_doc(quadrature={"domain_halfwidth": halfwidth}))
+    with pytest.raises(ParameterError, match="domain_halfwidth"):
+        averaging.QuadratureSpec(domain_halfwidth=math.inf)
+    cfg_path = tmp_path / "inf.json"
+    cfg_path.write_text(json.dumps(
+        _oracle_doc(quadrature={"domain_halfwidth": math.inf})))
+    assert cli.main(["scan", "--config", str(cfg_path)]) == 2
+    assert "domain_halfwidth must be finite" in capsys.readouterr().err
 
 
 def test_gaussian_quadrature_block_runs(tmp_path, capsys):
@@ -158,7 +167,7 @@ def test_gaussian_quadrature_block_runs(tmp_path, capsys):
     assert cli.main(["scan", "--config", str(cfg_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert json.loads(lines[0][2:])["quadrature"] == {
-        "nodes": 32, "domain_halfwidth": "inf", "tol": 1e-5}
+        "nodes": 32, "domain_halfwidth": 10.0, "tol": 1e-5}
     assert len(lines) == 4
 
 
@@ -261,6 +270,32 @@ def test_main_scan_bytes_are_deterministic(tmp_path, doc):
         assert cli.main(["scan", "--config", str(cfg_path),
                          "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_oracle_scan_threads_write_the_same_bytes(monkeypatch):
+    # each average carries its own ladder start from node to node, so two
+    # averages running side by side do not steer each other's ladders: one
+    # beam settles every node at n_max = 5, two beams need deeper ones
+    cfg = cli.parse_scan_config(_oracle_doc(
+        sweep={"axis": "a_ratio", "start": 0.0, "stop": 1.0, "count": 2},
+        fixed={"delta_big_tilde": 100.0, "phi_tilde": 3.0,
+               "delta_tilde": 0.5, "gamma_v_tilde": 2.0, "mu": 1.2},
+        dist={"kind": "lorentzian"},
+        quadrature={"nodes": 8, "tol": 1e-3}))
+    refine = oracle.refine
+    ladders = {}
+
+    def recorded(params, omega, tol, n_cap, start=3):
+        rho, n_used = refine(params, omega, tol, n_cap, start=start)
+        ladders[params.a_ratio].append((omega, start, n_used))
+        return rho, n_used
+    monkeypatch.setattr(oracle, "refine", recorded)
+    runs = []
+    for workers in (1, 2):
+        ladders.update({0.0: [], 1.0: []})
+        runs.append((_render(cli.run_scan(cfg, workers=workers)),
+                     {d: list(calls) for d, calls in ladders.items()}))
+    assert runs[1] == runs[0]
 
 
 def test_main_validate(capsys):

@@ -376,8 +376,67 @@ def test_truncation_failure_names_its_knobs():
                for n in (-7, 7))
     assert tail == pytest.approx(edge, rel=1e-3)
     assert tail > 1e-3
+    assert "ladder started" not in message
     with pytest.raises(TruncationError, match="raise oracle.n_cap"):
         oracle.refine(p, 0.0, 1e-14, n_cap=4)
+    # a ladder that skipped its low rungs says where it started
+    with pytest.raises(TruncationError) as failure:
+        oracle.refine(p, 0.0, 1e-14, n_cap=15, start=11)
+    message = str(failure.value)
+    assert "at n_max = 15;" in message
+    assert "ladder started at n_max = 11;" in message
+    assert "oracle.n_cap (now 15)" in message
+    assert "oracle.refine_tol" in message
+
+
+@settings(max_examples=40)
+@given(delta=st.floats(-2.0, 2.0, **_finite), a=st.floats(0.0, 1.5, **_finite),
+       mu=st.floats(0.5, 2.0, **_finite), phi=st.floats(0.3, 3.0, **_finite),
+       dbig=st.floats(100.0, 1e3, **_finite),
+       sign=st.sampled_from([-1.0, 1.0]),
+       omega=st.floats(-10.0, 10.0, **_finite),
+       start=st.integers(1, 15).map(lambda j: 2 * j + 1))
+def test_refine_from_a_later_rung_stops_at_or_past_the_fresh_ladder(
+        delta, a, mu, phi, dbig, sign, omega, start):
+    # the stop test compares consecutive rungs only: a ladder started at or
+    # below two rungs under the fresh n_used walks the fresh ladder's tail
+    # and settles on its solution; one started higher settles deeper
+    p = NormalizedParams.build(delta_tilde=delta, a_ratio=a, mu=mu,
+                               phi_tilde=phi, delta_big_tilde=sign * dbig)
+    fresh, k = oracle.refine(p, omega, 1e-14)
+    rho, n_used = oracle.refine(p, omega, 1e-14, start=start)
+    if start <= k - 2:
+        assert n_used == k
+        assert rho.dc(2, 2) == fresh.dc(2, 2)
+        assert np.array_equal(rho.coeffs, fresh.coeffs)
+    else:
+        assert n_used >= start + 2 > k
+
+
+@pytest.mark.parametrize("n_cap", [9, 10])
+@pytest.mark.parametrize("start", [7, 9, 11, 99])
+def test_refine_start_is_clamped_below_the_cap(monkeypatch, n_cap, start):
+    # two rungs always fit: the ladder starts no higher than the deepest odd
+    # rung under the cap minus 2, for an odd and an even cap alike
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.0,
+                               phi_tilde=0.01, delta_big_tilde=100.0)
+    rungs = []
+    solve = oracle.solve_steady_state
+    monkeypatch.setattr(oracle, "solve_steady_state",
+                        lambda problem: rungs.append(problem.n_max)
+                        or solve(problem))
+    _, n_used = oracle.refine(p, 0.7, 1e-14, n_cap=n_cap, start=start)
+    assert rungs == [7, 9] and n_used == 9
+
+
+def test_refine_start_leaves_small_caps_and_parity_checked():
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
+                               delta_big_tilde=100.0)
+    for n_cap in (3, 4):
+        with pytest.raises(TruncationError, match="too small to iterate"):
+            oracle.refine(p, 0.0, 1e-14, n_cap=n_cap, start=11)
+    with pytest.raises(ParameterError, match="odd"):
+        oracle.refine(p, 0.0, 1e-14, start=8)
 
 
 def test_single_beam_needs_no_sidebands():
