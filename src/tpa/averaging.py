@@ -9,13 +9,16 @@ are supported, parameterized by the half width at half maximum gamma_v:
     of the one-photon denominators close analytically (lorentz_int1/int2)
     and the averaged series is the analytics profile n2 + n3;
   * gaussian: HWHM gamma_v; series averages close through the Faddeeva
-    function, generic integrands use Gauss-Hermite quadrature.
+    function, generic integrands use a nested trapezoid rule.
 
-The profile picks the rule: Gaussian averages always use Gauss-Hermite nodes,
-and the non-closed Lorentzian averages use a tangent substitution
-Omega = gamma_v * tan(theta), which maps the weighted line integral to a
-plain integral of f(gamma_v tan theta)/pi over theta; Gauss-Legendre nodes
-with doubling then converge geometrically for smooth f.
+The profile picks the rule. Gaussian averages always use the trapezoid rule
+on |Omega| <= 8 sigma (sigma = gamma_v / sqrt(2 ln 2)): each level halves
+the step and evaluates f only at the new midpoints, so every node is reused,
+and the error falls geometrically in (pole distance)/h for integrands with
+poles off the real axis. The non-closed Lorentzian averages use a tangent
+substitution Omega = gamma_v * tan(theta), which maps the weighted line
+integral to a plain integral of f(gamma_v tan theta)/pi over theta;
+Gauss-Legendre nodes with doubling then converge geometrically for smooth f.
 
 Averaging the brute-force steady state needs care: the power-law Lorentzian
 wings reach velocity classes where high harmonics are stepwise resonant
@@ -26,14 +29,15 @@ deviation from the closed-form series inside |Omega| <= h*gamma_v and keeps
 the series value as the tail model, which restores the expected
 1/delta_big^2 convergence of oracle minus theory.
 
-`oracle_average` evaluates a quadrature level at once and sweeps it inward,
-in descending |Omega|: slow atoms need the deepest truncations, so each
-velocity class starts its truncation ladder at two rungs below the n_used
-of the class before it (from n_max = 3 at a level's first class), and skips
-rungs that are known to be unsettled. A ladder that starts low enough
-settles where a fresh one would, on the identical solution; otherwise it
-settles deeper. An outward sweep would carry the deep rungs of the slow
-classes out to fast ones that settle at shallow truncations.
+`oracle_average` evaluates the new nodes of a quadrature level at once and
+sweeps them inward, in descending |Omega|: slow atoms need the deepest
+truncations, so each velocity class starts its truncation ladder at two
+rungs below the n_used of the class before it (from n_max = 3 at a level's
+first class), and skips rungs that are known to be unsettled. A ladder that
+starts low enough settles where a fresh one would, on the identical
+solution; otherwise it settles deeper. An outward sweep would carry the
+deep rungs of the slow classes out to fast ones that settle at shallow
+truncations.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite, wofz
+from scipy.special import wofz
 
 from . import oracle as oracle_mod
 from .analytics import n2, n3
@@ -52,6 +56,9 @@ from .perturbative import upper_dc_series
 __all__ = ["QuadratureError", "averaged_population", "oracle_average"]
 
 _MAX_NODES = 2048
+# The Gaussian weight beyond 8 standard deviations carries
+# erfc(8 / sqrt 2) ~ 1.2e-15 of the mass, below every tolerance in use.
+_GAUSS_WINDOW = 8.0
 _EPS = float(np.finfo(float).eps)
 
 
@@ -63,9 +70,13 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Quadrature policy: starting node count, window, tolerance.
 
-    The velocity profile picks the rule. domain_halfwidth, in units of
+    The velocity profile picks the rule. nodes is the first level's
+    Gauss-Legendre node count for a Lorentzian profile and its interval
+    count (nodes + 1 points on |Omega| <= 8 sigma) for a Gaussian one; each
+    later level doubles it, up to 2,048, so nodes <= 1,024 leaves room for
+    the two levels a convergence test needs. domain_halfwidth, in units of
     gamma_v, is read only by the Lorentzian difference scheme of
-    `oracle_average`, whose window it sets; `velocity_average` always
+    `oracle_average`, whose window it sets; a Lorentzian `velocity_average`
     integrates the whole line.
     """
 
@@ -74,8 +85,9 @@ class QuadratureSpec:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.nodes < 8:
-            raise ParameterError(f"nodes must be >= 8, got {self.nodes}")
+        if not 8 <= self.nodes <= _MAX_NODES // 2:
+            raise ParameterError(f"nodes must be in [8, {_MAX_NODES // 2}], "
+                                 f"got {self.nodes}")
         if not 0.0 < self.domain_halfwidth < math.inf:
             raise ParameterError("domain_halfwidth must be positive and "
                                  f"finite, got {self.domain_halfwidth}")
@@ -145,15 +157,32 @@ def _node_ladder(start):
         n *= 2
 
 
-def _gauss_hermite_sums(f, gamma_v, start, vectorized):
-    # scipy's nodes stay finite past 512 points where numpy's hermgauss
-    # overflows; extreme-node weights underflow to zero, which is harmless.
-    scale = gamma_v / math.sqrt(math.log(2.0))
-    for m in _node_ladder(start):
-        t, w = roots_hermite(m)
-        vals = _eval(f, scale * t, vectorized)
-        terms = w * vals / math.sqrt(math.pi)
-        yield float(np.sum(terms)), float(np.sum(np.abs(terms)))
+def _trapezoid_sums(f, gamma_v, start, vectorized):
+    # `start` intervals on |Omega| <= 8 sigma, ends at half weight; each
+    # later level halves h and adds the new midpoints to the running sums.
+    # Poles about 1 off the real axis make the error fall geometrically in
+    # 1/h (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+    sigma = gamma_v / math.sqrt(2.0 * math.log(2.0))
+    half = _GAUSS_WINDOW * sigma
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+
+    def weighted(omegas):
+        return (norm * np.exp(-0.5 * (omegas / sigma) ** 2)
+                * _eval(f, omegas, vectorized))
+
+    m = start
+    h = 2.0 * half / m
+    terms = weighted(np.linspace(-half, half, m + 1))
+    terms[[0, -1]] *= 0.5
+    total, mass = float(np.sum(terms)), float(np.sum(np.abs(terms)))
+    yield h * total, h * mass
+    while 2 * m <= _MAX_NODES:
+        terms = weighted(np.linspace(-half + 0.5 * h, half - 0.5 * h, m))
+        total += float(np.sum(terms))
+        mass += float(np.sum(np.abs(terms)))
+        m *= 2
+        h *= 0.5
+        yield h * total, h * mass
 
 
 def _tan_map_sums(f, gamma_v, theta_max, start, vectorized):
@@ -171,15 +200,15 @@ def velocity_average(f, dist: VelocityDistribution,
     """Average f(Omega) over the velocity distribution.
 
     Homogeneous media need no quadrature and return f(0). Gaussian profiles
-    use Gauss-Hermite nodes over the whole line. Lorentzian profiles use the
-    tan-mapped Gauss-Legendre rule over the whole compactified line.
+    use the nested trapezoid rule on |Omega| <= 8 sigma. Lorentzian profiles
+    use the tan-mapped Gauss-Legendre rule over the whole compactified line.
     """
     if dist.kind == "homogeneous":
         return float(f(0.0))
     if quad is None:
         quad = QuadratureSpec()
     if dist.kind == "gaussian":
-        sums = _gauss_hermite_sums(f, dist.gamma_v, quad.nodes, vectorized)
+        sums = _trapezoid_sums(f, dist.gamma_v, quad.nodes, vectorized)
         return _converge(sums, quad.tol, 0.0)
     sums = _tan_map_sums(f, dist.gamma_v, 0.5 * math.pi, quad.nodes,
                          vectorized)
@@ -229,10 +258,10 @@ def _faddeeva_moments(delta: float, gamma_v: float) -> tuple[complex, complex]:
       second = < 1 / (1 - i u)^2 > = -i d(first)/d(delta)
 
     computed from w(zeta) and w'(zeta) with zeta = (delta + i) / (sigma
-    sqrt(2)). Both stay within 1e-12 of their exact values for any width,
-    down to the homogeneous limit gamma_v -> 0+ where |zeta| grows like
-    1/gamma_v, unlike Gauss-Hermite sums whose node count grows like
-    gamma_v^2 when the integrand stays unit width.
+    sqrt(2)). Both stay within 1e-12 of their exact values for any width:
+    down to the homogeneous limit gamma_v -> 0+, where |zeta| grows like
+    1/gamma_v, and up to wide profiles, where a quadrature's node count
+    grows like gamma_v because the integrand stays unit width.
     """
     sigma = gamma_v / math.sqrt(2.0 * math.log(2.0))
     root2 = math.sqrt(2.0)
@@ -289,7 +318,8 @@ def oracle_average(params: NormalizedParams,
     """Velocity-averaged dc upper population of the brute-force steady state.
 
     Homogeneous media solve a single velocity class. Gaussian profiles
-    average the solver output directly under Gauss-Hermite nodes. Lorentzian
+    average the solver output directly under the nested trapezoid rule of
+    `velocity_average`, solving only the new nodes of each level. Lorentzian
     profiles use the windowed difference scheme described in the module
     docstring: the closed-form series through `order` is the reference, and
     only the solver's deviation from it is integrated over

@@ -25,10 +25,11 @@ Scan configs are JSON with normalized (gamma = 1) parameters:
     }
 
 Unknown keys are rejected everywhere. "quadrature" and "oracle" only apply
-to the oracle_avg observable; the quadrature rule follows dist.kind
-(Gauss-Hermite for gaussian, tan-mapped Gauss-Legendre for lorentzian, which
-alone uses domain_halfwidth). CSV output starts with a '#'-prefixed JSON
-metadata line and keeps 17 significant digits.
+to the oracle_avg observable; the quadrature rule follows dist.kind (a
+nested trapezoid rule starting from `nodes` intervals for gaussian,
+tan-mapped Gauss-Legendre for lorentzian, which alone uses
+domain_halfwidth); `nodes` is at most 1024. CSV output starts with a
+'#'-prefixed JSON metadata line and keeps 17 significant digits.
 """
 
 from __future__ import annotations
@@ -200,14 +201,15 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         odoc = doc["oracle"]
         _check_keys(odoc, ("n_cap", "refine_tol", "order"), (), "oracle")
         if "n_cap" in odoc:
-            if not isinstance(odoc["n_cap"], int) or odoc["n_cap"] < 3:
-                raise ParameterError("oracle.n_cap must be an integer >= 3")
+            # refine needs two rungs, n_max = 3 and 5, to test settling
+            if not isinstance(odoc["n_cap"], int) or odoc["n_cap"] < 5:
+                raise ParameterError("oracle.n_cap must be an integer >= 5")
             oracle_opts["n_cap"] = odoc["n_cap"]
         if "refine_tol" in odoc:
             oracle_opts["refine_tol"] = _float_item(odoc, "refine_tol", "oracle")
         if "order" in odoc:
-            if odoc["order"] not in (2, 3):
-                raise ParameterError("oracle.order must be 2 or 3")
+            if type(odoc["order"]) is not int or odoc["order"] not in (2, 3):
+                raise ParameterError("oracle.order must be the integer 2 or 3")
             oracle_opts["order"] = odoc["order"]
 
     out = doc.get("out")

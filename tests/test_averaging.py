@@ -35,6 +35,10 @@ def test_quadrature_spec_validation():
     QuadratureSpec()
     with pytest.raises(ParameterError):
         QuadratureSpec(nodes=4)
+    # a start above half the 2,048-node cap leaves no second level
+    QuadratureSpec(nodes=1024)
+    with pytest.raises(ParameterError, match="nodes"):
+        QuadratureSpec(nodes=1025)
     with pytest.raises(ParameterError):
         QuadratureSpec(tol=0.0)
     with pytest.raises(ParameterError):
@@ -120,7 +124,7 @@ def test_gaussian_closed_average_matches_quadrature():
     quad = QuadratureSpec(tol=1e-7)
     cases = ((0.0, 1.0, 1.0, 2), (1.0, 0.5, 1.3, 3),
              (-0.7, 1.0, math.sqrt(2.0), 3))
-    for gv in (0.3, 1.0, 2.0):
+    for gv in (0.3, 1.0, 2.0, 5.0, 10.0):
         for delta, a, mu, order in cases:
             p = NormalizedParams.build(delta_tilde=delta, a_ratio=a, mu=mu,
                                        phi_tilde=1.0, delta_big_tilde=1e3,
@@ -311,6 +315,58 @@ def test_oracle_average_gaussian_matches_series():
                                phi_tilde=1.0, delta_big_tilde=1e3,
                                gamma_v_tilde=0.5, kind="gaussian")
     assert rel_err(oracle_average(p), averaged_population(p, order=3)) < 1e-3
+
+
+def test_oracle_average_gaussian_evaluates_each_node_once(monkeypatch):
+    # the nested trapezoid rule: nodes + 1 points on |Omega| <= 8 sigma,
+    # then each level solves only the midpoints of the grid so far
+    nodes = 16
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+                               phi_tilde=1.0, delta_big_tilde=1e3,
+                               gamma_v_tilde=0.5, kind="gaussian")
+    calls = []
+    refine = oracle.refine
+
+    def recorded(params, omega, tol, n_cap, start=3):
+        rho, n_used = refine(params, omega, tol, n_cap, start=start)
+        calls.append((omega, oracle.dc_upper_population(rho)))
+        return rho, n_used
+    monkeypatch.setattr(oracle, "refine", recorded)
+    value = oracle_average(p, QuadratureSpec(nodes=nodes, tol=1e-6))
+    monkeypatch.undo()
+    omegas = np.array([om for om, _ in calls])
+    assert len(set(omegas.tolist())) == len(omegas)
+    # the accepted level has 2^k nodes intervals, k >= 1
+    k = ((len(omegas) - 1) // nodes).bit_length() - 1
+    assert k >= 1 and len(omegas) == 2 ** k * nodes + 1
+    sigma = p.gamma_v_tilde / math.sqrt(2.0 * math.log(2.0))
+    grid = np.sort(omegas[:nodes + 1])
+    assert grid[0] == pytest.approx(-8.0 * sigma, rel=1e-15)
+    assert grid[-1] == pytest.approx(8.0 * sigma, rel=1e-15)
+    done = nodes + 1
+    while done < len(omegas):
+        new = np.sort(omegas[done:done + len(grid) - 1])
+        assert np.allclose(new, 0.5 * (grid[:-1] + grid[1:]),
+                           rtol=0.0, atol=1e-13 * sigma)
+        done += len(new)
+        grid = np.sort(np.concatenate([grid, new]))
+    # the value is the trapezoid sum over the accepted grid
+    order = np.argsort(omegas)
+    h = 16.0 * sigma / (len(omegas) - 1)
+    weights = (h * np.exp(-0.5 * (omegas[order] / sigma) ** 2)
+               / (sigma * math.sqrt(2.0 * math.pi)))
+    weights[[0, -1]] *= 0.5
+    dc = np.array([v for _, v in calls])[order]
+    assert rel_err(value, float(np.sum(weights * dc))) <= 1e-13
+
+
+def test_oracle_average_converges_on_wide_gaussian():
+    # at gamma_v = 10 the integrand is narrow next to the profile; the
+    # trapezoid step still converges within 2,048 intervals
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+                               phi_tilde=1.0, delta_big_tilde=1e3,
+                               gamma_v_tilde=10.0, kind="gaussian")
+    assert rel_err(oracle_average(p), averaged_population(p, order=3)) <= 3e-3
 
 
 @settings(max_examples=30)

@@ -236,9 +236,37 @@ def test_main_rejects_nan_parameter(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("doc", [
+    # refine's stop test compares two rungs, n_max = 3 and 5
+    pytest.param(_oracle_doc(oracle={"n_cap": 3}), id="n_cap3"),
+    pytest.param(_oracle_doc(oracle={"n_cap": 4}), id="n_cap4"),
+    # two levels must fit under the 2,048-node cap
+    pytest.param(_oracle_doc(quadrature={"nodes": 1025}), id="nodes1025"),
+    pytest.param(_oracle_doc(dist={"kind": "gaussian"},
+                             quadrature={"nodes": 2048},
+                             fixed={"delta_big_tilde": 100.0,
+                                    "gamma_v_tilde": 1.0}),
+                 id="gaussian_nodes2048"),
+    pytest.param(_oracle_doc(oracle={"order": 2.0}), id="order_float"),
+    pytest.param(_oracle_doc(oracle={"order": True}), id="order_bool"),
+])
+def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "bad.json"
+    out_path = tmp_path / "bad.csv"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["scan", "--config", str(cfg_path),
+                     "--out", str(out_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_main_numerical_failure_exit(tmp_path, capsys):
+    # a strong drive that n_max <= 7 cannot settle
+    doc = _oracle_doc(fixed={"delta_big_tilde": 100.0, "phi_tilde": 30.0,
+                             "a_ratio": 1.0},
+                      oracle={"n_cap": 7})
     cfg_path = tmp_path / "oracle.json"
-    cfg_path.write_text(json.dumps(_oracle_doc(oracle={"n_cap": 3})))
+    cfg_path.write_text(json.dumps(doc))
     assert cli.main(["scan", "--config", str(cfg_path)]) == 3
     assert "numerical failure:" in capsys.readouterr().err
 
