@@ -3,9 +3,9 @@ atoms driven by two counterpropagating monochromatic waves.
 
 Layers, from the ground up:
 
-  core          parameter objects, normalization, JSON round trip;
-                NormalizedParams is the only normalized parameter set,
-                taken by the solver, the series and the closed forms alike
+  core          NormalizedParams, the one parameter set in gamma = 1
+                units, taken by the solver, the series and the closed
+                forms alike; its constructor states every parameter rule
   oracle        brute-force harmonic steady state at fixed velocity
   perturbative  closed-form weak-drive series of the dc upper population,
                 per velocity and vectorized in Omega
@@ -25,17 +25,13 @@ from ._version import __version__
 
 from .analytics import LocatorError, stark_shift, width_fwhm
 from .averaging import QuadratureError, averaged_population, oracle_average
-from .core import (AtomSpec, FieldSpec, NormalizedParams, ParameterError,
-                   VelocityDistribution, denormalize, dump_parameters,
-                   load_parameters, normalize)
+from .core import NormalizedParams, ParameterError
 from .oracle import OracleError
 
 __all__ = [
     "__version__",
     # parameters
-    "NormalizedParams", "AtomSpec", "FieldSpec",
-    "VelocityDistribution", "normalize", "denormalize", "dump_parameters",
-    "load_parameters",
+    "NormalizedParams",
     # results
     "averaged_population", "oracle_average", "width_fwhm", "stark_shift",
     # errors

@@ -50,7 +50,7 @@ from scipy.special import wofz
 
 from . import oracle as oracle_mod
 from .analytics import n2, n3
-from .core import NormalizedParams, ParameterError, VelocityDistribution
+from .core import _KINDS, NormalizedParams, ParameterError
 from .perturbative import upper_dc_series
 
 __all__ = ["QuadratureError", "averaged_population", "oracle_average"]
@@ -119,12 +119,6 @@ def lorentz_int2(n: int, gamma_v: float, delta: float) -> float:
     raise ParameterError(f"n must be 1 or 2, got {n}")
 
 
-def _eval(f, points, vectorized):
-    if vectorized:
-        return np.asarray(f(points), dtype=float)
-    return np.array([float(f(float(t))) for t in points], dtype=float)
-
-
 def _converge(sums, tol, abs_floor):
     """Run a node-doubling ladder until consecutive estimates agree.
 
@@ -150,14 +144,7 @@ def _converge(sums, tol, abs_floor):
         + (f", last change {last_gap:.3e}" if last_gap is not None else ""))
 
 
-def _node_ladder(start):
-    n = start
-    while n <= _MAX_NODES:
-        yield n
-        n *= 2
-
-
-def _trapezoid_sums(f, gamma_v, start, vectorized):
+def _trapezoid_sums(f, gamma_v, start):
     # `start` intervals on |Omega| <= 8 sigma, ends at half weight; each
     # later level halves h and adds the new midpoints to the running sums.
     # Poles about 1 off the real axis make the error fall geometrically in
@@ -168,7 +155,7 @@ def _trapezoid_sums(f, gamma_v, start, vectorized):
 
     def weighted(omegas):
         return (norm * np.exp(-0.5 * (omegas / sigma) ** 2)
-                * _eval(f, omegas, vectorized))
+                * np.asarray(f(omegas), dtype=float))
 
     m = start
     h = 2.0 * half / m
@@ -185,33 +172,37 @@ def _trapezoid_sums(f, gamma_v, start, vectorized):
         yield h * total, h * mass
 
 
-def _tan_map_sums(f, gamma_v, theta_max, start, vectorized):
-    for m in _node_ladder(start):
+def _tan_map_sums(f, gamma_v, theta_max, start):
+    # Gauss-Legendre in theta, doubling the node count from `start`
+    m = start
+    while m <= _MAX_NODES:
         t, w = np.polynomial.legendre.leggauss(m)
         theta = theta_max * t
-        vals = _eval(f, gamma_v * np.tan(theta), vectorized)
+        vals = np.asarray(f(gamma_v * np.tan(theta)), dtype=float)
         terms = (theta_max / math.pi) * w * vals
         yield float(np.sum(terms)), float(np.sum(np.abs(terms)))
+        m *= 2
 
 
-def velocity_average(f, dist: VelocityDistribution,
-                     quad: QuadratureSpec | None = None, *,
-                     vectorized: bool = False) -> float:
-    """Average f(Omega) over the velocity distribution.
+def velocity_average(f, kind: str, gamma_v: float,
+                     quad: QuadratureSpec | None = None) -> float:
+    """Average f(Omega) over the velocity profile `kind` of HWHM gamma_v.
 
-    Homogeneous media need no quadrature and return f(0). Gaussian profiles
-    use the nested trapezoid rule on |Omega| <= 8 sigma. Lorentzian profiles
-    use the tan-mapped Gauss-Legendre rule over the whole compactified line.
+    f takes an array of Omega values and returns their values. Homogeneous
+    media need no quadrature and return f(0). Gaussian profiles use the
+    nested trapezoid rule on |Omega| <= 8 sigma. Lorentzian profiles use the
+    tan-mapped Gauss-Legendre rule over the whole compactified line.
     """
-    if dist.kind == "homogeneous":
+    if kind not in _KINDS:
+        raise ParameterError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind == "homogeneous":
         return float(f(0.0))
     if quad is None:
         quad = QuadratureSpec()
-    if dist.kind == "gaussian":
-        sums = _trapezoid_sums(f, dist.gamma_v, quad.nodes, vectorized)
+    if kind == "gaussian":
+        sums = _trapezoid_sums(f, gamma_v, quad.nodes)
         return _converge(sums, quad.tol, 0.0)
-    sums = _tan_map_sums(f, dist.gamma_v, 0.5 * math.pi, quad.nodes,
-                         vectorized)
+    sums = _tan_map_sums(f, gamma_v, 0.5 * math.pi, quad.nodes)
     return _converge(sums, quad.tol, 0.0)
 
 
@@ -351,15 +342,14 @@ def oracle_average(params: NormalizedParams,
         return values.reshape(np.shape(points))
 
     if not lorentzian:
-        value = velocity_average(level, params.distribution(), quad,
-                                 vectorized=True)
+        value = velocity_average(level, params.kind, params.gamma_v_tilde,
+                                 quad)
         info["correction"] = value
         return (value, info) if return_info else value
 
     reference = _lorentzian_series_dc(params, order)
     sums = _tan_map_sums(level, params.gamma_v_tilde,
-                         math.atan(quad.domain_halfwidth), quad.nodes,
-                         vectorized=True)
+                         math.atan(quad.domain_halfwidth), quad.nodes)
     correction = _converge(sums, quad.tol, abs_floor=1e-3 * abs(reference))
     info["reference"] = reference
     info["correction"] = correction

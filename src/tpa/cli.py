@@ -438,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--out", default=None, help="output CSV path "
                       "(default: config 'out' or stdout)")
     scan.add_argument("--workers", type=int, default=None,
-                      help="parallel solver threads (default: TPA_WORKERS or 1)")
+                      help="solver threads; they share the GIL and are no "
+                           "faster (default: TPA_WORKERS or 1)")
 
     figure = sub.add_parser("figure", help="write one of the canned figure "
                                            "datasets")

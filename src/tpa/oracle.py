@@ -54,11 +54,12 @@ __all__ = ["OracleError"]
 
 DEFAULT_N_CAP = 41
 
-# Largest defect |b - A c| a solve may leave, and largest imaginary part
-# the dc upper population may carry; the invariant threshold is the default
-# of HarmonicDensityMatrix.check_invariants.
+# Largest defect |b - A c| a solve may leave, largest imaginary part the dc
+# upper population may carry, and largest entry of
+# HarmonicDensityMatrix.invariant_report that check_invariants accepts.
 _RESIDUAL_TOL = 1e-10
 _IMAG_TOL = 1e-10
+_INVARIANT_TOL = 1e-8
 
 # Spatial-harmonic parity of each matrix element: populations and the
 # two-photon coherence rho21 live on even n, one-photon coherences on odd n.
@@ -184,12 +185,13 @@ class HarmonicDensityMatrix:
             "dc_range": float(dc_range),
         }
 
-    def check_invariants(self, tol: float = 1e-8) -> dict:
+    def check_invariants(self) -> dict:
         report = self.invariant_report()
         # "not <=" so that a NaN violation is flagged too
-        bad = {k: v for k, v in report.items() if not v <= tol}
+        bad = {k: v for k, v in report.items() if not v <= _INVARIANT_TOL}
         if bad:
-            raise ConsistencyError(f"invariant violations above {tol:g}: {bad}")
+            raise ConsistencyError(
+                f"invariant violations above {_INVARIANT_TOL:g}: {bad}")
         return report
 
 

@@ -150,7 +150,6 @@ def _moment_rows(level: str) -> list:
     worst = 0.0
     ok = True
     for gv in gvs:
-        dist = averaging.VelocityDistribution.lorentzian(gv)
         for d in deltas:
             cases = [
                 (averaging.lorentz_int1(gv, d),
@@ -161,7 +160,7 @@ def _moment_rows(level: str) -> list:
                  lambda om, d=d: om / (1.0 + (d - om) ** 2) ** 2),
             ]
             for want, kernel in cases:
-                got = averaging.velocity_average(kernel, dist, vectorized=True)
+                got = averaging.velocity_average(kernel, "lorentzian", gv)
                 err = abs(got - want) / max(1.0, abs(want))
                 worst = max(worst, err)
                 ok = ok and err <= 1e-8

@@ -170,7 +170,7 @@ def test_criterion_10_solver_structure_randomized():
                                    phi_tilde=phi, delta_big_tilde=dbig)
         problem = oracle.SteadyStateProblem(p, om, n_max)
         rho = oracle.solve_steady_state(problem)
-        rho.check_invariants(1e-8)
+        rho.check_invariants()
         matrix, rhs = reference_system(problem)
         defect = matrix @ rho.coeffs.reshape(-1) - rhs
         worst_res = max(worst_res, float(np.max(np.abs(defect))))

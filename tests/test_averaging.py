@@ -10,7 +10,7 @@ from tpa import analytics, oracle
 from tpa.averaging import (QuadratureError, QuadratureSpec, _faddeeva_moments,
                            averaged_population, lorentz_int1, lorentz_int2,
                            oracle_average, velocity_average)
-from tpa.core import NormalizedParams, ParameterError, VelocityDistribution
+from tpa.core import NormalizedParams, ParameterError
 from tpa.perturbative import upper_dc_series
 
 from conftest import rel_err
@@ -46,40 +46,44 @@ def test_quadrature_spec_validation():
 
 
 def test_velocity_average_homogeneous_passthrough():
-    got = velocity_average(lambda om: 7.0 + om, VelocityDistribution.homogeneous())
+    got = velocity_average(lambda om: 7.0 + om, "homogeneous", 0.0)
     assert got == 7.0
+
+
+def test_velocity_average_rejects_unknown_kind():
+    with pytest.raises(ParameterError, match="kind"):
+        velocity_average(lambda om: 1.0 + 0.0 * om, "voigt", 1.0)
 
 
 def test_velocity_average_preserves_unit_mass():
     one = lambda om: 1.0
-    lor = VelocityDistribution.lorentzian(2.0)
-    gau = VelocityDistribution.gaussian(2.0)
-    assert velocity_average(one, lor) == pytest.approx(1.0, rel=1e-12)
-    assert velocity_average(one, gau) == pytest.approx(1.0, rel=1e-12)
+    assert velocity_average(one, "lorentzian", 2.0) == pytest.approx(
+        1.0, rel=1e-12)
+    assert velocity_average(one, "gaussian", 2.0) == pytest.approx(
+        1.0, rel=1e-12)
 
 
 def test_velocity_average_kills_odd_kernels():
     odd = lambda om: om / (1.0 + om ** 2)
-    lor = VelocityDistribution.lorentzian(1.5)
-    gau = VelocityDistribution.gaussian(1.5)
-    assert abs(velocity_average(odd, lor)) < 1e-12
-    assert abs(velocity_average(odd, gau)) < 1e-12
+    assert abs(velocity_average(odd, "lorentzian", 1.5)) < 1e-12
+    assert abs(velocity_average(odd, "gaussian", 1.5)) < 1e-12
 
 
 def test_velocity_average_reproduces_closed_moments():
     gv, delta = 2.0, 1.0
-    lor = VelocityDistribution.lorentzian(gv)
-    got1 = velocity_average(lambda om: 1.0 / (1.0 + (delta - om) ** 2), lor)
+    got1 = velocity_average(lambda om: 1.0 / (1.0 + (delta - om) ** 2),
+                            "lorentzian", gv)
     assert abs(got1 - lorentz_int1(gv, delta)) <= 1e-8
-    got2 = velocity_average(lambda om: om / (1.0 + (delta - om) ** 2), lor)
+    got2 = velocity_average(lambda om: om / (1.0 + (delta - om) ** 2),
+                            "lorentzian", gv)
     assert abs(got2 - lorentz_int2(1, gv, delta)) <= 1e-8
 
 
 def test_wide_gaussian_node_ladder_exhausts():
-    dist = VelocityDistribution.gaussian(100.0)
     spec = QuadratureSpec(tol=1e-10)
     with pytest.raises(QuadratureError):
-        velocity_average(lambda om: 1.0 / (1.0 + om ** 2), dist, spec)
+        velocity_average(lambda om: 1.0 / (1.0 + om ** 2), "gaussian", 100.0,
+                         spec)
 
 
 def test_closed_averages_match_profile_forms(rng):
@@ -96,12 +100,11 @@ def test_closed_averages_match_profile_forms(rng):
             phi_tilde=1.0, x=x, gamma_v_tilde=gv,
             kind="homogeneous" if gv == 0.0 else "lorentzian"))
     for p in draws:
-        dist = p.distribution()
-        quad2 = velocity_average(lambda om: upper_dc_series(p, om, 2), dist,
-                                 vectorized=True)
+        quad2 = velocity_average(lambda om: upper_dc_series(p, om, 2),
+                                 p.kind, p.gamma_v_tilde)
         quad3 = velocity_average(
             lambda om: upper_dc_series(p, om, 3) - upper_dc_series(p, om, 2),
-            dist, vectorized=True)
+            p.kind, p.gamma_v_tilde)
         closed2 = averaged_population(p, order=2)
         assert rel_err(quad2, closed2) <= 1e-8
         assert rel_err(quad3, averaged_population(p, order=3) - closed2) <= 1e-8
@@ -131,8 +134,8 @@ def test_gaussian_closed_average_matches_quadrature():
                                        gamma_v_tilde=gv, kind="gaussian")
             closed = averaged_population(p, order=order)
             quadv = velocity_average(
-                lambda om: upper_dc_series(p, om, order), p.distribution(),
-                quad, vectorized=True)
+                lambda om: upper_dc_series(p, om, order), p.kind,
+                p.gamma_v_tilde, quad)
             assert rel_err(quadv, closed) <= 1e-8, (gv, delta, a, mu, order)
 
 
@@ -214,7 +217,7 @@ def test_lorentzian_series_average_closes():
                                mu=math.sqrt(2.0), phi_tilde=1.0,
                                delta_big_tilde=1e3, gamma_v_tilde=2.0)
     quadv = velocity_average(lambda om: upper_dc_series(p, om, 3),
-                             p.distribution(), vectorized=True)
+                             p.kind, p.gamma_v_tilde)
     assert rel_err(quadv, averaged_population(p, order=3)) <= 1e-8
 
 

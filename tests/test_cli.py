@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +253,9 @@ def test_main_rejects_nan_parameter(tmp_path, capsys):
                  id="gaussian_nodes2048"),
     pytest.param(_oracle_doc(oracle={"order": 2.0}), id="order_float"),
     pytest.param(_oracle_doc(oracle={"order": True}), id="order_bool"),
+    # phi_tilde**2 overflows a float
+    pytest.param(_oracle_doc(fixed={"delta_big_tilde": 100.0,
+                                    "phi_tilde": 1e160}), id="phi_overflow"),
 ])
 def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
     cfg_path = tmp_path / "bad.json"
@@ -284,6 +291,38 @@ def test_main_truncation_failure_names_its_knobs(tmp_path, capsys):
     assert "numerical failure: dc population not settled" in err
     assert "edge harmonic" in err
     assert "oracle.n_cap (now 7)" in err and "oracle.refine_tol" in err
+
+
+def _run_module(*args):
+    # `python -m tpa` in a fresh interpreter, so the exit code is the one
+    # that __main__'s sys.exit(main()) hands to the shell
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tpa", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    out = tmp_path / "fig3.csv"
+    assert _run_module("figure", "--fig", "3",
+                       "--out", str(out)).returncode == 0
+    assert cli.main(["figure", "--fig", "3",
+                     "--out", str(tmp_path / "main.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "main.csv").read_bytes()
+    nan_cfg = tmp_path / "nan.json"
+    nan_cfg.write_text(json.dumps(_n2_doc(fixed={"x": math.nan})))
+    bad = _run_module("scan", "--config", str(nan_cfg))
+    assert bad.returncode == 2 and "must be finite" in bad.stderr
+    # the strong drive that n_max <= 7 cannot settle
+    strong_cfg = tmp_path / "strong.json"
+    strong_cfg.write_text(json.dumps(_oracle_doc(
+        fixed={"delta_big_tilde": 100.0, "phi_tilde": 30.0, "a_ratio": 1.0},
+        oracle={"n_cap": 7})))
+    failed = _run_module("scan", "--config", str(strong_cfg))
+    assert failed.returncode == 3
+    assert "numerical failure:" in failed.stderr
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,56 +1,77 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tpa.core import (AtomSpec, FieldSpec, NormalizedParams, ParameterError,
-                      VelocityDistribution, denormalize, dump_parameters,
-                      epsilon_eff, load_parameters, normalize)
+from tpa.core import NormalizedParams, ParameterError, epsilon_eff
 
 from conftest import lorentzian_density
 
 
-def test_atom_spec_validation():
-    AtomSpec(gamma=1.0, delta_big=100.0)
-    with pytest.raises(ParameterError):
-        AtomSpec(gamma=0.0, delta_big=100.0)
-    with pytest.raises(ParameterError):
-        AtomSpec(gamma=-1.0, delta_big=100.0)
-    with pytest.raises(ParameterError):
-        AtomSpec(gamma=1.0, delta_big=0.0)
-    with pytest.raises(ParameterError):
-        AtomSpec(gamma=math.inf, delta_big=100.0)
-    for mu in (0.0, -1.0):
-        with pytest.raises(ParameterError):
-            AtomSpec(gamma=1.0, delta_big=100.0, mu=mu)
-    doc = dump_parameters(AtomSpec(gamma=1.0, delta_big=100.0),
-                          FieldSpec(phi=1.0, a_ratio=1.0),
-                          VelocityDistribution.homogeneous())
-    with pytest.raises(ParameterError):
-        load_parameters({**doc, "mu": -1})
-
-
-def test_field_spec_validation():
-    FieldSpec(phi=0.0, a_ratio=0.0)
-    with pytest.raises(ParameterError):
-        FieldSpec(phi=-0.1, a_ratio=0.0)
-    with pytest.raises(ParameterError):
-        FieldSpec(phi=1.0, a_ratio=-1.0)
-    with pytest.raises(ParameterError):
-        FieldSpec(phi=math.nan, a_ratio=0.0)
-
-
 def test_distribution_kind_width_invariant():
-    VelocityDistribution.homogeneous()
-    VelocityDistribution.lorentzian(2.0)
-    VelocityDistribution.gaussian(2.0)
+    NormalizedParams.build(delta_big_tilde=1e3, kind="homogeneous")
+    NormalizedParams.build(delta_big_tilde=1e3, gamma_v_tilde=2.0,
+                           kind="lorentzian")
+    NormalizedParams.build(delta_big_tilde=1e3, gamma_v_tilde=2.0,
+                           kind="gaussian")
+    for gv, kind in ((0.0, "lorentzian"), (0.0, "gaussian"),
+                     (1.0, "homogeneous"), (1.0, "voigt"),
+                     (-1.0, "gaussian")):
+        with pytest.raises(ParameterError):
+            NormalizedParams.build(delta_big_tilde=1e3, gamma_v_tilde=gv,
+                                   kind=kind)
+
+
+def test_parameter_rules():
+    base = dict(delta_tilde=0.5, gamma_v_tilde=2.0, x=1e-3, a_ratio=1.0,
+                mu=1.2, phi_tilde=1.0, delta_big_tilde=1e3,
+                kind="lorentzian")
+    NormalizedParams(**base)
+    for name in ("delta_tilde", "gamma_v_tilde", "x", "a_ratio", "mu",
+                 "phi_tilde", "delta_big_tilde"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match=name):
+                NormalizedParams(**{**base, name: bad})
+    for change in ({"delta_big_tilde": 0.0}, {"mu": 0.0}, {"mu": -1.0},
+                   {"phi_tilde": -1.0, "x": 1e-3}, {"a_ratio": -0.5}):
+        with pytest.raises(ParameterError):
+            NormalizedParams(**{**base, **change})
     with pytest.raises(ParameterError):
-        VelocityDistribution("lorentzian", 0.0)
-    with pytest.raises(ParameterError):
-        VelocityDistribution("homogeneous", 1.0)
-    with pytest.raises(ParameterError):
-        VelocityDistribution("voigt", 1.0)
-    with pytest.raises(ParameterError):
-        VelocityDistribution("gaussian", -1.0)
+        NormalizedParams.build(delta_big_tilde=0.0)
+
+
+@given(phi=st.floats(-4.0, 4.0), x=st.floats(-8.0, 2.0),
+       dbig=st.floats(-3.0, 8.0), sign=st.sampled_from([-1.0, 1.0]),
+       delta=st.floats(-10.0, 10.0))
+def test_build_keeps_x_consistent_with_phi_and_delta_big(phi, x, dbig, sign,
+                                                         delta):
+    # x = phi**2 / delta_big to rounding, from either input and after
+    # with_delta; a direct construction that breaks it by 1e-9 is refused
+    for p in (NormalizedParams.build(phi_tilde=10.0 ** phi, x=sign * 10.0 ** x),
+              NormalizedParams.build(phi_tilde=10.0 ** phi,
+                                     delta_big_tilde=sign * 10.0 ** dbig)):
+        assert p.with_delta(delta).x == p.x
+        with pytest.raises(ParameterError, match="contradicts"):
+            dataclasses.replace(p, x=p.x * (1.0 + 1e-9))
+
+
+def test_x_must_match_phi_and_delta_big():
+    # the closed Lorentzian forms read x, the solver and the Gaussian
+    # average phi_tilde and delta_big_tilde: one set, one atom
+    p = NormalizedParams.build(delta_tilde=0.5, gamma_v_tilde=2.0,
+                               a_ratio=1.0, mu=1.2, phi_tilde=1.0,
+                               delta_big_tilde=1e3)
+    with pytest.raises(ParameterError, match="contradicts"):
+        dataclasses.replace(p, x=1e-2)
+    # no drive: x = 0 with phi_tilde = 0
+    q = NormalizedParams.build(phi_tilde=0.0, delta_big_tilde=1e3)
+    assert q.x == 0.0
+    assert dataclasses.replace(q, delta_tilde=1.0).x == 0.0
+    # phi_tilde**2 and x subnormal: their absolute rounding is allowed for
+    for phi, dbig in ((8.56e-156, -50.0), (1e-160, 1e10)):
+        NormalizedParams.build(phi_tilde=phi, delta_big_tilde=dbig)
 
 
 def test_density_normalization_and_center():
@@ -60,25 +81,6 @@ def test_density_normalization_and_center():
     # half the center value at Omega = gamma_v
     assert lorentzian_density(gv, gv) == pytest.approx(
         0.5 * lorentzian_density(gv, 0.0))
-
-
-def test_normalize_denormalize_round_trip():
-    atom = AtomSpec(gamma=2.0, delta_big=2000.0, mu=1.5)
-    field = FieldSpec(phi=3.0, a_ratio=0.5, delta=1.0)
-    dist = VelocityDistribution.lorentzian(4.0)
-    p = normalize(atom, field, dist)
-    assert p.delta_tilde == pytest.approx(0.5)
-    assert p.gamma_v_tilde == pytest.approx(2.0)
-    assert p.phi_tilde == pytest.approx(1.5)
-    assert p.delta_big_tilde == pytest.approx(1000.0)
-    assert p.x == pytest.approx(9.0 / 4000.0)
-    assert p.x == pytest.approx(p.phi_tilde ** 2 / p.delta_big_tilde)
-    atom2, field2, dist2 = denormalize(p, atom.gamma)
-    assert atom2 == atom
-    assert field2 == field
-    assert dist2 == dist
-    with pytest.raises(ParameterError):
-        denormalize(p, 0.0)
 
 
 def test_build_requires_exactly_one_strength_input():
@@ -100,7 +102,7 @@ def test_build_kind_defaults_and_invariant():
                                   gamma_v_tilde=2.0).kind == "lorentzian"
     p = NormalizedParams.build(delta_big_tilde=1e3, gamma_v_tilde=2.0,
                                kind="gaussian")
-    assert p.distribution() == VelocityDistribution.gaussian(2.0)
+    assert (p.kind, p.gamma_v_tilde) == ("gaussian", 2.0)
     with pytest.raises(ParameterError):
         NormalizedParams.build(delta_big_tilde=1e3, kind="gaussian")
     with pytest.raises(ParameterError):
@@ -124,38 +126,3 @@ def test_epsilon_eff_takes_largest_scale():
         delta_big_tilde=100.0, delta_tilde=0.2)) == pytest.approx(0.01)
     assert epsilon_eff(NormalizedParams.build(
         delta_big_tilde=-200.0, gamma_v_tilde=5.0)) == pytest.approx(0.025)
-
-
-def test_parameter_document_round_trip():
-    atom = AtomSpec(gamma=1.5, delta_big=-800.0, mu=1.2)
-    field = FieldSpec(phi=2.0, a_ratio=1.0, delta=-0.3)
-    dist = VelocityDistribution.gaussian(6.0)
-    doc = dump_parameters(atom, field, dist)
-    atom2, field2, dist2 = load_parameters(doc)
-    assert (atom2, field2, dist2) == (atom, field, dist)
-
-
-def test_parameter_document_rejects_bad_keys():
-    doc = dump_parameters(AtomSpec(1.0, 100.0), FieldSpec(1.0, 0.0),
-                          VelocityDistribution.homogeneous())
-    with pytest.raises(ParameterError):
-        load_parameters({**doc, "gammma": 1.0})
-    short = dict(doc)
-    del short["mu"]
-    with pytest.raises(ParameterError):
-        load_parameters(short)
-    with pytest.raises(ParameterError):
-        load_parameters({**doc, "dist": {"kind": "lorentzian", "gamma_v": 1.0,
-                                         "fwhm": 2.0}})
-    with pytest.raises(ParameterError):
-        load_parameters({**doc, "dist": {"kind": "lorentzian"}})
-    with pytest.raises(ParameterError):
-        load_parameters([1, 2, 3])
-
-
-def test_parameter_document_kind_case_insensitive():
-    doc = dump_parameters(AtomSpec(1.0, 100.0), FieldSpec(1.0, 0.0),
-                          VelocityDistribution.lorentzian(2.0))
-    doc["dist"]["kind"] = "Lorentzian"
-    _, _, dist = load_parameters(doc)
-    assert dist.kind == "lorentzian"

@@ -100,7 +100,7 @@ def test_assembled_coupling_rows():
 def test_solution_invariants_and_residual():
     pr = _problem(delta=0.6, a=0.8, mu=1.3, phi=1.1, dbig=500.0, omega=1.4)
     rho = oracle.solve_steady_state(pr)
-    rho.check_invariants(1e-8)
+    rho.check_invariants()
     report = rho.invariant_report()
     assert set(report) == {"hermiticity", "trace_dc", "trace_ac", "parity",
                            "dc_imag", "dc_range"}
@@ -284,7 +284,7 @@ def test_banned_parity_fails_invariants(element, n):
     assert report["parity"] == pytest.approx(1e-6, rel=1e-6)
     assert all(v < 1e-8 for k, v in report.items() if k != "parity")
     with pytest.raises(ConsistencyError, match="parity"):
-        bad.check_invariants(1e-8)
+        bad.check_invariants()
 
 
 def test_upper_population_matches_weak_drive_series():
@@ -460,11 +460,11 @@ def test_corrupted_solution_fails_checks():
     bad = HarmonicDensityMatrix(3, rho.coeffs.copy())
     bad.coeffs[0, 1, 3] += 0.1  # breaks hermiticity against (1,0,-0) block
     with pytest.raises(ConsistencyError):
-        bad.check_invariants(1e-8)
+        bad.check_invariants()
     bad2 = HarmonicDensityMatrix(3, rho.coeffs.copy())
     bad2.coeffs[2, 2, 3] += 1e-4j
     with pytest.raises(ConsistencyError):
-        bad2.check_invariants(1e-8)
+        bad2.check_invariants()
 
 
 def test_nan_solution_fails_checks():
@@ -476,7 +476,7 @@ def test_nan_solution_fails_checks():
     bad = HarmonicDensityMatrix(3, rho.coeffs.copy())
     bad.coeffs[0, 1, 4] = complex(np.nan, 0.0)
     with pytest.raises(ConsistencyError, match="hermiticity"):
-        bad.check_invariants(1e-8)
+        bad.check_invariants()
 
 
 def test_dc_population_imag_guard():
