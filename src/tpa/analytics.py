@@ -18,7 +18,10 @@ dimensionless, mu the ratio of the two transition dipoles. The profiles take
 NormalizedParams, the one normalized parameter set that the solver and the
 series use too, and read only its x, a_ratio, gamma_v_tilde and mu; the
 two-photon detuning is their second argument, so one parameter set serves a
-whole line.
+whole line. The detuning is a float or an array; a float is evaluated in
+float arithmetic and gives a float bit-identical to its entry in an array,
+because squares of detuning terms are products (a float's ** 2 calls C
+pow(), which can differ from numpy's square in the last bit).
 """
 
 from __future__ import annotations
@@ -52,18 +55,25 @@ def width_fwhm(a_ratio: float, gamma_v_tilde: float) -> float:
     return 2.0 * math.sqrt(math.sqrt(w + (w - 1.0) ** 2 * f ** 2) + wf)
 
 
+def _detuning(delta_tilde):
+    # a float stays a float; anything else becomes a float array
+    if isinstance(delta_tilde, float):
+        return delta_tilde
+    return np.asarray(delta_tilde, dtype=float)
+
+
 def n2(p: NormalizedParams, delta_tilde):
     """Lorentzian-averaged order-2 profile versus two-photon detuning.
 
     Scalar in, float out; arrays are evaluated elementwise.
     """
-    d = np.asarray(delta_tilde, dtype=float)
+    d = _detuning(delta_tilde)
     a2 = p.a_ratio ** 2
     g1 = 1.0 + p.gamma_v_tilde
-    w = g1 ** 2 + d ** 2
+    w = g1 ** 2 + d * d
     out = 8 * p.mu ** 2 * p.x ** 2 * (g1 * (1.0 + a2 ** 2) / w
-                                      + 4.0 * a2 / (1.0 + d ** 2))
-    return float(out) if d.ndim == 0 else out
+                                      + 4.0 * a2 / (1.0 + d * d))
+    return out if isinstance(d, np.ndarray) and d.ndim else float(out)
 
 
 def n2_max(p: NormalizedParams) -> float:
@@ -76,18 +86,18 @@ def n2_max(p: NormalizedParams) -> float:
 
 def n3(p: NormalizedParams, delta_tilde):
     """Lorentzian-averaged order-3 profile: the odd light-shift term."""
-    d = np.asarray(delta_tilde, dtype=float)
+    d = _detuning(delta_tilde)
     a2 = p.a_ratio ** 2
     gv = p.gamma_v_tilde
     g1 = 1.0 + gv
-    w = g1 ** 2 + d ** 2
-    el = 1.0 + d ** 2
-    b1 = a2 * (2.0 / el ** 2 + (2.0 + gv) / (el * w))
-    b2 = 2.0 * (1.0 + a2 ** 2) * g1 / w ** 2
+    w = g1 ** 2 + d * d
+    el = 1.0 + d * d
+    b1 = a2 * (2.0 / (el * el) + (2.0 + gv) / (el * w))
+    b2 = 2.0 * (1.0 + a2 ** 2) * g1 / (w * w)
     mu2 = p.mu ** 2
     out = (16 * mu2 * (mu2 - 1.0) * (1.0 + a2) * d * p.x ** 3
            * (b1 + b2))
-    return float(out) if d.ndim == 0 else out
+    return out if isinstance(d, np.ndarray) and d.ndim else float(out)
 
 
 def stark_shift(p: NormalizedParams) -> float:

@@ -50,7 +50,7 @@ from scipy.special import wofz
 
 from . import oracle as oracle_mod
 from .analytics import n2, n3
-from .core import _KINDS, NormalizedParams, ParameterError
+from .core import NormalizedParams, ParameterError, _check_profile
 from .perturbative import upper_dc_series
 
 __all__ = ["QuadratureError", "averaged_population", "oracle_average"]
@@ -191,10 +191,11 @@ def velocity_average(f, kind: str, gamma_v: float,
     f takes an array of Omega values and returns their values. Homogeneous
     media need no quadrature and return f(0). Gaussian profiles use the
     nested trapezoid rule on |Omega| <= 8 sigma. Lorentzian profiles use the
-    tan-mapped Gauss-Legendre rule over the whole compactified line.
+    tan-mapped Gauss-Legendre rule over the whole compactified line. kind
+    and gamma_v follow the rules of NormalizedParams: gamma_v is 0 if and
+    only if the kind is 'homogeneous'.
     """
-    if kind not in _KINDS:
-        raise ParameterError(f"kind must be one of {_KINDS}, got {kind!r}")
+    _check_profile(kind, gamma_v)
     if kind == "homogeneous":
         return float(f(0.0))
     if quad is None:
@@ -204,14 +205,6 @@ def velocity_average(f, kind: str, gamma_v: float,
         return _converge(sums, quad.tol, 0.0)
     sums = _tan_map_sums(f, gamma_v, 0.5 * math.pi, quad.nodes)
     return _converge(sums, quad.tol, 0.0)
-
-
-def _lorentzian_series_dc(params: NormalizedParams, order: int) -> float:
-    """Closed Lorentzian (or homogeneous) average of the dc series."""
-    total = n2(params, params.delta_tilde)
-    if order >= 3:
-        total += n3(params, params.delta_tilde)
-    return total
 
 
 # Beyond |zeta| = 6, w'(zeta) is summed from its asymptotic series, cut at
@@ -257,16 +250,18 @@ def _faddeeva_moments(delta: float, gamma_v: float) -> tuple[complex, complex]:
     sigma = gamma_v / math.sqrt(2.0 * math.log(2.0))
     root2 = math.sqrt(2.0)
     zeta = (delta + 1j) / (sigma * root2)
-    w = wofz(zeta)
+    # a Python complex from here on: numpy scalar arithmetic costs more
+    # and rounds the same
+    w = complex(wofz(zeta))
     first = math.sqrt(0.5 * math.pi) / sigma * w
     second = (-1j * math.sqrt(0.5 * math.pi) / (sigma ** 2 * root2)
               * _faddeeva_derivative(zeta, w))
-    return complex(first), complex(second)
+    return first, second
 
 
-def _gaussian_series_dc(params: NormalizedParams, order: int) -> float:
-    """Closed Gaussian average of the dc perturbative population."""
-    d = params.delta_tilde
+def _gaussian_series_dc(params: NormalizedParams, d: float,
+                        order: int) -> float:
+    """Closed Gaussian average of the dc perturbative population at delta d."""
     first, second = _faddeeva_moments(d, params.gamma_v_tilde)
     p1sq = params.phi1 ** 2
     p2sq = params.phi2 ** 2
@@ -293,11 +288,26 @@ def averaged_population(params: NormalizedParams, order: int = 2) -> float:
     Lorentzian and homogeneous averages come out in closed form, as do
     Gaussian ones through the Faddeeva function.
     """
+    return averaged_series(params, params.delta_tilde, order)
+
+
+def averaged_series(params: NormalizedParams, delta_tilde: float,
+                    order: int = 2) -> float:
+    """`averaged_population` at two-photon detuning delta_tilde.
+
+    Reads every parameter but delta_tilde from params, as the analytics
+    profiles do, so one parameter set serves a whole line; the value is
+    bit-identical to averaged_population(params.with_delta(delta_tilde)).
+    """
     if order not in (2, 3):
         raise ParameterError(f"order must be 2 or 3, got {order}")
+    d = float(delta_tilde)
     if params.kind == "gaussian":
-        return _gaussian_series_dc(params, order)
-    return _lorentzian_series_dc(params, order)
+        return _gaussian_series_dc(params, d, order)
+    total = n2(params, d)
+    if order == 3:
+        total += n3(params, d)
+    return total
 
 
 def oracle_average(params: NormalizedParams,
@@ -347,7 +357,7 @@ def oracle_average(params: NormalizedParams,
         info["correction"] = value
         return (value, info) if return_info else value
 
-    reference = _lorentzian_series_dc(params, order)
+    reference = averaged_series(params, params.delta_tilde, order)
     sums = _tan_map_sums(level, params.gamma_v_tilde,
                          math.atan(quad.domain_halfwidth), quad.nodes)
     correction = _converge(sums, quad.tol, abs_floor=1e-3 * abs(reference))

@@ -310,8 +310,7 @@ def _gaussian_line(gv: float, a: float, mu: float, order: int):
     """The Gaussian-averaged series at x = 1e-3 as a function of delta_tilde."""
     base = NormalizedParams.build(a_ratio=a, gamma_v_tilde=gv, x=1e-3, mu=mu,
                                   kind="gaussian" if gv > 0 else None)
-    return lambda d: averaging.averaged_population(base.with_delta(d),
-                                                   order=order)
+    return lambda d: averaging.averaged_series(base, d, order)
 
 
 def _gaussian_peak_location(gv: float, a: float) -> float:
@@ -392,11 +391,11 @@ def write_csv(scan: SpectrumScan, target) -> None:
         handle.write("# " + json.dumps(scan.metadata, sort_keys=True) + "\n")
         names = list(scan.columns)
         handle.write(",".join([scan.axis] + names) + "\n")
-        for k, v in enumerate(scan.grid):
-            row = [format(float(v), ".17g")]
-            row.extend(format(float(scan.columns[name][k]), ".17g")
-                       for name in names)
-            handle.write(",".join(row) + "\n")
+        table = np.column_stack([scan.grid] + [scan.columns[name]
+                                               for name in names])
+        row = ",".join(["%.17g"] * (1 + len(names))) + "\n"
+        handle.writelines(row % tuple(values)
+                          for values in table.astype(float).tolist())
     finally:
         if close:
             handle.close()

@@ -34,6 +34,19 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _check_profile(kind: str, gamma_v: float) -> None:
+    """The velocity-profile rules: a known kind, and a HWHM gamma_v that is
+    finite, >= 0, and 0 if and only if the kind is 'homogeneous'."""
+    if kind not in _KINDS:
+        raise ParameterError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if not 0.0 <= gamma_v < math.inf:
+        raise ParameterError(
+            f"gamma_v_tilde must be finite and >= 0, got {gamma_v!r}")
+    if (gamma_v == 0.0) != (kind == "homogeneous"):
+        raise ParameterError(
+            "gamma_v_tilde = 0 if and only if kind is 'homogeneous'")
+
+
 def _phi_squared(phi: float) -> float:
     # the one rounding of phi_tilde**2 that build and the x rule share
     try:
@@ -76,18 +89,13 @@ class NormalizedParams:
         for name in ("delta_tilde", "gamma_v_tilde", "x", "a_ratio", "mu",
                      "phi_tilde", "delta_big_tilde"):
             _require_finite(name, getattr(self, name))
-        if self.kind not in _KINDS:
-            raise ParameterError(
-                f"kind must be one of {_KINDS}, got {self.kind!r}")
+        _check_profile(self.kind, self.gamma_v_tilde)
         if self.delta_big_tilde == 0.0:
             raise ParameterError("delta_big_tilde must be nonzero")
         if self.mu <= 0.0:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
-        if self.phi_tilde < 0.0 or self.a_ratio < 0.0 or self.gamma_v_tilde < 0.0:
-            raise ParameterError("phi_tilde, a_ratio, gamma_v_tilde must be >= 0")
-        if (self.gamma_v_tilde == 0.0) != (self.kind == "homogeneous"):
-            raise ParameterError(
-                "gamma_v_tilde = 0 if and only if kind is 'homogeneous'")
+        if self.phi_tilde < 0.0 or self.a_ratio < 0.0:
+            raise ParameterError("phi_tilde and a_ratio must be >= 0")
         # build rounds phi_tilde**2 once and the quotient once, and this
         # product rounds once more: a consistent set stays within 4 eps,
         # plus the absolute rounding of subnormal quotients and products
@@ -138,7 +146,7 @@ class NormalizedParams:
 
     def with_delta(self, delta_tilde: float) -> "NormalizedParams":
         # vars() in place of dataclasses.replace, which walks the fields in
-        # Python; figures 4 and 5 call this once per Gaussian line evaluation
+        # Python
         return NormalizedParams(**{**vars(self),
                                    "delta_tilde": float(delta_tilde)})
 

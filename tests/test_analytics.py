@@ -150,6 +150,22 @@ def test_numeric_width_of_gaussian_profile():
     assert 2.0 < got < an.width_fwhm(1.0, 5.0) + 0.5
 
 
+def test_solver_width_converges_to_closed_form():
+    # the paper's width from the brute-force route: the FWHM of the averaged
+    # steady state approaches width_fwhm as x^2 at mu = 1, so the relative
+    # gap falls 100x per decade of delta_big (at least 50x is required)
+    want = an.width_fwhm(1.0, 2.0)
+    gaps = []
+    for dbig in (1e2, 1e3):
+        base = NormalizedParams.build(a_ratio=1.0, mu=1.0, phi_tilde=1.0,
+                                      delta_big_tilde=dbig, gamma_v_tilde=2.0,
+                                      kind="lorentzian")
+        got = an.numeric_fwhm(
+            lambda d: oracle_average(base.with_delta(float(d))))
+        gaps.append(rel_err(got, want))
+    assert gaps[0] >= 50.0 * gaps[1], f"relative gaps {gaps}"
+
+
 def test_numeric_peak_of_solver_profile():
     base = NormalizedParams.build(delta_tilde=0.0, a_ratio=0.0,
                                   mu=math.sqrt(2.0), phi_tilde=1.0,

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from tpa import analytics, oracle
 from tpa.averaging import (QuadratureError, QuadratureSpec, _faddeeva_moments,
-                           averaged_population, lorentz_int1, lorentz_int2,
-                           oracle_average, velocity_average)
+                           averaged_population, averaged_series, lorentz_int1,
+                           lorentz_int2, oracle_average, velocity_average)
 from tpa.core import NormalizedParams, ParameterError
 from tpa.perturbative import upper_dc_series
 
@@ -53,6 +54,21 @@ def test_velocity_average_homogeneous_passthrough():
 def test_velocity_average_rejects_unknown_kind():
     with pytest.raises(ParameterError, match="kind"):
         velocity_average(lambda om: 1.0 + 0.0 * om, "voigt", 1.0)
+
+
+@pytest.mark.parametrize("kind, widths", [
+    ("homogeneous", (1e-300, 1.0, -1.0)),
+    ("lorentzian", (0.0, -0.0, -1.0, math.inf, math.nan)),
+    ("gaussian", (0.0, -1.0, math.inf, math.nan)),
+])
+def test_velocity_average_rejects_width_contradicting_kind(kind, widths):
+    # the rule of NormalizedParams: gamma_v is 0 if and only if homogeneous,
+    # and never negative or non-finite
+    for gv in widths:
+        with pytest.raises(ParameterError, match="gamma_v_tilde"):
+            velocity_average(lambda om: 1.0 + 0.0 * om, kind, gv)
+        with pytest.raises(ParameterError, match="gamma_v_tilde"):
+            NormalizedParams.build(x=1e-3, gamma_v_tilde=gv, kind=kind)
 
 
 def test_velocity_average_preserves_unit_mass():
@@ -235,6 +251,47 @@ def test_averaged_population_invariant_under_beam_exchange(kind, gv, a, phi,
     q = NormalizedParams.build(a_ratio=1.0 / a, phi_tilde=a * phi, **kw)
     assert rel_err(averaged_population(q, order=order),
                    averaged_population(p, order=order)) < 1e-12
+
+
+def _detunings(lo, hi):
+    # about one float in a thousand has a square that C pow(), behind a
+    # float's ** 2, rounds otherwise than the product d * d; mixing such
+    # detunings in lets the property see a ** 2 on the float path
+    rng = random.Random(0)
+    draws = (rng.uniform(lo, hi) for _ in range(20_000))
+    rounded = [d for d in draws if d ** 2 != d * d][:8]
+    return st.floats(lo, hi) | (st.sampled_from(rounded) if rounded
+                                else st.nothing())
+
+
+# |zeta| = sqrt(1 + delta^2) sqrt(ln 2) / gamma_v: narrow profiles put every
+# detuning beyond |zeta| = 6, where w' is summed asymptotically, and wide ones
+# with small detunings keep it below, where the identity for w' is used.
+_ZETA_SIDES = {"asymptotic": (st.floats(1e-4, 0.1), _detunings(-50.0, 50.0)),
+               "identity": (st.floats(1.0, 100.0), _detunings(-3.0, 3.0))}
+
+
+@pytest.mark.parametrize("side", sorted(_ZETA_SIDES))
+@pytest.mark.parametrize("order", [2, 3])
+@settings(max_examples=60)
+@given(data=st.data(), a=st.floats(0.0, 2.0), mu=st.floats(0.3, 2.5),
+       x=st.floats(1e-6, 1e-1) | st.floats(-1e-1, -1e-6))
+def test_line_evaluation_is_bit_identical(side, order, data, a, mu, x):
+    # the scalar paths of the closed lines round exactly as their reference
+    # paths: a float detuning in n2/n3 as a one-element array, and the
+    # detuning-taking average as a fresh parameter set per detuning
+    widths, detunings = _ZETA_SIDES[side]
+    gv, d = data.draw(widths), data.draw(detunings)
+    zeta = math.hypot(1.0, d) * math.sqrt(math.log(2.0)) / gv
+    assert (zeta >= 6.0) == (side == "asymptotic")
+    p = NormalizedParams.build(a_ratio=a, mu=mu, x=x, gamma_v_tilde=gv,
+                               kind="gaussian")
+    assert averaged_series(p, d, order) == averaged_population(
+        p.with_delta(d), order)
+    for profile in (analytics.n2, analytics.n3):
+        got = profile(p, d)
+        assert type(got) is float
+        assert got == profile(p, np.array([d]))[0]
 
 
 def test_oracle_average_homogeneous_is_single_solve():

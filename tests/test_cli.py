@@ -86,6 +86,19 @@ def test_csv_output_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_csv_rows_format_each_value_to_17_digits():
+    # every value, of any column dtype, is written as format(v, ".17g")
+    grid = np.array([-0.0, 5e-324, 1.0 / 3.0])
+    columns = {"a": np.array([1e300, -2.5, math.inf]),
+               "n": np.array([1, 2, 3])}
+    scan = cli.SpectrumScan(axis="delta_tilde", grid=grid, columns=columns,
+                            metadata={})
+    rows = _render(scan).splitlines()
+    assert rows[1] == "delta_tilde,a,n"
+    assert rows[2:] == [",".join(format(float(v), ".17g") for v in row)
+                        for row in zip(grid, columns["a"], columns["n"])]
+
+
 def test_rows_reproducible_from_metadata():
     text = _render(cli.run_scan(cli.parse_scan_config(_n2_doc())))
     header = text.splitlines()[0]
