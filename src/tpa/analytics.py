@@ -128,11 +128,11 @@ def stark_shift_sw(p: NormalizedParams) -> float:
                / (1.0 + 2.0 * (1.0 + gv) ** 3)))
 
 
-def numeric_fwhm(curve, tol: float = 1e-8) -> float:
+def numeric_fwhm(curve) -> float:
     """FWHM of an even, single-peaked profile given only pointwise.
 
-    Brackets the half-maximum crossing by doubling outward from
-    delta_tilde = 1, then refines the root. The profile must be positive at
+    Brackets the half-maximum crossing by doubling outward from 1, then
+    refines the root to 1e-8 (1 + |root|). The profile must be positive at
     the center and even; a symmetry spot-check guards against misuse.
     """
     peak = float(curve(0.0))
@@ -149,7 +149,7 @@ def numeric_fwhm(curve, tol: float = 1e-8) -> float:
     else:
         raise LocatorError("no half-maximum crossing within bracket ladder")
     root = brentq(lambda d: float(curve(d)) - target, lo, hi,
-                  xtol=tol, rtol=max(tol, 4 * np.finfo(float).eps))
+                  xtol=1e-8, rtol=1e-8)
     mirrored = float(curve(-root))
     if abs(mirrored - target) > 1e-6 * peak:
         raise LocatorError(
@@ -158,16 +158,15 @@ def numeric_fwhm(curve, tol: float = 1e-8) -> float:
     return 2.0 * root
 
 
-def numeric_peak(curve, bracket_halfwidth: float | None = None,
+def numeric_peak(curve, bracket_halfwidth: float,
                  tol: float = 1e-10) -> float:
     """Location of the maximum of a single-peaked profile.
 
-    Scans a coarse symmetric grid (33 points over +-bracket_halfwidth,
-    default +-4), widens the bracket geometrically while the maximum sits on
-    its edge, then polishes with bounded minimization to absolute
-    tolerance tol.
+    Scans a coarse symmetric grid (33 points over +-bracket_halfwidth),
+    widens the bracket geometrically while the maximum sits on its edge,
+    then polishes with bounded minimization to absolute tolerance tol.
     """
-    half = 4.0 if bracket_halfwidth is None else float(bracket_halfwidth)
+    half = float(bracket_halfwidth)
     if not half > 0.0:
         raise ParameterError(
             f"bracket_halfwidth must be positive, got {bracket_halfwidth}")

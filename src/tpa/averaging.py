@@ -335,8 +335,8 @@ def oracle_average(params: NormalizedParams,
 
     def level(points):
         # one quadrature level, swept inward: each ladder starts two rungs
-        # below where its outer neighbour settled, from 3 at every level;
-        # the hint lives in this call, so concurrent averages stay apart
+        # below where its outer neighbour settled; the hint is local to
+        # this call, so every level starts its ladders afresh from 3
         omegas = np.asarray(points, dtype=float).reshape(-1)
         values = np.empty_like(omegas)
         start = 3

@@ -2,15 +2,17 @@
 
 Three subcommands:
 
-  tpa scan --config cfg.json [--out file.csv] [--workers N]
+  tpa scan --config cfg.json [--out file.csv]
       Sweep one normalized parameter and tabulate an observable.
   tpa figure --fig N [--out file.csv] [--a-values 0,0.5,1]
       Reproduce one of the canned figure datasets (2, 3, 4, 5).
   tpa validate [--level fast|full]
       Run the cross-check suites and print a report.
 
-Exit codes: 0 success, 1 failed validation, 2 usage or configuration error,
-3 numerical failure (solver, quadrature, or locator did not converge).
+Exit codes: 0 success, 1 failed validation, 2 usage or configuration error
+(a closed-form value beyond double precision or an unwritable output path
+included), 3 numerical failure (solver, quadrature, or locator did not
+converge).
 
 Scan configs are JSON with normalized (gamma = 1) parameters:
 
@@ -37,9 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +135,8 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         raise ParameterError(f"sweep.axis must be one of {_AXES}, got {axis!r}")
     start = _float_item(sweep, "start", "sweep")
     stop = _float_item(sweep, "stop", "sweep")
+    if not math.isfinite(stop - start):
+        raise ParameterError("sweep.stop - sweep.start overflows a double")
     count = sweep["count"]
     if not isinstance(count, int) or not 2 <= count <= _MAX_SWEEP_COUNT:
         raise ParameterError(f"sweep.count must be an integer in "
@@ -265,19 +267,50 @@ def _closed_point(obs: str, p: NormalizedParams, delta_tilde: float) -> float:
     return analytics.n2_max(p)
 
 
+def _column(name: str, axis: str, grid: np.ndarray, point) -> np.ndarray:
+    """point(g) at every sweep value g, refusing what a double cannot hold.
+
+    A closed form at extreme parameters overflows a float power
+    (OverflowError) or comes out nan or inf. Either is a ParameterError that
+    names the column and the first such sweep value, so no such value
+    reaches a CSV; the sweep is evaluated again only to find that value.
+    """
+    def finite(g) -> bool:
+        try:
+            return math.isfinite(point(g))
+        except OverflowError:
+            return False
+    try:
+        values = np.array([point(g) for g in grid])
+        if np.isfinite(values).all():
+            return values
+    except OverflowError:
+        pass
+    bad = next(float(g) for g in grid if not finite(g))
+    raise ParameterError(f"column {name!r} has no finite value at {axis} = "
+                         f"{bad!r}: x, mu, a_ratio or gamma_v_tilde is too "
+                         f"large for double precision")
+
+
 def _closed_column(cfg: ScanConfig) -> np.ndarray:
     obs = cfg.observable
     if obs == "width":
-        return np.array([analytics.width_fwhm(v.get("a_ratio", 0.0),
-                                              v.get("gamma_v_tilde", 0.0))
-                         for v in (_values_at(cfg, g) for g in cfg.grid)])
-    if cfg.axis == "delta_tilde":
+        def point(g):
+            v = _values_at(cfg, g)
+            return analytics.width_fwhm(v.get("a_ratio", 0.0),
+                                        v.get("gamma_v_tilde", 0.0))
+    elif cfg.axis == "delta_tilde":
         # the profiles take the detuning as an argument, so one parameter
         # set serves every point of the line
         p = _params_at(cfg, 0.0)
-        return np.array([_closed_point(obs, p, float(d)) for d in cfg.grid])
-    return np.array([_closed_point(obs, p, p.delta_tilde)
-                     for p in (_params_at(cfg, g) for g in cfg.grid)])
+
+        def point(d):
+            return _closed_point(obs, p, float(d))
+    else:
+        def point(g):
+            p = _params_at(cfg, g)
+            return _closed_point(obs, p, p.delta_tilde)
+    return _column(obs, cfg.axis, cfg.grid, point)
 
 
 def _oracle_point(cfg: ScanConfig, value: float):
@@ -289,14 +322,15 @@ def _oracle_point(cfg: ScanConfig, value: float):
 
 
 def run_scan(config: ScanConfig, workers: int = 1) -> SpectrumScan:
-    """Evaluate the configured observable over the sweep grid."""
+    """Evaluate the configured observable over the sweep grid, serially.
+
+    workers must be 1: bench/ passes it, and ROADMAP item 2 removes it.
+    """
+    if workers != 1:
+        raise ParameterError(f"run_scan is serial: workers must be 1, "
+                             f"got {workers!r}")
     if config.observable == "oracle_avg":
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda v: _oracle_point(config, v),
-                                        config.grid))
-        else:
-            results = [_oracle_point(config, v) for v in config.grid]
+        results = [_oracle_point(config, v) for v in config.grid]
         values = np.array([r[0] for r in results])
         n_used = np.array([float(r[1]) for r in results])
         columns = {"oracle_avg": values, "n_used": n_used}
@@ -333,48 +367,46 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
         avals = [0.0, 0.25, 0.5, 0.75, 1.0] if a_values is None else list(a_values)
         grid = np.linspace(0.0, 20.0, 81)
         ref = analytics.n2_max(NormalizedParams.build(x=1.0, a_ratio=1.0))
-        columns = {}
-        for a in avals:
-            columns[f"a={a:g}"] = np.array(
-                [analytics.n2_max(NormalizedParams.build(
-                    x=1.0, a_ratio=a, gamma_v_tilde=gv)) / ref
-                 for gv in grid])
+        points = {f"a={a:g}": lambda gv, a=a: analytics.n2_max(
+                      NormalizedParams.build(x=1.0, a_ratio=a,
+                                             gamma_v_tilde=gv)) / ref
+                  for a in avals}
         meta_a = avals
     elif fig == 3:
         avals = [0.5, 1.0] if a_values is None else list(a_values)
         grid = np.concatenate([[0.0], np.geomspace(0.01, 100.0, 48)])
-        columns = {f"a={a:g}": np.array([0.5 * analytics.width_fwhm(a, gv)
-                                         for gv in grid])
-                   for a in avals}
+        points = {f"a={a:g}": lambda gv, a=a: 0.5 * analytics.width_fwhm(a, gv)
+                  for a in avals}
         meta_a = avals
     elif fig == 4:
         if a_values is not None:
             raise ParameterError("figure 4 is defined for a_ratio = 1 only")
         grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 23)])
-        lorentz = np.array([0.5 * analytics.width_fwhm(1.0, gv) for gv in grid])
-        gauss = np.array([0.5 * analytics.numeric_fwhm(
-            _gaussian_line(gv, 1.0, 1.0, 2)) for gv in grid])
-        columns = {"lorentzian": lorentz, "gaussian": gauss}
+        points = {
+            "lorentzian": lambda gv: 0.5 * analytics.width_fwhm(1.0, gv),
+            "gaussian": lambda gv: 0.5 * analytics.numeric_fwhm(
+                _gaussian_line(gv, 1.0, 1.0, 2))}
         meta_a = [1.0]
     elif fig == 5:
         if a_values is not None:
             raise ParameterError("figure 5 compares a_ratio 1 and 0 only")
         grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 19)])
         mu = math.sqrt(2.0)
-        lorentz = np.array(
-            [analytics.stark_shift_sw(NormalizedParams.build(
-                x=1e-3, a_ratio=1.0, gamma_v_tilde=gv, mu=mu))
-             / analytics.stark_shift_tw(NormalizedParams.build(
-                 x=1e-3, a_ratio=0.0, gamma_v_tilde=gv, mu=mu))
-             for gv in grid])
-        gauss = np.array([_gaussian_peak_location(gv, 1.0)
-                          / _gaussian_peak_location(gv, 0.0) for gv in grid])
-        columns = {"lorentzian": lorentz, "gaussian": gauss}
+        points = {
+            "lorentzian": lambda gv: analytics.stark_shift_sw(
+                NormalizedParams.build(x=1e-3, a_ratio=1.0, gamma_v_tilde=gv,
+                                       mu=mu))
+            / analytics.stark_shift_tw(NormalizedParams.build(
+                x=1e-3, a_ratio=0.0, gamma_v_tilde=gv, mu=mu)),
+            "gaussian": lambda gv: _gaussian_peak_location(gv, 1.0)
+            / _gaussian_peak_location(gv, 0.0)}
         meta_a = [1.0, 0.0]
     else:
         raise ParameterError(f"figure must be 2, 3, 4, or 5, got {fig}")
     metadata = {"command": "figure", "version": __version__, "fig": fig,
                 "a_values": meta_a, "axis": "gamma_v_tilde"}
+    columns = {name: _column(name, "gamma_v_tilde", grid, point)
+               for name, point in points.items()}
     return SpectrumScan(axis="gamma_v_tilde", grid=grid, columns=columns,
                         metadata=metadata)
 
@@ -401,15 +433,15 @@ def write_csv(scan: SpectrumScan, target) -> None:
             handle.close()
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("TPA_WORKERS", "1")
+def _write(scan: SpectrumScan, path: str | None) -> None:
+    """write_csv to path, or to stdout when path is None."""
+    if path is None:
+        write_csv(scan, sys.stdout)
+        return
     try:
-        workers = int(raw)
-    except ValueError:
-        raise ParameterError(f"TPA_WORKERS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ParameterError(f"TPA_WORKERS must be >= 1, got {workers}")
-    return workers
+        write_csv(scan, path)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _parse_a_values(raw: str):
@@ -436,9 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--config", required=True, help="JSON config path")
     scan.add_argument("--out", default=None, help="output CSV path "
                       "(default: config 'out' or stdout)")
-    scan.add_argument("--workers", type=int, default=None,
-                      help="solver threads; they share the GIL and are no "
-                           "faster (default: TPA_WORKERS or 1)")
 
     figure = sub.add_parser("figure", help="write one of the canned figure "
                                            "datasets")
@@ -470,20 +499,15 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as exc:
                 raise ParameterError(f"config is not valid JSON: {exc}")
             config = parse_scan_config(doc)
-            workers = args.workers if args.workers is not None \
-                else _default_workers()
-            if workers < 1:
-                raise ParameterError(f"--workers must be >= 1, got {workers}")
-            scan = run_scan(config, workers=workers)
-            out = args.out if args.out is not None else config.out
-            write_csv(scan, out if out is not None else sys.stdout)
+            scan = run_scan(config)
+            _write(scan, args.out if args.out is not None else config.out)
             return 0
         if args.command == "figure":
             a_values = (None if args.a_values is None
                         else _parse_a_values(args.a_values))
             scan = run_figure(args.fig, a_values)
-            write_csv(scan, args.out if args.out is not None
-                      else f"fig{args.fig}.csv")
+            _write(scan, args.out if args.out is not None
+                   else f"fig{args.fig}.csv")
             return 0
         from .validation import run_validation
         report = run_validation(level=args.level)

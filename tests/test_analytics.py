@@ -132,10 +132,10 @@ def test_numeric_width_guards():
 
 
 def test_numeric_peak_location():
-    got = an.numeric_peak(lambda d: -(d - 0.7) ** 2)
+    got = an.numeric_peak(lambda d: -(d - 0.7) ** 2, bracket_halfwidth=4.0)
     assert abs(got - 0.7) <= 1e-8
     with pytest.raises(an.LocatorError):
-        an.numeric_peak(lambda d: d)
+        an.numeric_peak(lambda d: d, bracket_halfwidth=4.0)
     with pytest.raises(ParameterError):
         an.numeric_peak(lambda d: -(d ** 2), bracket_halfwidth=0.0)
 

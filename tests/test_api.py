@@ -1,10 +1,14 @@
 """The package exports what the README documents, and the quick start runs."""
 
+import argparse
 import importlib
+import json
+import math
 import re
 from pathlib import Path
 
 import tpa
+from tpa import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -42,3 +46,25 @@ def test_submodule_exports_are_the_package_exports():
         names += getattr(importlib.import_module(f"tpa.{module}"),
                          "__all__", [])
     assert sorted(names + ["__version__"]) == sorted(tpa.__all__)
+
+
+def test_readme_command_line_matches_parser():
+    # each `### `tpa <command> ...`` heading lists exactly the options the
+    # parser defines, so a removed flag cannot stay documented
+    section = _section("Command line")
+    headings = dict(re.findall(r"^### `tpa (\w+)(.*)`$", section,
+                               re.MULTILINE))
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(headings) == sorted(subparsers.choices)
+    for command, synopsis in headings.items():
+        defined = {opt for action in subparsers.choices[command]._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[\w-]+", synopsis)) == defined, command
+    # the scan config example runs and gives finite values
+    example = re.search(r"^### `tpa scan.*?```json\n(.*?)```", section,
+                        re.MULTILINE | re.DOTALL)
+    assert example, "the tpa scan section has no json example"
+    scan = cli.run_scan(cli.parse_scan_config(json.loads(example.group(1))))
+    assert all(math.isfinite(v) for column in scan.columns.values()
+               for v in column)

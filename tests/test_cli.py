@@ -146,6 +146,8 @@ def test_config_validation_errors():
                        "count": 10 ** 10}),
         _n2_doc(sweep={"axis": "delta_tilde", "start": -math.inf,
                        "stop": 1.0, "count": 5}),
+        _n2_doc(sweep={"axis": "delta_tilde", "start": -1e308,
+                       "stop": 1e308, "count": 3}),
         _oracle_doc(oracle={"refine_tol": math.nan}),
         _oracle_doc(quadrature={"domain_halfwidth": math.nan}),
         _oracle_doc(fixed={"delta_big_tilde": 100.0, "mu": 0.0}),
@@ -353,29 +355,38 @@ def test_main_scan_bytes_are_deterministic(tmp_path, doc):
 
 
 def test_oracle_scan_threads_write_the_same_bytes(monkeypatch):
-    # each average carries its own ladder start from node to node, so two
-    # averages running side by side do not steer each other's ladders: one
-    # beam settles every node at n_max = 5, two beams need deeper ones
-    cfg = cli.parse_scan_config(_oracle_doc(
-        sweep={"axis": "a_ratio", "start": 0.0, "stop": 1.0, "count": 2},
-        fixed={"delta_big_tilde": 100.0, "phi_tilde": 3.0,
-               "delta_tilde": 0.5, "gamma_v_tilde": 2.0, "mu": 1.2},
-        dist={"kind": "lorentzian"},
-        quadrature={"nodes": 8, "tol": 1e-3}))
+    # each average keeps its ladder start from node to node inside its own
+    # call, so a scan point walks the same ladders and writes the same
+    # value whether it follows another point or is scanned on its own. Two
+    # beams need deep ladders and one beam settles every node at n_max = 5,
+    # so the single-beam point goes second, where a start left over from
+    # the two-beam point would show
+    def scan(start, stop):
+        return cli.run_scan(cli.parse_scan_config(_oracle_doc(
+            sweep={"axis": "a_ratio", "start": start, "stop": stop,
+                   "count": 2},
+            fixed={"delta_big_tilde": 100.0, "phi_tilde": 3.0,
+                   "delta_tilde": 0.5, "gamma_v_tilde": 2.0, "mu": 1.2},
+            dist={"kind": "lorentzian"},
+            quadrature={"nodes": 8, "tol": 1e-3})))
     refine = oracle.refine
-    ladders = {}
+    ladders = {1.0: [], 0.0: []}
 
     def recorded(params, omega, tol, n_cap, start=3):
         rho, n_used = refine(params, omega, tol, n_cap, start=start)
         ladders[params.a_ratio].append((omega, start, n_used))
         return rho, n_used
     monkeypatch.setattr(oracle, "refine", recorded)
-    runs = []
-    for workers in (1, 2):
-        ladders.update({0.0: [], 1.0: []})
-        runs.append((_render(cli.run_scan(cfg, workers=workers)),
-                     {d: list(calls) for d, calls in ladders.items()}))
-    assert runs[1] == runs[0]
+    both = scan(1.0, 0.0)
+    walked = {a: list(calls) for a, calls in ladders.items()}
+    assert {n_used for _, _, n_used in walked[0.0]} == {5}
+    assert max(n_used for _, _, n_used in walked[1.0]) > 5
+    for row, a in enumerate((1.0, 0.0)):
+        ladders[a] = []
+        alone = scan(a, a)
+        assert ladders[a] == 2 * walked[a]
+        for name in ("oracle_avg", "n_used"):
+            assert list(alone.columns[name]) == [both.columns[name][row]] * 2
 
 
 def test_main_validate(capsys):
@@ -406,24 +417,61 @@ def test_figure_ratio_overrides():
         cli.run_figure(7)
 
 
-def test_worker_count_from_environment(monkeypatch):
-    monkeypatch.setenv("TPA_WORKERS", "3")
-    assert cli._default_workers() == 3
-    monkeypatch.setenv("TPA_WORKERS", "0")
-    with pytest.raises(ParameterError):
-        cli._default_workers()
+def test_scan_has_no_worker_setting(tmp_path, monkeypatch, capsys):
+    # scans run serially: no option, variable or keyword value selects
+    # threads; run_scan keeps workers=1 only for the benchmark's calls
+    cfg_path = tmp_path / "scan.json"
+    cfg_path.write_text(json.dumps(_n2_doc()))
+    assert cli.main(["scan", "--config", str(cfg_path),
+                     "--workers", "2"]) == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    cfg = cli.parse_scan_config(_n2_doc())
+    with pytest.raises(ParameterError, match="workers must be 1"):
+        cli.run_scan(cfg, workers=2)
+    assert _render(cli.run_scan(cfg, workers=1)) == _render(cli.run_scan(cfg))
     monkeypatch.setenv("TPA_WORKERS", "x")
-    with pytest.raises(ParameterError):
-        cli._default_workers()
-    monkeypatch.delenv("TPA_WORKERS")
-    assert cli._default_workers() == 1
+    assert cli.main(["scan", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.startswith("# ")
 
 
-def test_parallel_scan_matches_serial():
-    cfg = cli.parse_scan_config(_oracle_doc())
-    serial = cli.run_scan(cfg, workers=1)
-    threaded = cli.run_scan(cfg, workers=2)
-    assert np.array_equal(serial.columns["oracle_avg"],
-                          threaded.columns["oracle_avg"])
-    assert np.array_equal(serial.columns["n_used"],
-                          threaded.columns["n_used"])
+@pytest.mark.parametrize("command, column", [
+    ({"x": 1e60, "mu": 1e100},
+     "'n2+n3' has no finite value at delta_tilde = -3.0"),
+    ({"x": 1e120, "mu": 2.0},
+     "'n2+n3' has no finite value at delta_tilde = -3.0"),
+    ({"x": 1e-3, "gamma_v_tilde": 1e300},
+     "'n2+n3' has no finite value at delta_tilde = -3.0"),
+    (["figure", "--fig", "2", "--a-values", "1e200"],
+     "'a=1e+200' has no finite value at gamma_v_tilde = 0.0"),
+    (["figure", "--fig", "3", "--a-values", "1e100"],
+     "'a=1e+100' has no finite value at gamma_v_tilde = 0.0"),
+], ids=["scan_nan", "scan_overflow", "scan_wide", "fig2_overflow",
+        "fig3_overflow"])
+def test_values_beyond_double_precision_exit_2(tmp_path, capsys, command,
+                                               column):
+    # a closed form that a double cannot hold (nan, inf or an OverflowError
+    # from a float power) is a parameter error, and no CSV is written
+    out_path = tmp_path / "out.csv"
+    if isinstance(command, dict):  # the fixed parameters of an n2+n3 scan
+        cfg_path = tmp_path / "scan.json"
+        cfg_path.write_text(json.dumps(_n2_doc(observable="n2+n3",
+                                               fixed=command)))
+        command = ["scan", "--config", str(cfg_path)]
+    assert cli.main(command + ["--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: column {column}: x, mu, a_ratio or gamma_v_tilde is "
+            f"too large for double precision") in err
+    assert not out_path.exists()
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.csv"
+    assert cli.main(["figure", "--fig", "3", "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {out_path}: ")
+    cfg_path = tmp_path / "scan.json"
+    cfg_path.write_text(json.dumps(_n2_doc(out=str(out_path))))
+    assert cli.main(["scan", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {out_path}: ")
+    assert not out_path.parent.exists()
