@@ -297,7 +297,8 @@ def averaged_series(params: NormalizedParams, delta_tilde: float,
 
     Reads every parameter but delta_tilde from params, as the analytics
     profiles do, so one parameter set serves a whole line; the value is
-    bit-identical to averaged_population(params.with_delta(delta_tilde)).
+    bit-identical to averaged_population of
+    dataclasses.replace(params, delta_tilde=delta_tilde).
     """
     if order not in (2, 3):
         raise ParameterError(f"order must be 2 or 3, got {order}")

@@ -26,12 +26,14 @@ Scan configs are JSON with normalized (gamma = 1) parameters:
       "out": "scan.csv"
     }
 
-Unknown keys are rejected everywhere. "quadrature" and "oracle" only apply
-to the oracle_avg observable; the quadrature rule follows dist.kind (a
-nested trapezoid rule starting from `nodes` intervals for gaussian,
-tan-mapped Gauss-Legendre for lorentzian, which alone uses
-domain_halfwidth); `nodes` is at most 1024. CSV output starts with a
-'#'-prefixed JSON metadata line and keeps 17 significant digits.
+Unknown keys are rejected everywhere. Every sweep point is a
+NormalizedParams, so its rules hold at each point of every observable.
+"quadrature" and "oracle" only apply to the oracle_avg observable; keys
+left out of either block keep the defaults shown above. The quadrature
+rule follows dist.kind (a nested trapezoid rule starting from `nodes`
+intervals for gaussian, tan-mapped Gauss-Legendre for lorentzian, which
+alone uses domain_halfwidth); `nodes` is at most 1024. CSV output starts
+with a '#'-prefixed JSON metadata line and keeps 17 significant digits.
 """
 
 from __future__ import annotations
@@ -40,33 +42,37 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analytics, averaging
 from ._version import __version__
 from .analytics import LocatorError
-from .averaging import QuadratureError, QuadratureSpec
-from .core import NormalizedParams, ParameterError
+from .averaging import DEFAULT_ORACLE_QUAD, QuadratureError, QuadratureSpec
+from .core import _KINDS, NormalizedParams, ParameterError
 from .oracle import DEFAULT_N_CAP, OracleError
 
-_OBSERVABLES = ("n2", "n2+n3", "width", "stark", "n2max", "oracle_avg")
 _AXES = ("delta_tilde", "gamma_v_tilde", "a_ratio")
 # Sweep grids are held in memory; a million points is far beyond any figure.
 _MAX_SWEEP_COUNT = 1_000_000
-_FIXED_KEYS = {
-    "n2": {"x", "mu", "delta_tilde", "gamma_v_tilde", "a_ratio"},
-    "n2+n3": {"x", "mu", "delta_tilde", "gamma_v_tilde", "a_ratio"},
-    "width": {"gamma_v_tilde", "a_ratio"},
-    "stark": {"x", "mu", "gamma_v_tilde", "a_ratio"},
-    "n2max": {"x", "mu", "gamma_v_tilde", "a_ratio"},
-    "oracle_avg": {"delta_tilde", "gamma_v_tilde", "a_ratio", "mu",
-                   "phi_tilde", "delta_big_tilde"},
-}
-_REQUIRED_FIXED = {
-    "n2": {"x"}, "n2+n3": {"x"}, "stark": {"x"}, "n2max": {"x"},
-    "width": set(), "oracle_avg": {"delta_big_tilde"},
+_DRIVE = {"x", "mu", "gamma_v_tilde", "a_ratio"}
+# Each observable: the fixed keys it accepts, those it requires, and its
+# closed value at (parameters, delta_tilde), None for the solved oracle_avg.
+# The values look analytics up at each call, so a wrapped name is the one
+# called.
+_OBSERVABLES = {
+    "n2": (_DRIVE | {"delta_tilde"}, {"x"},
+           lambda p, d: analytics.n2(p, d)),
+    "n2+n3": (_DRIVE | {"delta_tilde"}, {"x"},
+              lambda p, d: analytics.n2(p, d) + analytics.n3(p, d)),
+    "width": ({"gamma_v_tilde", "a_ratio"}, set(),
+              lambda p, d: analytics.width_fwhm(p.a_ratio, p.gamma_v_tilde)),
+    "stark": (_DRIVE, {"x"}, lambda p, d: analytics.stark_shift(p)),
+    "n2max": (_DRIVE, {"x"}, lambda p, d: analytics.n2_max(p)),
+    "oracle_avg": ({"delta_tilde", "gamma_v_tilde", "a_ratio", "mu",
+                    "phi_tilde", "delta_big_tilde"}, {"delta_big_tilde"},
+                   None),
 }
 
 
@@ -124,8 +130,8 @@ def parse_scan_config(doc: dict) -> ScanConfig:
                       "oracle", "out"), ("observable", "sweep"), "config")
     obs = doc["observable"]
     if obs not in _OBSERVABLES:
-        raise ParameterError(
-            f"observable must be one of {_OBSERVABLES}, got {obs!r}")
+        raise ParameterError(f"observable must be one of "
+                             f"{tuple(_OBSERVABLES)}, got {obs!r}")
 
     sweep = doc["sweep"]
     _check_keys(sweep, ("axis", "start", "stop", "count"),
@@ -144,8 +150,8 @@ def parse_scan_config(doc: dict) -> ScanConfig:
     grid = np.linspace(start, stop, count)
 
     fixed_doc = doc.get("fixed", {})
-    allowed = _FIXED_KEYS[obs]
-    _check_keys(fixed_doc, allowed, _REQUIRED_FIXED[obs], "fixed")
+    allowed, required, _ = _OBSERVABLES[obs]
+    _check_keys(fixed_doc, allowed, required, "fixed")
     fixed = {k: _float_item(fixed_doc, k, "fixed") for k in fixed_doc}
     if axis in fixed:
         raise ParameterError(f"sweep axis {axis!r} also appears in fixed")
@@ -155,20 +161,14 @@ def parse_scan_config(doc: dict) -> ScanConfig:
 
     gv_values = grid if axis == "gamma_v_tilde" else \
         np.array([fixed.get("gamma_v_tilde", 0.0)])
-    if np.any(gv_values < 0.0):
-        raise ParameterError("gamma_v_tilde values must be >= 0")
-
     dist_doc = doc.get("dist")
     if dist_doc is None:
         kind = "homogeneous" if np.all(gv_values == 0.0) else "lorentzian"
     else:
         _check_keys(dist_doc, ("kind",), ("kind",), "dist")
         kind = str(dist_doc["kind"]).lower()
-        if kind not in ("homogeneous", "lorentzian", "gaussian"):
+        if kind not in _KINDS:
             raise ParameterError(f"unknown dist kind {kind!r}")
-    if kind == "homogeneous" and np.any(gv_values != 0.0):
-        raise ParameterError(
-            "homogeneous profiles require gamma_v_tilde = 0 everywhere")
     if obs != "oracle_avg" and kind == "gaussian":
         raise ParameterError(
             f"observable {obs!r} closes only for lorentzian or homogeneous "
@@ -194,7 +194,7 @@ def parse_scan_config(doc: dict) -> ScanConfig:
                 qdoc, "domain_halfwidth", "quadrature")
         if "tol" in qdoc:
             kwargs["tol"] = _float_item(qdoc, "tol", "quadrature")
-        quad = QuadratureSpec(**kwargs)
+        quad = replace(DEFAULT_ORACLE_QUAD, **kwargs)
 
     oracle_opts = {"n_cap": DEFAULT_N_CAP, "refine_tol": 1e-14, "order": 3}
     if "oracle" in doc:
@@ -235,36 +235,24 @@ def parse_scan_config(doc: dict) -> ScanConfig:
     cfg = ScanConfig(observable=obs, axis=axis, grid=grid, fixed=fixed,
                      kind=kind, quad=quad, oracle_opts=oracle_opts, out=out,
                      metadata=metadata)
-    if obs != "width":  # the range rules are intervals: check the grid ends
-        _params_at(cfg, start)
-        _params_at(cfg, stop)
+    # the parameter rules are intervals: check the grid ends
+    _params_at(cfg, start)
+    _params_at(cfg, stop)
     return cfg
-
-
-def _values_at(cfg: ScanConfig, value: float) -> dict:
-    vals = dict(cfg.fixed)
-    vals[cfg.axis] = float(value)
-    return vals
 
 
 def _params_at(cfg: ScanConfig, value: float) -> NormalizedParams:
     """Parameters at one sweep point; gamma_v_tilde = 0 is homogeneous.
 
     The closed observables supply x and oracle_avg supplies delta_big_tilde.
+    The width does not depend on the drive, so there x = 1 only completes
+    the parameter set.
     """
-    vals = _values_at(cfg, value)
+    vals = {**cfg.fixed, cfg.axis: float(value)}
+    if cfg.observable == "width":
+        vals["x"] = 1.0
     kind = cfg.kind if vals.get("gamma_v_tilde", 0.0) > 0.0 else "homogeneous"
     return NormalizedParams.build(**vals, kind=kind)
-
-
-def _closed_point(obs: str, p: NormalizedParams, delta_tilde: float) -> float:
-    if obs == "n2":
-        return analytics.n2(p, delta_tilde)
-    if obs == "n2+n3":
-        return analytics.n2(p, delta_tilde) + analytics.n3(p, delta_tilde)
-    if obs == "stark":
-        return analytics.stark_shift(p)
-    return analytics.n2_max(p)
 
 
 def _column(name: str, axis: str, grid: np.ndarray, point) -> np.ndarray:
@@ -293,24 +281,19 @@ def _column(name: str, axis: str, grid: np.ndarray, point) -> np.ndarray:
 
 
 def _closed_column(cfg: ScanConfig) -> np.ndarray:
-    obs = cfg.observable
-    if obs == "width":
-        def point(g):
-            v = _values_at(cfg, g)
-            return analytics.width_fwhm(v.get("a_ratio", 0.0),
-                                        v.get("gamma_v_tilde", 0.0))
-    elif cfg.axis == "delta_tilde":
+    value = _OBSERVABLES[cfg.observable][2]
+    if cfg.axis == "delta_tilde":
         # the profiles take the detuning as an argument, so one parameter
         # set serves every point of the line
         p = _params_at(cfg, 0.0)
 
         def point(d):
-            return _closed_point(obs, p, float(d))
+            return value(p, float(d))
     else:
         def point(g):
             p = _params_at(cfg, g)
-            return _closed_point(obs, p, p.delta_tilde)
-    return _column(obs, cfg.axis, cfg.grid, point)
+            return value(p, p.delta_tilde)
+    return _column(cfg.observable, cfg.axis, cfg.grid, point)
 
 
 def _oracle_point(cfg: ScanConfig, value: float):

@@ -8,7 +8,9 @@ theta = k*z is E(theta) = phi*exp(i*theta) - A*phi*exp(-i*theta).
 gamma = 1 fixes the frequency unit, and the wavenumber k and the velocity v
 never appear separately: every formula depends on them only through the
 two-photon Doppler variable Omega = 2*k*v. `NormalizedParams` is the one
-parameter object; its constructor states every parameter rule.
+parameter object; its constructor states every parameter rule, so a copy
+at another detuning, dataclasses.replace(params, delta_tilde=d), obeys
+them too.
 """
 
 from __future__ import annotations
@@ -143,12 +145,6 @@ class NormalizedParams:
     @property
     def phi2(self) -> float:
         return self.a_ratio * self.phi_tilde
-
-    def with_delta(self, delta_tilde: float) -> "NormalizedParams":
-        # vars() in place of dataclasses.replace, which walks the fields in
-        # Python
-        return NormalizedParams(**{**vars(self),
-                                   "delta_tilde": float(delta_tilde)})
 
 
 def epsilon_eff(params: NormalizedParams) -> float:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_numeric_width_of_gaussian_profile():
     base = NormalizedParams.build(delta_tilde=0.0, a_ratio=1.0, mu=1.0,
                                   phi_tilde=1.0, x=1e-3, gamma_v_tilde=5.0,
                                   kind="gaussian")
-    curve = lambda d: averaged_population(base.with_delta(float(d)), order=2)
+    curve = lambda d: averaged_population(replace(base, delta_tilde=float(d)), order=2)
     got = an.numeric_fwhm(curve)
     # narrower than the heavy-tailed profile of the same width parameter
     assert 2.0 < got < an.width_fwhm(1.0, 5.0) + 0.5
@@ -161,7 +162,7 @@ def test_solver_width_converges_to_closed_form():
                                       delta_big_tilde=dbig, gamma_v_tilde=2.0,
                                       kind="lorentzian")
         got = an.numeric_fwhm(
-            lambda d: oracle_average(base.with_delta(float(d))))
+            lambda d: oracle_average(replace(base, delta_tilde=float(d))))
         gaps.append(rel_err(got, want))
     assert gaps[0] >= 50.0 * gaps[1], f"relative gaps {gaps}"
 
@@ -170,7 +171,7 @@ def test_numeric_peak_of_solver_profile():
     base = NormalizedParams.build(delta_tilde=0.0, a_ratio=0.0,
                                   mu=math.sqrt(2.0), phi_tilde=1.0,
                                   delta_big_tilde=1e3)
-    curve = lambda d: oracle_average(base.with_delta(float(d)))
+    curve = lambda d: oracle_average(replace(base, delta_tilde=float(d)))
     got = an.numeric_peak(curve, bracket_halfwidth=4.0, tol=1e-9)
     want = an.stark_shift(base)
     assert got * want > 0.0

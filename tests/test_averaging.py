@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import random
 
 import mpmath
@@ -287,7 +288,7 @@ def test_line_evaluation_is_bit_identical(side, order, data, a, mu, x):
     p = NormalizedParams.build(a_ratio=a, mu=mu, x=x, gamma_v_tilde=gv,
                                kind="gaussian")
     assert averaged_series(p, d, order) == averaged_population(
-        p.with_delta(d), order)
+        replace(p, delta_tilde=d), order)
     for profile in (analytics.n2, analytics.n3):
         got = profile(p, d)
         assert type(got) is float

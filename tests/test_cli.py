@@ -37,6 +37,16 @@ def _oracle_doc(**over):
     return doc
 
 
+def _width_doc(**over):
+    doc = {
+        "observable": "width",
+        "sweep": {"axis": "gamma_v_tilde", "start": 0.0, "stop": 2.0,
+                  "count": 3},
+    }
+    doc.update(over)
+    return doc
+
+
 def _render(scan) -> str:
     buf = io.StringIO()
     cli.write_csv(scan, buf)
@@ -153,10 +163,61 @@ def test_config_validation_errors():
         _oracle_doc(fixed={"delta_big_tilde": 100.0, "mu": 0.0}),
         _n2_doc(fixed={"x": 1e-3, "mu": -1.0}),
         _oracle_doc(quadrature={"method": "gauss_hermite"}),
+        # the width builds its parameter sets like every observable
+        _width_doc(fixed={"a_ratio": -1.0}),
+        _width_doc(sweep={"axis": "a_ratio", "start": -2.0, "stop": 1.0,
+                          "count": 4}),
     ]
     for doc in bad_docs:
         with pytest.raises(ParameterError):
             cli.parse_scan_config(doc)
+
+
+# Each closed observable as analytics gives it, at one parameter set.
+_CLOSED_VALUES = {
+    "n2": lambda p: analytics.n2(p, p.delta_tilde),
+    "n2+n3": lambda p: (analytics.n2(p, p.delta_tilde)
+                        + analytics.n3(p, p.delta_tilde)),
+    "width": lambda p: analytics.width_fwhm(p.a_ratio, p.gamma_v_tilde),
+    "stark": analytics.stark_shift,
+    "n2max": analytics.n2_max,
+}
+
+
+@pytest.mark.parametrize("obs", [name for name, row in cli._OBSERVABLES.items()
+                                 if row[2] is not None])
+def test_closed_scan_matches_analytics_bit_for_bit(obs):
+    # a sweep off the detuning axis builds one parameter set per point;
+    # each value must be the direct analytics call on that set
+    allowed = cli._OBSERVABLES[obs][0]
+    fixed = {k: v for k, v in {"x": 1e-3, "mu": 1.3, "gamma_v_tilde": 1.5,
+                               "delta_tilde": 0.4}.items() if k in allowed}
+    scan = cli.run_scan(cli.parse_scan_config({
+        "observable": obs, "fixed": fixed,
+        "sweep": {"axis": "a_ratio", "start": 0.0, "stop": 1.0,
+                  "count": 3}}))
+    want = [_CLOSED_VALUES[obs](NormalizedParams.build(
+                **{"x": 1.0, **fixed, "a_ratio": float(a)}))
+            for a in scan.grid]
+    assert list(scan.columns[obs]) == want
+    assert len(set(want)) == 3
+
+
+def test_partial_quadrature_block_keeps_the_defaults():
+    # a block that restates one default leaves the others at the
+    # oracle_avg defaults, so it changes neither the metadata's tol nor
+    # any value
+    doc = _oracle_doc(
+        sweep={"axis": "delta_tilde", "start": 0.25, "stop": 0.5, "count": 2},
+        fixed={"gamma_v_tilde": 2.0, "delta_big_tilde": 1e3,
+               "phi_tilde": 1.0, "a_ratio": 1.0, "mu": 1.2},
+        dist={"kind": "gaussian"})
+    plain = _render(cli.run_scan(cli.parse_scan_config(doc)))
+    block = _render(cli.run_scan(cli.parse_scan_config(
+        dict(doc, quadrature={"nodes": 32}))))
+    assert json.loads(block.splitlines()[0][2:])["quadrature"] == {
+        "nodes": 32, "domain_halfwidth": 10.0, "tol": 1e-6}
+    assert block.splitlines()[1:] == plain.splitlines()[1:]
 
 
 def test_infinite_quadrature_window_rejected(tmp_path, capsys):
@@ -271,6 +332,8 @@ def test_main_rejects_nan_parameter(tmp_path, capsys):
     # phi_tilde**2 overflows a float
     pytest.param(_oracle_doc(fixed={"delta_big_tilde": 100.0,
                                     "phi_tilde": 1e160}), id="phi_overflow"),
+    # the width's parameter sets obey the same rules as every observable's
+    pytest.param(_width_doc(fixed={"a_ratio": -1.0}), id="width_a_ratio"),
 ])
 def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
     cfg_path = tmp_path / "bad.json"

@@ -47,12 +47,13 @@ def test_parameter_rules():
        delta=st.floats(-10.0, 10.0))
 def test_build_keeps_x_consistent_with_phi_and_delta_big(phi, x, dbig, sign,
                                                          delta):
-    # x = phi**2 / delta_big to rounding, from either input and after
-    # with_delta; a direct construction that breaks it by 1e-9 is refused
+    # x = phi**2 / delta_big to rounding, from either input and after a
+    # change of delta_tilde; a direct construction that breaks it by 1e-9 is
+    # refused
     for p in (NormalizedParams.build(phi_tilde=10.0 ** phi, x=sign * 10.0 ** x),
               NormalizedParams.build(phi_tilde=10.0 ** phi,
                                      delta_big_tilde=sign * 10.0 ** dbig)):
-        assert p.with_delta(delta).x == p.x
+        assert dataclasses.replace(p, delta_tilde=delta).x == p.x
         with pytest.raises(ParameterError, match="contradicts"):
             dataclasses.replace(p, x=p.x * (1.0 + 1e-9))
 
@@ -110,11 +111,11 @@ def test_build_kind_defaults_and_invariant():
                                kind="homogeneous")
 
 
-def test_field_amplitudes_and_with_delta():
+def test_field_amplitudes_and_detuning_replace():
     p = NormalizedParams.build(delta_big_tilde=1e3, phi_tilde=0.8, a_ratio=0.5)
     assert p.phi1 == pytest.approx(0.8)
     assert p.phi2 == pytest.approx(0.4)
-    q = p.with_delta(2.5)
+    q = dataclasses.replace(p, delta_tilde=2.5)
     assert q.delta_tilde == 2.5
     assert q.phi_tilde == p.phi_tilde and q.x == p.x
 
