@@ -29,9 +29,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .core import NormalizedParams, ParameterError
+from .core import NormalizedParams, ParameterError, _lazy_module
+
+optimize = _lazy_module("scipy.optimize")  # the locators, at their first call
 
 __all__ = ["LocatorError", "width_fwhm", "stark_shift"]
 
@@ -148,8 +149,8 @@ def numeric_fwhm(curve) -> float:
         hi *= 2.0
     else:
         raise LocatorError("no half-maximum crossing within bracket ladder")
-    root = brentq(lambda d: float(curve(d)) - target, lo, hi,
-                  xtol=1e-8, rtol=1e-8)
+    root = optimize.brentq(lambda d: float(curve(d)) - target, lo, hi,
+                           xtol=1e-8, rtol=1e-8)
     mirrored = float(curve(-root))
     if abs(mirrored - target) > 1e-6 * peak:
         raise LocatorError(
@@ -176,9 +177,9 @@ def numeric_peak(curve, bracket_halfwidth: float,
         k = int(np.argmax(values))
         if 0 < k < grid.size - 1:
             lo, hi = grid[k - 1], grid[k + 1]
-            res = minimize_scalar(lambda d: -float(curve(d)),
-                                  bounds=(lo, hi), method="bounded",
-                                  options={"xatol": tol})
+            res = optimize.minimize_scalar(lambda d: -float(curve(d)),
+                                           bounds=(lo, hi), method="bounded",
+                                           options={"xatol": tol})
             return float(res.x)
         half *= 4.0
     raise LocatorError("peak keeps escaping the bracket; profile may be "

@@ -46,12 +46,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from . import oracle as oracle_mod
 from .analytics import n2, n3
-from .core import NormalizedParams, ParameterError, _check_profile
+from .core import (NormalizedParams, ParameterError, _check_profile,
+                   _lazy_module)
 from .perturbative import upper_dc_series
+
+special = _lazy_module("scipy.special")  # wofz, at the first Gaussian average
 
 __all__ = ["QuadratureError", "averaged_population", "oracle_average"]
 
@@ -252,7 +254,7 @@ def _faddeeva_moments(delta: float, gamma_v: float) -> tuple[complex, complex]:
     zeta = (delta + 1j) / (sigma * root2)
     # a Python complex from here on: numpy scalar arithmetic costs more
     # and rounds the same
-    w = complex(wofz(zeta))
+    w = complex(special.wofz(zeta))
     first = math.sqrt(0.5 * math.pi) / sigma * w
     second = (-1j * math.sqrt(0.5 * math.pi) / (sigma ** 2 * root2)
               * _faddeeva_derivative(zeta, w))

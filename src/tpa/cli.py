@@ -129,7 +129,7 @@ def parse_scan_config(doc: dict) -> ScanConfig:
     _check_keys(doc, ("observable", "sweep", "fixed", "dist", "quadrature",
                       "oracle", "out"), ("observable", "sweep"), "config")
     obs = doc["observable"]
-    if obs not in _OBSERVABLES:
+    if not isinstance(obs, str) or obs not in _OBSERVABLES:
         raise ParameterError(f"observable must be one of "
                              f"{tuple(_OBSERVABLES)}, got {obs!r}")
 
@@ -479,8 +479,8 @@ def main(argv=None) -> int:
                     doc = json.load(handle)
             except OSError as exc:
                 raise ParameterError(f"cannot read config: {exc}")
-            except json.JSONDecodeError as exc:
-                raise ParameterError(f"config is not valid JSON: {exc}")
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ParameterError(f"config is not valid UTF-8 JSON: {exc}")
             config = parse_scan_config(doc)
             scan = run_scan(config)
             _write(scan, args.out if args.out is not None else config.out)

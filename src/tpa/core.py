@@ -15,7 +15,9 @@ them too.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = ["ParameterError", "NormalizedParams"]
@@ -27,6 +29,25 @@ _TINY = math.ulp(0.0)
 
 class ParameterError(ValueError):
     """Invalid physical or numerical parameter."""
+
+
+def _lazy_module(name: str):
+    """The module `name`, loaded on its first attribute access.
+
+    A closed-form scan calls no scipy routine, and importing scipy.linalg,
+    scipy.special and scipy.optimize takes longer than the scan itself; so
+    the layers that use them hold this stand-in instead of importing them.
+    A module already imported is returned as it is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
 
 
 def _require_finite(name: str, value: float) -> float:

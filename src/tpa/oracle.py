@@ -37,6 +37,12 @@ absent, between the sectors or inside a class, shows up as a defect.
 Hermiticity, trace, parity and population range are checked on the solution
 rather than imposed.
 
+scipy.linalg is the module attribute `sla`, loaded lazily at the first
+solve, so that importing tpa for a closed-form scan loads no scipy.linalg.
+Every factorization reads sla.lu_factor through that attribute, so a
+stand-in assigned to it (bench/tracer.py's LAPACK proxy, which counts and
+times the factorizations) sees each one.
+
 All quantities are in normalized (gamma = 1) units.
 """
 
@@ -46,9 +52,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .core import NormalizedParams, ParameterError, _require_finite
+from .core import (NormalizedParams, ParameterError, _lazy_module,
+                   _require_finite)
 
 __all__ = ["OracleError"]
 
@@ -80,9 +86,19 @@ _COUPLINGS = {
 _RULES = {"e": ((-1, 0), (+1, 1)), "ec": ((+1, 0), (-1, 1))}
 _SLOTS = 9  # the diagonal and up to 8 couplings per row
 
-# The LAPACK routine behind scipy.linalg.lu_solve, called on the factors of
-# sla.lu_factor without the wrapper's per-call checks.
-_getrs = sla.get_lapack_funcs("getrs", dtype=complex)
+sla = _lazy_module("scipy.linalg")
+
+
+@functools.cache
+def _getrs():
+    """The LAPACK routine behind scipy.linalg.lu_solve, called on the factors
+    of sla.lu_factor without the wrapper's per-call checks.
+
+    Built at the first solve from scipy.linalg itself, not through `sla`,
+    so that a stand-in for `sla` need carry only lu_factor.
+    """
+    return _lazy_module("scipy.linalg").get_lapack_funcs("getrs",
+                                                         dtype=complex)
 
 
 class OracleError(RuntimeError):
@@ -398,7 +414,7 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     r = system.rhs
     for _ in range(2):
         z = r[lay.elim] / pivots
-        x_kept, info = _getrs(
+        x_kept, info = _getrs()(
             lu, piv, (r[lay.kept] - np.add.reduceat(
                 coupled * z[lay.kept_cols], lay.kept_starts)) / scale,
             overwrite_b=True)

@@ -22,6 +22,10 @@ A dense reference assembler of the steady-state operator, the entry-by-entry
 triple loop the solver once used, so the row-slot operator and the
 parity-reduced solve are checked against an independent construction.
 
+`fresh_python` runs the interpreter in a new process that imports tpa from
+this checkout, for checks that need a clean sys.modules or the exit code a
+shell sees.
+
 Property tests run under one Hypothesis profile: derandomized, so every run
 draws the same examples, with no example database on disk and no per-example
 deadline. Hypothesis still caches the constants it reads from the sources,
@@ -29,7 +33,11 @@ already while collecting; that cache goes to a temporary directory removed
 at exit, not to .hypothesis/.
 """
 
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +51,18 @@ settings.register_profile("tpa", derandomize=True, database=None,
 settings.load_profile("tpa")
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="tpa-hypothesis-")
 configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def fresh_python(*args):
+    """`python *args` in a new interpreter with this checkout's src first
+    on its path; returns the CompletedProcess, output as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def build_pair(delta, a, mu, phi, dbig):

@@ -2,9 +2,6 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +9,8 @@ import pytest
 import tpa
 from tpa import analytics, averaging, cli, oracle
 from tpa.core import NormalizedParams, ParameterError
+
+from conftest import fresh_python
 
 
 def _n2_doc(**over):
@@ -123,6 +122,8 @@ def test_rows_reproducible_from_metadata():
 def test_config_validation_errors():
     bad_docs = [
         _n2_doc(observable="n4"),
+        _n2_doc(observable=["n2"]),
+        _n2_doc(observable={"n2": 1}),
         {**_n2_doc(), "extra": 1},
         _n2_doc(fixed={"x": 1e-3, "phi": 2.0}),
         _n2_doc(fixed={"mu": 1.0}),
@@ -334,6 +335,7 @@ def test_main_rejects_nan_parameter(tmp_path, capsys):
                                     "phi_tilde": 1e160}), id="phi_overflow"),
     # the width's parameter sets obey the same rules as every observable's
     pytest.param(_width_doc(fixed={"a_ratio": -1.0}), id="width_a_ratio"),
+    pytest.param(_n2_doc(observable=["n2"]), id="observable_list"),
 ])
 def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
     cfg_path = tmp_path / "bad.json"
@@ -343,6 +345,58 @@ def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
                      "--out", str(out_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+def test_main_rejects_config_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "utf16.json"
+    out_path = tmp_path / "utf16.csv"
+    cfg_path.write_bytes(b"\xff\xfe" + json.dumps(_n2_doc()).encode(
+        "utf-16-le"))
+    assert cli.main(["scan", "--config", str(cfg_path),
+                     "--out", str(out_path)]) == 2
+    assert ("error: config is not valid UTF-8 JSON:"
+            in capsys.readouterr().err)
+    assert not out_path.exists()
+
+
+# A module of each scipy subpackage that only a call into it loads.
+_SCIPY_AT_USE = ("scipy.linalg._basic", "scipy.special._ufuncs",
+                 "scipy.optimize._optimize")
+
+
+def _scipy_loaded_after(*argvs):
+    """The modules of _SCIPY_AT_USE in sys.modules after cli.main has run
+    each argv, in order, in a fresh interpreter."""
+    script = ("import json, sys\n"
+              "from tpa import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(argv) == 0, argv\n"
+              f"print(json.dumps([m for m in {_SCIPY_AT_USE!r}\n"
+              "                  if m in sys.modules]))\n")
+    done = fresh_python("-c", script, json.dumps(argvs))
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_closed_scans_load_no_scipy(tmp_path):
+    cfg_path = tmp_path / "scan.json"
+    cfg_path.write_text(json.dumps(_n2_doc(observable="n2+n3")))
+    loaded = _scipy_loaded_after(
+        ["scan", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")],
+        ["figure", "--fig", "2", "--out", str(tmp_path / "f2.csv")],
+        ["figure", "--fig", "3", "--out", str(tmp_path / "f3.csv")])
+    assert loaded == set()
+
+
+def test_oracle_scan_loads_only_the_linear_algebra(tmp_path):
+    cfg_path = tmp_path / "scan.json"
+    cfg_path.write_text(json.dumps(_oracle_doc(
+        sweep={"axis": "delta_tilde", "start": 0.0, "stop": 1.0,
+               "count": 2})))
+    loaded = _scipy_loaded_after(
+        ["scan", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")])
+    assert "scipy.linalg._basic" in loaded
+    assert "scipy.optimize._optimize" not in loaded
 
 
 def test_main_numerical_failure_exit(tmp_path, capsys):
@@ -374,12 +428,7 @@ def test_main_truncation_failure_names_its_knobs(tmp_path, capsys):
 def _run_module(*args):
     # `python -m tpa` in a fresh interpreter, so the exit code is the one
     # that __main__'s sys.exit(main()) hands to the shell
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "tpa", *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+    return fresh_python("-m", "tpa", *args)
 
 
 def test_module_entry_point_exit_codes(tmp_path):

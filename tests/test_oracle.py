@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from tpa.oracle import (ConsistencyError, HarmonicDensityMatrix, LinearSystem,
                         SolverError, SteadyStateProblem, TruncationError)
 from tpa.perturbative import upper_dc_series
 
-from conftest import dense, reference_system, rel_err
+from conftest import dense, fresh_python, reference_system, rel_err
 
 
 def _problem(delta=0.0, a=1.0, mu=1.0, phi=1.0, dbig=1e3, omega=0.0, n_max=9,
@@ -218,6 +219,51 @@ def test_solve_factorizes_only_the_coherence_block(monkeypatch, n_max):
     # four one-photon coherences on each odd harmonic
     size = 4 * (n_max + n_max % 2)
     assert shapes == [(size, size)]
+
+
+# A stand-in for oracle.sla as the benchmark's tracer installs one before
+# the first solve: it counts and forwards lu_factor and passes every other
+# attribute through. Prints the lu_factor calls, n_used and dc(2, 2).
+_COUNTED_REFINE = """
+import json
+from tpa import oracle
+from tpa.core import NormalizedParams
+
+
+class Counting:
+    def __init__(self, sla):
+        self._sla = sla
+        self.calls = 0
+
+    def lu_factor(self, *args, **kwargs):
+        self.calls += 1
+        return self._sla.lu_factor(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._sla, name)
+
+
+oracle.sla = Counting(oracle.sla)
+p = NormalizedParams.build(delta_tilde=0.3, a_ratio=1.0, mu=1.2,
+                           phi_tilde=3.0, delta_big_tilde=100.0)
+rho, n_used = oracle.refine(p, 0.7, 1e-14)
+dc = rho.dc(2, 2)
+print(json.dumps([oracle.sla.calls, n_used, dc.real, dc.imag]))
+"""
+
+
+def test_sla_stand_in_sees_every_factorization():
+    done = fresh_python("-c", _COUNTED_REFINE)
+    assert done.returncode == 0, done.stderr
+    calls, n_used, re_dc, im_dc = json.loads(done.stdout.splitlines()[-1])
+    # one factorization per rung of the ladder 3, 5, ..., n_used
+    assert n_used > 5
+    assert calls == (n_used - 3) // 2 + 1
+    p = NormalizedParams.build(delta_tilde=0.3, a_ratio=1.0, mu=1.2,
+                               phi_tilde=3.0, delta_big_tilde=100.0)
+    rho, plain_n = oracle.refine(p, 0.7, 1e-14)
+    assert plain_n == n_used
+    assert rho.dc(2, 2) == complex(re_dc, im_dc)
 
 
 def _miswired(kind):
