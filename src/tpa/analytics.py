@@ -21,17 +21,17 @@ two-photon detuning is their second argument, so one parameter set serves a
 whole line. The detuning is a float or an array; a float is evaluated in
 float arithmetic and gives a float bit-identical to its entry in an array,
 because squares of detuning terms are products (a float's ** 2 calls C
-pow(), which can differ from numpy's square in the last bit).
+pow(), which can differ from numpy's square in the last bit), and it loads
+no numpy.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import NormalizedParams, ParameterError, _lazy_module
 
+np = _lazy_module("numpy")  # at the first array profile or locator
 optimize = _lazy_module("scipy.optimize")  # the locators, at their first call
 
 __all__ = ["LocatorError", "width_fwhm", "stark_shift"]
@@ -74,7 +74,7 @@ def n2(p: NormalizedParams, delta_tilde):
     w = g1 ** 2 + d * d
     out = 8 * p.mu ** 2 * p.x ** 2 * (g1 * (1.0 + a2 ** 2) / w
                                       + 4.0 * a2 / (1.0 + d * d))
-    return out if isinstance(d, np.ndarray) and d.ndim else float(out)
+    return float(out) if isinstance(d, float) or d.ndim == 0 else out
 
 
 def n2_max(p: NormalizedParams) -> float:
@@ -98,7 +98,7 @@ def n3(p: NormalizedParams, delta_tilde):
     mu2 = p.mu ** 2
     out = (16 * mu2 * (mu2 - 1.0) * (1.0 + a2) * d * p.x ** 3
            * (b1 + b2))
-    return out if isinstance(d, np.ndarray) and d.ndim else float(out)
+    return float(out) if isinstance(d, float) or d.ndim == 0 else out
 
 
 def stark_shift(p: NormalizedParams) -> float:

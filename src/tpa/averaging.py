@@ -45,14 +45,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import oracle as oracle_mod
 from .analytics import n2, n3
 from .core import (NormalizedParams, ParameterError, _check_profile,
                    _lazy_module)
 from .perturbative import upper_dc_series
 
+np = _lazy_module("numpy")  # at the first quadrature or Gaussian average
 special = _lazy_module("scipy.special")  # wofz, at the first Gaussian average
 
 __all__ = ["QuadratureError", "averaged_population", "oracle_average"]
@@ -61,7 +60,7 @@ _MAX_NODES = 2048
 # The Gaussian weight beyond 8 standard deviations carries
 # erfc(8 / sqrt 2) ~ 1.2e-15 of the mass, below every tolerance in use.
 _GAUSS_WINDOW = 8.0
-_EPS = float(np.finfo(float).eps)
+_EPS = math.ulp(1.0)
 
 
 class QuadratureError(RuntimeError):

@@ -34,6 +34,12 @@ rule follows dist.kind (a nested trapezoid rule starting from `nodes`
 intervals for gaussian, tan-mapped Gauss-Legendre for lorentzian, which
 alone uses domain_halfwidth); `nodes` is at most 1024. CSV output starts
 with a '#'-prefixed JSON metadata line and keeps 17 significant digits.
+
+Importing this module loads neither numpy nor scipy, and a closed-form scan
+needs neither: it runs in plain float arithmetic, and every scan holds its
+grid and columns as lists of floats. numpy loads at the first figure,
+steady-state solve or Gaussian average, and each scipy subpackage at its
+first call.
 """
 
 from __future__ import annotations
@@ -44,14 +50,14 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import analytics, averaging
 from ._version import __version__
 from .analytics import LocatorError
 from .averaging import DEFAULT_ORACLE_QUAD, QuadratureError, QuadratureSpec
-from .core import _KINDS, NormalizedParams, ParameterError
+from .core import _KINDS, NormalizedParams, ParameterError, _lazy_module
 from .oracle import DEFAULT_N_CAP, OracleError
+
+np = _lazy_module("numpy")  # the figure grids, at the first figure
 
 _AXES = ("delta_tilde", "gamma_v_tilde", "a_ratio")
 # Sweep grids are held in memory; a million points is far beyond any figure.
@@ -80,7 +86,7 @@ _OBSERVABLES = {
 class ScanConfig:
     observable: str
     axis: str
-    grid: np.ndarray
+    grid: list
     fixed: dict
     kind: str
     quad: QuadratureSpec | None = None
@@ -94,7 +100,7 @@ class SpectrumScan:
     """Tabulated sweep: the axis grid plus one or more value columns."""
 
     axis: str
-    grid: np.ndarray
+    grid: list
     columns: dict
     metadata: dict
 
@@ -111,6 +117,23 @@ def _float_item(doc: dict, key: str, where: str) -> float:
     if not math.isfinite(value):
         raise ParameterError(f"{where}.{key} must be finite, got {raw!r}")
     return value
+
+
+def _linspace(start: float, stop: float, count: int) -> list:
+    """np.linspace(start, stop, count).tolist(), value for value, count >= 2.
+
+    numpy rounds k * step + start, or (k / div) * delta + start when the
+    step underflows to 0, and puts stop itself last.
+    """
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        grid = [k / div * delta + start for k in range(count)]
+    else:
+        grid = [k * step + start for k in range(count)]
+    grid[-1] = stop
+    return grid
 
 
 def _check_keys(doc: dict, allowed, required, where: str) -> None:
@@ -147,7 +170,7 @@ def parse_scan_config(doc: dict) -> ScanConfig:
     if not isinstance(count, int) or not 2 <= count <= _MAX_SWEEP_COUNT:
         raise ParameterError(f"sweep.count must be an integer in "
                              f"[2, {_MAX_SWEEP_COUNT}], got {count!r}")
-    grid = np.linspace(start, stop, count)
+    grid = _linspace(start, stop, count)
 
     fixed_doc = doc.get("fixed", {})
     allowed, required, _ = _OBSERVABLES[obs]
@@ -160,10 +183,11 @@ def parse_scan_config(doc: dict) -> ScanConfig:
             f"axis {axis!r} does not apply to observable {obs!r}")
 
     gv_values = grid if axis == "gamma_v_tilde" else \
-        np.array([fixed.get("gamma_v_tilde", 0.0)])
+        [fixed.get("gamma_v_tilde", 0.0)]
     dist_doc = doc.get("dist")
     if dist_doc is None:
-        kind = "homogeneous" if np.all(gv_values == 0.0) else "lorentzian"
+        kind = ("homogeneous" if all(g == 0.0 for g in gv_values)
+                else "lorentzian")
     else:
         _check_keys(dist_doc, ("kind",), ("kind",), "dist")
         kind = str(dist_doc["kind"]).lower()
@@ -173,7 +197,8 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         raise ParameterError(
             f"observable {obs!r} closes only for lorentzian or homogeneous "
             "profiles; use oracle_avg or the library API for gaussian ones")
-    if obs == "oracle_avg" and kind != "homogeneous" and np.any(gv_values == 0.0):
+    if obs == "oracle_avg" and kind != "homogeneous" and any(
+            g == 0.0 for g in gv_values):
         raise ParameterError(
             f"{kind} profiles need gamma_v_tilde > 0 at every sweep point")
 
@@ -255,7 +280,7 @@ def _params_at(cfg: ScanConfig, value: float) -> NormalizedParams:
     return NormalizedParams.build(**vals, kind=kind)
 
 
-def _column(name: str, axis: str, grid: np.ndarray, point) -> np.ndarray:
+def _column(name: str, axis: str, grid, point) -> list:
     """point(g) at every sweep value g, refusing what a double cannot hold.
 
     A closed form at extreme parameters overflows a float power
@@ -269,8 +294,8 @@ def _column(name: str, axis: str, grid: np.ndarray, point) -> np.ndarray:
         except OverflowError:
             return False
     try:
-        values = np.array([point(g) for g in grid])
-        if np.isfinite(values).all():
+        values = [point(g) for g in grid]
+        if all(map(math.isfinite, values)):
             return values
     except OverflowError:
         pass
@@ -280,7 +305,7 @@ def _column(name: str, axis: str, grid: np.ndarray, point) -> np.ndarray:
                          f"large for double precision")
 
 
-def _closed_column(cfg: ScanConfig) -> np.ndarray:
+def _closed_column(cfg: ScanConfig) -> list:
     value = _OBSERVABLES[cfg.observable][2]
     if cfg.axis == "delta_tilde":
         # the profiles take the detuning as an argument, so one parameter
@@ -288,7 +313,7 @@ def _closed_column(cfg: ScanConfig) -> np.ndarray:
         p = _params_at(cfg, 0.0)
 
         def point(d):
-            return value(p, float(d))
+            return value(p, d)
     else:
         def point(g):
             p = _params_at(cfg, g)
@@ -314,9 +339,8 @@ def run_scan(config: ScanConfig, workers: int = 1) -> SpectrumScan:
                              f"got {workers!r}")
     if config.observable == "oracle_avg":
         results = [_oracle_point(config, v) for v in config.grid]
-        values = np.array([r[0] for r in results])
-        n_used = np.array([float(r[1]) for r in results])
-        columns = {"oracle_avg": values, "n_used": n_used}
+        columns = {"oracle_avg": [r[0] for r in results],
+                   "n_used": [float(r[1]) for r in results]}
     else:
         columns = {config.observable: _closed_column(config)}
     return SpectrumScan(axis=config.axis, grid=config.grid, columns=columns,
@@ -390,8 +414,8 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
                 "a_values": meta_a, "axis": "gamma_v_tilde"}
     columns = {name: _column(name, "gamma_v_tilde", grid, point)
                for name, point in points.items()}
-    return SpectrumScan(axis="gamma_v_tilde", grid=grid, columns=columns,
-                        metadata=metadata)
+    return SpectrumScan(axis="gamma_v_tilde", grid=grid.tolist(),
+                        columns=columns, metadata=metadata)
 
 
 def write_csv(scan: SpectrumScan, target) -> None:
@@ -406,11 +430,9 @@ def write_csv(scan: SpectrumScan, target) -> None:
         handle.write("# " + json.dumps(scan.metadata, sort_keys=True) + "\n")
         names = list(scan.columns)
         handle.write(",".join([scan.axis] + names) + "\n")
-        table = np.column_stack([scan.grid] + [scan.columns[name]
-                                               for name in names])
         row = ",".join(["%.17g"] * (1 + len(names))) + "\n"
-        handle.writelines(row % tuple(values)
-                          for values in table.astype(float).tolist())
+        handle.writelines(row % values for values in zip(
+            scan.grid, *[scan.columns[name] for name in names]))
     finally:
         if close:
             handle.close()

@@ -15,6 +15,7 @@ them too.
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import math
 import sys
@@ -34,14 +35,24 @@ class ParameterError(ValueError):
 def _lazy_module(name: str):
     """The module `name`, loaded on its first attribute access.
 
-    A closed-form scan calls no scipy routine, and importing scipy.linalg,
-    scipy.special and scipy.optimize takes longer than the scan itself; so
-    the layers that use them hold this stand-in instead of importing them.
-    A module already imported is returned as it is.
+    A closed-form scan calls no numpy or scipy routine, and importing them
+    takes longer than the scan itself; so the layers that use them hold this
+    stand-in instead of importing them. A module already imported is
+    returned as it is. A submodule is found without importing its package:
+    importlib.util.find_spec("scipy.linalg") would import scipy, and with
+    it numpy, so the submodule is looked up in the package's directory,
+    which find_spec of a top-level name reports without importing it. Once
+    loaded, the module is a plain module again, and attribute reads cost
+    what they cost on an imported one.
     """
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.util.find_spec(name)
+    parent, _, _ = name.rpartition(".")
+    if parent and parent not in sys.modules:
+        where = importlib.util.find_spec(parent).submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(name, where)
+    else:
+        spec = importlib.util.find_spec(name)
     loader = importlib.util.LazyLoader(spec.loader)
     spec.loader = loader
     module = importlib.util.module_from_spec(spec)

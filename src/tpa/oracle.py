@@ -37,9 +37,9 @@ absent, between the sectors or inside a class, shows up as a defect.
 Hermiticity, trace, parity and population range are checked on the solution
 rather than imposed.
 
-scipy.linalg is the module attribute `sla`, loaded lazily at the first
-solve, so that importing tpa for a closed-form scan loads no scipy.linalg.
-Every factorization reads sla.lu_factor through that attribute, so a
+numpy and scipy.linalg are the module attributes `np` and `sla`, loaded
+lazily at the first solve, so that importing tpa for a closed-form scan
+loads neither. Every factorization reads sla.lu_factor through that attribute, so a
 stand-in assigned to it (bench/tracer.py's LAPACK proxy, which counts and
 times the factorizations) sees each one.
 
@@ -51,10 +51,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (NormalizedParams, ParameterError, _lazy_module,
                    _require_finite)
+
+np = _lazy_module("numpy")  # at the first solve
 
 __all__ = ["OracleError"]
 

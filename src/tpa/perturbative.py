@@ -19,46 +19,50 @@ terms follow, are written out in the tests as reference formulas.
 
 from __future__ import annotations
 
-import numpy as np
+from .core import NormalizedParams, ParameterError, _lazy_module
 
-from .core import NormalizedParams, ParameterError
+np = _lazy_module("numpy")  # at the first array of Omega values
 
 
 def _order3_dc(params: NormalizedParams, om):
-    """Third-order dc upper population at Omega = om (scalar or array)."""
+    """Third-order dc upper population at Omega = om (float or array)."""
     p1, p2, mu = params.phi1, params.phi2, params.mu
     delta = params.delta_tilde
-    ap = 1.0 + (delta - om) ** 2
-    am = 1.0 + (delta + om) ** 2
+    up, um = delta - om, delta + om
+    ap = 1.0 + up * up
+    am = 1.0 + um * um
     a0 = 1.0 + delta ** 2
     kv = 0.5 * om
     s = p1 ** 2 + p2 ** 2
     return (32 * mu ** 2 * (mu ** 2 - 1) / params.delta_big_tilde ** 3) * (
-        (delta - 2 * kv) / ap ** 2 * s * p1 ** 4
+        (delta - 2 * kv) / (ap * ap) * s * p1 ** 4
         + ((delta - kv) / ap * p1 ** 2 + (delta + kv) / am * p2 ** 2
            + delta / a0 * s) * p1 ** 2 * p2 ** 2 / a0
-        + (delta + 2 * kv) / am ** 2 * s * p2 ** 4)
+        + (delta + 2 * kv) / (am * am) * s * p2 ** 4)
 
 
 def upper_dc_series(params: NormalizedParams, omega, order: int = 3):
     """dc upper population summed through the given order, vectorized in Omega.
 
     order=2 keeps the leading two-photon term; order=3 adds the light-shift
-    correction (odd in delta, zero at mu=1). Scalar Omega in, float out.
+    correction (odd in delta, zero at mu=1). Scalar Omega in, float out. A
+    float Omega is evaluated in float arithmetic and gives a float
+    bit-identical to its entry in an array, because the squares of Omega
+    terms are products (a float's ** 2 calls C pow(), which can differ from
+    numpy's square in the last bit).
     """
     if order not in (2, 3):
         raise ParameterError(f"order must be 2 or 3, got {order}")
-    om = np.asarray(omega, dtype=float)
-    scalar = om.ndim == 0
-    om = np.atleast_1d(om)
+    om = omega if isinstance(omega, float) else np.asarray(omega, dtype=float)
     p1, p2, mu = params.phi1, params.phi2, params.mu
     delta = params.delta_tilde
     dbig = params.delta_big_tilde
-    ap = 1.0 + (delta - om) ** 2
-    am = 1.0 + (delta + om) ** 2
+    up, um = delta - om, delta + om
+    ap = 1.0 + up * up
+    am = 1.0 + um * um
     a0 = 1.0 + delta ** 2
     out = (8 * mu ** 2 / dbig ** 2) * (p1 ** 4 / ap + p2 ** 4 / am
                                        + 4 * p1 ** 2 * p2 ** 2 / a0)
     if order >= 3:
         out = out + _order3_dc(params, om)
-    return float(out[0]) if scalar else out
+    return float(out) if isinstance(om, float) or om.ndim == 0 else out

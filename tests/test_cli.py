@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import tpa
 from tpa import analytics, averaging, cli, oracle
@@ -69,8 +71,9 @@ def test_width_scan_single_beam():
         "fixed": {"a_ratio": 0.0},
     }
     scan = cli.run_scan(cli.parse_scan_config(doc))
-    assert np.allclose(scan.columns["width"], 2.0 * (1.0 + scan.grid),
-                       rtol=1e-12, atol=0.0)
+    assert np.allclose(scan.columns["width"],
+                       2.0 * (1.0 + np.asarray(scan.grid)), rtol=1e-12,
+                       atol=0.0)
 
 
 def test_equal_wave_enhancement_factor():
@@ -362,16 +365,19 @@ def test_main_rejects_config_not_utf8(tmp_path, capsys):
 # A module of each scipy subpackage that only a call into it loads.
 _SCIPY_AT_USE = ("scipy.linalg._basic", "scipy.special._ufuncs",
                  "scipy.optimize._optimize")
+# Modules that only executing numpy (2.x and 1.x) or importing scipy loads;
+# the lazy stand-in for numpy itself sits in sys.modules from the start.
+_NUMPY_OR_SCIPY = ("numpy._core", "numpy.core", "scipy")
 
 
-def _scipy_loaded_after(*argvs):
-    """The modules of _SCIPY_AT_USE in sys.modules after cli.main has run
-    each argv, in order, in a fresh interpreter."""
+def _loaded_after(modules, *argvs):
+    """Which of `modules` are in sys.modules after cli.main has run each
+    argv, in order, in a fresh interpreter."""
     script = ("import json, sys\n"
               "from tpa import cli\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    assert cli.main(argv) == 0, argv\n"
-              f"print(json.dumps([m for m in {_SCIPY_AT_USE!r}\n"
+              f"print(json.dumps([m for m in {tuple(modules)!r}\n"
               "                  if m in sys.modules]))\n")
     done = fresh_python("-c", script, json.dumps(argvs))
     assert done.returncode == 0, done.stderr
@@ -381,11 +387,66 @@ def _scipy_loaded_after(*argvs):
 def test_closed_scans_load_no_scipy(tmp_path):
     cfg_path = tmp_path / "scan.json"
     cfg_path.write_text(json.dumps(_n2_doc(observable="n2+n3")))
-    loaded = _scipy_loaded_after(
+    loaded = _loaded_after(
+        _SCIPY_AT_USE,
         ["scan", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")],
         ["figure", "--fig", "2", "--out", str(tmp_path / "f2.csv")],
         ["figure", "--fig", "3", "--out", str(tmp_path / "f3.csv")])
     assert loaded == set()
+
+
+_CLOSED_SCANS = {
+    "n2": _n2_doc(),
+    "n2+n3": _n2_doc(observable="n2+n3"),
+    "width": _width_doc(fixed={"a_ratio": 0.5}),
+    "stark": {"observable": "stark",
+              "sweep": {"axis": "gamma_v_tilde", "start": 0.0, "stop": 20.0,
+                        "count": 41},
+              "fixed": {"x": 1e-3, "a_ratio": 1.0, "mu": 1.4}},
+    "n2max": {"observable": "n2max",
+              "sweep": {"axis": "a_ratio", "start": 0.0, "stop": 1.0,
+                        "count": 21},
+              "fixed": {"x": 1e-3, "gamma_v_tilde": 1.0}},
+}
+
+
+def test_closed_scans_load_neither_numpy_nor_scipy(tmp_path):
+    # a fresh `tpa scan` of each closed observable leaves numpy unexecuted
+    # and scipy unimported, and writes the bytes that the same scan writes
+    # in this process, where numpy is loaded
+    argvs = []
+    for k, doc in enumerate(_CLOSED_SCANS.values()):
+        cfg_path = tmp_path / f"scan{k}.json"
+        cfg_path.write_text(json.dumps(doc))
+        argvs.append(["scan", "--config", str(cfg_path),
+                      "--out", str(tmp_path / f"scan{k}.csv")])
+    assert _loaded_after(_NUMPY_OR_SCIPY, *argvs) == set()
+    for k, doc in enumerate(_CLOSED_SCANS.values()):
+        here = _render(cli.run_scan(cli.parse_scan_config(doc)))
+        assert (tmp_path / f"scan{k}.csv").read_bytes() == here.encode()
+
+
+_MAX = cli._MAX_SWEEP_COUNT
+
+
+@given(start=st.floats(allow_nan=False, allow_infinity=False),
+       stop=st.floats(allow_nan=False, allow_infinity=False),
+       same=st.booleans(), count=st.integers(2, 64))
+@example(start=-6.0, stop=6.0, same=False, count=_MAX)
+@example(start=1.0, stop=1.0 + 2.0 ** -52, same=False, count=_MAX - 1)
+@example(start=0.0, stop=5e-324, same=False, count=_MAX)  # step 0
+@example(start=-0.0, stop=-0.0, same=True, count=_MAX - 2)
+@example(start=-8e307, stop=8e307, same=False, count=_MAX)
+def test_linspace_matches_numpy(start, stop, same, count):
+    # the scan grid rounds every value as np.linspace does, signed zeros
+    # included, also where the step underflows to 0
+    if same:
+        stop = start
+    assume(math.isfinite(stop - start))
+    got = np.array(cli._linspace(start, stop, count))
+    with np.errstate(over="ignore"):  # k * step at k = count - 1, replaced
+        want = np.linspace(start, stop, count)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_oracle_scan_loads_only_the_linear_algebra(tmp_path):
@@ -393,7 +454,8 @@ def test_oracle_scan_loads_only_the_linear_algebra(tmp_path):
     cfg_path.write_text(json.dumps(_oracle_doc(
         sweep={"axis": "delta_tilde", "start": 0.0, "stop": 1.0,
                "count": 2})))
-    loaded = _scipy_loaded_after(
+    loaded = _loaded_after(
+        _SCIPY_AT_USE,
         ["scan", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")])
     assert "scipy.linalg._basic" in loaded
     assert "scipy.optimize._optimize" not in loaded

@@ -266,6 +266,33 @@ def test_sla_stand_in_sees_every_factorization():
     assert rho.dc(2, 2) == complex(re_dc, im_dc)
 
 
+# Importing the oracle finds scipy.linalg without importing scipy; the first
+# attribute read loads it, and `import scipy.linalg` then returns that very
+# module. Prints which of scipy and numpy's core were imported before the
+# first read, the factors of a 2x2 matrix, and whether the two modules are
+# one.
+_LAZY_LINALG = """
+import json, sys
+from tpa import oracle
+before = [m for m in ("scipy", "numpy._core") if m in sys.modules]
+lu, piv = oracle.sla.lu_factor([[2.0, 1.0], [1.0, 3.0]])
+import scipy.linalg
+print(json.dumps([before, lu.tolist(), piv.tolist(),
+                  scipy.linalg is oracle.sla,
+                  sys.modules["scipy.linalg"] is oracle.sla]))
+"""
+
+
+def test_lazy_linalg_loads_scipy_at_first_use():
+    done = fresh_python("-c", _LAZY_LINALG)
+    assert done.returncode == 0, done.stderr
+    before, lu, piv, same, registered = json.loads(
+        done.stdout.splitlines()[-1])
+    assert before == []
+    assert lu == [[2.0, 1.0], [0.5, 2.5]] and piv == [0, 1]
+    assert same and registered
+
+
 def _miswired(kind):
     """An `assemble` whose operator holds one coupling the solve ignores.
 

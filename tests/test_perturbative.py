@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tpa import oracle
 from tpa import perturbative as pt
@@ -87,6 +89,19 @@ def test_series_shapes_and_order_guard():
     for bad in (1, 4):
         with pytest.raises(ParameterError):
             pt.upper_dc_series(p, 0.3, order=bad)
+
+
+@given(delta=st.floats(-20.0, 20.0), a=st.floats(0.0, 3.0),
+       mu=st.floats(0.1, 3.0), phi=st.floats(0.1, 10.0),
+       dbig=st.floats(10.0, 1e4) | st.floats(-1e4, -10.0),
+       om=st.floats(-1e3, 1e3), order=st.sampled_from([2, 3]))
+def test_series_float_is_bit_identical_to_array_entry(delta, a, mu, phi, dbig,
+                                                      om, order):
+    # a float Omega takes the float path, which rounds as the array does
+    p = _params(delta=delta, a=a, mu=mu, phi=phi, dbig=dbig)
+    got = pt.upper_dc_series(p, om, order)
+    assert type(got) is float
+    assert got == pt.upper_dc_series(p, np.array([om, 0.5]), order)[0]
 
 
 def test_series_scales_exactly_by_order():
