@@ -9,10 +9,10 @@ Layers, from the ground up:
   oracle        brute-force harmonic steady state at fixed velocity
   perturbative  closed-form weak-drive series of the dc upper population,
                 per velocity and vectorized in Omega
-  analytics     line profiles, widths, and peak displacements; depends
-                only on core
-  averaging     velocity averages: quadratures, the Gaussian closed forms,
-                and the Lorentzian closed forms taken from analytics
+  averaging     velocity averages: quadratures, and the averaged series,
+                one formula over every profile's resolvent moments
+  analytics     line profiles read off that series, widths, and peak
+                displacements
   validation    cross-check suites tying the layers together
   cli           scan / figure / validate command line front end
 

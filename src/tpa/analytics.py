@@ -1,10 +1,9 @@
 """Closed-form line profiles of the velocity-averaged two-photon signal.
 
-The Lorentzian-averaged dc upper population is, through third order in the
-pump strength x = phi_tilde^2 / delta_big_tilde, an explicit function of the
-two-photon detuning delta_tilde, the beam ratio A, and the Doppler width
-gamma_v_tilde. This module collects those profiles and the line parameters
-read off them:
+Through third order in the pump strength x = phi_tilde^2 / delta_big_tilde,
+the velocity-averaged dc upper population is the series `averaging._series`,
+stated once for every profile. This module collects the profiles it gives
+and the line parameters read off them:
 
   * the order-2 profile n2 and its peak height n2_max;
   * the full width at half maximum of n2, in closed form (width_fwhm) and
@@ -15,20 +14,19 @@ read off them:
 
 Everything is normalized: detunings and widths in units of gamma, x
 dimensionless, mu the ratio of the two transition dipoles. The profiles take
-NormalizedParams, the one normalized parameter set that the solver and the
-series use too, and read only its x, a_ratio, gamma_v_tilde and mu; the
+NormalizedParams, the one parameter set of the solver and the series; the
 two-photon detuning is their second argument, so one parameter set serves a
-whole line. The detuning is a float or an array; a float is evaluated in
-float arithmetic and gives a float bit-identical to its entry in an array,
-because squares of detuning terms are products (a float's ** 2 calls C
-pow(), which can differ from numpy's square in the last bit), and it loads
-no numpy.
+whole line. n2, n3 and n2_max follow its kind; width_fwhm and stark_shift
+are the Lorentzian/homogeneous closed forms. The detuning is a float or an
+array; a float gives a float bit-identical to its entry in an array, and it
+loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 
+from .averaging import _series
 from .core import NormalizedParams, ParameterError, _lazy_module
 
 np = _lazy_module("numpy")  # at the first array profile or locator
@@ -56,58 +54,41 @@ def width_fwhm(a_ratio: float, gamma_v_tilde: float) -> float:
     return 2.0 * math.sqrt(math.sqrt(w + (w - 1.0) ** 2 * f ** 2) + wf)
 
 
-def _detuning(delta_tilde):
-    # a float stays a float; anything else becomes a float array
-    if isinstance(delta_tilde, float):
-        return delta_tilde
-    return np.asarray(delta_tilde, dtype=float)
+def _line(p: NormalizedParams, delta_tilde, low: int, high: int):
+    # an array is evaluated at once in the Lorentzian arithmetic and element
+    # by element through the Faddeeva moments; anything else gives a float
+    d = np.asarray(delta_tilde, dtype=float)
+    if d.ndim and p.kind == "gaussian":
+        values = [_series(p, v, low, high) for v in d.ravel().tolist()]
+        return np.array(values, dtype=float).reshape(d.shape)
+    return _series(p, d if d.ndim else float(d), low, high)
 
 
 def n2(p: NormalizedParams, delta_tilde):
-    """Lorentzian-averaged order-2 profile versus two-photon detuning.
-
-    Scalar in, float out; arrays are evaluated elementwise.
-    """
-    d = _detuning(delta_tilde)
-    a2 = p.a_ratio ** 2
-    g1 = 1.0 + p.gamma_v_tilde
-    w = g1 ** 2 + d * d
-    out = 8 * p.mu ** 2 * p.x ** 2 * (g1 * (1.0 + a2 ** 2) / w
-                                      + 4.0 * a2 / (1.0 + d * d))
-    return float(out) if isinstance(d, float) or d.ndim == 0 else out
+    """Velocity-averaged order-2 profile versus two-photon detuning."""
+    if type(delta_tilde) is float:  # not numpy's float64, a float subclass
+        return _series(p, delta_tilde, 2, 2)
+    return _line(p, delta_tilde, 2, 2)
 
 
 def n2_max(p: NormalizedParams) -> float:
     """Peak (line-center) value of n2."""
-    a2 = p.a_ratio ** 2
-    gv = p.gamma_v_tilde
-    return (8 * p.mu ** 2 * p.x ** 2
-            * ((a2 ** 2 + 4.0 * a2 + 1.0) + 4.0 * gv * a2) / (1.0 + gv))
+    return _series(p, 0.0, 2, 2)
 
 
 def n3(p: NormalizedParams, delta_tilde):
-    """Lorentzian-averaged order-3 profile: the odd light-shift term."""
-    d = _detuning(delta_tilde)
-    a2 = p.a_ratio ** 2
-    gv = p.gamma_v_tilde
-    g1 = 1.0 + gv
-    w = g1 ** 2 + d * d
-    el = 1.0 + d * d
-    b1 = a2 * (2.0 / (el * el) + (2.0 + gv) / (el * w))
-    b2 = 2.0 * (1.0 + a2 ** 2) * g1 / (w * w)
-    mu2 = p.mu ** 2
-    out = (16 * mu2 * (mu2 - 1.0) * (1.0 + a2) * d * p.x ** 3
-           * (b1 + b2))
-    return float(out) if isinstance(d, float) or d.ndim == 0 else out
+    """Velocity-averaged order-3 profile: the odd light-shift term."""
+    if type(delta_tilde) is float:
+        return _series(p, delta_tilde, 3, 3)
+    return _line(p, delta_tilde, 3, 3)
 
 
-def stark_shift(p: NormalizedParams) -> float:
-    """Closed-form displacement of the n2 + n3 peak, in units of gamma.
-
-    Linear in x and in mu^2 - 1; vanishes identically when the two dipoles
-    match (mu = 1).
-    """
-    a2 = p.a_ratio ** 2
+def _shift(p: NormalizedParams, a_ratio: float) -> float:
+    if p.kind == "gaussian":
+        raise ParameterError("stark_shift is the Lorentzian/homogeneous "
+                             "closed form; locate a gaussian line's peak "
+                             "with numeric_peak on averaged_series")
+    a2 = a_ratio ** 2
     a4 = a2 ** 2
     gv = p.gamma_v_tilde
     g1 = 1.0 + gv
@@ -116,17 +97,24 @@ def stark_shift(p: NormalizedParams) -> float:
     return 2.0 * (1.0 + a2) * (p.mu ** 2 - 1.0) * p.x * num / den
 
 
+def stark_shift(p: NormalizedParams) -> float:
+    """Closed-form displacement of the n2 + n3 peak, in units of gamma.
+
+    Linear in x and in mu^2 - 1; vanishes identically when the two dipoles
+    match (mu = 1). Lorentzian and homogeneous profiles only: a gaussian p
+    raises ParameterError.
+    """
+    return _shift(p, p.a_ratio)
+
+
 def stark_shift_tw(p: NormalizedParams) -> float:
     """Running-wave (A = 0) displacement: independent of the Doppler width."""
-    return 2.0 * (p.mu ** 2 - 1.0) * p.x
+    return _shift(p, 0.0)
 
 
 def stark_shift_sw(p: NormalizedParams) -> float:
     """Equal standing wave (A = 1) displacement."""
-    gv = p.gamma_v_tilde
-    return ((p.mu ** 2 - 1.0) * p.x
-            * (1.0 + (5.0 + 3.0 * gv + gv ** 2)
-               / (1.0 + 2.0 * (1.0 + gv) ** 3)))
+    return _shift(p, 1.0)
 
 
 def numeric_fwhm(curve) -> float:

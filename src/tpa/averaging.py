@@ -6,10 +6,13 @@ are supported, parameterized by the half width at half maximum gamma_v:
 
   * homogeneous: delta function at v = 0; the average is just f(0);
   * lorentzian: gamma_v/pi / (gamma_v^2 + Omega^2), for which the moments
-    of the one-photon denominators close analytically (lorentz_int1/int2)
-    and the averaged series is the analytics profile n2 + n3;
+    of the one-photon denominators close analytically (lorentz_int1/int2);
   * gaussian: HWHM gamma_v; series averages close through the Faddeeva
     function, generic integrands use a nested trapezoid rule.
+
+The averaged weak-drive series `_series` is one formula for all three, over
+the profile's resolvent moments; `averaged_series` and the analytics
+profiles n2, n3 and n2_max read it.
 
 The profile picks the rule. Gaussian averages always use the trapezoid rule
 on |Omega| <= 8 sigma (sigma = gamma_v / sqrt(2 ln 2)): each level halves
@@ -46,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 from . import oracle as oracle_mod
-from .analytics import n2, n3
 from .core import (NormalizedParams, ParameterError, _check_profile,
                    _lazy_module)
 from .perturbative import upper_dc_series
@@ -260,27 +262,39 @@ def _faddeeva_moments(delta: float, gamma_v: float) -> tuple[complex, complex]:
     return first, second
 
 
-def _gaussian_series_dc(params: NormalizedParams, d: float,
-                        order: int) -> float:
-    """Closed Gaussian average of the dc perturbative population at delta d."""
-    first, second = _faddeeva_moments(d, params.gamma_v_tilde)
-    p1sq = params.phi1 ** 2
-    p2sq = params.phi2 ** 2
+def _series(params: NormalizedParams, d, low: int, high: int):
+    """Velocity-averaged dc series at delta d: the order-2 term (low = high
+    = 2), the order-3 term (3, 3) or their sum (2, 3).
+
+    The profile enters only through <1/(1 - i u)> and <1/(1 - i u)^2>,
+    u = d - Omega: residues at the shifted pole 1/(1 + gamma_v - i d) for a
+    Lorentzian or homogeneous profile, in real arithmetic and vectorized in
+    d; the Faddeeva moments at a float d for a Gaussian one (Armstrong,
+    JQSRT 7, 61 (1967)). Squares of d are products, so a float d rounds as
+    its entry in an array does.
+    """
+    if params.kind == "gaussian":
+        first, second = _faddeeva_moments(d, params.gamma_v_tilde)
+        re1, im1, im2 = first.real, first.imag, second.imag
+    else:
+        # g1 ** 2 overflows with an error, not to an inf that zeroes the line
+        g1 = 1.0 + params.gamma_v_tilde
+        w = g1 ** 2 + d * d
+        re1, im1, im2 = g1 / w, d / w, 2.0 * g1 * d / (w * w)
+    a2 = params.a_ratio ** 2
+    a4 = 1.0 + a2 ** 2
+    el = 1.0 + d * d
     mu2 = params.mu ** 2
-    a0 = 1.0 + d * d
-    dbig = params.delta_big_tilde
-    total = (8.0 * mu2 / dbig ** 2
-             * ((p1sq ** 2 + p2sq ** 2) * first.real + 4.0 * p1sq * p2sq / a0))
-    if order >= 3:
-        # Averages of the shifted odd kernels: the Gaussian is even in Omega,
-        # so < u / (1 + u^2)^2 > = Im(second) / 2 for u = delta -+ Omega alike,
-        # and < (delta -+ Omega/2) / (1 + u^2) > = (Im(first) + d Re(first)) / 2.
-        s = p1sq + p2sq
-        quartic = s * (p1sq ** 2 + p2sq ** 2) * 0.5 * second.imag
-        cross = (p1sq * p2sq * s / a0
-                 * (0.5 * (first.imag + d * first.real) + d / a0))
-        total += 32.0 * mu2 * (mu2 - 1.0) / dbig ** 3 * (quartic + cross)
-    return total
+    if low == 2:
+        order2 = 8 * mu2 * params.x ** 2 * (a4 * re1 + 4.0 * a2 / el)
+        if high == 2:
+            return order2
+    # Odd kernels of the order-3 term: the profile is even in Omega, so
+    # <u / (1 + u^2)^2> = Im(second) / 2 for u = d -+ Omega alike, and
+    # <(d -+ Omega/2) / (1 + u^2)> = (Im(first) + d Re(first)) / 2.
+    order3 = (16 * mu2 * (mu2 - 1.0) * (1.0 + a2) * params.x ** 3
+              * (a4 * im2 + a2 * ((im1 + d * re1) + 2.0 * d / el) / el))
+    return order3 if low == 3 else order2 + order3
 
 
 def averaged_population(params: NormalizedParams, order: int = 2) -> float:
@@ -303,13 +317,7 @@ def averaged_series(params: NormalizedParams, delta_tilde: float,
     """
     if order not in (2, 3):
         raise ParameterError(f"order must be 2 or 3, got {order}")
-    d = float(delta_tilde)
-    if params.kind == "gaussian":
-        return _gaussian_series_dc(params, d, order)
-    total = n2(params, d)
-    if order == 3:
-        total += n3(params, d)
-    return total
+    return _series(params, float(delta_tilde), 2, order)
 
 
 def oracle_average(params: NormalizedParams,

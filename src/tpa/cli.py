@@ -400,10 +400,10 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
         grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 19)])
         mu = math.sqrt(2.0)
         points = {
-            "lorentzian": lambda gv: analytics.stark_shift_sw(
+            "lorentzian": lambda gv: analytics.stark_shift(
                 NormalizedParams.build(x=1e-3, a_ratio=1.0, gamma_v_tilde=gv,
                                        mu=mu))
-            / analytics.stark_shift_tw(NormalizedParams.build(
+            / analytics.stark_shift(NormalizedParams.build(
                 x=1e-3, a_ratio=0.0, gamma_v_tilde=gv, mu=mu)),
             "gaussian": lambda gv: _gaussian_peak_location(gv, 1.0)
             / _gaussian_peak_location(gv, 0.0)}

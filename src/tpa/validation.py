@@ -122,8 +122,9 @@ def _scaling_rows(level: str) -> list:
 def _averaged_scaling_row(kind: str) -> ValidationRow:
     """Velocity-averaged solver against the closed series average.
 
-    The gap must fall like 1/delta_big^2; the Lorentzian series closes
-    through n2 + n3, the Gaussian one through the Faddeeva function.
+    The gap must fall like 1/delta_big^2; the series average closes
+    through residues on the Lorentzian profile and through the Faddeeva
+    function on the Gaussian one.
     """
     dbigs = [1e2, 1e3, 1e4]
     rels = []

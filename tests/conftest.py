@@ -8,6 +8,9 @@ content up to two-order-higher contamination.
 
 Expected values of the order-2 profile in its three limits, written out
 separately from the general analytics.n2 so the tests compare two forms.
+The Lorentzian-averaged order-2 and order-3 profiles as rational functions
+of the detuning: a second form of analytics.n2 and n3, which read the
+profile's resolvent moments.
 
 Reference harmonic coefficients of the weak-drive expansion, orders 1-3,
 as {(i, j, n): c(i,j,n)} dicts in the one-photon denominators
@@ -114,6 +117,28 @@ def n2_sw(p, d):
     g1 = 1.0 + p.gamma_v_tilde
     return 8 * p.mu ** 2 * p.x ** 2 * (4.0 / (1.0 + d ** 2)
                                        + 2.0 * g1 / (g1 ** 2 + d ** 2))
+
+
+def n2_rational(p, d):
+    """Lorentzian or homogeneous n2 as a rational function of d."""
+    a2 = p.a_ratio ** 2
+    g1 = 1.0 + p.gamma_v_tilde
+    w = g1 ** 2 + d * d
+    return 8 * p.mu ** 2 * p.x ** 2 * (g1 * (1.0 + a2 ** 2) / w
+                                       + 4.0 * a2 / (1.0 + d * d))
+
+
+def n3_rational(p, d):
+    """Lorentzian or homogeneous n3 as a rational function of d."""
+    a2 = p.a_ratio ** 2
+    gv = p.gamma_v_tilde
+    g1 = 1.0 + gv
+    w = g1 ** 2 + d * d
+    el = 1.0 + d * d
+    b1 = a2 * (2.0 / (el * el) + (2.0 + gv) / (el * w))
+    b2 = 2.0 * (1.0 + a2 ** 2) * g1 / (w * w)
+    mu2 = p.mu ** 2
+    return 16 * mu2 * (mu2 - 1.0) * (1.0 + a2) * d * p.x ** 3 * (b1 + b2)
 
 
 def lorentzian_density(gamma_v, omega):

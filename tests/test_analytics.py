@@ -7,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tpa import analytics as an
-from tpa.averaging import averaged_population, oracle_average
+from tpa.averaging import (QuadratureSpec, averaged_population,
+                           averaged_series, oracle_average, velocity_average)
 from tpa.core import NormalizedParams, ParameterError
+from tpa.perturbative import upper_dc_series
 
-from conftest import n2_hom, n2_sw, n2_tw, rel_err
+from conftest import n2_hom, n2_rational, n2_sw, n2_tw, n3_rational, rel_err
 
 
 def _profile(x=1e-3, a=0.0, gv=0.0, mu=1.0):
@@ -24,6 +26,10 @@ _ratio = st.floats(0.1, 10.0)
 _width = st.just(0.0) | st.floats(1e-3, 50.0)
 _mu = st.floats(0.1, 3.0)
 _detuning = st.floats(-20.0, 20.0)
+# A velocity profile of every kind, with its HWHM.
+_kinds = (st.tuples(st.just("homogeneous"), st.just(0.0))
+          | st.tuples(st.sampled_from(["lorentzian", "gaussian"]),
+                      st.floats(1e-3, 50.0)))
 
 
 def test_profile_params_validation():
@@ -88,6 +94,58 @@ def test_peak_value_sits_at_line_center():
     assert an.n2_max(p) == pytest.approx(an.n2(p, 0.0), rel=1e-14)
     grid = np.linspace(-10.0, 10.0, 2001)
     assert np.max(an.n2(p, grid)) <= an.n2_max(p) * (1.0 + 1e-12)
+
+
+@given(x=_x, a=st.just(0.0) | _ratio, gv=_width, mu=_mu, d=_detuning)
+def test_profiles_match_rational_forms(x, a, gv, mu, d):
+    # the resolvent-moment series against the rational Lorentzian forms;
+    # neither sums terms of opposite sign, so a few roundings bound the gap
+    p = _profile(x=x, a=a, gv=gv, mu=mu)
+    assert rel_err(an.n2(p, d), n2_rational(p, d)) <= 2e-15
+    assert rel_err(an.n3(p, d), n3_rational(p, d)) <= 2e-15
+
+
+@given(profile=_kinds, x=_x, a=st.just(0.0) | _ratio, mu=_mu, d=_detuning)
+def test_series_entry_points_agree_bit_for_bit(profile, x, a, mu, d):
+    # n2, n3, n2_max and averaged_series read one series on every profile
+    kind, gv = profile
+    p = NormalizedParams.build(x=x, a_ratio=a, gamma_v_tilde=gv, mu=mu,
+                               kind=kind)
+    assert an.n2(p, d) == averaged_series(p, d, 2)
+    assert an.n2(p, d) + an.n3(p, d) == averaged_series(p, d, 3)
+    assert an.n2_max(p) == an.n2(p, 0.0)
+
+
+def test_profiles_follow_a_gaussian_kind():
+    # on a gaussian set n2, n3 and n2_max are the gaussian averages of the
+    # per-velocity series, not the lorentzian lines of the same width
+    p = NormalizedParams.build(x=1e-3, a_ratio=0.7, gamma_v_tilde=2.0,
+                               mu=1.3, kind="gaussian")
+    lorentz = replace(p, kind="lorentzian")
+
+    def average(d, term):
+        q = replace(p, delta_tilde=d)
+        return velocity_average(lambda om: term(q, om), "gaussian", 2.0,
+                                QuadratureSpec(tol=1e-10))
+
+    order2 = lambda q, om: upper_dc_series(q, om, 2)
+    order3 = lambda q, om: (upper_dc_series(q, om, 3)
+                            - upper_dc_series(q, om, 2))
+    assert rel_err(an.n2_max(p), average(0.0, order2)) <= 1e-8
+    for d in (0.0, 0.8):
+        assert rel_err(an.n2(p, d), average(d, order2)) <= 1e-8
+        assert rel_err(an.n2(lorentz, d), average(d, order2)) > 1e-2
+    assert rel_err(an.n3(p, 0.8), average(0.8, order3)) <= 1e-8
+    assert rel_err(an.n3(lorentz, 0.8), average(0.8, order3)) > 1e-2
+
+
+def test_stark_shift_refuses_a_gaussian_profile():
+    # the closed shift is the Lorentzian/homogeneous form only
+    p = NormalizedParams.build(x=1e-3, a_ratio=1.0, gamma_v_tilde=2.0,
+                               mu=1.3, kind="gaussian")
+    for shift in (an.stark_shift, an.stark_shift_sw, an.stark_shift_tw):
+        with pytest.raises(ParameterError, match="Lorentzian/homogeneous"):
+            shift(p)
 
 
 def test_third_order_profile_scalings():
