@@ -8,16 +8,17 @@ and the line parameters read off them:
   * the order-2 profile n2 and its peak height n2_max;
   * the full width at half maximum of n2, in closed form (width_fwhm) and
     by direct root bracketing on any even profile (numeric_fwhm);
-  * the third-order light-shift asymmetry n3, the closed-form peak
-    displacement stark_shift it produces, and a direct peak locator
-    (numeric_peak) for profiles only available pointwise.
+  * the third-order light-shift asymmetry n3, the peak displacement
+    stark_shift = -n3'(0)/n2''(0) it produces (`averaging._peak_shift`),
+    and a direct peak locator (numeric_peak) for profiles only available
+    pointwise.
 
 Everything is normalized: detunings and widths in units of gamma, x
 dimensionless, mu the ratio of the two transition dipoles. The profiles take
 NormalizedParams, the one parameter set of the solver and the series; the
 two-photon detuning is their second argument, so one parameter set serves a
-whole line. n2, n3 and n2_max follow its kind; width_fwhm and stark_shift
-are the Lorentzian/homogeneous closed forms. The detuning is a float or an
+whole line. n2, n3, n2_max and stark_shift follow its kind; width_fwhm is
+the Lorentzian/homogeneous closed form. The detuning is a float or an
 array; a float gives a float bit-identical to its entry in an array, and it
 loads no numpy.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .averaging import _series
+from .averaging import _peak_shift, _series
 from .core import NormalizedParams, ParameterError, _lazy_module
 
 np = _lazy_module("numpy")  # at the first array profile or locator
@@ -83,38 +84,24 @@ def n3(p: NormalizedParams, delta_tilde):
     return _line(p, delta_tilde, 3, 3)
 
 
-def _shift(p: NormalizedParams, a_ratio: float) -> float:
-    if p.kind == "gaussian":
-        raise ParameterError("stark_shift is the Lorentzian/homogeneous "
-                             "closed form; locate a gaussian line's peak "
-                             "with numeric_peak on averaged_series")
-    a2 = a_ratio ** 2
-    a4 = a2 ** 2
-    gv = p.gamma_v_tilde
-    g1 = 1.0 + gv
-    num = (1.0 + a4) + a2 * g1 * (2.0 + 2.5 * gv + gv ** 2)
-    den = (1.0 + a4) + 4.0 * a2 * g1 ** 3
-    return 2.0 * (1.0 + a2) * (p.mu ** 2 - 1.0) * p.x * num / den
-
-
 def stark_shift(p: NormalizedParams) -> float:
     """Closed-form displacement of the n2 + n3 peak, in units of gamma.
 
-    Linear in x and in mu^2 - 1; vanishes identically when the two dipoles
-    match (mu = 1). Lorentzian and homogeneous profiles only: a gaussian p
-    raises ParameterError.
+    -n3'(0)/n2''(0) of the averaged series, so it follows p.kind like the
+    profiles. Linear in x and in mu^2 - 1; vanishes identically when the
+    two dipoles match (mu = 1).
     """
-    return _shift(p, p.a_ratio)
+    return _peak_shift(p, p.a_ratio)
 
 
 def stark_shift_tw(p: NormalizedParams) -> float:
-    """Running-wave (A = 0) displacement: independent of the Doppler width."""
-    return _shift(p, 0.0)
+    """Running-wave (A = 0) displacement: 2 (mu^2 - 1) x on every profile."""
+    return _peak_shift(p, 0.0)
 
 
 def stark_shift_sw(p: NormalizedParams) -> float:
     """Equal standing wave (A = 1) displacement."""
-    return _shift(p, 1.0)
+    return _peak_shift(p, 1.0)
 
 
 def numeric_fwhm(curve) -> float:

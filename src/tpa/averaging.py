@@ -6,13 +6,15 @@ are supported, parameterized by the half width at half maximum gamma_v:
 
   * homogeneous: delta function at v = 0; the average is just f(0);
   * lorentzian: gamma_v/pi / (gamma_v^2 + Omega^2), for which the moments
-    of the one-photon denominators close analytically (lorentz_int1/int2);
+    of the one-photon denominators close by residues;
   * gaussian: HWHM gamma_v; series averages close through the Faddeeva
     function, generic integrands use a nested trapezoid rule.
 
 The averaged weak-drive series `_series` is one formula for all three, over
-the profile's resolvent moments; `averaged_series` and the analytics
-profiles n2, n3 and n2_max read it.
+the profile's resolvent moments, and `_peak_shift` is the first-order
+displacement of its peak, -n3'(0)/n2''(0), read off the same moments at
+line center. `averaged_population` and `oracle_average` read the series;
+the analytics profiles n2, n3 and n2_max read it, and stark_shift the shift.
 
 The profile picks the rule. Gaussian averages always use the trapezoid rule
 on |Omega| <= 8 sigma (sigma = gamma_v / sqrt(2 ln 2)): each level halves
@@ -99,27 +101,6 @@ class QuadratureSpec:
 
 
 DEFAULT_ORACLE_QUAD = QuadratureSpec(tol=1e-6)
-
-
-def lorentz_int1(gamma_v: float, delta: float) -> float:
-    """Lorentzian average of 1 / (1 + (delta - Omega)^2)."""
-    if gamma_v < 0.0:
-        raise ParameterError("gamma_v must be nonnegative")
-    w = (1.0 + gamma_v) ** 2 + delta ** 2
-    return (1.0 + gamma_v) / w
-
-
-def lorentz_int2(n: int, gamma_v: float, delta: float) -> float:
-    """Lorentzian average of Omega / (1 + (delta - Omega)^2)^n, n in {1, 2}."""
-    if gamma_v < 0.0:
-        raise ParameterError("gamma_v must be nonnegative")
-    w = (1.0 + gamma_v) ** 2 + delta ** 2
-    if n == 1:
-        return gamma_v * delta / w
-    if n == 2:
-        return (gamma_v * delta * ((1.0 + gamma_v) * (3.0 + gamma_v)
-                                   + delta ** 2) / (2 * w ** 2))
-    raise ParameterError(f"n must be 1 or 2, got {n}")
 
 
 def _converge(sums, tol, abs_floor):
@@ -210,45 +191,57 @@ def velocity_average(f, kind: str, gamma_v: float,
     return _converge(sums, quad.tol, 0.0)
 
 
-# Beyond |zeta| = 6, w'(zeta) is summed from its asymptotic series, cut at
-# its smallest term there (k = 36, 2e-14 relative); below it the identity
-# w' = -2 zeta w + 2i/sqrt(pi) loses at most |zeta|^2 < 36 times the
-# accuracy of w.
+# Beyond |zeta| = 6, w'(zeta) and w''(zeta) are summed from their asymptotic
+# series, cut at their smallest term there (k = 36, 2e-14 relative); below
+# it the identities w' = -2 zeta w + 2i/sqrt(pi) and w'' = -2 w - 2 zeta w'
+# each lose at most |zeta|^2 < 36 times the accuracy they start from.
 _ASYMPTOTIC_ZETA = 6.0
 _ASYMPTOTIC_TERMS = 36
 
 
-def _faddeeva_derivative(zeta: complex, w: complex) -> complex:
-    """w'(zeta) for Im zeta > 0, given w = w(zeta).
+def _faddeeva_derivative(zeta: complex, w: complex, order: int = 1) -> complex:
+    """w'(zeta), or w''(zeta) for order 2, for Im zeta > 0, given w = w(zeta).
 
-    The identity w' = -2 zeta w + 2i/sqrt(pi) cancels to a relative size
-    ~1/|zeta|^2, so at large |zeta| the asymptotic series
-    w'(zeta) = -(2i/sqrt(pi)) sum_{k>=1} (2k-1)!! / (2 zeta^2)^k
+    Each identity cancels to a relative size ~1/|zeta|^2, so at large
+    |zeta| the asymptotic series
+
+      w'(zeta)  = -(2i/sqrt(pi)) sum_{k>=1} (2k-1)!! / (2 zeta^2)^k,
+      w''(zeta) = (4i/(sqrt(pi) zeta)) sum_{k>=1} k (2k-1)!! / (2 zeta^2)^k
+
     is summed instead (Horner form).
     """
     if abs(zeta) < _ASYMPTOTIC_ZETA:
-        return -2.0 * zeta * w + 2j / math.sqrt(math.pi)
+        w1 = -2.0 * zeta * w + 2j / math.sqrt(math.pi)
+        return w1 if order == 1 else -2.0 * w - 2.0 * zeta * w1
     x = 0.5 / (zeta * zeta)
     total = 0.0
+    if order == 1:
+        for k in range(_ASYMPTOTIC_TERMS, 0, -1):
+            total = (2 * k - 1) * x * (1.0 + total)
+        return -2j / math.sqrt(math.pi) * total
     for k in range(_ASYMPTOTIC_TERMS, 0, -1):
-        total = (2 * k - 1) * x * (1.0 + total)
-    return -2j / math.sqrt(math.pi) * total
+        total = (2 * k - 1) * x * (k + total)
+    return 4j / (math.sqrt(math.pi) * zeta) * total
 
 
-def _faddeeva_moments(delta: float, gamma_v: float) -> tuple[complex, complex]:
+def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
     """Gaussian averages of the one-photon resolvents via the Faddeeva function.
 
     With u = delta - Omega and Omega drawn from the Gaussian of HWHM gamma_v
-    (standard deviation sigma = gamma_v / sqrt(2 ln 2)), returns
+    (standard deviation sigma = gamma_v / sqrt(2 ln 2)), returns the first
+    `count` (2 or 3) moments M_k = < 1 / (1 - i u)^k >:
 
-      first  = < 1 / (1 - i u) >   (real part: Lorentzian kernel average)
-      second = < 1 / (1 - i u)^2 > = -i d(first)/d(delta)
+      M1 = < 1 / (1 - i u) >   (real part: Lorentzian kernel average)
+      M2 = -i dM1/d(delta),   M3 = -(i/2) dM2/d(delta)
 
-    computed from w(zeta) and w'(zeta) with zeta = (delta + i) / (sigma
-    sqrt(2)). Both stay within 1e-12 of their exact values for any width:
-    down to the homogeneous limit gamma_v -> 0+, where |zeta| grows like
-    1/gamma_v, and up to wide profiles, where a quadrature's node count
-    grows like gamma_v because the integrand stays unit width.
+    computed from w(zeta), w'(zeta) and w''(zeta) with zeta = (delta + i) /
+    (sigma sqrt(2)). M1 and M2 stay within 1e-12 of their exact values for
+    any width: down to the homogeneous limit gamma_v -> 0+, where |zeta|
+    grows like 1/gamma_v, and up to wide profiles, where a quadrature's node
+    count grows like gamma_v because the integrand stays unit width. So
+    does M3 at delta = 0, where `_peak_shift` reads it; elsewhere, below
+    |zeta| = 6, it carries the ~5e-15 relative error of w times up to
+    |zeta|^4, within 1e-11.
     """
     sigma = gamma_v / math.sqrt(2.0 * math.log(2.0))
     root2 = math.sqrt(2.0)
@@ -259,7 +252,11 @@ def _faddeeva_moments(delta: float, gamma_v: float) -> tuple[complex, complex]:
     first = math.sqrt(0.5 * math.pi) / sigma * w
     second = (-1j * math.sqrt(0.5 * math.pi) / (sigma ** 2 * root2)
               * _faddeeva_derivative(zeta, w))
-    return first, second
+    if count == 2:
+        return first, second
+    third = (-math.sqrt(0.5 * math.pi) / (4.0 * sigma ** 3)
+             * _faddeeva_derivative(zeta, w, 2))
+    return first, second, third
 
 
 def _series(params: NormalizedParams, d, low: int, high: int):
@@ -297,27 +294,39 @@ def _series(params: NormalizedParams, d, low: int, high: int):
     return order3 if low == 3 else order2 + order3
 
 
+def _peak_shift(params: NormalizedParams, a_ratio: float) -> float:
+    """First-order displacement of the peak of `_series` through order 3,
+    -n3'(0)/n2''(0), at beam ratio A = a_ratio.
+
+    With dM1/dd = i M2, dM2/dd = 2i M3 and an even profile, n2''(0) is
+    -16 mu^2 x^2 ((1 + A^4) R3 + 4 A^2) and n3'(0) is 16 mu^2 (mu^2 - 1)
+    (1 + A^2) x^3 (2 (1 + A^4) R3 + A^2 (R1 + R2 + 2)), in R_k = Re M_k(0):
+    (1 + gamma_v)^-k on a Lorentzian or homogeneous profile, the Faddeeva
+    moments on a Gaussian one. At A = 0 their ratio is exactly 1.
+    """
+    if params.kind == "gaussian":
+        r1, r2, r3 = (m.real for m in _faddeeva_moments(
+            0.0, params.gamma_v_tilde, 3))
+    else:
+        # g1 ** 3 overflows with an error, not to an inf
+        g1 = 1.0 + params.gamma_v_tilde
+        r1, r2, r3 = 1.0 / g1, 1.0 / g1 ** 2, 1.0 / g1 ** 3
+    a2 = a_ratio ** 2
+    a4 = 1.0 + a2 ** 2
+    ratio = ((2.0 * a4 * r3 + a2 * (r1 + r2 + 2.0))
+             / (2.0 * a4 * r3 + 8.0 * a2))
+    return 2.0 * (1.0 + a2) * (params.mu ** 2 - 1.0) * params.x * ratio
+
+
 def averaged_population(params: NormalizedParams, order: int = 2) -> float:
     """Velocity-averaged dc upper population of the perturbative series.
 
     Lorentzian and homogeneous averages come out in closed form, as do
     Gaussian ones through the Faddeeva function.
     """
-    return averaged_series(params, params.delta_tilde, order)
-
-
-def averaged_series(params: NormalizedParams, delta_tilde: float,
-                    order: int = 2) -> float:
-    """`averaged_population` at two-photon detuning delta_tilde.
-
-    Reads every parameter but delta_tilde from params, as the analytics
-    profiles do, so one parameter set serves a whole line; the value is
-    bit-identical to averaged_population of
-    dataclasses.replace(params, delta_tilde=delta_tilde).
-    """
     if order not in (2, 3):
         raise ParameterError(f"order must be 2 or 3, got {order}")
-    return _series(params, float(delta_tilde), 2, order)
+    return _series(params, float(params.delta_tilde), 2, order)
 
 
 def oracle_average(params: NormalizedParams,
@@ -367,7 +376,7 @@ def oracle_average(params: NormalizedParams,
         info["correction"] = value
         return (value, info) if return_info else value
 
-    reference = averaged_series(params, params.delta_tilde, order)
+    reference = _series(params, params.delta_tilde, 2, order)
     sums = _tan_map_sums(level, params.gamma_v_tilde,
                          math.atan(quad.domain_halfwidth), quad.nodes)
     correction = _converge(sums, quad.tol, abs_floor=1e-3 * abs(reference))

@@ -28,18 +28,20 @@ Scan configs are JSON with normalized (gamma = 1) parameters:
 
 Unknown keys are rejected everywhere. Every sweep point is a
 NormalizedParams, so its rules hold at each point of every observable.
-"quadrature" and "oracle" only apply to the oracle_avg observable; keys
-left out of either block keep the defaults shown above. The quadrature
-rule follows dist.kind (a nested trapezoid rule starting from `nodes`
-intervals for gaussian, tan-mapped Gauss-Legendre for lorentzian, which
-alone uses domain_halfwidth); `nodes` is at most 1024. CSV output starts
-with a '#'-prefixed JSON metadata line and keeps 17 significant digits.
+Every observable follows dist.kind, except that "width", the closed
+Lorentzian/homogeneous width, refuses gaussian. "quadrature" and "oracle"
+only apply to the oracle_avg observable; keys left out of either block keep
+the defaults shown above. The quadrature rule follows dist.kind (a nested
+trapezoid rule starting from `nodes` intervals for gaussian, tan-mapped
+Gauss-Legendre for lorentzian, which alone uses domain_halfwidth); `nodes`
+is at most 1024. CSV output starts with a '#'-prefixed JSON metadata line
+and keeps 17 significant digits.
 
 Importing this module loads neither numpy nor scipy, and a closed-form scan
-needs neither: it runs in plain float arithmetic, and every scan holds its
-grid and columns as lists of floats. numpy loads at the first figure,
-steady-state solve or Gaussian average, and each scipy subpackage at its
-first call.
+of a lorentzian or homogeneous profile needs neither: it runs in plain
+float arithmetic, and every scan holds its grid and columns as lists of
+floats. numpy loads at the first figure, steady-state solve or Gaussian
+average, and each scipy subpackage at its first call.
 """
 
 from __future__ import annotations
@@ -193,10 +195,10 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         kind = str(dist_doc["kind"]).lower()
         if kind not in _KINDS:
             raise ParameterError(f"unknown dist kind {kind!r}")
-    if obs != "oracle_avg" and kind == "gaussian":
+    if obs == "width" and kind == "gaussian":
         raise ParameterError(
-            f"observable {obs!r} closes only for lorentzian or homogeneous "
-            "profiles; use oracle_avg or the library API for gaussian ones")
+            "observable 'width' is the closed form of lorentzian and "
+            "homogeneous profiles; gaussian ones have no closed width")
     if obs == "oracle_avg" and kind != "homogeneous" and any(
             g == 0.0 for g in gv_values):
         raise ParameterError(
@@ -347,18 +349,6 @@ def run_scan(config: ScanConfig, workers: int = 1) -> SpectrumScan:
                         metadata=config.metadata)
 
 
-def _gaussian_line(gv: float, a: float, mu: float, order: int):
-    """The Gaussian-averaged series at x = 1e-3 as a function of delta_tilde."""
-    base = NormalizedParams.build(a_ratio=a, gamma_v_tilde=gv, x=1e-3, mu=mu,
-                                  kind="gaussian" if gv > 0 else None)
-    return lambda d: averaging.averaged_series(base, d, order)
-
-
-def _gaussian_peak_location(gv: float, a: float) -> float:
-    return analytics.numeric_peak(_gaussian_line(gv, a, math.sqrt(2.0), 3),
-                                  bracket_halfwidth=4.0 * (1.0 + gv), tol=1e-9)
-
-
 def run_figure(fig: int, a_values=None) -> SpectrumScan:
     """Build the dataset behind one of the canned figures.
 
@@ -366,10 +356,17 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
        normalized to the homogeneous equal-wave value;
     3: closed-form half width Gamma/2 versus Doppler width;
     4: Gamma/2 for an equal standing wave, Lorentzian closed form against a
-       Gaussian profile measured on the averaged order-2 line;
-    5: ratio of standing-wave to running-wave peak displacement, Lorentzian
-       closed form against Gaussian peak bracketing.
+       Gaussian profile measured on the averaged order-2 line, n2;
+    5: ratio of standing-wave to running-wave peak displacement,
+       stark_shift on Lorentzian and on Gaussian profiles.
+
+    Figures 4 and 5 read each column at x = 1e-3 on parameter sets of its
+    kind, homogeneous at gamma_v_tilde = 0.
     """
+    def line(kind: str, gv: float, a: float, mu: float) -> NormalizedParams:
+        return NormalizedParams.build(x=1e-3, a_ratio=a, gamma_v_tilde=gv,
+                                      mu=mu, kind=kind if gv > 0 else None)
+
     if fig == 2:
         avals = [0.0, 0.25, 0.5, 0.75, 1.0] if a_values is None else list(a_values)
         grid = np.linspace(0.0, 20.0, 81)
@@ -389,24 +386,23 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
         if a_values is not None:
             raise ParameterError("figure 4 is defined for a_ratio = 1 only")
         grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 23)])
+        def gaussian_half_width(gv):
+            p = line("gaussian", gv, 1.0, 1.0)
+            return 0.5 * analytics.numeric_fwhm(lambda d: analytics.n2(p, d))
         points = {
             "lorentzian": lambda gv: 0.5 * analytics.width_fwhm(1.0, gv),
-            "gaussian": lambda gv: 0.5 * analytics.numeric_fwhm(
-                _gaussian_line(gv, 1.0, 1.0, 2))}
+            "gaussian": gaussian_half_width}
         meta_a = [1.0]
     elif fig == 5:
         if a_values is not None:
             raise ParameterError("figure 5 compares a_ratio 1 and 0 only")
         grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 19)])
-        mu = math.sqrt(2.0)
-        points = {
-            "lorentzian": lambda gv: analytics.stark_shift(
-                NormalizedParams.build(x=1e-3, a_ratio=1.0, gamma_v_tilde=gv,
-                                       mu=mu))
-            / analytics.stark_shift(NormalizedParams.build(
-                x=1e-3, a_ratio=0.0, gamma_v_tilde=gv, mu=mu)),
-            "gaussian": lambda gv: _gaussian_peak_location(gv, 1.0)
-            / _gaussian_peak_location(gv, 0.0)}
+        def shift_ratio(gv, kind):
+            mu = math.sqrt(2.0)
+            return (analytics.stark_shift(line(kind, gv, 1.0, mu))
+                    / analytics.stark_shift(line(kind, gv, 0.0, mu)))
+        points = {kind: lambda gv, kind=kind: shift_ratio(gv, kind)
+                  for kind in ("lorentzian", "gaussian")}
         meta_a = [1.0, 0.0]
     else:
         raise ParameterError(f"figure must be 2, 3, 4, or 5, got {fig}")

@@ -10,10 +10,12 @@ another rather than against stored numbers:
   * scaling: the solver must approach the perturbative series at the
     expansion rate as the intermediate-state detuning grows, for one
     velocity class and averaged over a Lorentzian and a Gaussian profile;
-  * moments: the closed Lorentzian moments must match direct quadrature of
-    their defining kernels;
+  * moments: the closed order-2 and order-3 averages of the series must
+    match quadrature of the per-velocity series, on Lorentzian and Gaussian
+    profiles;
   * locators: the closed-form width and peak displacement must agree with
-    bracketing on the assembled profiles.
+    bracketing on the assembled profiles, the displacement on Gaussian
+    profiles too.
 
 `fast` keeps a few draws per suite for wiring checks; `full` runs the sizes
 used by the acceptance tests.
@@ -144,30 +146,33 @@ def _averaged_scaling_row(kind: str) -> ValidationRow:
 
 
 def _moment_rows(level: str) -> list:
+    """The closed series averages against quadrature of the per-velocity
+    series: the order-2 term and the order-3 term, each scaled by
+    max(1, |closed|), at x = 1 so that both are of order one."""
     if level == "full":
         gvs, deltas = [0.1, 1.0, 10.0], [0.0, 1.0, 5.0]
     else:
         gvs, deltas = [0.5, 2.0], [0.7, 3.0]
-    worst = 0.0
-    ok = True
-    for gv in gvs:
-        for d in deltas:
-            cases = [
-                (averaging.lorentz_int1(gv, d),
-                 lambda om, d=d: 1.0 / (1.0 + (d - om) ** 2)),
-                (averaging.lorentz_int2(1, gv, d),
-                 lambda om, d=d: om / (1.0 + (d - om) ** 2)),
-                (averaging.lorentz_int2(2, gv, d),
-                 lambda om, d=d: om / (1.0 + (d - om) ** 2) ** 2),
-            ]
-            for want, kernel in cases:
-                got = averaging.velocity_average(kernel, "lorentzian", gv)
-                err = abs(got - want) / max(1.0, abs(want))
-                worst = max(worst, err)
-                ok = ok and err <= 1e-8
-    return [ValidationRow("lorentzian moments vs quadrature", ok,
-                          f"worst err {worst:.2e} over "
-                          f"{len(gvs) * len(deltas) * 3} kernels")]
+    errs = []
+    for kind in ("lorentzian", "gaussian"):
+        for gv in gvs:
+            for d in deltas:
+                p = NormalizedParams.build(delta_tilde=d, gamma_v_tilde=gv,
+                                           a_ratio=0.7, mu=math.sqrt(2.0),
+                                           x=1.0, kind=kind)
+                order2 = averaging.averaged_population(p, 2)
+                cases = [
+                    (order2, lambda om, p=p: upper_dc_series(p, om, 2)),
+                    (averaging.averaged_population(p, 3) - order2,
+                     lambda om, p=p: (upper_dc_series(p, om, 3)
+                                      - upper_dc_series(p, om, 2))),
+                ]
+                for want, term in cases:
+                    got = averaging.velocity_average(term, kind, gv)
+                    errs.append(abs(got - want) / max(1.0, abs(want)))
+    return [ValidationRow("series moments vs quadrature",
+                          all(err <= 1e-8 for err in errs),
+                          f"worst err {max(errs):.2e} over {len(errs)} terms")]
 
 
 def _locator_rows(level: str) -> list:
@@ -188,13 +193,14 @@ def _locator_rows(level: str) -> list:
     rows.append(ValidationRow("closed width vs bracketing", ok,
                               f"worst abs err {worst:.2e} over "
                               f"{len(lattice)} profiles"))
-    cells = ([(a, gv) for a in (0.0, 1.0) for gv in (0.0, 2.0)]
-             if level == "full" else [(1.0, 2.0)])
+    cells = ([(None, a, gv) for a in (0.0, 1.0) for gv in (0.0, 2.0)]
+             if level == "full" else [(None, 1.0, 2.0)])
+    cells += [("gaussian", a, 2.0) for a in (0.0, 1.0)]
     worst = 0.0
     ok = True
-    for a, gv in cells:
+    for kind, a, gv in cells:
         p = NormalizedParams.build(x=1e-3, a_ratio=a, gamma_v_tilde=gv,
-                                   mu=math.sqrt(2.0))
+                                   mu=math.sqrt(2.0), kind=kind)
         got = analytics.numeric_peak(
             lambda d, p=p: analytics.n2(p, d) + analytics.n3(p, d),
             bracket_halfwidth=4.0 * (1.0 + gv))

@@ -18,8 +18,9 @@ D+- = 1 - 1j*(delta -+ Omega) and D0 = 1 - 1j*delta; `term` fills in the
 hermitian partner. The library keeps only their dc upper-population sum,
 `perturbative.upper_dc_series`; these formulas check it and the solver.
 
-The Lorentzian velocity weight, the density that the closed Lorentzian
-moments average over, for checks against adaptive quadrature.
+The Lorentzian and Gaussian velocity weights, the densities that the
+closed series averages average over, for checks against adaptive
+quadrature.
 
 A dense reference assembler of the steady-state operator, the entry-by-entry
 triple loop the solver once used, so the row-slot operator and the
@@ -144,6 +145,13 @@ def n3_rational(p, d):
 def lorentzian_density(gamma_v, omega):
     """Unit-mass Lorentzian of HWHM gamma_v in Omega."""
     return (gamma_v / np.pi) / (gamma_v ** 2 + omega ** 2)
+
+
+def gaussian_density(gamma_v, omega):
+    """Unit-mass Gaussian of HWHM gamma_v in Omega."""
+    sigma = gamma_v / np.sqrt(2.0 * np.log(2.0))
+    return (np.exp(-0.5 * (omega / sigma) ** 2)
+            / (sigma * np.sqrt(2.0 * np.pi)))
 
 
 def _denominators(p, omega):

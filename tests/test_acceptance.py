@@ -12,12 +12,12 @@ from scipy.integrate import quad
 
 from tpa import analytics as an
 from tpa import oracle
-from tpa.averaging import (averaged_population, lorentz_int1, lorentz_int2,
-                           oracle_average)
+from tpa.averaging import averaged_population, oracle_average
 from tpa.core import NormalizedParams
+from tpa.perturbative import upper_dc_series
 
-from conftest import (lorentzian_density, n2_hom, n2_sw, n2_tw,
-                      reference_system)
+from conftest import (gaussian_density, lorentzian_density, n2_hom, n2_sw,
+                      n2_tw, reference_system)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -97,15 +97,16 @@ def test_criterion_07_closed_forms_match_bracketing():
     for x in (1e-2, 1e-3, 1e-4):
         tol = 0.05 * x / 1e-3
         worst = 0.0
-        for a in avals:
-            for gv in gvals:
-                prof = NormalizedParams.build(x=x, a_ratio=a,
-                                              gamma_v_tilde=gv,
-                                              mu=math.sqrt(2.0))
-                got = an.numeric_peak(
-                    lambda d: an.n2(prof, d) + an.n3(prof, d),
-                    bracket_halfwidth=4.0 * (1.0 + gv), tol=1e-9)
-                worst = max(worst, _rel(got, an.stark_shift(prof)))
+        cells = [(None, a, gv) for a in avals for gv in gvals]
+        cells += [("gaussian", a, gv) for a in (0.0, 1.0)
+                  for gv in gvals if gv > 0.0]
+        for kind, a, gv in cells:
+            prof = NormalizedParams.build(x=x, a_ratio=a, gamma_v_tilde=gv,
+                                          mu=math.sqrt(2.0), kind=kind)
+            got = an.numeric_peak(
+                lambda d: an.n2(prof, d) + an.n3(prof, d),
+                bracket_halfwidth=4.0 * (1.0 + gv), tol=1e-9)
+            worst = max(worst, _rel(got, an.stark_shift(prof)))
         shift_summary.append(f"x={x:g}: {worst:.2e} vs {tol:g}")
         ok = ok and worst <= tol
     _report(7, ok, f"width abs {worst_w:.2e}; shift rel " +
@@ -113,22 +114,31 @@ def test_criterion_07_closed_forms_match_bracketing():
 
 
 def test_criterion_08_moments_against_adaptive_quadrature():
+    # the closed order-2 and order-3 averages of the series against
+    # adaptive quadrature of the per-velocity series, at x = 1 so that
+    # both terms are of order one
+    densities = {"lorentzian": lorentzian_density,
+                 "gaussian": gaussian_density}
     worst = 0.0
-    for gv in (0.1, 1.0, 10.0):
-        for d in (0.0, 1.0, 5.0):
-            cases = (
-                (lambda om: 1.0 / (1.0 + (d - om) ** 2),
-                 lorentz_int1(gv, d)),
-                (lambda om: om / (1.0 + (d - om) ** 2),
-                 lorentz_int2(1, gv, d)),
-                (lambda om: om / (1.0 + (d - om) ** 2) ** 2,
-                 lorentz_int2(2, gv, d)),
-            )
-            for kernel, want in cases:
-                got, _ = quad(
-                    lambda om: kernel(om) * lorentzian_density(gv, om),
-                    -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=500)
-                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    for kind, density in densities.items():
+        for gv in (0.1, 1.0, 10.0):
+            for d in (0.0, 1.0, 5.0):
+                p = NormalizedParams.build(delta_tilde=d, gamma_v_tilde=gv,
+                                           a_ratio=0.7, mu=math.sqrt(2.0),
+                                           x=1.0, kind=kind)
+                order2 = averaged_population(p, order=2)
+                cases = (
+                    (lambda om: upper_dc_series(p, om, 2), order2),
+                    (lambda om: (upper_dc_series(p, om, 3)
+                                 - upper_dc_series(p, om, 2)),
+                     averaged_population(p, order=3) - order2),
+                )
+                for term, want in cases:
+                    got, _ = quad(
+                        lambda om: term(om) * density(gv, om),
+                        -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12,
+                        limit=500)
+                    worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     _report(8, worst <= 1e-8, f"worst scaled dev {worst:.2e}")
 
 

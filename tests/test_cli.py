@@ -140,7 +140,6 @@ def test_config_validation_errors():
         {"observable": "width",
          "sweep": {"axis": "delta_tilde", "start": 0.0, "stop": 1.0,
                    "count": 5}},
-        _n2_doc(dist={"kind": "gaussian"}),
         _n2_doc(dist={"kind": "homogeneous"}),
         _n2_doc(dist={"kind": "voigt"}),
         _n2_doc(fixed={"x": 1e-3, "gamma_v_tilde": -1.0}),
@@ -171,6 +170,8 @@ def test_config_validation_errors():
         _width_doc(fixed={"a_ratio": -1.0}),
         _width_doc(sweep={"axis": "a_ratio", "start": -2.0, "stop": 1.0,
                           "count": 4}),
+        # the closed width is the Lorentzian/homogeneous form
+        _width_doc(dist={"kind": "gaussian"}),
     ]
     for doc in bad_docs:
         with pytest.raises(ParameterError):
@@ -205,6 +206,18 @@ def test_closed_scan_matches_analytics_bit_for_bit(obs):
             for a in scan.grid]
     assert list(scan.columns[obs]) == want
     assert len(set(want)) == 3
+
+
+def test_gaussian_closed_scan_follows_the_kind():
+    # n2 on a gaussian set is the Faddeeva average of the series, value for
+    # value, and not the lorentzian line of the same width
+    doc = _n2_doc(dist={"kind": "gaussian"})
+    scan = cli.run_scan(cli.parse_scan_config(doc))
+    p = NormalizedParams.build(x=1e-3, mu=1.2, gamma_v_tilde=1.5,
+                               a_ratio=0.7, kind="gaussian")
+    assert scan.columns["n2"] == [analytics.n2(p, d) for d in scan.grid]
+    lorentz = cli.run_scan(cli.parse_scan_config(_n2_doc()))
+    assert scan.columns["n2"][0] != lorentz.columns["n2"][0]
 
 
 def test_partial_quadrature_block_keeps_the_defaults():
