@@ -10,8 +10,11 @@ and the line parameters read off them:
     by direct root bracketing on any even profile (numeric_fwhm);
   * the third-order light-shift asymmetry n3, the peak displacement
     stark_shift = -n3'(0)/n2''(0) it produces (`averaging._peak_shift`),
-    and a direct peak locator (numeric_peak) for profiles only available
-    pointwise.
+    and a direct peak locator (numeric_peak), the bracketed root of the
+    line's slope, for profiles only available pointwise.
+
+Both locators refine a brentq root, and raise LocatorError on a nan or inf
+profile value or a bracket without a sign change.
 
 Everything is normalized: detunings and widths in units of gamma, x
 dimensionless, mu the ratio of the two transition dipoles. The profiles take
@@ -26,6 +29,7 @@ loads no numpy.
 from __future__ import annotations
 
 import math
+import sys
 
 from .averaging import _peak_shift, _series
 from .core import NormalizedParams, ParameterError, _lazy_module
@@ -104,6 +108,23 @@ def stark_shift_sw(p: NormalizedParams) -> float:
     return _peak_shift(p, 1.0)
 
 
+def _value(curve, d: float) -> float:
+    """float(curve(d)), refusing a non-finite value."""
+    value = float(curve(d))
+    if not math.isfinite(value):
+        raise LocatorError(f"profile is not finite at {d!r}: {value!r}")
+    return value
+
+
+def _root(f, lo: float, hi: float, xtol: float, rtol: float) -> float:
+    """brentq root of f in [lo, hi]; a bracket without a sign change is a
+    LocatorError."""
+    try:
+        return optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+    except ValueError as exc:
+        raise LocatorError(f"no root in [{lo:.6g}, {hi:.6g}]: {exc}")
+
+
 def numeric_fwhm(curve) -> float:
     """FWHM of an even, single-peaked profile given only pointwise.
 
@@ -111,22 +132,21 @@ def numeric_fwhm(curve) -> float:
     refines the root to 1e-8 (1 + |root|). The profile must be positive at
     the center and even; a symmetry spot-check guards against misuse.
     """
-    peak = float(curve(0.0))
-    if not (peak > 0.0 and math.isfinite(peak)):
+    peak = _value(curve, 0.0)
+    if not peak > 0.0:
         raise LocatorError(f"profile center must be positive, got {peak!r}")
     target = 0.5 * peak
     hi = 1.0
     lo = 0.0
     for _ in range(60):
-        if float(curve(hi)) < target:
+        if _value(curve, hi) < target:
             break
         lo = hi
         hi *= 2.0
     else:
         raise LocatorError("no half-maximum crossing within bracket ladder")
-    root = optimize.brentq(lambda d: float(curve(d)) - target, lo, hi,
-                           xtol=1e-8, rtol=1e-8)
-    mirrored = float(curve(-root))
+    root = _root(lambda d: _value(curve, d) - target, lo, hi, 1e-8, 1e-8)
+    mirrored = _value(curve, -root)
     if abs(mirrored - target) > 1e-6 * peak:
         raise LocatorError(
             f"profile is not even: f({root:.6g}) = {target:.6e} but "
@@ -134,28 +154,29 @@ def numeric_fwhm(curve) -> float:
     return 2.0 * root
 
 
-def numeric_peak(curve, bracket_halfwidth: float,
-                 tol: float = 1e-10) -> float:
+def numeric_peak(curve, bracket_halfwidth: float) -> float:
     """Location of the maximum of a single-peaked profile.
 
     Scans a coarse symmetric grid (33 points over +-bracket_halfwidth),
     widens the bracket geometrically while the maximum sits on its edge,
-    then polishes with bounded minimization to absolute tolerance tol.
+    then finds the root of the central-difference slope
+    curve(d + h) - curve(d - h) between the maximum's two grid neighbours,
+    with h = 1e-4 of that bracket. Unlike a minimizer, which resolves a
+    flat peak only to about sqrt(eps) * width, the root has no width floor.
     """
     half = float(bracket_halfwidth)
     if not half > 0.0:
         raise ParameterError(
             f"bracket_halfwidth must be positive, got {bracket_halfwidth}")
     for _ in range(12):
-        grid = np.linspace(-half, half, 33)
-        values = np.array([float(curve(d)) for d in grid])
-        k = int(np.argmax(values))
-        if 0 < k < grid.size - 1:
+        grid = np.linspace(-half, half, 33).tolist()
+        values = [_value(curve, d) for d in grid]
+        k = values.index(max(values))
+        if 0 < k < len(grid) - 1:
             lo, hi = grid[k - 1], grid[k + 1]
-            res = optimize.minimize_scalar(lambda d: -float(curve(d)),
-                                           bounds=(lo, hi), method="bounded",
-                                           options={"xatol": tol})
-            return float(res.x)
+            h = 1e-4 * (hi - lo)
+            return _root(lambda d: _value(curve, d + h) - _value(curve, d - h),
+                         lo, hi, 1e-12 * h, 4.0 * sys.float_info.epsilon)
         half *= 4.0
     raise LocatorError("peak keeps escaping the bracket; profile may be "
                        "monotonic")

@@ -331,7 +331,6 @@ def averaged_population(params: NormalizedParams, order: int = 2) -> float:
 
 def oracle_average(params: NormalizedParams,
                    quad: QuadratureSpec | None = None, *,
-                   order: int = 3,
                    n_cap: int = oracle_mod.DEFAULT_N_CAP,
                    refine_tol: float = 1e-14,
                    return_info: bool = False):
@@ -341,7 +340,7 @@ def oracle_average(params: NormalizedParams,
     average the solver output directly under the nested trapezoid rule of
     `velocity_average`, solving only the new nodes of each level. Lorentzian
     profiles use the windowed difference scheme described in the module
-    docstring: the closed-form series through `order` is the reference, and
+    docstring: the closed-form series through order 3 is the reference, and
     only the solver's deviation from it is integrated over
     |Omega| <= domain_halfwidth * gamma_v (default 10 widths). quad
     defaults to DEFAULT_ORACLE_QUAD for both profiles. Each quadrature
@@ -367,7 +366,7 @@ def oracle_average(params: NormalizedParams,
             start = max(3, n_used - 2)
             values[k] = oracle_mod.dc_upper_population(rho)
             if lorentzian:
-                values[k] -= float(upper_dc_series(params, om, order))
+                values[k] -= float(upper_dc_series(params, om, 3))
         return values.reshape(np.shape(points))
 
     if not lorentzian:
@@ -376,7 +375,7 @@ def oracle_average(params: NormalizedParams,
         info["correction"] = value
         return (value, info) if return_info else value
 
-    reference = _series(params, params.delta_tilde, 2, order)
+    reference = _series(params, params.delta_tilde, 2, 3)
     sums = _tan_map_sums(level, params.gamma_v_tilde,
                          math.atan(quad.domain_halfwidth), quad.nodes)
     correction = _converge(sums, quad.tol, abs_floor=1e-3 * abs(reference))

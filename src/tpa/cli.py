@@ -4,7 +4,7 @@ Three subcommands:
 
   tpa scan --config cfg.json [--out file.csv]
       Sweep one normalized parameter and tabulate an observable.
-  tpa figure --fig N [--out file.csv] [--a-values 0,0.5,1]
+  tpa figure --fig N [--out file.csv]
       Reproduce one of the canned figure datasets (2, 3, 4, 5).
   tpa validate [--level fast|full]
       Run the cross-check suites and print a report.
@@ -22,7 +22,7 @@ Scan configs are JSON with normalized (gamma = 1) parameters:
       "fixed": {"x": 1e-3, "a_ratio": 1.0, "gamma_v_tilde": 2.0},
       "dist": {"kind": "lorentzian"},
       "quadrature": {"nodes": 32, "domain_halfwidth": 10.0, "tol": 1e-6},
-      "oracle": {"n_cap": 41, "refine_tol": 1e-14, "order": 3},
+      "oracle": {"n_cap": 41, "refine_tol": 1e-14},
       "out": "scan.csv"
     }
 
@@ -223,12 +223,12 @@ def parse_scan_config(doc: dict) -> ScanConfig:
             kwargs["tol"] = _float_item(qdoc, "tol", "quadrature")
         quad = replace(DEFAULT_ORACLE_QUAD, **kwargs)
 
-    oracle_opts = {"n_cap": DEFAULT_N_CAP, "refine_tol": 1e-14, "order": 3}
+    oracle_opts = {"n_cap": DEFAULT_N_CAP, "refine_tol": 1e-14}
     if "oracle" in doc:
         if obs != "oracle_avg":
             raise ParameterError("'oracle' options only apply to oracle_avg")
         odoc = doc["oracle"]
-        _check_keys(odoc, ("n_cap", "refine_tol", "order"), (), "oracle")
+        _check_keys(odoc, ("n_cap", "refine_tol"), (), "oracle")
         if "n_cap" in odoc:
             # refine needs two rungs, n_max = 3 and 5, to test settling
             if not isinstance(odoc["n_cap"], int) or odoc["n_cap"] < 5:
@@ -236,10 +236,6 @@ def parse_scan_config(doc: dict) -> ScanConfig:
             oracle_opts["n_cap"] = odoc["n_cap"]
         if "refine_tol" in odoc:
             oracle_opts["refine_tol"] = _float_item(odoc, "refine_tol", "oracle")
-        if "order" in odoc:
-            if type(odoc["order"]) is not int or odoc["order"] not in (2, 3):
-                raise ParameterError("oracle.order must be the integer 2 or 3")
-            oracle_opts["order"] = odoc["order"]
 
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
@@ -325,8 +321,7 @@ def _closed_column(cfg: ScanConfig) -> list:
 
 def _oracle_point(cfg: ScanConfig, value: float):
     got, info = averaging.oracle_average(
-        _params_at(cfg, value), cfg.quad, order=cfg.oracle_opts["order"],
-        n_cap=cfg.oracle_opts["n_cap"],
+        _params_at(cfg, value), cfg.quad, n_cap=cfg.oracle_opts["n_cap"],
         refine_tol=cfg.oracle_opts["refine_tol"], return_info=True)
     return got, info["n_used"]
 
@@ -349,7 +344,7 @@ def run_scan(config: ScanConfig, workers: int = 1) -> SpectrumScan:
                         metadata=config.metadata)
 
 
-def run_figure(fig: int, a_values=None) -> SpectrumScan:
+def run_figure(fig: int) -> SpectrumScan:
     """Build the dataset behind one of the canned figures.
 
     2: peak signal versus Doppler width for several beam ratios, all
@@ -360,31 +355,28 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
     5: ratio of standing-wave to running-wave peak displacement,
        stark_shift on Lorentzian and on Gaussian profiles.
 
-    Figures 4 and 5 read each column at x = 1e-3 on parameter sets of its
-    kind, homogeneous at gamma_v_tilde = 0.
+    Each figure's beam ratios are fixed and listed in the metadata as
+    a_values. Figures 4 and 5 read each column at x = 1e-3 on parameter
+    sets of its kind, homogeneous at gamma_v_tilde = 0.
     """
     def line(kind: str, gv: float, a: float, mu: float) -> NormalizedParams:
         return NormalizedParams.build(x=1e-3, a_ratio=a, gamma_v_tilde=gv,
                                       mu=mu, kind=kind if gv > 0 else None)
 
     if fig == 2:
-        avals = [0.0, 0.25, 0.5, 0.75, 1.0] if a_values is None else list(a_values)
+        a_values = [0.0, 0.25, 0.5, 0.75, 1.0]
         grid = np.linspace(0.0, 20.0, 81)
         ref = analytics.n2_max(NormalizedParams.build(x=1.0, a_ratio=1.0))
         points = {f"a={a:g}": lambda gv, a=a: analytics.n2_max(
                       NormalizedParams.build(x=1.0, a_ratio=a,
                                              gamma_v_tilde=gv)) / ref
-                  for a in avals}
-        meta_a = avals
+                  for a in a_values}
     elif fig == 3:
-        avals = [0.5, 1.0] if a_values is None else list(a_values)
+        a_values = [0.5, 1.0]
         grid = np.concatenate([[0.0], np.geomspace(0.01, 100.0, 48)])
         points = {f"a={a:g}": lambda gv, a=a: 0.5 * analytics.width_fwhm(a, gv)
-                  for a in avals}
-        meta_a = avals
+                  for a in a_values}
     elif fig == 4:
-        if a_values is not None:
-            raise ParameterError("figure 4 is defined for a_ratio = 1 only")
         grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 23)])
         def gaussian_half_width(gv):
             p = line("gaussian", gv, 1.0, 1.0)
@@ -392,10 +384,8 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
         points = {
             "lorentzian": lambda gv: 0.5 * analytics.width_fwhm(1.0, gv),
             "gaussian": gaussian_half_width}
-        meta_a = [1.0]
+        a_values = [1.0]
     elif fig == 5:
-        if a_values is not None:
-            raise ParameterError("figure 5 compares a_ratio 1 and 0 only")
         grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 19)])
         def shift_ratio(gv, kind):
             mu = math.sqrt(2.0)
@@ -403,11 +393,11 @@ def run_figure(fig: int, a_values=None) -> SpectrumScan:
                     / analytics.stark_shift(line(kind, gv, 0.0, mu)))
         points = {kind: lambda gv, kind=kind: shift_ratio(gv, kind)
                   for kind in ("lorentzian", "gaussian")}
-        meta_a = [1.0, 0.0]
+        a_values = [1.0, 0.0]
     else:
         raise ParameterError(f"figure must be 2, 3, 4, or 5, got {fig}")
     metadata = {"command": "figure", "version": __version__, "fig": fig,
-                "a_values": meta_a, "axis": "gamma_v_tilde"}
+                "a_values": a_values, "axis": "gamma_v_tilde"}
     columns = {name: _column(name, "gamma_v_tilde", grid, point)
                for name, point in points.items()}
     return SpectrumScan(axis="gamma_v_tilde", grid=grid.tolist(),
@@ -445,18 +435,6 @@ def _write(scan: SpectrumScan, path: str | None) -> None:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _parse_a_values(raw: str):
-    try:
-        values = [float(part) for part in raw.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ParameterError(f"--a-values must be comma-separated numbers, "
-                             f"got {raw!r}")
-    if not values or not all(0.0 <= v < math.inf for v in values):
-        raise ParameterError("--a-values must list one or more finite "
-                             "ratios >= 0")
-    return values
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tpa",
@@ -475,9 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--fig", type=int, required=True, choices=(2, 3, 4, 5))
     figure.add_argument("--out", default=None,
                         help="output CSV path (default: fig<N>.csv)")
-    figure.add_argument("--a-values", default=None,
-                        help="override beam ratios, comma separated "
-                             "(figures 2 and 3)")
 
     validate = sub.add_parser("validate", help="run the self-check suites")
     validate.add_argument("--level", choices=("fast", "full"), default="fast")
@@ -504,9 +479,7 @@ def main(argv=None) -> int:
             _write(scan, args.out if args.out is not None else config.out)
             return 0
         if args.command == "figure":
-            a_values = (None if args.a_values is None
-                        else _parse_a_values(args.a_values))
-            scan = run_figure(args.fig, a_values)
+            scan = run_figure(args.fig)
             _write(scan, args.out if args.out is not None
                    else f"fig{args.fig}.csv")
             return 0

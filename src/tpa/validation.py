@@ -14,7 +14,8 @@ another rather than against stored numbers:
     match quadrature of the per-velocity series, on Lorentzian and Gaussian
     profiles;
   * locators: the closed-form width and peak displacement must agree with
-    bracketing on the assembled profiles, the displacement on Gaussian
+    bracketed roots on the assembled profiles (the half-maximum crossing,
+    and the zero of the line's slope), the displacement on Gaussian
     profiles too.
 
 `fast` keeps a few draws per suite for wiring checks; `full` runs the sizes

@@ -105,7 +105,7 @@ def test_criterion_07_closed_forms_match_bracketing():
                                           mu=math.sqrt(2.0), kind=kind)
             got = an.numeric_peak(
                 lambda d: an.n2(prof, d) + an.n3(prof, d),
-                bracket_halfwidth=4.0 * (1.0 + gv), tol=1e-9)
+                bracket_halfwidth=4.0 * (1.0 + gv))
             worst = max(worst, _rel(got, an.stark_shift(prof)))
         shift_summary.append(f"x={x:g}: {worst:.2e} vs {tol:g}")
         ok = ok and worst <= tol

@@ -231,6 +231,50 @@ def test_numeric_peak_location():
         an.numeric_peak(lambda d: -(d ** 2), bracket_halfwidth=0.0)
 
 
+def test_locators_refuse_non_finite_values():
+    # a nan or inf anywhere the locators look is a LocatorError, never a
+    # location read off the finite values or scipy's ValueError
+    def peaked(bad_at, bad=math.nan):
+        return lambda d: bad if d == bad_at else -(d - 0.7) ** 2
+    for curve in (peaked(0.0), peaked(1.0), peaked(0.75, math.inf)):
+        with pytest.raises(an.LocatorError, match="not finite"):
+            an.numeric_peak(curve, bracket_halfwidth=4.0)
+    for bad_at in (0.0, 2.0):
+        with pytest.raises(an.LocatorError, match="not finite"):
+            an.numeric_fwhm(
+                lambda d: math.nan if d == bad_at else 1.0 / (1.0 + d * d))
+    # the grid's maximum sits at 0, but a ripple of the grid's period 0.25
+    # tilts the slope upward at both neighbours: no root is bracketed
+    with pytest.raises(an.LocatorError, match="no root"):
+        an.numeric_peak(lambda d: -0.01 * d * d
+                        + 1e-3 * math.sin(2.0 * math.pi * d / 0.25), 4.0)
+
+
+@given(w=st.floats(1.0, 1e3), c=st.floats(-0.999, 0.999))
+def test_numeric_peak_has_no_width_floor(w, c):
+    # a minimizer resolves a flat peak only to about sqrt(eps) * width; the
+    # slope's root resolves it to rounding
+    centre = c * w
+    got = an.numeric_peak(lambda d: 1.0 / (1.0 + ((d - centre) / w) ** 2),
+                          4.0 * w)
+    assert abs(got - centre) <= 1e-10 * w
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_gaussian_peak_gap_does_not_grow_with_doppler_width(a):
+    # the located peak of the Gaussian n2 + n3 line against the closed
+    # shift: at x = 1e-3 the gap is the x^2 remainder, which a wider
+    # Doppler profile does not enlarge
+    def gap(gv):
+        p = NormalizedParams.build(x=1e-3, a_ratio=a, gamma_v_tilde=gv,
+                                   mu=math.sqrt(2.0), kind="gaussian")
+        got = an.numeric_peak(lambda d: an.n2(p, d) + an.n3(p, d),
+                              bracket_halfwidth=4.0 * (1.0 + gv))
+        return rel_err(got, an.stark_shift(p))
+    narrow, wide = gap(0.05), gap(100.0)
+    assert wide <= narrow, f"gaps {narrow:.3e} at 0.05, {wide:.3e} at 100"
+
+
 def test_numeric_width_of_gaussian_profile():
     base = NormalizedParams.build(delta_tilde=0.0, a_ratio=1.0, mu=1.0,
                                   phi_tilde=1.0, x=1e-3, gamma_v_tilde=5.0,
@@ -262,7 +306,7 @@ def test_numeric_peak_of_solver_profile():
                                   mu=math.sqrt(2.0), phi_tilde=1.0,
                                   delta_big_tilde=1e3)
     curve = lambda d: oracle_average(replace(base, delta_tilde=float(d)))
-    got = an.numeric_peak(curve, bracket_halfwidth=4.0, tol=1e-9)
+    got = an.numeric_peak(curve, bracket_halfwidth=4.0)
     want = an.stark_shift(base)
     assert got * want > 0.0
     assert rel_err(got, want) <= 0.01

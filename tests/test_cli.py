@@ -310,12 +310,9 @@ def test_main_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main([]) == 2
     capsys.readouterr()
-    assert cli.main(["figure", "--fig", "4", "--a-values", "1"]) == 2
-    capsys.readouterr()
-    assert cli.main(["figure", "--fig", "2", "--a-values", "1,-2"]) == 2
-    capsys.readouterr()
-    assert cli.main(["figure", "--fig", "3", "--a-values", "0.5,nan"]) == 2
-    capsys.readouterr()
+    # the figures' beam ratios are fixed
+    assert cli.main(["figure", "--fig", "2", "--a-values", "1"]) == 2
+    assert "unrecognized arguments: --a-values 1" in capsys.readouterr().err
     no_dipole = tmp_path / "mu.json"
     no_dipole.write_text(json.dumps(_oracle_doc(
         fixed={"delta_big_tilde": 100.0, "mu": 0.0})))
@@ -344,6 +341,8 @@ def test_main_rejects_nan_parameter(tmp_path, capsys):
                              fixed={"delta_big_tilde": 100.0,
                                     "gamma_v_tilde": 1.0}),
                  id="gaussian_nodes2048"),
+    # oracle has no order key: the reference series is always order 3
+    pytest.param(_oracle_doc(oracle={"order": 3}), id="order_removed"),
     pytest.param(_oracle_doc(oracle={"order": 2.0}), id="order_float"),
     pytest.param(_oracle_doc(oracle={"order": True}), id="order_bool"),
     # phi_tilde**2 overflows a float
@@ -594,12 +593,10 @@ def test_main_figure_default_name(tmp_path, monkeypatch):
 
 
 def test_figure_ratio_overrides():
-    scan = cli.run_figure(3, [0.25])
-    assert list(scan.columns) == ["a=0.25"]
-    with pytest.raises(ParameterError):
-        cli.run_figure(4, [1.0])
-    with pytest.raises(ParameterError):
-        cli.run_figure(5, [1.0])
+    # the beam ratios of each figure are fixed: run_figure takes only the
+    # figure number
+    with pytest.raises(TypeError):
+        cli.run_figure(3, [0.25])
     with pytest.raises(ParameterError):
         cli.run_figure(7)
 
@@ -621,30 +618,23 @@ def test_scan_has_no_worker_setting(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("# ")
 
 
-@pytest.mark.parametrize("command, column", [
+@pytest.mark.parametrize("fixed, column", [
     ({"x": 1e60, "mu": 1e100},
      "'n2+n3' has no finite value at delta_tilde = -3.0"),
     ({"x": 1e120, "mu": 2.0},
      "'n2+n3' has no finite value at delta_tilde = -3.0"),
     ({"x": 1e-3, "gamma_v_tilde": 1e300},
      "'n2+n3' has no finite value at delta_tilde = -3.0"),
-    (["figure", "--fig", "2", "--a-values", "1e200"],
-     "'a=1e+200' has no finite value at gamma_v_tilde = 0.0"),
-    (["figure", "--fig", "3", "--a-values", "1e100"],
-     "'a=1e+100' has no finite value at gamma_v_tilde = 0.0"),
-], ids=["scan_nan", "scan_overflow", "scan_wide", "fig2_overflow",
-        "fig3_overflow"])
-def test_values_beyond_double_precision_exit_2(tmp_path, capsys, command,
+], ids=["scan_nan", "scan_overflow", "scan_wide"])
+def test_values_beyond_double_precision_exit_2(tmp_path, capsys, fixed,
                                                column):
     # a closed form that a double cannot hold (nan, inf or an OverflowError
     # from a float power) is a parameter error, and no CSV is written
     out_path = tmp_path / "out.csv"
-    if isinstance(command, dict):  # the fixed parameters of an n2+n3 scan
-        cfg_path = tmp_path / "scan.json"
-        cfg_path.write_text(json.dumps(_n2_doc(observable="n2+n3",
-                                               fixed=command)))
-        command = ["scan", "--config", str(cfg_path)]
-    assert cli.main(command + ["--out", str(out_path)]) == 2
+    cfg_path = tmp_path / "scan.json"
+    cfg_path.write_text(json.dumps(_n2_doc(observable="n2+n3", fixed=fixed)))
+    assert cli.main(["scan", "--config", str(cfg_path),
+                     "--out", str(out_path)]) == 2
     err = capsys.readouterr().err
     assert (f"error: column {column}: x, mu, a_ratio or gamma_v_tilde is "
             f"too large for double precision") in err
