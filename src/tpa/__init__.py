@@ -8,9 +8,11 @@ Layers, from the ground up:
                 forms alike; its constructor states every parameter rule
   oracle        brute-force harmonic steady state at fixed velocity
   perturbative  closed-form weak-drive series of the dc upper population,
-                per velocity and vectorized in Omega
-  averaging     velocity averages: quadratures, and the averaged series,
-                one formula over every profile's resolvent moments
+                one formula over each beam's resolvent moments: exact per
+                velocity class (vectorized in Omega), or every profile's
+                moments for an average, and the displacement of its peak
+  averaging     velocity averages: quadratures, the averaged series and
+                the averaged brute-force steady state
   analytics     line profiles read off that series, widths, and peak
                 displacements
   validation    cross-check suites tying the layers together

@@ -1,15 +1,16 @@
 """Closed-form line profiles of the velocity-averaged two-photon signal.
 
 Through third order in the pump strength x = phi_tilde^2 / delta_big_tilde,
-the velocity-averaged dc upper population is the series `averaging._series`,
-stated once for every profile. This module collects the profiles it gives
-and the line parameters read off them:
+the velocity-averaged dc upper population is the series
+`perturbative._series`, stated once for a velocity class and for every
+profile. This module collects the profiles it gives and the line parameters
+read off them:
 
   * the order-2 profile n2 and its peak height n2_max;
   * the full width at half maximum of n2, in closed form (width_fwhm) and
     by direct root bracketing on any even profile (numeric_fwhm);
   * the third-order light-shift asymmetry n3, the peak displacement
-    stark_shift = -n3'(0)/n2''(0) it produces (`averaging._peak_shift`),
+    stark_shift = -n3'(0)/n2''(0) it produces (`perturbative._peak_shift`),
     and a direct peak locator (numeric_peak), the bracketed root of the
     line's slope, for profiles only available pointwise.
 
@@ -31,8 +32,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .averaging import _peak_shift, _series
 from .core import NormalizedParams, ParameterError, _lazy_module
+from .perturbative import _peak_shift, _series
 
 np = _lazy_module("numpy")  # at the first array profile or locator
 optimize = _lazy_module("scipy.optimize")  # the locators, at their first call
@@ -60,8 +61,11 @@ def width_fwhm(a_ratio: float, gamma_v_tilde: float) -> float:
 
 
 def _line(p: NormalizedParams, delta_tilde, low: int, high: int):
-    # an array is evaluated at once in the Lorentzian arithmetic and element
-    # by element through the Faddeeva moments; anything else gives a float
+    # a float is evaluated in float arithmetic, without numpy; an array at
+    # once in the Lorentzian arithmetic and element by element through the
+    # Faddeeva moments; anything else gives a float
+    if type(delta_tilde) is float:  # not numpy's float64, a float subclass
+        return _series(p, delta_tilde, low, high)
     d = np.asarray(delta_tilde, dtype=float)
     if d.ndim and p.kind == "gaussian":
         values = [_series(p, v, low, high) for v in d.ravel().tolist()]
@@ -71,8 +75,6 @@ def _line(p: NormalizedParams, delta_tilde, low: int, high: int):
 
 def n2(p: NormalizedParams, delta_tilde):
     """Velocity-averaged order-2 profile versus two-photon detuning."""
-    if type(delta_tilde) is float:  # not numpy's float64, a float subclass
-        return _series(p, delta_tilde, 2, 2)
     return _line(p, delta_tilde, 2, 2)
 
 
@@ -83,8 +85,6 @@ def n2_max(p: NormalizedParams) -> float:
 
 def n3(p: NormalizedParams, delta_tilde):
     """Velocity-averaged order-3 profile: the odd light-shift term."""
-    if type(delta_tilde) is float:
-        return _series(p, delta_tilde, 3, 3)
     return _line(p, delta_tilde, 3, 3)
 
 

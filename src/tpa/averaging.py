@@ -1,26 +1,23 @@
-"""Velocity averaging: closed Lorentzian moments and numerical quadratures.
+"""Velocity averaging: the averaged series and numerical quadratures.
 
 A moving atom sees the standing-wave harmonics split by Omega = 2kv, so
 observables are velocity averages over the Doppler profile. Three profiles
 are supported, parameterized by the half width at half maximum gamma_v:
 
   * homogeneous: delta function at v = 0; the average is just f(0);
-  * lorentzian: gamma_v/pi / (gamma_v^2 + Omega^2), for which the moments
-    of the one-photon denominators close by residues;
-  * gaussian: HWHM gamma_v; series averages close through the Faddeeva
-    function, generic integrands use a nested trapezoid rule.
+  * lorentzian: gamma_v/pi / (gamma_v^2 + Omega^2);
+  * gaussian: HWHM gamma_v.
 
-The averaged weak-drive series `_series` is one formula for all three, over
-the profile's resolvent moments, and `_peak_shift` is the first-order
-displacement of its peak, -n3'(0)/n2''(0), read off the same moments at
-line center. `averaged_population` and `oracle_average` read the series;
-the analytics profiles n2, n3 and n2_max read it, and stark_shift the shift.
+The weak-drive series averages in closed form on all three: the one
+formula `perturbative._series` reads the profile's resolvent moments, and
+`averaged_population` and the reference of `oracle_average` read it.
+Everything else is averaged by quadrature.
 
-The profile picks the rule. Gaussian averages always use the trapezoid rule
-on |Omega| <= 8 sigma (sigma = gamma_v / sqrt(2 ln 2)): each level halves
-the step and evaluates f only at the new midpoints, so every node is reused,
-and the error falls geometrically in (pole distance)/h for integrands with
-poles off the real axis. The non-closed Lorentzian averages use a tangent
+The profile picks the quadrature rule. Gaussian quadratures use the
+trapezoid rule on |Omega| <= 8 sigma (sigma = gamma_v / sqrt(2 ln 2)): each
+level halves the step and evaluates f only at the new midpoints, so every
+node is reused, and the error falls geometrically in (pole distance)/h for
+integrands with poles off the real axis. Lorentzian quadratures use a tangent
 substitution Omega = gamma_v * tan(theta), which maps the weighted line
 integral to a plain integral of f(gamma_v tan theta)/pi over theta;
 Gauss-Legendre nodes with doubling then converge geometrically for smooth f.
@@ -30,9 +27,10 @@ wings reach velocity classes where high harmonics are stepwise resonant
 (Omega near delta_big +- delta), a saturation effect outside the weak-drive
 expansion whose weighted share scales like the signal itself. The windowed
 difference scheme in `oracle_average` therefore integrates only the
-deviation from the closed-form series inside |Omega| <= h*gamma_v and keeps
-the series value as the tail model, which restores the expected
-1/delta_big^2 convergence of oracle minus theory.
+deviation from the series inside |Omega| <= h*gamma_v and keeps the series
+value as the tail model, which restores the expected 1/delta_big^2
+convergence of oracle minus theory. The per-velocity series it subtracts and
+the closed average it adds back are one formula, `_series`.
 
 `oracle_average` evaluates the new nodes of a quadrature level at once and
 sweeps them inward, in descending |Omega|: slow atoms need the deepest
@@ -53,10 +51,10 @@ from dataclasses import dataclass
 from . import oracle as oracle_mod
 from .core import (NormalizedParams, ParameterError, _check_profile,
                    _lazy_module)
-from .perturbative import upper_dc_series
+# imported by name, so a patch of averaging.upper_dc_series sees every call
+from .perturbative import _series, upper_dc_series
 
-np = _lazy_module("numpy")  # at the first quadrature or Gaussian average
-special = _lazy_module("scipy.special")  # wofz, at the first Gaussian average
+np = _lazy_module("numpy")  # at the first quadrature
 
 __all__ = ["QuadratureError", "averaged_population", "oracle_average"]
 
@@ -189,133 +187,6 @@ def velocity_average(f, kind: str, gamma_v: float,
         return _converge(sums, quad.tol, 0.0)
     sums = _tan_map_sums(f, gamma_v, 0.5 * math.pi, quad.nodes)
     return _converge(sums, quad.tol, 0.0)
-
-
-# Beyond |zeta| = 6, w'(zeta) and w''(zeta) are summed from their asymptotic
-# series, cut at their smallest term there (k = 36, 2e-14 relative); below
-# it the identities w' = -2 zeta w + 2i/sqrt(pi) and w'' = -2 w - 2 zeta w'
-# each lose at most |zeta|^2 < 36 times the accuracy they start from.
-_ASYMPTOTIC_ZETA = 6.0
-_ASYMPTOTIC_TERMS = 36
-
-
-def _faddeeva_derivative(zeta: complex, w: complex, order: int = 1) -> complex:
-    """w'(zeta), or w''(zeta) for order 2, for Im zeta > 0, given w = w(zeta).
-
-    Each identity cancels to a relative size ~1/|zeta|^2, so at large
-    |zeta| the asymptotic series
-
-      w'(zeta)  = -(2i/sqrt(pi)) sum_{k>=1} (2k-1)!! / (2 zeta^2)^k,
-      w''(zeta) = (4i/(sqrt(pi) zeta)) sum_{k>=1} k (2k-1)!! / (2 zeta^2)^k
-
-    is summed instead (Horner form).
-    """
-    if abs(zeta) < _ASYMPTOTIC_ZETA:
-        w1 = -2.0 * zeta * w + 2j / math.sqrt(math.pi)
-        return w1 if order == 1 else -2.0 * w - 2.0 * zeta * w1
-    x = 0.5 / (zeta * zeta)
-    total = 0.0
-    if order == 1:
-        for k in range(_ASYMPTOTIC_TERMS, 0, -1):
-            total = (2 * k - 1) * x * (1.0 + total)
-        return -2j / math.sqrt(math.pi) * total
-    for k in range(_ASYMPTOTIC_TERMS, 0, -1):
-        total = (2 * k - 1) * x * (k + total)
-    return 4j / (math.sqrt(math.pi) * zeta) * total
-
-
-def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
-    """Gaussian averages of the one-photon resolvents via the Faddeeva function.
-
-    With u = delta - Omega and Omega drawn from the Gaussian of HWHM gamma_v
-    (standard deviation sigma = gamma_v / sqrt(2 ln 2)), returns the first
-    `count` (2 or 3) moments M_k = < 1 / (1 - i u)^k >:
-
-      M1 = < 1 / (1 - i u) >   (real part: Lorentzian kernel average)
-      M2 = -i dM1/d(delta),   M3 = -(i/2) dM2/d(delta)
-
-    computed from w(zeta), w'(zeta) and w''(zeta) with zeta = (delta + i) /
-    (sigma sqrt(2)). M1 and M2 stay within 1e-12 of their exact values for
-    any width: down to the homogeneous limit gamma_v -> 0+, where |zeta|
-    grows like 1/gamma_v, and up to wide profiles, where a quadrature's node
-    count grows like gamma_v because the integrand stays unit width. So
-    does M3 at delta = 0, where `_peak_shift` reads it; elsewhere, below
-    |zeta| = 6, it carries the ~5e-15 relative error of w times up to
-    |zeta|^4, within 1e-11.
-    """
-    sigma = gamma_v / math.sqrt(2.0 * math.log(2.0))
-    root2 = math.sqrt(2.0)
-    zeta = (delta + 1j) / (sigma * root2)
-    # a Python complex from here on: numpy scalar arithmetic costs more
-    # and rounds the same
-    w = complex(special.wofz(zeta))
-    first = math.sqrt(0.5 * math.pi) / sigma * w
-    second = (-1j * math.sqrt(0.5 * math.pi) / (sigma ** 2 * root2)
-              * _faddeeva_derivative(zeta, w))
-    if count == 2:
-        return first, second
-    third = (-math.sqrt(0.5 * math.pi) / (4.0 * sigma ** 3)
-             * _faddeeva_derivative(zeta, w, 2))
-    return first, second, third
-
-
-def _series(params: NormalizedParams, d, low: int, high: int):
-    """Velocity-averaged dc series at delta d: the order-2 term (low = high
-    = 2), the order-3 term (3, 3) or their sum (2, 3).
-
-    The profile enters only through <1/(1 - i u)> and <1/(1 - i u)^2>,
-    u = d - Omega: residues at the shifted pole 1/(1 + gamma_v - i d) for a
-    Lorentzian or homogeneous profile, in real arithmetic and vectorized in
-    d; the Faddeeva moments at a float d for a Gaussian one (Armstrong,
-    JQSRT 7, 61 (1967)). Squares of d are products, so a float d rounds as
-    its entry in an array does.
-    """
-    if params.kind == "gaussian":
-        first, second = _faddeeva_moments(d, params.gamma_v_tilde)
-        re1, im1, im2 = first.real, first.imag, second.imag
-    else:
-        # g1 ** 2 overflows with an error, not to an inf that zeroes the line
-        g1 = 1.0 + params.gamma_v_tilde
-        w = g1 ** 2 + d * d
-        re1, im1, im2 = g1 / w, d / w, 2.0 * g1 * d / (w * w)
-    a2 = params.a_ratio ** 2
-    a4 = 1.0 + a2 ** 2
-    el = 1.0 + d * d
-    mu2 = params.mu ** 2
-    if low == 2:
-        order2 = 8 * mu2 * params.x ** 2 * (a4 * re1 + 4.0 * a2 / el)
-        if high == 2:
-            return order2
-    # Odd kernels of the order-3 term: the profile is even in Omega, so
-    # <u / (1 + u^2)^2> = Im(second) / 2 for u = d -+ Omega alike, and
-    # <(d -+ Omega/2) / (1 + u^2)> = (Im(first) + d Re(first)) / 2.
-    order3 = (16 * mu2 * (mu2 - 1.0) * (1.0 + a2) * params.x ** 3
-              * (a4 * im2 + a2 * ((im1 + d * re1) + 2.0 * d / el) / el))
-    return order3 if low == 3 else order2 + order3
-
-
-def _peak_shift(params: NormalizedParams, a_ratio: float) -> float:
-    """First-order displacement of the peak of `_series` through order 3,
-    -n3'(0)/n2''(0), at beam ratio A = a_ratio.
-
-    With dM1/dd = i M2, dM2/dd = 2i M3 and an even profile, n2''(0) is
-    -16 mu^2 x^2 ((1 + A^4) R3 + 4 A^2) and n3'(0) is 16 mu^2 (mu^2 - 1)
-    (1 + A^2) x^3 (2 (1 + A^4) R3 + A^2 (R1 + R2 + 2)), in R_k = Re M_k(0):
-    (1 + gamma_v)^-k on a Lorentzian or homogeneous profile, the Faddeeva
-    moments on a Gaussian one. At A = 0 their ratio is exactly 1.
-    """
-    if params.kind == "gaussian":
-        r1, r2, r3 = (m.real for m in _faddeeva_moments(
-            0.0, params.gamma_v_tilde, 3))
-    else:
-        # g1 ** 3 overflows with an error, not to an inf
-        g1 = 1.0 + params.gamma_v_tilde
-        r1, r2, r3 = 1.0 / g1, 1.0 / g1 ** 2, 1.0 / g1 ** 3
-    a2 = a_ratio ** 2
-    a4 = 1.0 + a2 ** 2
-    ratio = ((2.0 * a4 * r3 + a2 * (r1 + r2 + 2.0))
-             / (2.0 * a4 * r3 + 8.0 * a2))
-    return 2.0 * (1.0 + a2) * (params.mu ** 2 - 1.0) * params.x * ratio
 
 
 def averaged_population(params: NormalizedParams, order: int = 2) -> float:

@@ -97,9 +97,10 @@ class NormalizedParams:
     gamma_v_tilde   : inhomogeneous HWHM gamma_v/gamma.
     x               : phi**2/(gamma*delta_big), the perturbative strength
                       (signed; carries the sign of delta_big). It must equal
-                      phi_tilde**2/delta_big_tilde to rounding, since the
-                      closed Lorentzian forms read x and the solver and the
-                      Gaussian average read phi_tilde and delta_big_tilde.
+                      phi_tilde**2/delta_big_tilde to rounding, since every
+                      form of the series, per velocity class and averaged,
+                      reads x, and the solver reads phi_tilde and
+                      delta_big_tilde.
     a_ratio         : amplitude ratio A >= 0 of the backward wave
                       (0 traveling wave, 1 standing wave).
     mu              : ratio of the upper to the lower transition dipole, > 0.

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpa import analytics, oracle
-from tpa.averaging import (QuadratureError, QuadratureSpec, _faddeeva_moments,
-                           _series, averaged_population, oracle_average,
+from tpa.averaging import (QuadratureError, QuadratureSpec,
+                           averaged_population, oracle_average,
                            velocity_average)
 from tpa.core import NormalizedParams, ParameterError
-from tpa.perturbative import upper_dc_series
+from tpa.perturbative import _faddeeva_moments, _series, upper_dc_series
 
 from conftest import rel_err
 
