@@ -22,9 +22,9 @@ dimensionless, mu the ratio of the two transition dipoles. The profiles take
 NormalizedParams, the one parameter set of the solver and the series; the
 two-photon detuning is their second argument, so one parameter set serves a
 whole line. n2, n3, n2_max and stark_shift follow its kind; width_fwhm is
-the Lorentzian/homogeneous closed form. The detuning is a float or an
-array; a float gives a float bit-identical to its entry in an array, and it
-loads no numpy.
+the Lorentzian/homogeneous closed form. n2 and n3 take one real detuning
+and give one float, so a line is one call per detuning; an array of
+detunings is a TypeError. The profiles load no numpy.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from __future__ import annotations
 import math
 import sys
 
-from .core import NormalizedParams, ParameterError, _lazy_module
+from .core import NormalizedParams, ParameterError, _lazy_module, _linspace
 from .perturbative import _peak_shift, _series
 
-np = _lazy_module("numpy")  # at the first array profile or locator
 optimize = _lazy_module("scipy.optimize")  # the locators, at their first call
 
 __all__ = ["LocatorError", "width_fwhm", "stark_shift"]
@@ -60,22 +59,9 @@ def width_fwhm(a_ratio: float, gamma_v_tilde: float) -> float:
     return 2.0 * math.sqrt(math.sqrt(w + (w - 1.0) ** 2 * f ** 2) + wf)
 
 
-def _line(p: NormalizedParams, delta_tilde, low: int, high: int):
-    # a float is evaluated in float arithmetic, without numpy; an array at
-    # once in the Lorentzian arithmetic and element by element through the
-    # Faddeeva moments; anything else gives a float
-    if type(delta_tilde) is float:  # not numpy's float64, a float subclass
-        return _series(p, delta_tilde, low, high)
-    d = np.asarray(delta_tilde, dtype=float)
-    if d.ndim and p.kind == "gaussian":
-        values = [_series(p, v, low, high) for v in d.ravel().tolist()]
-        return np.array(values, dtype=float).reshape(d.shape)
-    return _series(p, d if d.ndim else float(d), low, high)
-
-
 def n2(p: NormalizedParams, delta_tilde):
     """Velocity-averaged order-2 profile versus two-photon detuning."""
-    return _line(p, delta_tilde, 2, 2)
+    return _series(p, float(delta_tilde), 2, 2)
 
 
 def n2_max(p: NormalizedParams) -> float:
@@ -85,7 +71,7 @@ def n2_max(p: NormalizedParams) -> float:
 
 def n3(p: NormalizedParams, delta_tilde):
     """Velocity-averaged order-3 profile: the odd light-shift term."""
-    return _line(p, delta_tilde, 3, 3)
+    return _series(p, float(delta_tilde), 3, 3)
 
 
 def stark_shift(p: NormalizedParams) -> float:
@@ -169,7 +155,7 @@ def numeric_peak(curve, bracket_halfwidth: float) -> float:
         raise ParameterError(
             f"bracket_halfwidth must be positive, got {bracket_halfwidth}")
     for _ in range(12):
-        grid = np.linspace(-half, half, 33).tolist()
+        grid = _linspace(-half, half, 33)
         values = [_value(curve, d) for d in grid]
         k = values.index(max(values))
         if 0 < k < len(grid) - 1:

@@ -203,7 +203,7 @@ def averaged_population(params: NormalizedParams, order: int = 2) -> float:
 def oracle_average(params: NormalizedParams,
                    quad: QuadratureSpec | None = None, *,
                    n_cap: int = oracle_mod.DEFAULT_N_CAP,
-                   refine_tol: float = 1e-14,
+                   refine_tol: float = oracle_mod.DEFAULT_REFINE_TOL,
                    return_info: bool = False):
     """Velocity-averaged dc upper population of the brute-force steady state.
 

@@ -10,7 +10,7 @@ Three subcommands:
       Run the cross-check suites and print a report.
 
 Exit codes: 0 success, 1 failed validation, 2 usage or configuration error
-(a closed-form value beyond double precision or an unwritable output path
+(a column value beyond double precision or an unwritable output path
 included), 3 numerical failure (solver, quadrature, or locator did not
 converge).
 
@@ -56,8 +56,9 @@ from . import analytics, averaging
 from ._version import __version__
 from .analytics import LocatorError
 from .averaging import DEFAULT_ORACLE_QUAD, QuadratureError, QuadratureSpec
-from .core import _KINDS, NormalizedParams, ParameterError, _lazy_module
-from .oracle import DEFAULT_N_CAP, OracleError
+from .core import (_KINDS, NormalizedParams, ParameterError, _lazy_module,
+                   _linspace)
+from .oracle import DEFAULT_N_CAP, DEFAULT_REFINE_TOL, OracleError
 
 np = _lazy_module("numpy")  # the figure grids, at the first figure
 
@@ -119,23 +120,6 @@ def _float_item(doc: dict, key: str, where: str) -> float:
     if not math.isfinite(value):
         raise ParameterError(f"{where}.{key} must be finite, got {raw!r}")
     return value
-
-
-def _linspace(start: float, stop: float, count: int) -> list:
-    """np.linspace(start, stop, count).tolist(), value for value, count >= 2.
-
-    numpy rounds k * step + start, or (k / div) * delta + start when the
-    step underflows to 0, and puts stop itself last.
-    """
-    div = count - 1
-    delta = stop - start
-    step = delta / div
-    if step == 0.0:
-        grid = [k / div * delta + start for k in range(count)]
-    else:
-        grid = [k * step + start for k in range(count)]
-    grid[-1] = stop
-    return grid
 
 
 def _check_keys(doc: dict, allowed, required, where: str) -> None:
@@ -223,7 +207,7 @@ def parse_scan_config(doc: dict) -> ScanConfig:
             kwargs["tol"] = _float_item(qdoc, "tol", "quadrature")
         quad = replace(DEFAULT_ORACLE_QUAD, **kwargs)
 
-    oracle_opts = {"n_cap": DEFAULT_N_CAP, "refine_tol": 1e-14}
+    oracle_opts = {"n_cap": DEFAULT_N_CAP, "refine_tol": DEFAULT_REFINE_TOL}
     if "oracle" in doc:
         if obs != "oracle_avg":
             raise ParameterError("'oracle' options only apply to oracle_avg")
@@ -281,26 +265,25 @@ def _params_at(cfg: ScanConfig, value: float) -> NormalizedParams:
 def _column(name: str, axis: str, grid, point) -> list:
     """point(g) at every sweep value g, refusing what a double cannot hold.
 
-    A closed form at extreme parameters overflows a float power
-    (OverflowError) or comes out nan or inf. Either is a ParameterError that
-    names the column and the first such sweep value, so no such value
-    reaches a CSV; the sweep is evaluated again only to find that value.
+    A closed form at extreme parameters, or the series reference of a
+    Lorentzian oracle_avg, overflows a float power (OverflowError) or comes
+    out nan or inf. Either is a ParameterError that names the column and
+    the first such sweep value, so no such value reaches a CSV and no point
+    is evaluated twice.
     """
-    def finite(g) -> bool:
+    values = []
+    for g in grid:
         try:
-            return math.isfinite(point(g))
+            value = point(g)
         except OverflowError:
-            return False
-    try:
-        values = [point(g) for g in grid]
-        if all(map(math.isfinite, values)):
-            return values
-    except OverflowError:
-        pass
-    bad = next(float(g) for g in grid if not finite(g))
-    raise ParameterError(f"column {name!r} has no finite value at {axis} = "
-                         f"{bad!r}: x, mu, a_ratio or gamma_v_tilde is too "
-                         f"large for double precision")
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParameterError(
+                f"column {name!r} has no finite value at {axis} = "
+                f"{float(g)!r}: x, mu, a_ratio or gamma_v_tilde is too "
+                f"large for double precision")
+        values.append(value)
+    return values
 
 
 def _closed_column(cfg: ScanConfig) -> list:
@@ -319,13 +302,6 @@ def _closed_column(cfg: ScanConfig) -> list:
     return _column(cfg.observable, cfg.axis, cfg.grid, point)
 
 
-def _oracle_point(cfg: ScanConfig, value: float):
-    got, info = averaging.oracle_average(
-        _params_at(cfg, value), cfg.quad, n_cap=cfg.oracle_opts["n_cap"],
-        refine_tol=cfg.oracle_opts["refine_tol"], return_info=True)
-    return got, info["n_used"]
-
-
 def run_scan(config: ScanConfig, workers: int = 1) -> SpectrumScan:
     """Evaluate the configured observable over the sweep grid, serially.
 
@@ -335,9 +311,18 @@ def run_scan(config: ScanConfig, workers: int = 1) -> SpectrumScan:
         raise ParameterError(f"run_scan is serial: workers must be 1, "
                              f"got {workers!r}")
     if config.observable == "oracle_avg":
-        results = [_oracle_point(config, v) for v in config.grid]
-        columns = {"oracle_avg": [r[0] for r in results],
-                   "n_used": [float(r[1]) for r in results]}
+        n_used = []
+
+        def point(value):
+            got, info = averaging.oracle_average(
+                _params_at(config, value), config.quad,
+                n_cap=config.oracle_opts["n_cap"],
+                refine_tol=config.oracle_opts["refine_tol"], return_info=True)
+            n_used.append(float(info["n_used"]))
+            return got
+        columns = {"oracle_avg": _column("oracle_avg", config.axis,
+                                         config.grid, point),
+                   "n_used": n_used}
     else:
         columns = {config.observable: _closed_column(config)}
     return SpectrumScan(axis=config.axis, grid=config.grid, columns=columns,

@@ -61,6 +61,23 @@ def _lazy_module(name: str):
     return module
 
 
+def _linspace(start: float, stop: float, count: int) -> list:
+    """np.linspace(start, stop, count).tolist(), value for value, count >= 2.
+
+    numpy rounds k * step + start, or (k / div) * delta + start when the
+    step underflows to 0, and puts stop itself last.
+    """
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        grid = [k / div * delta + start for k in range(count)]
+    else:
+        grid = [k * step + start for k in range(count)]
+    grid[-1] = stop
+    return grid
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):

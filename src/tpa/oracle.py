@@ -59,6 +59,7 @@ np = _lazy_module("numpy")  # at the first solve
 __all__ = ["OracleError"]
 
 DEFAULT_N_CAP = 41
+DEFAULT_REFINE_TOL = 1e-14
 
 # Largest defect |b - A c| a solve may leave, largest imaginary part the dc
 # upper population may carry, and largest entry of

@@ -35,37 +35,23 @@ from .core import NormalizedParams, ParameterError, _lazy_module
 np = _lazy_module("numpy")  # at the first array of Omega values
 special = _lazy_module("scipy.special")  # wofz, at the first Gaussian average
 
-# Beyond |zeta| = 6, w'(zeta) and w''(zeta) are summed from their asymptotic
-# series, cut at their smallest term there (k = 36, 2e-14 relative); below
-# it the identities w' = -2 zeta w + 2i/sqrt(pi) and w'' = -2 w - 2 zeta w'
-# each lose at most |zeta|^2 < 36 times the accuracy they start from.
+# Beyond |zeta| = 6, M2 and M3 are summed from the asymptotic series of
+# w'(zeta) and w''(zeta), cut at their smallest term there (k = 36, 2e-14
+# relative); below it the identities w' = -2 zeta w + 2i/sqrt(pi) and
+# w'' = -2 w - 2 zeta w' each lose at most |zeta|^2 < 36 times the accuracy
+# they start from.
 _ASYMPTOTIC_ZETA = 6.0
 _ASYMPTOTIC_TERMS = 36
 
 
-def _faddeeva_derivative(zeta: complex, w: complex, order: int = 1) -> complex:
-    """w'(zeta), or w''(zeta) for order 2, for Im zeta > 0, given w = w(zeta).
-
-    Each identity cancels to a relative size ~1/|zeta|^2, so at large
-    |zeta| the asymptotic series
-
-      w'(zeta)  = -(2i/sqrt(pi)) sum_{k>=1} (2k-1)!! / (2 zeta^2)^k,
-      w''(zeta) = (4i/(sqrt(pi) zeta)) sum_{k>=1} k (2k-1)!! / (2 zeta^2)^k
-
-    is summed instead (Horner form).
-    """
-    if abs(zeta) < _ASYMPTOTIC_ZETA:
-        w1 = -2.0 * zeta * w + 2j / math.sqrt(math.pi)
-        return w1 if order == 1 else -2.0 * w - 2.0 * zeta * w1
-    x = 0.5 / (zeta * zeta)
+def _asymptotic_sum(q: complex, weighted: bool) -> complex:
+    """S2(q) = sum_{k>=1} (2k-1)!! q^(k-1), or with `weighted` S3(q) =
+    sum_{k>=1} k (2k-1)!! q^(k-1), through k = _ASYMPTOTIC_TERMS (Horner
+    form)."""
     total = 0.0
-    if order == 1:
-        for k in range(_ASYMPTOTIC_TERMS, 0, -1):
-            total = (2 * k - 1) * x * (1.0 + total)
-        return -2j / math.sqrt(math.pi) * total
-    for k in range(_ASYMPTOTIC_TERMS, 0, -1):
-        total = (2 * k - 1) * x * (k + total)
-    return 4j / (math.sqrt(math.pi) * zeta) * total
+    for k in range(_ASYMPTOTIC_TERMS, 1, -1):
+        total = (2 * k - 1) * q * ((k if weighted else 1.0) + total)
+    return 1.0 + total
 
 
 def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
@@ -79,13 +65,21 @@ def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
       M2 = -i dM1/d(delta),   M3 = -(i/2) dM2/d(delta)
 
     computed from w(zeta), w'(zeta) and w''(zeta) with zeta = (delta + i) /
-    (sigma sqrt(2)). M1 and M2 stay within 1e-12 of their exact values for
-    any width: down to the homogeneous limit gamma_v -> 0+, where |zeta|
-    grows like 1/gamma_v, and up to wide profiles, where a quadrature's node
-    count grows like gamma_v because the integrand stays unit width. So
-    does M3 at delta = 0, where `_peak_shift` reads it; elsewhere, below
-    |zeta| = 6, it carries the ~5e-15 relative error of w times up to
-    |zeta|^4, within 1e-11.
+    (sigma sqrt(2)). Each identity for w' and w'' cancels to a relative size
+    ~1/|zeta|^2, so at |zeta| >= 6 their asymptotic series are summed
+    instead, scaled by the homogeneous moments: in q = sigma^2 / (delta +
+    i)^2 = 1 / (2 zeta^2),
+
+      M2 = -S2(q) / (delta + i)^2,   M3 = -i S3(q) / (delta + i)^3,
+
+    which hold no power of sigma or zeta, so a q that underflows gives
+    the homogeneous moments. M1 and M2 stay within 1e-12 of their exact
+    values for any width: down to the homogeneous limit, where |zeta| grows
+    like 1/gamma_v (to gamma_v ~ 1e-308, where 1/sigma in M1 overflows),
+    and up to wide profiles, where a quadrature's node count grows like
+    gamma_v because the integrand stays unit width. So does M3 at delta = 0, where `_peak_shift` reads it;
+    elsewhere, below |zeta| = 6, it carries the ~5e-15 relative error of w
+    times up to |zeta|^4, within 1e-11.
     """
     sigma = gamma_v / math.sqrt(2.0 * math.log(2.0))
     root2 = math.sqrt(2.0)
@@ -94,12 +88,20 @@ def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
     # and rounds the same
     w = complex(special.wofz(zeta))
     first = math.sqrt(0.5 * math.pi) / sigma * w
-    second = (-1j * math.sqrt(0.5 * math.pi) / (sigma ** 2 * root2)
-              * _faddeeva_derivative(zeta, w))
+    if abs(zeta) >= _ASYMPTOTIC_ZETA:
+        pole = delta + 1j
+        square = pole * pole
+        q = sigma * sigma / square
+        second = -_asymptotic_sum(q, False) / square
+        if count == 2:
+            return first, second
+        return first, second, -1j * _asymptotic_sum(q, True) / (square * pole)
+    w1 = -2.0 * zeta * w + 2j / math.sqrt(math.pi)
+    second = -1j * math.sqrt(0.5 * math.pi) / (sigma ** 2 * root2) * w1
     if count == 2:
         return first, second
     third = (-math.sqrt(0.5 * math.pi) / (4.0 * sigma ** 3)
-             * _faddeeva_derivative(zeta, w, 2))
+             * (-2.0 * w - 2.0 * zeta * w1))
     return first, second, third
 
 
@@ -112,9 +114,9 @@ def _series(params: NormalizedParams, d, low: int, high: int, omega=None):
     through (Re M1, Im M1, Im M2) of its resolvents: exact at u = d -+ omega
     for a velocity class; for an average, residues at the shifted pole
     1/(1 + gamma_v - i d) of a Lorentzian or homogeneous profile, in real
-    arithmetic and vectorized in d, or the Faddeeva moments at a float d of
-    a Gaussian one (Armstrong, JQSRT 7, 61 (1967)). Squares of d and omega
-    are products, so a float rounds as its entry in an array does.
+    arithmetic, or the Faddeeva moments of a Gaussian one (Armstrong,
+    JQSRT 7, 61 (1967)). d is a float; squares of d and omega are products,
+    so a float omega rounds as its entry in an array does.
     """
     if omega is not None:
         up, um = d - omega, d + omega

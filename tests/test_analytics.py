@@ -93,7 +93,22 @@ def test_peak_value_sits_at_line_center():
     p = _profile(x=1e-3, a=0.8, gv=1.7, mu=1.1)
     assert an.n2_max(p) == pytest.approx(an.n2(p, 0.0), rel=1e-14)
     grid = np.linspace(-10.0, 10.0, 2001)
-    assert np.max(an.n2(p, grid)) <= an.n2_max(p) * (1.0 + 1e-12)
+    assert max(an.n2(p, d) for d in grid) <= an.n2_max(p) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("kind, gv", [("homogeneous", 0.0),
+                                      ("lorentzian", 1.5), ("gaussian", 1.5)])
+def test_profiles_take_one_detuning(kind, gv):
+    # a real scalar, numpy's included, gives a float; a line is one call per
+    # detuning, and an array of detunings is refused on every kind
+    p = NormalizedParams.build(x=1e-3, a_ratio=0.7, gamma_v_tilde=gv,
+                               mu=1.2, kind=kind)
+    for profile in (an.n2, an.n3):
+        assert type(profile(p, np.float64(0.5))) is float
+        assert profile(p, np.float64(0.5)) == profile(p, 0.5)
+        assert type(profile(p, 1)) is float
+        with pytest.raises(TypeError):
+            profile(p, np.array([0.5, 1.0]))
 
 
 @given(x=_x, a=st.just(0.0) | _ratio, gv=_width, mu=_mu, d=_detuning)
@@ -165,16 +180,23 @@ def test_stark_shift_is_the_slope_over_the_curvature_of_the_series():
                 kind, gv, a)
 
 
-@given(x=_x, a=st.just(0.0) | _ratio, mu=_mu, log_gv=st.floats(-10.0, -1.0))
-def test_gaussian_shift_tends_to_the_homogeneous_shift(x, a, mu, log_gv):
-    # quadratically in gamma_v, as the even profile allows: the measured
-    # coefficient is at most 1.08, at A = 1, so 2 gamma_v^2 bounds the gap
+@given(x=_x, a=st.just(0.0) | _ratio, mu=_mu, d=_detuning,
+       log_gv=st.floats(-300.0, -1.0))
+def test_gaussian_shift_tends_to_the_homogeneous_shift(x, a, mu, d, log_gv):
+    # quadratically in gamma_v, as the even profile allows, down to widths
+    # whose sigma^2 underflows. The measured coefficient of the shift is at
+    # most 1.08, at A = 1, so 2 gamma_v^2 bounds its gap. On the line, Im M2
+    # moves by 6 sigma^2 = 4.3 gamma_v^2 relatively near line center, where
+    # n3 can outweigh n2, so 5 gamma_v^2 of |n2| + |n3| bounds its gap
     gv = 10.0 ** log_gv
     narrow = NormalizedParams.build(x=x, a_ratio=a, gamma_v_tilde=gv, mu=mu,
                                     kind="gaussian")
     still = _profile(x=x, a=a, mu=mu)
     assert rel_err(an.stark_shift(narrow),
                    an.stark_shift(still)) <= 2.0 * gv ** 2 + 1e-12
+    n2, n3 = an.n2(still, d), an.n3(still, d)
+    gap = an.n2(narrow, d) + an.n3(narrow, d) - (n2 + n3)
+    assert abs(gap) <= (5.0 * gv ** 2 + 1e-12) * (abs(n2) + abs(n3))
 
 
 def test_third_order_profile_scalings():

@@ -59,7 +59,7 @@ def test_scan_matches_closed_profile():
     scan = cli.run_scan(cfg)
     prof = NormalizedParams.build(x=1e-3, a_ratio=0.7, gamma_v_tilde=1.5,
                                   mu=1.2)
-    want = analytics.n2(prof, scan.grid)
+    want = [analytics.n2(prof, d) for d in scan.grid]
     assert np.allclose(scan.columns["n2"], want, rtol=1e-14, atol=0.0)
 
 
@@ -618,27 +618,46 @@ def test_scan_has_no_worker_setting(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("# ")
 
 
-@pytest.mark.parametrize("fixed, column", [
-    ({"x": 1e60, "mu": 1e100},
+_LORENTZ_ORACLE = {"gamma_v_tilde": 2.0, "a_ratio": 1.0, "mu": 1.2}
+
+
+@pytest.mark.parametrize("doc, column", [
+    (_n2_doc(observable="n2+n3", fixed={"x": 1e60, "mu": 1e100}),
      "'n2+n3' has no finite value at delta_tilde = -3.0"),
-    ({"x": 1e120, "mu": 2.0},
+    (_n2_doc(observable="n2+n3", fixed={"x": 1e120, "mu": 2.0}),
      "'n2+n3' has no finite value at delta_tilde = -3.0"),
-    ({"x": 1e-3, "gamma_v_tilde": 1e300},
+    (_n2_doc(observable="n2+n3", fixed={"x": 1e-3, "gamma_v_tilde": 1e300}),
      "'n2+n3' has no finite value at delta_tilde = -3.0"),
-], ids=["scan_nan", "scan_overflow", "scan_wide"])
-def test_values_beyond_double_precision_exit_2(tmp_path, capsys, fixed,
-                                               column):
-    # a closed form that a double cannot hold (nan, inf or an OverflowError
-    # from a float power) is a parameter error, and no CSV is written
+    (_oracle_doc(fixed={**_LORENTZ_ORACLE, "delta_big_tilde": 1e-105}),
+     "'oracle_avg' has no finite value at delta_tilde = 0.0"),
+    (_oracle_doc(fixed={**_LORENTZ_ORACLE, "delta_big_tilde": 100.0,
+                        "phi_tilde": 1e60}),
+     "'oracle_avg' has no finite value at delta_tilde = 0.0"),
+], ids=["scan_nan", "scan_overflow", "scan_wide", "oracle_tiny_delta_big",
+        "oracle_strong_drive"])
+def test_values_beyond_double_precision_exit_2(tmp_path, capsys, monkeypatch,
+                                               doc, column):
+    # a value that a double cannot hold (nan, inf or an OverflowError from
+    # a float power, in a closed form or in the series reference of a
+    # Lorentzian oracle_avg) is a parameter error, no CSV is written, and
+    # no sweep point is evaluated twice to find the bad one
     out_path = tmp_path / "out.csv"
     cfg_path = tmp_path / "scan.json"
-    cfg_path.write_text(json.dumps(_n2_doc(observable="n2+n3", fixed=fixed)))
+    cfg_path.write_text(json.dumps(doc))
+    averages = []
+    oracle_average = averaging.oracle_average
+
+    def counted(params, *args, **kwargs):
+        averages.append(params)
+        return oracle_average(params, *args, **kwargs)
+    monkeypatch.setattr(averaging, "oracle_average", counted)
     assert cli.main(["scan", "--config", str(cfg_path),
                      "--out", str(out_path)]) == 2
     err = capsys.readouterr().err
     assert (f"error: column {column}: x, mu, a_ratio or gamma_v_tilde is "
             f"too large for double precision") in err
     assert not out_path.exists()
+    assert len(averages) == (doc["observable"] == "oracle_avg")
 
 
 def test_unwritable_output_path_exits_2(tmp_path, capsys):
