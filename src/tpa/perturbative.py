@@ -70,14 +70,15 @@ def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
     instead, scaled by the homogeneous moments: in q = sigma^2 / (delta +
     i)^2 = 1 / (2 zeta^2),
 
-      M2 = -S2(q) / (delta + i)^2,   M3 = -i S3(q) / (delta + i)^3,
+      M2 = -S2(q) / (delta + i)^2,   M3 = -i S3(q) / (delta + i)^3
 
-    which hold no power of sigma or zeta, so a q that underflows gives
-    the homogeneous moments. M1 and M2 stay within 1e-12 of their exact
-    values for any width: down to the homogeneous limit, where |zeta| grows
-    like 1/gamma_v (to gamma_v ~ 1e-308, where 1/sigma in M1 overflows),
-    and up to wide profiles, where a quadrature's node count grows like
-    gamma_v because the integrand stays unit width. So does M3 at delta = 0, where `_peak_shift` reads it;
+    (S2, S3 as in `_asymptotic_sum`), which hold no power of sigma or zeta,
+    so a q that underflows gives the homogeneous moments. M1 and M2 stay
+    within 1e-12 of their exact values for any width: down to the
+    homogeneous limit, where |zeta| grows like 1/gamma_v (to gamma_v ~
+    1e-308, where 1/sigma in M1 overflows), and up to wide profiles, where a
+    quadrature's node count grows like gamma_v because the integrand stays
+    unit width. So does M3 at delta = 0, where `_peak_shift` reads it;
     elsewhere, below |zeta| = 6, it carries the ~5e-15 relative error of w
     times up to |zeta|^4, within 1e-11.
     """
