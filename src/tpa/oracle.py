@@ -31,11 +31,12 @@ the 4 one-photon coherences of each odd harmonic (the large-detuning
 elimination of the weak-drive theory, made exact; H. Risken, The
 Fokker-Planck Equation, ch. 9). The triangular solves with its factors call
 LAPACK getrs directly. One step of iterative refinement follows, from the
-residual of the full 9-component system accumulated in extended precision;
-that residual is also the check, so a coupling the reduced solve assumes
-absent, between the sectors or inside a class, shows up as a defect.
-Hermiticity, trace, parity and population range are checked on the solution
-rather than imposed.
+residual of the pumped rows accumulated in extended precision; the check
+after it takes the residual of every row in double precision, so a coupling
+the reduced solve assumes absent, between the sectors or inside a class,
+shows up as a defect. Hermiticity, trace, parity and population range are
+checked on the solution rather than imposed. Only the diagonal depends on
+Omega; the rest comes from a small cache keyed by the parameter set.
 
 numpy and scipy.linalg are the module attributes `np` and `sla`, loaded
 lazily at the first solve, so that importing tpa for a closed-form scan
@@ -49,6 +50,7 @@ All quantities are in normalized (gamma = 1) units.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 
 from .core import (NormalizedParams, ParameterError, _lazy_module,
@@ -86,6 +88,7 @@ _COUPLINGS = {
 # field factor phi1 (f = 0) or -phi2 (f = 1).
 _RULES = {"e": ((-1, 0), (+1, 1)), "ec": ((+1, 0), (-1, 1))}
 _SLOTS = 9  # the diagonal and up to 8 couplings per row
+_PARAMS = struct.Struct("5d")  # delta, delta_big, phi1, phi2, mu as bits
 
 sla = _lazy_module("scipy.linalg")
 
@@ -181,14 +184,15 @@ class HarmonicDensityMatrix:
         """Worst-case violations of hermiticity, trace, parity, dc range."""
         c = self.coeffs
         nm = self.n_max
+        lay = _layout(nm)
         # hermiticity: c(i,j,n) == conj(c(j,i,-n))
-        herm = np.abs(c - c.transpose(1, 0, 2)[:, :, ::-1].conj()).max()
+        herm = np.abs(c - c.take(lay.mirror).conj()).max()
         populations = c.reshape(9, -1)[::4]  # c(i,i,n), a view
         trace = populations.sum(axis=0)
         trace_dc = abs(trace[nm] - 1.0)
         trace[nm] = 0.0
         trace_ac = np.abs(trace).max()
-        parity = np.abs(c[_banned(nm)]).max()
+        parity = np.abs(c[lay.banned]).max()
         dc = populations[:, nm]
         dc_imag = np.abs(dc.imag).max()
         # np.maximum keeps a NaN, where a clip at 0 by max() might not
@@ -214,17 +218,6 @@ class HarmonicDensityMatrix:
 
 def _index(i: int, j: int, n: int, n_max: int) -> int:
     return (3 * i + j) * (2 * n_max + 1) + (n + n_max)
-
-
-@functools.lru_cache(maxsize=None)
-def _banned(n_max: int) -> np.ndarray:
-    """Mask over c(i,j,n) of the coefficients parity forces to zero."""
-    odd_n = np.arange(-n_max, n_max + 1) % 2 == 1
-    odd_element = np.array([[(i, j) in _ODD_PARITY for j in range(3)]
-                            for i in range(3)])
-    mask = odd_n != odd_element[:, :, None]
-    mask.flags.writeable = False
-    return mask
 
 
 @dataclass(frozen=True)
@@ -260,6 +253,13 @@ class _Layout:
     path_elim: np.ndarray
     path_starts: np.ndarray
     path_targets: np.ndarray
+    target_rows: np.ndarray  # row of each path target, a nonzero of S
+    target_starts: np.ndarray  # first target of each row
+    pumped: np.ndarray  # rows of the pumped sector, ascending
+    pumped_slots: np.ndarray  # their slots, and the first slot of each row
+    pumped_starts: np.ndarray
+    banned: np.ndarray  # (3, 3, 2n_max+1) mask of the c(i,j,n) parity zeroes
+    mirror: np.ndarray  # (3, 3, 2n_max+1) flat index of c(j,i,-n)
 
 
 def _segments(rows: np.ndarray) -> np.ndarray:
@@ -296,9 +296,10 @@ def _layout(n_max: int) -> _Layout:
     starts = _segments(row_of)
     couplings = np.flatnonzero(kinds >= 0)
 
-    pumped = ~_banned(n_max).reshape(-1)
     odd_element = np.repeat([(i, j) in _ODD_PARITY for i in range(3)
                              for j in range(3)], nh)
+    banned = np.tile(n % 2 == 1, 9) != odd_element
+    pumped = ~banned
     elim = np.flatnonzero(pumped & ~odd_element)
     kept = np.flatnonzero(pumped & odd_element)
     position = np.full(dim, -1)
@@ -322,6 +323,7 @@ def _layout(n_max: int) -> _Layout:
     order = np.argsort(target, kind="stable")
     target = target[order]
     path_starts = _segments(target)
+    targets = target[path_starts]
     for a in (cols, starts):
         a.flags.writeable = False  # shared by every system of this order
     return _Layout(
@@ -332,7 +334,32 @@ def _layout(n_max: int) -> _Layout:
         elim_slots=elim_slots, elim_cols=elim_cols, elim_starts=elim_starts,
         elim_rows=elim_rows, path_kept=path_kept[order],
         path_elim=path_elim[order], path_starts=path_starts,
-        path_targets=target[path_starts])
+        path_targets=targets, target_rows=targets // kept.size,
+        target_starts=_segments(targets // kept.size),
+        pumped=np.flatnonzero(pumped),
+        pumped_slots=np.flatnonzero(pumped[row_of]),
+        pumped_starts=_segments(row_of[pumped[row_of]]),
+        banned=banned.reshape(3, 3, nh), mirror=np.arange(dim).reshape(
+            3, 3, nh).transpose(1, 0, 2)[:, :, ::-1])
+
+
+@functools.lru_cache(maxsize=(DEFAULT_N_CAP - 1) // 2)  # one ladder's rungs
+def _fixed_values(n_max: int, params: bytes) -> tuple:
+    """The slot values with their couplings filled in, and M_ii - M_jj of
+    each row's element for its free evolution; keyed by bits, so that -0.0
+    is not 0.0."""
+    delta, delta_big, phi1, phi2, mu = _PARAMS.unpack(params)
+    lay = _layout(n_max)
+    d1 = 0.5 * (delta + delta_big)
+    d2 = 0.5 * (delta - delta_big)
+    mdiag = np.array([0.0, d1, -d2])
+    free = np.repeat((mdiag[:, None] - mdiag[None, :]).ravel(), 2 * n_max + 1)
+    values = (np.array([1j, 1j * mu, -1j, -1j * mu])[:, None]
+              * np.array([phi1, -phi2])).ravel()
+    vals = np.empty(lay.cols.size, dtype=complex)
+    vals[lay.couplings] = values[lay.kinds]
+    vals.flags.writeable = free.flags.writeable = False
+    return vals, free
 
 
 def assemble(problem: SteadyStateProblem) -> LinearSystem:
@@ -345,19 +372,11 @@ def assemble(problem: SteadyStateProblem) -> LinearSystem:
     p = problem.params
     nmax = problem.n_max
     lay = _layout(nmax)
-    phi1, phi2, mu = p.phi1, p.phi2, p.mu
-    d1 = 0.5 * (p.delta_tilde + p.delta_big_tilde)
-    d2 = 0.5 * (p.delta_tilde - p.delta_big_tilde)
-    mdiag = np.array([0.0, d1, -d2])
-    # M_ii - M_jj of each element (i, j), for its free evolution
-    free = (mdiag[:, None] - mdiag[None, :]).ravel()
-    values = (np.array([1j, 1j * mu, -1j, -1j * mu])[:, None]
-              * np.array([phi1, -phi2])).ravel()
-    vals = np.empty(lay.cols.size, dtype=complex)
-    vals[lay.couplings] = values[lay.kinds]
+    couplings, free = _fixed_values(nmax, _PARAMS.pack(
+        p.delta_tilde, p.delta_big_tilde, p.phi1, p.phi2, p.mu))
+    vals = couplings.copy()
     # relaxation, advection, and free evolution of the element
-    vals[lay.starts] = -1.0 - 1j * (lay.half_n * problem.omega
-                                    + np.repeat(free, 2 * nmax + 1))
+    vals[lay.starts] = -1.0 - 1j * (lay.half_n * problem.omega + free)
     b = np.zeros(lay.starts.size, dtype=complex)
     b[_index(1, 1, 0, nmax)] = -1.0  # pump: gamma fills the ground state
     return LinearSystem(cols=lay.cols, vals=vals, starts=lay.starts, rhs=b,
@@ -380,16 +399,18 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     diagonal, and the unpumped sector stays zero.
 
     The solution is polished by one refinement step: the residual of the
-    full 9-component system is accumulated in extended precision and the
-    correction solved with the same factors (LAPACK getrs). With the
-    residual in a wider precision than the solve, one step already brings
-    the solution to working precision whenever cond(S) * eps << 1 (N. J.
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 12); a second step left the worst residual of a strong-drive stress
-    set unchanged. The residual after the step, over every row, must stay
-    below 1e-10: it sees any coupling the reduced solve assumes absent,
-    between the sectors or inside a class. Hermiticity, trace, parity, and
-    population range are then verified on the solution to 1e-8.
+    pumped rows, all the correction reads, is accumulated in extended
+    precision and the correction solved with the same factors (LAPACK
+    getrs). With the residual in a wider precision than the solve, one step
+    already brings the solution to working precision whenever cond(S) * eps
+    << 1 (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 12); a second step left the worst residual of a strong-drive
+    stress set unchanged. The residual after the step, over every row, must
+    stay below 1e-10: it sees any coupling the reduced solve assumes absent,
+    between the sectors or inside a class. In double precision it rounds by
+    about 10 eps (|b_i| + sum_j |A_ij x_j|) in row i at most (ch. 3), near
+    1e-14 at phi = 10. Hermiticity, trace, parity, and population range are
+    then verified on the solution to 1e-8.
     """
     system = assemble(problem)
     lay = _layout(problem.n_max)
@@ -403,17 +424,17 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     schur[::m + 1] = vals[lay.kept_diag]
     schur[lay.path_targets] -= np.add.reduceat(
         coupled[lay.path_kept] * damped[lay.path_elim], lay.path_starts)
-    schur = schur.reshape(m, m)
-    scale = np.abs(schur).max(axis=1)
-    lu, piv = sla.lu_factor(schur / scale[:, None], check_finite=False)
-    extended = LinearSystem(cols=system.cols, starts=system.starts,
-                            vals=vals.astype(np.clongdouble),
-                            rhs=system.rhs, n_max=system.n_max)
+    # row maxima and quotients over the structural nonzeros alone
+    entries = schur[lay.path_targets]
+    scale = np.maximum.reduceat(np.abs(entries), lay.target_starts)
+    schur[lay.path_targets] = entries / scale[lay.target_rows]
+    lu, piv = sla.lu_factor(schur.reshape(m, m), check_finite=False)
+    extended = vals[lay.pumped_slots].astype(np.clongdouble)
     xq = np.zeros(system.dimension, dtype=np.clongdouble)
     # one solve of A x = b, then one refinement step solving for the
-    # correction from the residual r of the full system
+    # correction from the residual r of the pumped rows
     r = system.rhs
-    for _ in range(2):
+    for step in range(2):
         z = r[lay.elim] / pivots
         x_kept, info = _getrs()(
             lu, piv, (r[lay.kept] - np.add.reduceat(
@@ -424,19 +445,23 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
         xq[lay.kept] += x_kept
         xq[lay.elim] += z - np.add.reduceat(damped * x_kept[lay.elim_cols],
                                             lay.elim_starts)
-        r = (system.rhs - extended.apply(xq)).astype(complex)
-    residual = float(np.abs(r).max())
+        if step == 0:
+            r = system.rhs.copy()
+            r[lay.pumped] -= np.add.reduceat(
+                extended * xq[system.cols[lay.pumped_slots]],
+                lay.pumped_starts)
+    x = xq.astype(complex)
+    residual = float(np.abs(system.rhs - system.apply(x)).max())
     if not np.isfinite(residual) or residual > _RESIDUAL_TOL:
+        schur[lay.path_targets] = entries
         # cond keeps the complex dtype even though the norms are real
-        cond = float(abs(np.linalg.cond(schur, 1)))
+        cond = float(abs(np.linalg.cond(schur.reshape(m, m), 1)))
         raise SolverError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:g} "
             f"(dimension {system.dimension}, Schur complement {m}, "
             f"condition estimate {cond:.3e})")
-    nh = 2 * problem.n_max + 1
-    rho = HarmonicDensityMatrix(
-        n_max=problem.n_max,
-        coeffs=np.asarray(xq, dtype=complex).reshape(3, 3, nh))
+    rho = HarmonicDensityMatrix(n_max=problem.n_max,
+                                coeffs=x.reshape(3, 3, 2 * problem.n_max + 1))
     rho.check_invariants()
     return rho
 

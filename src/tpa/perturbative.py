@@ -28,6 +28,7 @@ follow, are written out in the tests as reference formulas.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .core import NormalizedParams, ParameterError, _lazy_module
@@ -75,12 +76,13 @@ def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
     (S2, S3 as in `_asymptotic_sum`), which hold no power of sigma or zeta,
     so a q that underflows gives the homogeneous moments. M1 and M2 stay
     within 1e-12 of their exact values for any width: down to the
-    homogeneous limit, where |zeta| grows like 1/gamma_v (to gamma_v ~
-    1e-308, where 1/sigma in M1 overflows), and up to wide profiles, where a
-    quadrature's node count grows like gamma_v because the integrand stays
-    unit width. So does M3 at delta = 0, where `_peak_shift` reads it;
-    elsewhere, below |zeta| = 6, it carries the ~5e-15 relative error of w
-    times up to |zeta|^4, within 1e-11.
+    homogeneous limit, where |zeta| grows like 1/gamma_v (once zeta or
+    1/sigma overflows, or w underflows to 0, M1 is the pole 1/(1 - i
+    delta), where the asymptotic M2 and M3 end too), and up to wide
+    profiles, where a quadrature's node count grows like gamma_v because
+    the integrand stays unit width. So does M3 at delta = 0, where
+    `_peak_shift` reads it; elsewhere, below |zeta| = 6, it carries the
+    ~5e-15 relative error of w times up to |zeta|^4, within 1e-11.
     """
     sigma = gamma_v / math.sqrt(2.0 * math.log(2.0))
     root2 = math.sqrt(2.0)
@@ -89,7 +91,10 @@ def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
     # and rounds the same
     w = complex(special.wofz(zeta))
     first = math.sqrt(0.5 * math.pi) / sigma * w
-    if abs(zeta) >= _ASYMPTOTIC_ZETA:
+    homogeneous = not (cmath.isfinite(zeta + first) and first != 0)
+    if homogeneous:
+        first = 1j / (delta + 1j)
+    if homogeneous or abs(zeta) >= _ASYMPTOTIC_ZETA:
         pole = delta + 1j
         square = pole * pole
         q = sigma * sigma / square

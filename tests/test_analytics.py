@@ -199,6 +199,21 @@ def test_gaussian_shift_tends_to_the_homogeneous_shift(x, a, mu, d, log_gv):
     assert abs(gap) <= (5.0 * gv ** 2 + 1e-12) * (abs(n2) + abs(n3))
 
 
+@pytest.mark.parametrize("gv", [1.5e-308, 6e-309, 1e-310, 5e-324])
+def test_subnormal_gaussian_width_gives_homogeneous_line(gv):
+    # w underflows to 0 at 1.5e-308 and delta = 3, 1/sigma overflows at
+    # 6e-309, and zeta with it at subnormal widths: M1 is then the
+    # homogeneous pole, as M2 and M3 already are
+    narrow = NormalizedParams.build(x=1e-3, a_ratio=0.7, gamma_v_tilde=gv,
+                                    mu=1.2, kind="gaussian")
+    still = _profile(x=1e-3, a=0.7, mu=1.2)
+    for d in (-3.0, 0.0, 0.3, 3.0):
+        assert an.n2(narrow, d) == pytest.approx(an.n2(still, d), rel=1e-15)
+        assert an.n3(narrow, d) == pytest.approx(an.n3(still, d), rel=1e-15)
+    assert an.n2(narrow, 0.3) == pytest.approx(3.382124036697247e-05,
+                                               rel=1e-15)
+
+
 def test_third_order_profile_scalings():
     p = _profile(x=1e-3, a=0.7, gv=1.0, mu=1.0)
     assert an.n3(p, 0.8) == 0.0

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from tpa import averaging, oracle
+from tpa import averaging, cli, oracle
 from tpa.core import NormalizedParams, ParameterError
 from tpa.oracle import (ConsistencyError, HarmonicDensityMatrix, LinearSystem,
                         SolverError, SteadyStateProblem, TruncationError)
@@ -98,6 +98,52 @@ def test_assembled_coupling_rows():
     assert np.array_equal(system.rhs, rhs)
 
 
+# One change to each input that assemble reads: the two-photon detuning,
+# the intermediate detuning and its sign alone, the drive, the beam ratio
+# (zero against minus zero too) and the dipole ratio.
+_ASSEMBLY_INPUTS = {"delta": 0.4, "dbig": 500.0, "dbig_sign": -200.0,
+                    "phi": 1.3, "a": 0.4, "a_sign": -0.0, "mu": 1.7}
+
+
+@pytest.mark.parametrize("name", _ASSEMBLY_INPUTS)
+def test_assembly_cache_keys_every_input(name):
+    # assemble takes the Omega-independent values from a cache keyed by the
+    # parameter set; two problems back to back at the same n_max and Omega
+    # that differ in one input must each get their own operator
+    base = dict(delta=0.3, a=0.0 if name == "a_sign" else 0.8, mu=1.2,
+                phi=0.9, dbig=200.0, omega=0.7, n_max=5)
+    key = name.removesuffix("_sign")
+    problems = (_problem(**base),
+                _problem(**dict(base, **{key: _ASSEMBLY_INPUTS[name]})))
+    systems = [oracle.assemble(pr) for pr in problems]
+    for pr, system in zip(problems, systems):
+        matrix, rhs = reference_system(pr)
+        assert np.array_equal(dense(system), matrix)
+        assert np.array_equal(system.rhs, rhs)
+    # bit for bit as from an empty cache, so that a zero's sign counts too
+    oracle._fixed_values.cache_clear()
+    assert (oracle.assemble(problems[1]).vals.tobytes()
+            == systems[1].vals.tobytes())
+    assert (oracle.assemble(problems[0]).vals.tobytes()
+            == systems[0].vals.tobytes())
+
+
+def test_assembly_cache_stays_bounded():
+    oracle._fixed_values.cache_clear()
+    doc = {"observable": "oracle_avg",
+           "sweep": {"axis": "delta_tilde", "start": 0.0, "stop": 0.5,
+                     "count": 2},
+           "fixed": {"delta_big_tilde": 1e3, "gamma_v_tilde": 2.0,
+                     "a_ratio": 1.0, "mu": 1.2},
+           "dist": {"kind": "gaussian"}}
+    cli.run_scan(cli.parse_scan_config(doc))
+    info = oracle._fixed_values.cache_info()
+    # one entry per (parameter set, n_max); the rungs of one ladder fit
+    assert info.maxsize == (oracle.DEFAULT_N_CAP - 1) // 2
+    assert 0 < info.currsize <= info.maxsize
+    assert info.hits > 10 * info.misses
+
+
 def test_solution_invariants_and_residual():
     pr = _problem(delta=0.6, a=0.8, mu=1.3, phi=1.1, dbig=500.0, omega=1.4)
     rho = oracle.solve_steady_state(pr)
@@ -132,7 +178,7 @@ def _matches_dense_reference(n_max, delta, a, mu, phi, dbig, sign, omega):
     assert np.max(np.abs(rho.coeffs.reshape(-1) - full)) < 1e-12
     # parity on the unreduced system: the dense solve of all 9 components
     # leaves the unpumped sector empty
-    unpumped = oracle._banned(n_max).reshape(-1)
+    unpumped = oracle._layout(n_max).banned.reshape(-1)
     assert np.max(np.abs(full[unpumped])) < 1e-14
 
 
@@ -189,7 +235,7 @@ def test_couplings_alternate_between_classes(n_max):
     system = oracle.assemble(_problem(a=0.7, omega=0.9, n_max=n_max))
     element, n = _element_and_harmonic(n_max)
     coherence = np.isin(element, _COHERENCES)
-    pumped = ~oracle._banned(n_max).reshape(-1)
+    pumped = ~oracle._layout(n_max).banned.reshape(-1)
     coupling = _coupling_slots(system)
     row, col = _row_of_slot(system)[coupling], system.cols[coupling]
     assert np.array_equal(pumped[row], pumped[col])
@@ -223,7 +269,8 @@ def test_solve_factorizes_only_the_coherence_block(monkeypatch, n_max):
 
 # A stand-in for oracle.sla as the benchmark's tracer installs one before
 # the first solve: it counts and forwards lu_factor and passes every other
-# attribute through. Prints the lu_factor calls, n_used and dc(2, 2).
+# attribute through; oracle.assemble is wrapped the same way. Prints the
+# lu_factor calls, the n_max of each assembly, n_used and dc(2, 2).
 _COUNTED_REFINE = """
 import json
 from tpa import oracle
@@ -244,21 +291,34 @@ class Counting:
 
 
 oracle.sla = Counting(oracle.sla)
+assembled = []
+assemble = oracle.assemble
+
+
+def counted_assemble(problem):
+    assembled.append(problem.n_max)
+    return assemble(problem)
+
+
+oracle.assemble = counted_assemble
 p = NormalizedParams.build(delta_tilde=0.3, a_ratio=1.0, mu=1.2,
                            phi_tilde=3.0, delta_big_tilde=100.0)
 rho, n_used = oracle.refine(p, 0.7, 1e-14)
 dc = rho.dc(2, 2)
-print(json.dumps([oracle.sla.calls, n_used, dc.real, dc.imag]))
+print(json.dumps([oracle.sla.calls, assembled, n_used, dc.real, dc.imag]))
 """
 
 
 def test_sla_stand_in_sees_every_factorization():
     done = fresh_python("-c", _COUNTED_REFINE)
     assert done.returncode == 0, done.stderr
-    calls, n_used, re_dc, im_dc = json.loads(done.stdout.splitlines()[-1])
-    # one factorization per rung of the ladder 3, 5, ..., n_used
+    calls, assembled, n_used, re_dc, im_dc = json.loads(
+        done.stdout.splitlines()[-1])
+    # one assembly and one factorization per rung of the ladder 3, 5, ...,
+    # n_used: the assembly cache must not skip a call
     assert n_used > 5
-    assert calls == (n_used - 3) // 2 + 1
+    assert assembled == list(range(3, n_used + 1, 2))
+    assert calls == len(assembled)
     p = NormalizedParams.build(delta_tilde=0.3, a_ratio=1.0, mu=1.2,
                                phi_tilde=3.0, delta_big_tilde=100.0)
     rho, plain_n = oracle.refine(p, 0.7, 1e-14)
@@ -313,7 +373,8 @@ def _miswired(kind):
         nm = problem.n_max
         ground = oracle._index(1, 1, 0, nm)
         if kind == "unpumped":
-            row = int(np.flatnonzero(oracle._banned(nm).reshape(-1))[0])
+            banned = oracle._layout(nm).banned.reshape(-1)
+            row = int(np.flatnonzero(banned)[0])
             slot, col = system.starts[row] + 1, ground
         else:
             to_ground = _coupling_slots(system) & (system.cols == ground)
@@ -338,6 +399,27 @@ def test_sector_coupling_fails_full_residual(monkeypatch, kind):
     with pytest.raises(SolverError, match="residual"):
         oracle.solve_steady_state(_problem(delta=0.3, a=0.8, omega=0.9,
                                            dbig=100.0, n_max=5))
+
+
+@pytest.mark.parametrize("dbig", [1e2, -1e2, 1e4, -1e4])
+@pytest.mark.parametrize("phi", [0.5, 10.0])
+@pytest.mark.parametrize("omega", [0.0, 60.0])
+@pytest.mark.parametrize("n_max", [5, 41])
+def test_double_precision_residual_tracks_extended(dbig, phi, omega, n_max):
+    # the check after the refinement step reads the full residual in
+    # complex128: it must sit within rounding of the extended-precision
+    # residual, far below the 1e-10 bound it is held to
+    pr = _problem(delta=0.3, a=0.8, mu=1.2, phi=phi, dbig=dbig, omega=omega,
+                  n_max=n_max)
+    x = oracle.solve_steady_state(pr).coeffs.reshape(-1)
+    system = oracle.assemble(pr)
+    extended = LinearSystem(cols=system.cols, starts=system.starts,
+                            vals=system.vals.astype(np.clongdouble),
+                            rhs=system.rhs, n_max=n_max)
+    r = system.rhs - system.apply(x)
+    exact = system.rhs - extended.apply(x.astype(np.clongdouble))
+    assert np.abs(r - exact).max() <= 1e-13
+    assert np.abs(r).max() <= 1e-13
 
 
 @pytest.mark.parametrize("element, n", [((2, 2), 1), ((0, 1), 2)])
