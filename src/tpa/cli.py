@@ -37,11 +37,11 @@ Gauss-Legendre for lorentzian, which alone uses domain_halfwidth); `nodes`
 is at most 1024. CSV output starts with a '#'-prefixed JSON metadata line
 and keeps 17 significant digits.
 
-Importing this module loads neither numpy nor scipy, and a closed-form scan
-of a lorentzian or homogeneous profile needs neither: it runs in plain
-float arithmetic, and every scan holds its grid and columns as lists of
-floats. numpy loads at the first figure, steady-state solve or Gaussian
-average, and each scipy subpackage at its first call.
+Importing this module loads neither numpy nor scipy, and neither do figures
+2 and 3 and a closed-form scan of a lorentzian or homogeneous profile: they
+run in plain float arithmetic, on grids and columns held as lists of floats.
+numpy loads at the first Gaussian average or steady-state solve, and each
+scipy subpackage at its first call.
 """
 
 from __future__ import annotations
@@ -50,17 +50,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from . import analytics, averaging
 from ._version import __version__
 from .analytics import LocatorError
 from .averaging import DEFAULT_ORACLE_QUAD, QuadratureError, QuadratureSpec
-from .core import (_KINDS, NormalizedParams, ParameterError, _lazy_module,
+from .core import (_KINDS, NormalizedParams, ParameterError, _geomspace,
                    _linspace)
 from .oracle import DEFAULT_N_CAP, DEFAULT_REFINE_TOL, OracleError
-
-np = _lazy_module("numpy")  # the figure grids, at the first figure
 
 _AXES = ("delta_tilde", "gamma_v_tilde", "a_ratio")
 # Sweep grids are held in memory; a million points is far beyond any figure.
@@ -83,6 +81,11 @@ _OBSERVABLES = {
                     "phi_tilde", "delta_big_tilde"}, {"delta_big_tilde"},
                    None),
 }
+# The option blocks of oracle_avg; a key left out keeps the default here.
+_OPTION_BLOCKS = {
+    "quadrature": asdict(DEFAULT_ORACLE_QUAD),
+    "oracle": {"n_cap": DEFAULT_N_CAP, "refine_tol": DEFAULT_REFINE_TOL},
+}
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,7 @@ class ScanConfig:
     grid: list
     fixed: dict
     kind: str
-    quad: QuadratureSpec | None = None
-    oracle_opts: dict = field(default_factory=dict)
+    options: dict
     out: str | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -188,38 +190,21 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         raise ParameterError(
             f"{kind} profiles need gamma_v_tilde > 0 at every sweep point")
 
-    quad = None
-    if "quadrature" in doc:
-        if obs != "oracle_avg":
-            raise ParameterError("'quadrature' only applies to oracle_avg")
-        qdoc = doc["quadrature"]
-        _check_keys(qdoc, ("nodes", "domain_halfwidth", "tol"), (),
-                    "quadrature")
-        kwargs = {}
-        if "nodes" in qdoc:
-            if not isinstance(qdoc["nodes"], int):
-                raise ParameterError("quadrature.nodes must be an integer")
-            kwargs["nodes"] = qdoc["nodes"]
-        if "domain_halfwidth" in qdoc:
-            kwargs["domain_halfwidth"] = _float_item(
-                qdoc, "domain_halfwidth", "quadrature")
-        if "tol" in qdoc:
-            kwargs["tol"] = _float_item(qdoc, "tol", "quadrature")
-        quad = replace(DEFAULT_ORACLE_QUAD, **kwargs)
-
-    oracle_opts = {"n_cap": DEFAULT_N_CAP, "refine_tol": DEFAULT_REFINE_TOL}
-    if "oracle" in doc:
-        if obs != "oracle_avg":
-            raise ParameterError("'oracle' options only apply to oracle_avg")
-        odoc = doc["oracle"]
-        _check_keys(odoc, ("n_cap", "refine_tol"), (), "oracle")
-        if "n_cap" in odoc:
-            # refine needs two rungs, n_max = 3 and 5, to test settling
-            if not isinstance(odoc["n_cap"], int) or odoc["n_cap"] < 5:
-                raise ParameterError("oracle.n_cap must be an integer >= 5")
-            oracle_opts["n_cap"] = odoc["n_cap"]
-        if "refine_tol" in odoc:
-            oracle_opts["refine_tol"] = _float_item(odoc, "refine_tol", "oracle")
+    options = {}
+    for name, defaults in _OPTION_BLOCKS.items():
+        block = doc.get(name, {})
+        if name in doc and obs != "oracle_avg":
+            raise ParameterError(f"'{name}' only applies to oracle_avg")
+        _check_keys(block, defaults, (), name)
+        options[name] = values = dict(defaults)
+        for key, raw in block.items():
+            values[key] = (_float_item(block, key, name)
+                           if isinstance(defaults[key], float) else raw)
+    QuadratureSpec(**options["quadrature"])
+    # refine needs two rungs, n_max = 3 and 5, to test settling
+    n_cap = options["oracle"]["n_cap"]
+    if not isinstance(n_cap, int) or n_cap < 5:
+        raise ParameterError("oracle.n_cap must be an integer >= 5")
 
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
@@ -232,16 +217,10 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         "sweep": {"axis": axis, "start": start, "stop": stop, "count": count},
         "fixed": fixed,
         "dist": {"kind": kind},
+        **{name: options[name] for name in _OPTION_BLOCKS if name in doc},
     }
-    if quad is not None:
-        metadata["quadrature"] = {"nodes": quad.nodes,
-                                  "domain_halfwidth": quad.domain_halfwidth,
-                                  "tol": quad.tol}
-    if "oracle" in doc:
-        metadata["oracle"] = dict(oracle_opts)
     cfg = ScanConfig(observable=obs, axis=axis, grid=grid, fixed=fixed,
-                     kind=kind, quad=quad, oracle_opts=oracle_opts, out=out,
-                     metadata=metadata)
+                     kind=kind, options=options, out=out, metadata=metadata)
     # the parameter rules are intervals: check the grid ends
     _params_at(cfg, start)
     _params_at(cfg, stop)
@@ -280,7 +259,7 @@ def _column(name: str, axis: str, grid, point) -> list:
         if not math.isfinite(value):
             raise ParameterError(
                 f"column {name!r} has no finite value at {axis} = "
-                f"{float(g)!r}: x, mu, a_ratio or gamma_v_tilde is too "
+                f"{g!r}: x, mu, a_ratio or gamma_v_tilde is too "
                 f"large for double precision")
         values.append(value)
     return values
@@ -312,12 +291,12 @@ def run_scan(config: ScanConfig, workers: int = 1) -> SpectrumScan:
                              f"got {workers!r}")
     if config.observable == "oracle_avg":
         n_used = []
+        quad = QuadratureSpec(**config.options["quadrature"])
 
         def point(value):
             got, info = averaging.oracle_average(
-                _params_at(config, value), config.quad,
-                n_cap=config.oracle_opts["n_cap"],
-                refine_tol=config.oracle_opts["refine_tol"], return_info=True)
+                _params_at(config, value), quad, **config.options["oracle"],
+                return_info=True)
             n_used.append(float(info["n_used"]))
             return got
         columns = {"oracle_avg": _column("oracle_avg", config.axis,
@@ -350,7 +329,7 @@ def run_figure(fig: int) -> SpectrumScan:
 
     if fig == 2:
         a_values = [0.0, 0.25, 0.5, 0.75, 1.0]
-        grid = np.linspace(0.0, 20.0, 81)
+        grid = _linspace(0.0, 20.0, 81)
         ref = analytics.n2_max(NormalizedParams.build(x=1.0, a_ratio=1.0))
         points = {f"a={a:g}": lambda gv, a=a: analytics.n2_max(
                       NormalizedParams.build(x=1.0, a_ratio=a,
@@ -358,11 +337,11 @@ def run_figure(fig: int) -> SpectrumScan:
                   for a in a_values}
     elif fig == 3:
         a_values = [0.5, 1.0]
-        grid = np.concatenate([[0.0], np.geomspace(0.01, 100.0, 48)])
+        grid = [0.0] + _geomspace(0.01, 100.0, 48)
         points = {f"a={a:g}": lambda gv, a=a: 0.5 * analytics.width_fwhm(a, gv)
                   for a in a_values}
     elif fig == 4:
-        grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 23)])
+        grid = [0.0] + _geomspace(0.05, 100.0, 23)
         def gaussian_half_width(gv):
             p = line("gaussian", gv, 1.0, 1.0)
             return 0.5 * analytics.numeric_fwhm(lambda d: analytics.n2(p, d))
@@ -371,7 +350,7 @@ def run_figure(fig: int) -> SpectrumScan:
             "gaussian": gaussian_half_width}
         a_values = [1.0]
     elif fig == 5:
-        grid = np.concatenate([[0.0], np.geomspace(0.05, 100.0, 19)])
+        grid = [0.0] + _geomspace(0.05, 100.0, 19)
         def shift_ratio(gv, kind):
             mu = math.sqrt(2.0)
             return (analytics.stark_shift(line(kind, gv, 1.0, mu))
@@ -385,8 +364,8 @@ def run_figure(fig: int) -> SpectrumScan:
                 "a_values": a_values, "axis": "gamma_v_tilde"}
     columns = {name: _column(name, "gamma_v_tilde", grid, point)
                for name, point in points.items()}
-    return SpectrumScan(axis="gamma_v_tilde", grid=grid.tolist(),
-                        columns=columns, metadata=metadata)
+    return SpectrumScan(axis="gamma_v_tilde", grid=grid, columns=columns,
+                        metadata=metadata)
 
 
 def write_csv(scan: SpectrumScan, target) -> None:

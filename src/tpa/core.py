@@ -78,6 +78,13 @@ def _linspace(start: float, stop: float, count: int) -> list:
     return grid
 
 
+def _geomspace(start: float, stop: float, count: int) -> list:
+    """np.geomspace(start, stop, count).tolist() to rounding, for 0 < start:
+    exact ends, and 10.0 ** e at evenly spaced base-10 logs e between."""
+    logs = _linspace(math.log10(start), math.log10(stop), count)
+    return [start] + [10.0 ** e for e in logs[1:-1]] + [stop]
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):

@@ -50,6 +50,7 @@ All quantities are in normalized (gamma = 1) units.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -480,10 +481,14 @@ def refine(params: NormalizedParams, omega: float, tol: float,
     deepest odd rung <= n_cap, so two rungs always fit. The stop test is the
     same from any start: if k is the n_used of the ladder from 3, a start
     <= k - 2 stops at k with the identical solution, and a larger start
-    stops deeper.
+    stops deeper. n_cap and start are integers and tol is finite and >= 0;
+    anything else is a ParameterError before the first solve.
     """
-    if not tol >= 0.0:
-        raise ParameterError(f"tol must be >= 0, got {tol}")
+    for name, value in (("n_cap", n_cap), ("start", start)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
     if start % 2 == 0:
         raise ParameterError(f"start must be an odd truncation, got {start}")
     top = n_cap if n_cap % 2 else n_cap - 1

@@ -257,6 +257,9 @@ def test_numeric_width_guards():
         an.numeric_fwhm(lambda d: -1.0 / (1.0 + d ** 2))
     with pytest.raises(an.LocatorError):
         an.numeric_fwhm(lambda d: 1.0 / (1.0 + (d - 0.5) ** 2))
+    # a flat profile never falls to half its peak on the doubling ladder
+    with pytest.raises(an.LocatorError, match="no half-maximum crossing"):
+        an.numeric_fwhm(lambda d: 1.0)
 
 
 def test_numeric_peak_location():

@@ -32,6 +32,13 @@ def test_quadrature_spec_validation():
         QuadratureSpec(domain_halfwidth=0.0)
 
 
+@pytest.mark.parametrize("setting", [{"nodes": 32.5}, {"nodes": 32.0},
+                                     {"tol": math.inf}])
+def test_quadrature_spec_takes_integer_nodes_and_finite_tol(setting):
+    with pytest.raises(ParameterError):
+        QuadratureSpec(**setting)
+
+
 def test_velocity_average_homogeneous_passthrough():
     got = velocity_average(lambda om: 7.0 + om, "homogeneous", 0.0)
     assert got == 7.0
@@ -311,6 +318,21 @@ def test_oracle_average_homogeneous_invariant_under_beam_exchange(
     p = NormalizedParams.build(a_ratio=a, phi_tilde=phi, **kw)
     q = NormalizedParams.build(a_ratio=1.0 / a, phi_tilde=a * phi, **kw)
     assert rel_err(oracle_average(q), oracle_average(p)) < 1e-10
+
+
+@pytest.mark.parametrize("setting", [{"n_cap": 5.5}, {"n_cap": 41.0},
+                                     {"refine_tol": math.inf}])
+def test_oracle_average_rejects_bad_ladder_settings(monkeypatch, setting):
+    def no_solve(problem):
+        raise AssertionError("solved before the settings were checked")
+    monkeypatch.setattr(oracle, "solve_steady_state", no_solve)
+    for kind, gv in (("homogeneous", 0.0), ("lorentzian", 2.0),
+                     ("gaussian", 2.0)):
+        p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
+                                   delta_big_tilde=100.0, gamma_v_tilde=gv,
+                                   kind=kind)
+        with pytest.raises(ParameterError):
+            oracle_average(p, **setting)
 
 
 def test_oracle_average_lorentzian_matches_series():

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import tpa
-from tpa import analytics, averaging, cli, oracle
+from tpa import analytics, averaging, cli, core, oracle, validation
 from tpa.core import NormalizedParams, ParameterError
 
 from conftest import fresh_python
@@ -176,6 +176,22 @@ def test_config_validation_errors():
     for doc in bad_docs:
         with pytest.raises(ParameterError):
             cli.parse_scan_config(doc)
+
+
+@pytest.mark.parametrize("doc, match", [
+    # x is a fixed key of n2, so only the list of axes refuses it
+    (_n2_doc(sweep={"axis": "x", "start": 1e-3, "stop": 2e-3, "count": 3}),
+     "sweep.axis must be one of"),
+    ([_n2_doc()], "config must be a mapping"),
+    (_n2_doc(sweep=[0, 1]), "sweep must be a mapping"),
+    (_n2_doc(fixed=[1e-3]), "fixed must be a mapping"),
+    (_n2_doc(dist="gaussian"), "dist must be a mapping"),
+    (_oracle_doc(quadrature=[32]), "quadrature must be a mapping"),
+    (_oracle_doc(oracle="deep"), "oracle must be a mapping"),
+])
+def test_config_errors_name_the_rule(doc, match):
+    with pytest.raises(ParameterError, match=match):
+        cli.parse_scan_config(doc)
 
 
 # Each closed observable as analytics gives it, at one parameter set.
@@ -423,19 +439,25 @@ _CLOSED_SCANS = {
 
 
 def test_closed_scans_load_neither_numpy_nor_scipy(tmp_path):
-    # a fresh `tpa scan` of each closed observable leaves numpy unexecuted
-    # and scipy unimported, and writes the bytes that the same scan writes
-    # in this process, where numpy is loaded
+    # a fresh `tpa scan` of each closed observable, and figures 2 and 3,
+    # leave numpy unexecuted and scipy unimported, and write the bytes that
+    # the same runs write in this process, where numpy is loaded
     argvs = []
     for k, doc in enumerate(_CLOSED_SCANS.values()):
         cfg_path = tmp_path / f"scan{k}.json"
         cfg_path.write_text(json.dumps(doc))
         argvs.append(["scan", "--config", str(cfg_path),
                       "--out", str(tmp_path / f"scan{k}.csv")])
+    for fig in (2, 3):
+        argvs.append(["figure", "--fig", str(fig),
+                      "--out", str(tmp_path / f"fig{fig}.csv")])
     assert _loaded_after(_NUMPY_OR_SCIPY, *argvs) == set()
     for k, doc in enumerate(_CLOSED_SCANS.values()):
         here = _render(cli.run_scan(cli.parse_scan_config(doc)))
         assert (tmp_path / f"scan{k}.csv").read_bytes() == here.encode()
+    for fig in (2, 3):
+        here = _render(cli.run_figure(fig))
+        assert (tmp_path / f"fig{fig}.csv").read_bytes() == here.encode()
 
 
 _MAX = cli._MAX_SWEEP_COUNT
@@ -459,6 +481,30 @@ def test_linspace_matches_numpy(start, stop, same, count):
     with np.errstate(over="ignore"):  # k * step at k = count - 1, replaced
         want = np.linspace(start, stop, count)
     assert got.tobytes() == want.tobytes()
+
+
+@given(lo=st.floats(-6.0, 6.0), hi=st.floats(-6.0, 6.0),
+       count=st.integers(2, 64))
+def test_geomspace_tracks_numpy(lo, hi, count):
+    # the ends are exact; in between each point is within 1e-13 of numpy's,
+    # whose log10 rounds differently at times
+    start, stop = sorted((10.0 ** lo, 10.0 ** hi))
+    assume(start < stop)
+    got = core._geomspace(start, stop, count)
+    assert len(got) == count
+    assert got[0] == start and got[-1] == stop
+    want = np.geomspace(start, stop, count)
+    assert np.max(np.abs(np.array(got) - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("fig, start, count", [(3, 0.01, 48), (4, 0.05, 23),
+                                               (5, 0.05, 19)])
+def test_geomspace_matches_the_figure_grids(fig, start, count):
+    # each figure's grid past its 0 is within one ulp of numpy's
+    got = cli.run_figure(fig).grid
+    assert got[0] == 0.0 and got[1:] == core._geomspace(start, 100.0, count)
+    want = np.geomspace(start, 100.0, count).tolist()
+    assert all(abs(g - w) <= math.ulp(w) for g, w in zip(got[1:], want))
 
 
 def test_oracle_scan_loads_only_the_linear_algebra(tmp_path):
@@ -578,6 +624,15 @@ def test_oracle_scan_threads_write_the_same_bytes(monkeypatch):
 def test_main_validate(capsys):
     assert cli.main(["validate", "--level", "fast"]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_main_validate_reports_a_failing_row(capsys, monkeypatch):
+    monkeypatch.setattr(validation, "_structural_rows", lambda level, rng: [
+        validation.ValidationRow("planted", False, "a failing row")])
+    assert cli.main(["validate"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  a failing row" in out
+    assert out.rstrip().endswith("CHECKS FAILED")
 
 
 def test_main_figure_default_name(tmp_path, monkeypatch):

@@ -588,10 +588,30 @@ def test_refine_start_leaves_small_caps_and_parity_checked():
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
                                delta_big_tilde=100.0)
     for n_cap in (3, 4):
-        with pytest.raises(TruncationError, match="too small to iterate"):
+        with pytest.raises(TruncationError, match="too small to iterate; "
+                           r"raise oracle\.n_cap to at least 5"):
             oracle.refine(p, 0.0, 1e-14, n_cap=n_cap, start=11)
     with pytest.raises(ParameterError, match="odd"):
         oracle.refine(p, 0.0, 1e-14, start=8)
+
+
+@pytest.mark.parametrize("setting, match", [
+    ({"n_cap": 5.5}, "n_cap must be an integer"),
+    ({"n_cap": 41.0}, "n_cap must be an integer"),
+    ({"n_cap": True}, "n_cap must be an integer"),
+    ({"start": 3.0}, "start must be an integer"),
+    ({"start": True}, "start must be an integer"),
+    ({"tol": math.inf}, "tol must be finite"),
+])
+def test_refine_rejects_bad_settings_before_any_solve(monkeypatch, setting,
+                                                       match):
+    def no_solve(problem):
+        raise AssertionError("solved before the settings were checked")
+    monkeypatch.setattr(oracle, "solve_steady_state", no_solve)
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
+                               delta_big_tilde=100.0)
+    with pytest.raises(ParameterError, match=match):
+        oracle.refine(p, 0.0, **{"tol": 1e-14, **setting})
 
 
 def test_single_beam_needs_no_sidebands():

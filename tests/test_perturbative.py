@@ -180,6 +180,23 @@ def test_third_order_identity_single_beam_closed_form():
     assert rel_err(_identity_rate(p, comps), _order3_dc(p, 1.3)) < 1e-12
 
 
+_SHORT_CROSS_TERM = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: the A**2 and A**4 parts of the "
+    "order-3 series lack a factor of 4")
+
+
+@pytest.mark.parametrize("a", [0.0, pytest.param(0.5, marks=_SHORT_CROSS_TERM),
+                               pytest.param(1.0, marks=_SHORT_CROSS_TERM)])
+def test_third_order_series_matches_identity_with_both_beams(a):
+    # the order-3 term of the series against the rho20 identity at mu != 1,
+    # where the term does not vanish; with the factor restored every case
+    # is within 8e-13
+    for omega in (0.0, 1.3, -2.0):
+        p = _params(delta=0.8, a=a, mu=1.3, phi=1.0, dbig=2e3)
+        want = _identity_rate(p, order3_coherences(p, omega))
+        assert rel_err(_order3_dc(p, omega), want) < 1e-11, omega
+
+
 def test_solver_extraction_matches_low_orders(extraction_pair):
     p, omega, rho_plus, rho_minus = extraction_pair
     c1 = order1_coherences(p, omega)
