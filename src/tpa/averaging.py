@@ -52,6 +52,7 @@ truncations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,11 +163,24 @@ def _trapezoid_sums(f, gamma_v, start):
         yield h * total, h * mass
 
 
+@functools.lru_cache(maxsize=9)  # one ladder: 8, 16, ..., 2,048 nodes
+def _gauss_legendre(m: int) -> tuple:
+    """Nodes and weights of the m-point Gauss-Legendre rule, read-only.
+
+    Computed once per node count: leggauss solves an eigenproblem, which
+    OpenBLAS runs on several threads at every node count in use.
+    """
+    rule = np.polynomial.legendre.leggauss(m)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _tan_map_sums(f, gamma_v, theta_max, start):
     # Gauss-Legendre in theta, doubling the node count from `start`
     m = start
     while m <= _MAX_NODES:
-        t, w = np.polynomial.legendre.leggauss(m)
+        t, w = _gauss_legendre(m)
         theta = theta_max * t
         vals = np.asarray(f(gamma_v * np.tan(theta)), dtype=float)
         terms = (theta_max / math.pi) * w * vals

@@ -200,11 +200,18 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         for key, raw in block.items():
             values[key] = (_float_item(block, key, name)
                            if isinstance(defaults[key], float) else raw)
-    QuadratureSpec(**options["quadrature"])
+    try:
+        QuadratureSpec(**options["quadrature"])
+    except ParameterError as exc:
+        raise ParameterError(f"quadrature.{exc}") from None
     # refine needs two rungs, n_max = 3 and 5, to test settling
     n_cap = options["oracle"]["n_cap"]
     if not isinstance(n_cap, int) or n_cap < 5:
         raise ParameterError("oracle.n_cap must be an integer >= 5")
+    refine_tol = options["oracle"]["refine_tol"]  # finite, as read
+    if refine_tol < 0.0:
+        raise ParameterError(
+            f"oracle.refine_tol must be finite and >= 0, got {refine_tol!r}")
 
     out = doc.get("out")
     if out is not None and not isinstance(out, str):

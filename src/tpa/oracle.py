@@ -29,8 +29,13 @@ exactly, through pivots -1 - i(n*Omega/2 + M_ii - M_jj) of modulus at least
 gamma, and the one LU factorization of a solve is of the Schur complement on
 the 4 one-photon coherences of each odd harmonic (the large-detuning
 elimination of the weak-drive theory, made exact; H. Risken, The
-Fokker-Planck Equation, ch. 9). The triangular solves with its factors call
-LAPACK getrs directly. One step of iterative refinement follows, from the
+Fokker-Planck Equation, ch. 9). In harmonic order that complement is
+tridiagonal in 4x4 blocks. Above 96 unknowns (n_max >= 25), where
+OpenBLAS starts to factorize on several threads, one more level eliminates
+the blocks of every other odd harmonic exactly, so the factorized block has
+half the unknowns: at most 96 up to n_max = 47, and a larger n_cap
+factorizes threaded. The triangular solves with the factors call LAPACK
+getrs directly. One step of iterative refinement follows, from the
 residual of the pumped rows accumulated in extended precision; the check
 after it takes the residual of every row in double precision, so a coupling
 the reduced solve assumes absent, between the sectors or inside a class,
@@ -89,6 +94,10 @@ _COUPLINGS = {
 # field factor phi1 (f = 0) or -phi2 (f = 1).
 _RULES = {"e": ((-1, 0), (+1, 1)), "ec": ((+1, 0), (-1, 1))}
 _SLOTS = 9  # the diagonal and up to 8 couplings per row
+# Largest matrix sla.lu_factor is given: OpenBLAS runs zgetrf and zgetrs on
+# several threads once m^2 >= 1e4, and its idle helper threads then spin
+# through every later solve, so a larger Schur complement is halved first.
+_SERIAL_LU = 96
 _PARAMS = struct.Struct("5d")  # delta, delta_big, phi1, phi2, mu as bits
 
 sla = _lazy_module("scipy.linalg")
@@ -249,13 +258,21 @@ class _Layout:
     # Schur complement paths kept row -> eliminated element -> kept column:
     # the kept and the eliminated coupling of each path, grouped by target
     # entry; each group starts at path_starts and sums into path_targets,
-    # the flat position of its entry in the kept-class block.
+    # the flat position of its entry in the stored S. S is stored dense
+    # (m x m) or, above _SERIAL_LU unknowns, as its 4x4 blocks in harmonic
+    # order, shape (m/4, 3, 4, 4): the blocks left of, on and right of the
+    # diagonal of each block row (see _Halving).
     path_kept: np.ndarray
     path_elim: np.ndarray
     path_starts: np.ndarray
     path_targets: np.ndarray
     target_rows: np.ndarray  # row of each path target, a nonzero of S
     target_starts: np.ndarray  # first target of each row
+    schur_size: int  # entries of the stored S
+    schur_diag: np.ndarray  # position of each diagonal entry of S
+    # dense position in the halved matrix of each entry of _Halving's
+    # blocks, or None if S is factorized whole
+    level_targets: np.ndarray | None
     pumped: np.ndarray  # rows of the pumped sector, ascending
     pumped_slots: np.ndarray  # their slots, and the first slot of each row
     pumped_starts: np.ndarray
@@ -325,6 +342,28 @@ def _layout(n_max: int) -> _Layout:
     target = target[order]
     path_starts = _segments(target)
     targets = target[path_starts]
+    m = kept.size
+    rows, columns = np.divmod(targets, m)
+    diagonal = np.arange(m)
+    stored, stored_diag = targets, diagonal * (m + 1)
+    level_targets = None
+    if m > _SERIAL_LU:
+        # kept position p is coherence p // blocks on odd harmonic p % blocks
+        blocks = m // 4
+
+        def band(r, c):
+            (er, kr), (ec, kc) = np.divmod(r, blocks), np.divmod(c, blocks)
+            return ((3 * kr + kc - kr + 1) * 4 + er) * 4 + ec
+
+        stored, stored_diag = band(rows, columns), band(diagonal, diagonal)
+        # _Halving's diagonal, lower and upper blocks, in its halved matrix
+        q = np.arange(blocks // 2)
+        e = np.arange(4)
+        level_targets = (
+            (np.concatenate((q, q[1:], q[:-1]))[:, None, None] * 4
+             + e[:, None]) * 2 * blocks
+            + np.concatenate((q, q[:-1], q[1:]))[:, None, None] * 4 + e
+        ).ravel()
     for a in (cols, starts):
         a.flags.writeable = False  # shared by every system of this order
     return _Layout(
@@ -335,8 +374,9 @@ def _layout(n_max: int) -> _Layout:
         elim_slots=elim_slots, elim_cols=elim_cols, elim_starts=elim_starts,
         elim_rows=elim_rows, path_kept=path_kept[order],
         path_elim=path_elim[order], path_starts=path_starts,
-        path_targets=targets, target_rows=targets // kept.size,
-        target_starts=_segments(targets // kept.size),
+        path_targets=stored, target_rows=rows, target_starts=_segments(rows),
+        schur_size=m * m if level_targets is None else 12 * m,
+        schur_diag=stored_diag, level_targets=level_targets,
         pumped=np.flatnonzero(pumped),
         pumped_slots=np.flatnonzero(pumped[row_of]),
         pumped_starts=_segments(row_of[pumped[row_of]]),
@@ -384,6 +424,55 @@ def assemble(problem: SteadyStateProblem) -> LinearSystem:
                         n_max=nmax)
 
 
+def _lu_solve(lu, piv, b):
+    """x with A x = b, from sla.lu_factor's factors of A, through getrs."""
+    x, info = _getrs()(lu, piv, b, overwrite_b=True)
+    if info != 0:
+        raise SolverError(f"LAPACK getrs failed with info {info}")
+    return x
+
+
+class _Halving:
+    """S with the 4x4 blocks of every other odd harmonic eliminated.
+
+    In harmonic order S is tridiagonal in 4x4 blocks: a coherence on
+    harmonic n reaches those on n and n +- 2 through the eliminated class
+    on n +- 1. So the blocks on odd k (k = 0, 1, ... up from -n_max) couple
+    only to the even blocks beside them, and one batched inverse eliminates
+    them all; `matrix`, the block-tridiagonal Schur complement left on the
+    even blocks, has half the unknowns. The field of values of the unscaled
+    S lies in Re z <= -gamma, as that of the whole operator does, so every
+    inverted block is regular.
+    """
+
+    def __init__(self, band: np.ndarray, targets: np.ndarray):
+        lower, diag, upper = band[:, 0], band[:, 1], band[:, 2]
+        self.inv = np.linalg.inv(diag[1::2])
+        # odd block j onto even blocks j and j + 1 (zero past the top one);
+        # even block j onto odd blocks j - 1 (j >= 1) and j
+        self.left, self.right = self.inv @ lower[1::2], self.inv @ upper[1::2]
+        self.lower, self.upper = lower[2::2], upper[::2]
+        even = diag[::2] - self.upper @ self.left
+        even[1:] -= self.lower @ self.right[:-1]
+        size = 4 * len(even)
+        matrix = np.zeros(size * size, dtype=complex)
+        matrix[targets] = np.concatenate(
+            (even, -self.lower @ self.left[:-1],
+             -self.upper[:-1] @ self.right[:-1]), axis=None)
+        self.matrix = matrix.reshape(size, size)
+
+    def solve(self, lu, piv, b: np.ndarray) -> np.ndarray:
+        """S x = b, from the factors of `matrix`; b and x in kept order."""
+        blocks = b.reshape(4, -1).T[:, :, None]
+        y = self.inv @ blocks[1::2]
+        even = blocks[::2] - self.upper @ y
+        even[1:] -= self.lower @ y[:-1]
+        x = _lu_solve(lu, piv, even.ravel()).reshape(-1, 4, 1)
+        odd = y - self.left @ x
+        odd[:-1] -= self.right[:-1] @ x[1:]
+        return np.stack((x, odd), axis=1).reshape(-1, 4).T.ravel()
+
+
 def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     """Direct solve on the one-photon coherences, with refinement and checks.
 
@@ -397,7 +486,13 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     odd harmonic. S is row-equilibrated (its diagonal grows like n*Omega/2
     and delta_big, so raw rows span many decades) and LU-factorized; each
     solve with it back-substitutes the eliminated class through its
-    diagonal, and the unpumped sector stays zero.
+    diagonal, and the unpumped sector stays zero. Above 96 unknowns
+    (n_max >= 25) S is not factorized whole: its 4x4 blocks on every other
+    odd harmonic are eliminated first by one batched inverse (`_Halving`),
+    the LU is of the half left, 2(n_max + 1) unknowns at odd n_max (84 at
+    the default cap), and both solves carry their right-hand sides through
+    that level and back. OpenBLAS factorizes on one thread below 1e4
+    entries, which one level keeps up to n_max = 47.
 
     The solution is polished by one refinement step: the residual of the
     pumped rows, all the correction reads, is accumulated in extended
@@ -421,15 +516,18 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     coupled = vals[lay.kept_slots]
     damped = vals[lay.elim_slots] / pivots[lay.elim_rows]
     m = lay.kept.size
-    schur = np.zeros(m * m, dtype=complex)
-    schur[::m + 1] = vals[lay.kept_diag]
+    schur = np.zeros(lay.schur_size, dtype=complex)
+    schur[lay.schur_diag] = vals[lay.kept_diag]
     schur[lay.path_targets] -= np.add.reduceat(
         coupled[lay.path_kept] * damped[lay.path_elim], lay.path_starts)
     # row maxima and quotients over the structural nonzeros alone
     entries = schur[lay.path_targets]
     scale = np.maximum.reduceat(np.abs(entries), lay.target_starts)
     schur[lay.path_targets] = entries / scale[lay.target_rows]
-    lu, piv = sla.lu_factor(schur.reshape(m, m), check_finite=False)
+    level = (None if lay.level_targets is None
+             else _Halving(schur.reshape(-1, 3, 4, 4), lay.level_targets))
+    matrix = schur.reshape(m, m) if level is None else level.matrix
+    lu, piv = sla.lu_factor(matrix, check_finite=False)
     extended = vals[lay.pumped_slots].astype(np.clongdouble)
     xq = np.zeros(system.dimension, dtype=np.clongdouble)
     # one solve of A x = b, then one refinement step solving for the
@@ -437,12 +535,10 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     r = system.rhs
     for step in range(2):
         z = r[lay.elim] / pivots
-        x_kept, info = _getrs()(
-            lu, piv, (r[lay.kept] - np.add.reduceat(
-                coupled * z[lay.kept_cols], lay.kept_starts)) / scale,
-            overwrite_b=True)
-        if info != 0:
-            raise SolverError(f"LAPACK getrs failed with info {info}")
+        b = (r[lay.kept] - np.add.reduceat(coupled * z[lay.kept_cols],
+                                           lay.kept_starts)) / scale
+        x_kept = (_lu_solve(lu, piv, b) if level is None
+                  else level.solve(lu, piv, b))
         xq[lay.kept] += x_kept
         xq[lay.elim] += z - np.add.reduceat(damped * x_kept[lay.elim_cols],
                                             lay.elim_starts)
@@ -454,13 +550,13 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     x = xq.astype(complex)
     residual = float(np.abs(system.rhs - system.apply(x)).max())
     if not np.isfinite(residual) or residual > _RESIDUAL_TOL:
-        schur[lay.path_targets] = entries
         # cond keeps the complex dtype even though the norms are real
-        cond = float(abs(np.linalg.cond(schur.reshape(m, m), 1)))
+        cond = float(abs(np.linalg.cond(matrix, 1)))
         raise SolverError(
             f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_TOL:g} "
             f"(dimension {system.dimension}, Schur complement {m}, "
-            f"condition estimate {cond:.3e})")
+            f"factorized block {matrix.shape[0]}; 1-norm condition number "
+            f"of the factorized block, rows equilibrated, {cond:.3e})")
     rho = HarmonicDensityMatrix(n_max=problem.n_max,
                                 coeffs=x.reshape(3, 3, 2 * problem.n_max + 1))
     rho.check_invariants()

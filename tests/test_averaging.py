@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpa import analytics, oracle
+from tpa import analytics, averaging, oracle
 from tpa.averaging import (QuadratureError, QuadratureSpec,
                            averaged_population, oracle_average,
                            velocity_average)
 from tpa.core import NormalizedParams, ParameterError
 from tpa.perturbative import _faddeeva_moments, _series, upper_dc_series
 
-from conftest import rel_err
+from conftest import fresh_python, rel_err
 
 
 def test_quadrature_spec_validation():
@@ -344,6 +344,58 @@ def test_oracle_average_lorentzian_matches_series():
     assert rel_err(value, closed) < 1e-3
     assert info["reference"] == pytest.approx(closed, rel=1e-12)
     assert info["n_used"] >= 3
+
+
+def test_gauss_legendre_rules_are_cached_read_only(monkeypatch):
+    # the Lorentzian rule's nodes and weights are leggauss's, bit for bit,
+    # shared read-only, and computed once per node count
+    for m in (8, 32, 2048):
+        rule = averaging._gauss_legendre(m)
+        for got, want in zip(rule, np.polynomial.legendre.leggauss(m)):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+    computed = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda m: computed.append(m) or leggauss(m))
+    averaging._gauss_legendre.cache_clear()
+    p = NormalizedParams.build(delta_tilde=1.0, a_ratio=1.0, mu=1.0,
+                               phi_tilde=1.0, delta_big_tilde=1e3,
+                               gamma_v_tilde=2.0)
+    assert oracle_average(p) == oracle_average(p)
+    # the default first level has 32 nodes, and a test needs two levels
+    assert computed == [32 * 2 ** k for k in range(len(computed))]
+    assert len(computed) >= 2
+
+
+# One strong_lorentz-physics Lorentzian average after a warm-up one, in a
+# fresh process; prints its process CPU time over its wall time. The pause
+# lets the BLAS helper threads that the warm-up's first Gauss-Legendre rules
+# woke go idle, so only the timed average's own threads count.
+_CPU_PER_WALL = """
+import time
+from tpa.averaging import oracle_average
+from tpa.core import NormalizedParams
+
+p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+                           phi_tilde=3.0, delta_big_tilde=100.0,
+                           gamma_v_tilde=2.0)
+oracle_average(p)
+time.sleep(0.5)
+wall, cpu = time.perf_counter(), time.process_time()
+oracle_average(p)
+print((time.process_time() - cpu) / (time.perf_counter() - wall))
+"""
+
+
+def test_strong_drive_lorentzian_average_runs_on_one_core():
+    # every LAPACK call of a warm average stays below OpenBLAS's threading
+    # threshold: a threaded call leaves helper threads spinning on the other
+    # cores, which process CPU time counts (about 1.9x the wall time when
+    # the 104- to 168-unknown Schur complements were factorized whole)
+    done = fresh_python("-c", _CPU_PER_WALL)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 1.25
 
 
 def test_oracle_average_sweep_settles_each_node_at_or_past_its_fresh_ladder(

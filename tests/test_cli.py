@@ -194,6 +194,23 @@ def test_config_errors_name_the_rule(doc, match):
         cli.parse_scan_config(doc)
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("quadrature", "nodes", 32.5),
+    ("quadrature", "tol", -1),
+    ("oracle", "refine_tol", -1),
+])
+def test_option_errors_name_the_config_key(monkeypatch, tmp_path, capsys,
+                                           block, key, value):
+    # a bad option block value exits 2 at parse time, naming its full key
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a scan with a bad option ran a solve")
+    monkeypatch.setattr(oracle, "refine", no_solve)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_oracle_doc(**{block: {key: value}})))
+    assert cli.main(["scan", "--config", str(path)]) == 2
+    assert f"error: {block}.{key} must be" in capsys.readouterr().err
+
+
 # Each closed observable as analytics gives it, at one parameter set.
 _CLOSED_VALUES = {
     "n2": lambda p: analytics.n2(p, p.delta_tilde),

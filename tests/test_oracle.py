@@ -189,15 +189,20 @@ def test_operator_and_reduced_solve_match_dense_reference(
     _matches_dense_reference(n_max, delta, a, mu, phi, dbig, sign, omega)
 
 
+# both sides of the gate on the factorized size: 96 unknowns at n_max = 23,
+# halved to 52, 64 and 84 above it
+_DEEP = [23, 25, 31, 41]
+
+
 @settings(max_examples=6)
-@given(n_max=st.sampled_from([15, 31]), **_draws)
+@given(n_max=st.sampled_from(_DEEP), **_draws)
 def test_deep_operator_and_reduced_solve_match_dense_reference(
         n_max, delta, a, mu, phi, dbig, sign, omega):
     _matches_dense_reference(n_max, delta, a, mu, phi, dbig, sign, omega)
 
 
 @settings(max_examples=6)
-@given(n_max=st.sampled_from([15, 31]),
+@given(n_max=st.sampled_from(_DEEP),
        **dict(_draws, phi=st.floats(0.0, 30.0, **_finite),
               omega=st.floats(-60.0, 60.0, **_finite)))
 def test_strong_drive_reduced_solve_matches_dense_reference(
@@ -251,8 +256,9 @@ def test_couplings_alternate_between_classes(n_max):
     assert lay.elim_starts.size == lay.elim.size
 
 
-@pytest.mark.parametrize("n_max", [3, 4, 7, 31])
-def test_solve_factorizes_only_the_coherence_block(monkeypatch, n_max):
+def _record_factorizations(monkeypatch):
+    """Replace oracle.sla by a stand-in that records the shape of each
+    matrix lu_factor is given."""
     shapes = []
 
     def lu_factor(a, **kw):
@@ -260,11 +266,34 @@ def test_solve_factorizes_only_the_coherence_block(monkeypatch, n_max):
         return scipy.linalg.lu_factor(a, **kw)
     monkeypatch.setattr(oracle, "sla", SimpleNamespace(
         lu_factor=lu_factor, lu_solve=scipy.linalg.lu_solve))
+    return shapes
+
+
+# Rows of the one factorized matrix: the four one-photon coherences on each
+# odd harmonic, 4(n_max + n_max % 2), and half that above 96, where every
+# other harmonic's block is eliminated first.
+_FACTORIZED = {3: 16, 4: 16, 7: 32, 23: 96, 25: 52, 31: 64, 41: 84}
+
+
+@pytest.mark.parametrize("n_max", _FACTORIZED)
+def test_solve_factorizes_only_the_coherence_block(monkeypatch, n_max):
+    shapes = _record_factorizations(monkeypatch)
     oracle.solve_steady_state(_problem(delta=0.3, a=0.8, omega=0.9,
                                        dbig=100.0, n_max=n_max))
-    # four one-photon coherences on each odd harmonic
-    size = 4 * (n_max + n_max % 2)
+    size = _FACTORIZED[n_max]
     assert shapes == [(size, size)]
+
+
+def test_strong_drive_ladder_factorizes_at_most_96_unknowns(monkeypatch):
+    # OpenBLAS threads zgetrf and zgetrs once m^2 >= 1e4; a ladder to the
+    # default cap (tol 0 never settles) keeps every factorization below it
+    shapes = _record_factorizations(monkeypatch)
+    with pytest.raises(TruncationError):
+        oracle.refine(_problem(delta=0.5, a=1.0, mu=1.2, phi=3.0,
+                               dbig=100.0).params, 0.3, 0.0)
+    assert len(shapes) == (oracle.DEFAULT_N_CAP - 1) // 2
+    assert max(rows for rows, _ in shapes) <= 96
+    assert shapes[-1] == (84, 84)
 
 
 # A stand-in for oracle.sla as the benchmark's tracer installs one before
@@ -396,9 +425,10 @@ def _miswired(kind):
 @pytest.mark.parametrize("kind", ["unpumped", "pumped", "coherence"])
 def test_sector_coupling_fails_full_residual(monkeypatch, kind):
     monkeypatch.setattr(oracle, "assemble", _miswired(kind))
-    with pytest.raises(SolverError, match="residual"):
-        oracle.solve_steady_state(_problem(delta=0.3, a=0.8, omega=0.9,
-                                           dbig=100.0, n_max=5))
+    for n_max in (5, 25):  # S factorized whole, and halved
+        with pytest.raises(SolverError, match="residual"):
+            oracle.solve_steady_state(_problem(delta=0.3, a=0.8, omega=0.9,
+                                               dbig=100.0, n_max=n_max))
 
 
 @pytest.mark.parametrize("dbig", [1e2, -1e2, 1e4, -1e4])
@@ -664,10 +694,16 @@ def test_dc_population_imag_guard():
 
 
 def test_condition_number_reported(monkeypatch):
-    # a failed solve reports the condition estimate of its Schur complement
+    # a failed solve names the Schur complement's size and the size of the
+    # block it factorized, and reports the condition number of that block
     monkeypatch.setattr(oracle, "assemble", _miswired("unpumped"))
-    with pytest.raises(SolverError) as failure:
-        oracle.solve_steady_state(_problem(n_max=3))
-    found = re.search(r"condition estimate (\S+)\)", str(failure.value))
-    cond = float(found.group(1))
-    assert math.isfinite(cond) and cond > 1.0
+    for n_max, schur, factorized in ((3, 16, 16), (25, 104, 52)):
+        with pytest.raises(SolverError) as failure:
+            oracle.solve_steady_state(_problem(n_max=n_max))
+        message = str(failure.value)
+        assert (f"Schur complement {schur}, factorized block {factorized};"
+                in message)
+        found = re.search(
+            r"of the factorized block, rows equilibrated, (\S+)\)", message)
+        cond = float(found.group(1))
+        assert math.isfinite(cond) and cond > 1.0
