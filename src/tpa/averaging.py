@@ -47,7 +47,13 @@ first class), and skips rungs that are known to be unsettled. A ladder that
 starts low enough settles where a fresh one would, on the identical
 solution; otherwise it settles deeper. An outward sweep would carry the
 deep rungs of the slow classes out to fast ones that settle at shallow
-truncations.
+truncations. Every level is exactly antisymmetric (Gauss-Legendre nodes
+are, and the trapezoid nodes are built as h (k - m/2)), so the sweep meets
+each mirror pair -Omega, +Omega back to back. With equal beams (A = 1
+exactly) the second class of a pair is the first mirrored by
+U = diag(1, -1, -1), c(i,j,n) -> U_ii U_jj c(i,j,-n), and `oracle.refine`
+returns that mirror with the same n_used, without a solve; at A != 1
+every class solves its own ladder.
 """
 
 from __future__ import annotations
@@ -148,18 +154,20 @@ def _trapezoid_sums(f, gamma_v, start):
         return (norm * np.exp(-0.5 * (omegas / sigma) ** 2)
                 * np.asarray(f(omegas), dtype=float))
 
+    # Node k of a level of m intervals sits at h (k - m/2), so every
+    # level is exactly antisymmetric and the next one adds the odd k of 2m.
     m = start
     h = 2.0 * half / m
-    terms = weighted(np.linspace(-half, half, m + 1))
+    terms = weighted(h * (np.arange(m + 1) - 0.5 * m))
     terms[[0, -1]] *= 0.5
     total, mass = float(np.sum(terms)), float(np.sum(np.abs(terms)))
     yield h * total, h * mass
     while 2 * m <= _MAX_NODES:
-        terms = weighted(np.linspace(-half + 0.5 * h, half - 0.5 * h, m))
-        total += float(np.sum(terms))
-        mass += float(np.sum(np.abs(terms)))
         m *= 2
         h *= 0.5
+        terms = weighted(h * (np.arange(1, m, 2) - 0.5 * m))
+        total += float(np.sum(terms))
+        mass += float(np.sum(np.abs(terms)))
         yield h * total, h * mass
 
 

@@ -384,6 +384,12 @@ def _layout(n_max: int) -> _Layout:
             3, 3, nh).transpose(1, 0, 2)[:, :, ::-1])
 
 
+def _solver_inputs(p: NormalizedParams) -> bytes:
+    """The bits of every parameter a solve reads."""
+    return _PARAMS.pack(p.delta_tilde, p.delta_big_tilde, p.phi1, p.phi2,
+                        p.mu)
+
+
 @functools.lru_cache(maxsize=(DEFAULT_N_CAP - 1) // 2)  # one ladder's rungs
 def _fixed_values(n_max: int, params: bytes) -> tuple:
     """The slot values with their couplings filled in, and M_ii - M_jj of
@@ -410,11 +416,9 @@ def assemble(problem: SteadyStateProblem) -> LinearSystem:
     (0, 1, 2) and M00 = 0, M11 = (delta + delta_big)/2,
     M22 = -(delta - delta_big)/2, M01 = -E, M20 = -mu*E.
     """
-    p = problem.params
     nmax = problem.n_max
     lay = _layout(nmax)
-    couplings, free = _fixed_values(nmax, _PARAMS.pack(
-        p.delta_tilde, p.delta_big_tilde, p.phi1, p.phi2, p.mu))
+    couplings, free = _fixed_values(nmax, _solver_inputs(problem.params))
     vals = couplings.copy()
     # relaxation, advection, and free evolution of the element
     vals[lay.starts] = -1.0 - 1j * (lay.half_n * problem.omega + free)
@@ -563,6 +567,23 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     return rho
 
 
+# The one-photon coherences, the elements whose sign U = diag(1, -1, -1)
+# flips, as an index into the coefficient array.
+_FLIPPED = tuple(zip(*sorted(_ODD_PARITY)))
+# The mirror image of the last ladder refine settled at phi1 == phi2:
+# ((solver inputs, tol, n_cap), the velocity class -Omega it answers, the
+# ladder's first rung, the mirrored solution, n_used); see refine.
+_mirror_memo = None
+
+
+def _mirror(rho: HarmonicDensityMatrix) -> HarmonicDensityMatrix:
+    """The solution at -Omega from the one at Omega, given phi1 == phi2:
+    c(i,j,n) -> U_ii U_jj c(i,j,-n) with U = diag(1, -1, -1)."""
+    coeffs = rho.coeffs[:, :, ::-1].copy()
+    coeffs[_FLIPPED] = -coeffs[_FLIPPED]
+    return HarmonicDensityMatrix(n_max=rho.n_max, coeffs=coeffs)
+
+
 def refine(params: NormalizedParams, omega: float, tol: float,
            n_cap: int = DEFAULT_N_CAP, start: int = 3):
     """Raise the truncation order until the dc upper population settles.
@@ -579,7 +600,19 @@ def refine(params: NormalizedParams, omega: float, tol: float,
     <= k - 2 stops at k with the identical solution, and a larger start
     stops deeper. n_cap and start are integers and tol is finite and >= 0;
     anything else is a ParameterError before the first solve.
+
+    Equal beams (phi1 == phi2 exactly, A = 1) fold mirror pairs of velocity
+    classes. There E(-z) = -E(z), so U = diag(1, -1, -1) maps the steady
+    state at Omega onto the one at -Omega: c(i,j,n) -> U_ii U_jj c(i,j,-n).
+    A ladder that settles at phi1 == phi2 keeps the mirror image of its
+    solution, and the next call returns it with the same n_used, solving
+    nothing, if it asks for -Omega != 0 with the same solver inputs, tol and
+    n_cap, and its first rung lies between the kept ladder's first rung and
+    its n_used - 2: that ladder's stop test then stops at the same rung.
+    Any other call, every call at A != 1 among them, solves its ladder, and
+    a ladder that raises keeps nothing.
     """
+    global _mirror_memo
     for name, value in (("n_cap", n_cap), ("start", start)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
@@ -589,6 +622,13 @@ def refine(params: NormalizedParams, omega: float, tol: float,
         raise ParameterError(f"start must be an odd truncation, got {start}")
     top = n_cap if n_cap % 2 else n_cap - 1
     first = max(3, min(start, top - 2))
+    ladder = (_solver_inputs(params), tol, n_cap)
+    memo, _mirror_memo = _mirror_memo, None
+    if memo is not None and omega != 0.0:
+        memo_ladder, memo_omega, memo_first, mirrored, memo_n = memo
+        if (memo_ladder == ladder and omega == memo_omega
+                and memo_first <= first <= memo_n - 2):
+            return mirrored, memo_n
     previous = None
     last_change = None
     for n in range(first, n_cap + 1, 2):
@@ -597,6 +637,8 @@ def refine(params: NormalizedParams, omega: float, tol: float,
         if previous is not None:
             last_change = abs(value - previous)
             if last_change < tol:
+                if params.phi1 == params.phi2:
+                    _mirror_memo = (ladder, -omega, first, _mirror(rho), n)
                 return rho, n
         previous = value
     if last_change is None:

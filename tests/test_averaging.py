@@ -440,6 +440,52 @@ def test_oracle_average_sweep_settles_each_node_at_or_past_its_fresh_ladder(
     assert rel_err(value, oracle_average(p, quad)) < 1e-12
 
 
+@pytest.mark.parametrize("kind, gamma_v, nodes", [("lorentzian", 2.0, 8),
+                                                   ("gaussian", 0.5, 16)])
+def test_oracle_average_folds_each_mirror_pair_into_one_ladder(
+        monkeypatch, kind, gamma_v, nodes):
+    # at A = 1 every level is exactly antisymmetric and the inward sweep
+    # meets each mirror pair back to back, so refine solves one ladder per
+    # pair (and one at Omega = 0); the average is the one, bit for bit, with
+    # the mirror memo cleared before every refine call
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+                               phi_tilde=1.0, delta_big_tilde=100.0,
+                               gamma_v_tilde=gamma_v, kind=kind)
+    quad = QuadratureSpec(nodes=nodes, tol=1e-6)
+    solves, calls = [], []  # calls: (omega, whether it solved)
+    refine, solve = oracle.refine, oracle.solve_steady_state
+
+    def recorded(params, omega, tol, n_cap, start=3):
+        before = len(solves)
+        result = refine(params, omega, tol, n_cap, start=start)
+        calls.append((omega, len(solves) > before))
+        return result
+    monkeypatch.setattr(oracle, "solve_steady_state",
+                        lambda problem: solves.append(problem)
+                        or solve(problem))
+    monkeypatch.setattr(oracle, "refine", recorded)
+    folded = oracle_average(p, quad)
+    if kind == "lorentzian":
+        sizes = [nodes * 2 ** k for k in range(8)]
+    else:
+        sizes = [nodes + 1] + [nodes * 2 ** k for k in range(7)]
+    levels = 0
+    while calls:
+        level, calls = calls[:sizes[levels]], calls[sizes[levels]:]
+        omegas = np.sort([omega for omega, _ in level])
+        assert len(level) == sizes[levels]
+        assert np.array_equal(omegas, -omegas[::-1])
+        assert sum(solved for _, solved in level) == (len(level) + 1) // 2
+        levels += 1
+    assert levels >= 2
+
+    def unfolded(params, omega, tol, n_cap, start=3):
+        oracle._mirror_memo = None
+        return refine(params, omega, tol, n_cap, start=start)
+    monkeypatch.setattr(oracle, "refine", unfolded)
+    assert oracle_average(p, quad) == folded
+
+
 def test_oracle_average_gaussian_matches_series():
     p = NormalizedParams.build(delta_tilde=1.0, a_ratio=1.0, mu=1.0,
                                phi_tilde=1.0, delta_big_tilde=1e3,

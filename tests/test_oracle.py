@@ -598,6 +598,96 @@ def test_refine_from_a_later_rung_stops_at_or_past_the_fresh_ladder(
         assert n_used >= start + 2 > k
 
 
+def _no_solve(problem):
+    raise AssertionError("solved a ladder the mirror memo answers")
+
+
+@settings(max_examples=100)
+@given(delta=st.floats(-2.0, 2.0, **_finite),
+       mu=st.floats(0.5, 2.0, **_finite), phi=st.floats(0.3, 3.0, **_finite),
+       dbig=st.floats(100.0, 1e3, **_finite),
+       sign=st.sampled_from([-1.0, 1.0]),
+       omega=st.floats(-10.0, 10.0, **_finite).filter(bool))
+def test_equal_beams_fold_the_mirror_class_onto_the_settled_ladder(
+        delta, mu, phi, dbig, sign, omega):
+    # at A = 1, E(-z) = -E(z): the class -Omega is the class Omega mirrored
+    # by c(i,j,n) -> U_ii U_jj c(i,j,-n), U = diag(1, -1, -1), so refine
+    # answers it from the ladder it settled last, without a solve, and as
+    # the ladder of its own would
+    p = NormalizedParams.build(delta_tilde=delta, a_ratio=1.0, mu=mu,
+                               phi_tilde=phi, delta_big_tilde=sign * dbig)
+    oracle._mirror_memo = None
+    _, k = oracle.refine(p, omega, 1e-14)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "solve_steady_state", _no_solve)
+        folded, n_folded = oracle.refine(p, -omega, 1e-14, start=k - 2)
+    oracle._mirror_memo = None
+    fresh, n_fresh = oracle.refine(p, -omega, 1e-14, start=k - 2)
+    assert n_folded == n_fresh == k
+    # the dc population as the averages read it: the mirror and the fresh
+    # solve round apart by at most 1 ulp (bit for bit on most draws; at
+    # delta = 0, mu = 0.5, phi = 0.3, delta_big = -100, Omega = 8.35 by 1)
+    dc = oracle.dc_upper_population(fresh)
+    assert abs(oracle.dc_upper_population(folded) - dc) <= math.ulp(dc)
+    assert np.max(np.abs(folded.coeffs - fresh.coeffs)) <= 1e-15
+
+
+def _mirror_solves(monkeypatch, settled, asked, omega=1.5):
+    """Solves of the ladder at -omega asked after the one settled at omega;
+    each a dict of refine's arguments besides omega."""
+    oracle._mirror_memo = None
+    solves = []
+    solve = oracle.solve_steady_state
+    monkeypatch.setattr(oracle, "solve_steady_state",
+                        lambda problem: solves.append(problem)
+                        or solve(problem))
+    _, n_used = oracle.refine(omega=omega, **settled)
+    del solves[:]
+    oracle.refine(omega=-omega, **asked)
+    monkeypatch.undo()
+    return len(solves), n_used
+
+
+def test_mirror_fold_needs_equal_beams_and_the_same_ladder(monkeypatch):
+    # only the exact mirror of the last settled ladder folds; a call that
+    # differs in the beams, the parameters, tol, n_cap, or starts below the
+    # settled ladder's first rung or above its n_used - 2, solves
+    kw = dict(delta_tilde=0.5, mu=1.2, phi_tilde=2.0, delta_big_tilde=100.0)
+    p = NormalizedParams.build(a_ratio=1.0, **kw)
+    same = dict(params=p, tol=1e-14, n_cap=41, start=7)
+    solves, k = _mirror_solves(monkeypatch, same, same)
+    assert solves == 0 and k >= 11
+    shifted = NormalizedParams.build(a_ratio=1.0, **dict(kw, delta_tilde=0.6))
+    for asked in (dict(same, params=shifted), dict(same, tol=1e-13),
+                  dict(same, n_cap=39), dict(same, start=5),
+                  dict(same, start=k)):
+        assert _mirror_solves(monkeypatch, same, asked)[0] > 0
+    unequal = dict(same, params=NormalizedParams.build(a_ratio=0.999, **kw))
+    assert _mirror_solves(monkeypatch, unequal, unequal)[0] > 0
+
+
+def test_a_ladder_that_raises_keeps_no_mirror(monkeypatch):
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.0,
+                               phi_tilde=0.01, delta_big_tilde=100.0)
+    oracle.refine(p, 0.7, 1e-14)
+    assert oracle._mirror_memo is not None
+    # an exact-zero tolerance is never met: the ladder raises and drops the
+    # mirror the settled ladder kept, so its own mirror raises too
+    with pytest.raises(TruncationError):
+        oracle.refine(p, 0.7, 0.0, n_cap=7)
+    assert oracle._mirror_memo is None
+    rungs = []
+    solve = oracle.solve_steady_state
+    monkeypatch.setattr(oracle, "solve_steady_state",
+                        lambda problem: rungs.append(problem.n_max)
+                        or solve(problem))
+    with pytest.raises(TruncationError):
+        oracle.refine(p, -0.7, 0.0, n_cap=7)
+    assert rungs == [3, 5, 7]
+    oracle.refine(p, -0.7, 1e-14)
+    assert rungs[3:] == [3, 5]
+
+
 @pytest.mark.parametrize("n_cap", [9, 10])
 @pytest.mark.parametrize("start", [7, 9, 11, 99])
 def test_refine_start_is_clamped_below_the_cap(monkeypatch, n_cap, start):
