@@ -47,16 +47,23 @@ class LocatorError(RuntimeError):
 def width_fwhm(a_ratio: float, gamma_v_tilde: float) -> float:
     """Closed-form FWHM of the n2 profile, in units of gamma.
 
-    Collapses to 2 for a homogeneous medium (any beam ratio) and to
-    2*(1 + gamma_v_tilde) for a single running wave.
+    2 sqrt(s) with s = sqrt(w + q^2) + q, w = (1 + gamma_v_tilde)^2 and
+    q = (w - 1) f. Collapses to 2 for a homogeneous medium (any beam ratio)
+    and to 2*(1 + gamma_v_tilde) for a single running wave; for every
+    A > 0 it tends to 2, the sub-Doppler limit, as gamma_v_tilde grows.
+    There q < 0, and s is taken as w / (sqrt(w + q^2) - q), which does not
+    cancel. Both are read off q / w and sqrt(w + q^2) / w, so w never
+    overflows.
     """
     a4 = a_ratio ** 4
     g1 = 1.0 + gamma_v_tilde
-    w = g1 ** 2
+    r = 1.0 / g1
     f = 0.5 * (1.0 + a4 - 4.0 * g1 * a_ratio ** 2) / (1.0 + a4
                                                       + 4.0 * g1 * a_ratio ** 2)
-    wf = (w - 1.0) * f
-    return 2.0 * math.sqrt(math.sqrt(w + (w - 1.0) ** 2 * f ** 2) + wf)
+    v = (1.0 - r * r) * f  # q / w
+    root = math.hypot(r, v)
+    return (2.0 * g1 * math.sqrt(root + v) if v >= 0.0
+            else 2.0 / math.sqrt(root - v))
 
 
 def n2(p: NormalizedParams, delta_tilde):

@@ -58,7 +58,8 @@ from .analytics import LocatorError
 from .averaging import DEFAULT_ORACLE_QUAD, QuadratureError, QuadratureSpec
 from .core import (_KINDS, NormalizedParams, ParameterError, _geomspace,
                    _linspace)
-from .oracle import DEFAULT_N_CAP, DEFAULT_REFINE_TOL, OracleError
+from .oracle import (DEFAULT_N_CAP, DEFAULT_REFINE_TOL, OracleError,
+                     _check_ladder)
 
 _AXES = ("delta_tilde", "gamma_v_tilde", "a_ratio")
 # Sweep grids are held in memory; a million points is far beyond any figure.
@@ -81,10 +82,12 @@ _OBSERVABLES = {
                     "phi_tilde", "delta_big_tilde"}, {"delta_big_tilde"},
                    None),
 }
-# The option blocks of oracle_avg; a key left out keeps the default here.
+# The option blocks of oracle_avg: their defaults, which a key left out
+# keeps, and the library check of the settings, which takes them as keywords.
 _OPTION_BLOCKS = {
-    "quadrature": asdict(DEFAULT_ORACLE_QUAD),
-    "oracle": {"n_cap": DEFAULT_N_CAP, "refine_tol": DEFAULT_REFINE_TOL},
+    "quadrature": (asdict(DEFAULT_ORACLE_QUAD), QuadratureSpec),
+    "oracle": ({"n_cap": DEFAULT_N_CAP, "refine_tol": DEFAULT_REFINE_TOL},
+               _check_ladder),
 }
 
 
@@ -191,7 +194,7 @@ def parse_scan_config(doc: dict) -> ScanConfig:
             f"{kind} profiles need gamma_v_tilde > 0 at every sweep point")
 
     options = {}
-    for name, defaults in _OPTION_BLOCKS.items():
+    for name, (defaults, check) in _OPTION_BLOCKS.items():
         block = doc.get(name, {})
         if name in doc and obs != "oracle_avg":
             raise ParameterError(f"'{name}' only applies to oracle_avg")
@@ -200,18 +203,10 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         for key, raw in block.items():
             values[key] = (_float_item(block, key, name)
                            if isinstance(defaults[key], float) else raw)
-    try:
-        QuadratureSpec(**options["quadrature"])
-    except ParameterError as exc:
-        raise ParameterError(f"quadrature.{exc}") from None
-    # refine needs two rungs, n_max = 3 and 5, to test settling
-    n_cap = options["oracle"]["n_cap"]
-    if not isinstance(n_cap, int) or n_cap < 5:
-        raise ParameterError("oracle.n_cap must be an integer >= 5")
-    refine_tol = options["oracle"]["refine_tol"]  # finite, as read
-    if refine_tol < 0.0:
-        raise ParameterError(
-            f"oracle.refine_tol must be finite and >= 0, got {refine_tol!r}")
+        try:
+            check(**values)
+        except ParameterError as exc:
+            raise ParameterError(f"{name}.{exc}") from None
 
     out = doc.get("out")
     if out is not None and not isinstance(out, str):

@@ -30,10 +30,12 @@ gamma, and the one LU factorization of a solve is of the Schur complement on
 the 4 one-photon coherences of each odd harmonic (the large-detuning
 elimination of the weak-drive theory, made exact; H. Risken, The
 Fokker-Planck Equation, ch. 9). In harmonic order that complement is
-tridiagonal in 4x4 blocks. Above 96 unknowns (n_max >= 25), where
-OpenBLAS starts to factorize on several threads, one more level eliminates
-the blocks of every other odd harmonic exactly, so the factorized block has
-half the unknowns: at most 96 up to n_max = 47, and a larger n_cap
+tridiagonal in 4x4 blocks. OpenBLAS runs zgetrf and zgetrs on several
+threads once m^2 >= 1e4, and its idle helper threads then spin through
+every later solve; so above 96 unknowns (n_max >= 25) one more level
+eliminates the blocks of every other odd harmonic exactly (`_Halving`), and
+the factorized block has half the unknowns, 2(n_max + 1) at odd n_max: at
+most 96 up to n_max = 47, 84 at the default cap, while a larger n_cap
 factorizes threaded. The triangular solves with the factors call LAPACK
 getrs directly. One step of iterative refinement follows, from the
 residual of the pumped rows accumulated in extended precision; the check
@@ -94,10 +96,7 @@ _COUPLINGS = {
 # field factor phi1 (f = 0) or -phi2 (f = 1).
 _RULES = {"e": ((-1, 0), (+1, 1)), "ec": ((+1, 0), (-1, 1))}
 _SLOTS = 9  # the diagonal and up to 8 couplings per row
-# Largest matrix sla.lu_factor is given: OpenBLAS runs zgetrf and zgetrs on
-# several threads once m^2 >= 1e4, and its idle helper threads then spin
-# through every later solve, so a larger Schur complement is halved first.
-_SERIAL_LU = 96
+_SERIAL_LU = 96  # largest S factorized whole; the module docstring says why
 _PARAMS = struct.Struct("5d")  # delta, delta_big, phi1, phi2, mu as bits
 
 sla = _lazy_module("scipy.linalg")
@@ -268,11 +267,8 @@ class _Layout:
     path_targets: np.ndarray
     target_rows: np.ndarray  # row of each path target, a nonzero of S
     target_starts: np.ndarray  # first target of each row
-    schur_size: int  # entries of the stored S
     schur_diag: np.ndarray  # position of each diagonal entry of S
-    # dense position in the halved matrix of each entry of _Halving's
-    # blocks, or None if S is factorized whole
-    level_targets: np.ndarray | None
+    halved: bool  # S stored as blocks and factorized through _Halving
     pumped: np.ndarray  # rows of the pumped sector, ascending
     pumped_slots: np.ndarray  # their slots, and the first slot of each row
     pumped_starts: np.ndarray
@@ -345,9 +341,8 @@ def _layout(n_max: int) -> _Layout:
     m = kept.size
     rows, columns = np.divmod(targets, m)
     diagonal = np.arange(m)
-    stored, stored_diag = targets, diagonal * (m + 1)
-    level_targets = None
-    if m > _SERIAL_LU:
+    halved = m > _SERIAL_LU
+    if halved:
         # kept position p is coherence p // blocks on odd harmonic p % blocks
         blocks = m // 4
 
@@ -356,14 +351,8 @@ def _layout(n_max: int) -> _Layout:
             return ((3 * kr + kc - kr + 1) * 4 + er) * 4 + ec
 
         stored, stored_diag = band(rows, columns), band(diagonal, diagonal)
-        # _Halving's diagonal, lower and upper blocks, in its halved matrix
-        q = np.arange(blocks // 2)
-        e = np.arange(4)
-        level_targets = (
-            (np.concatenate((q, q[1:], q[:-1]))[:, None, None] * 4
-             + e[:, None]) * 2 * blocks
-            + np.concatenate((q, q[:-1], q[1:]))[:, None, None] * 4 + e
-        ).ravel()
+    else:
+        stored, stored_diag = targets, diagonal * (m + 1)
     for a in (cols, starts):
         a.flags.writeable = False  # shared by every system of this order
     return _Layout(
@@ -375,8 +364,7 @@ def _layout(n_max: int) -> _Layout:
         elim_rows=elim_rows, path_kept=path_kept[order],
         path_elim=path_elim[order], path_starts=path_starts,
         path_targets=stored, target_rows=rows, target_starts=_segments(rows),
-        schur_size=m * m if level_targets is None else 12 * m,
-        schur_diag=stored_diag, level_targets=level_targets,
+        schur_diag=stored_diag, halved=halved,
         pumped=np.flatnonzero(pumped),
         pumped_slots=np.flatnonzero(pumped[row_of]),
         pumped_starts=_segments(row_of[pumped[row_of]]),
@@ -449,7 +437,7 @@ class _Halving:
     inverted block is regular.
     """
 
-    def __init__(self, band: np.ndarray, targets: np.ndarray):
+    def __init__(self, band: np.ndarray):
         lower, diag, upper = band[:, 0], band[:, 1], band[:, 2]
         self.inv = np.linalg.inv(diag[1::2])
         # odd block j onto even blocks j and j + 1 (zero past the top one);
@@ -458,12 +446,14 @@ class _Halving:
         self.lower, self.upper = lower[2::2], upper[::2]
         even = diag[::2] - self.upper @ self.left
         even[1:] -= self.lower @ self.right[:-1]
-        size = 4 * len(even)
-        matrix = np.zeros(size * size, dtype=complex)
-        matrix[targets] = np.concatenate(
-            (even, -self.lower @ self.left[:-1],
-             -self.upper[:-1] @ self.right[:-1]), axis=None)
-        self.matrix = matrix.reshape(size, size)
+        # block row, its coherence, block column, its coherence
+        q = len(even)
+        k = np.arange(q)
+        matrix = np.zeros((q, 4, q, 4), dtype=complex)
+        matrix[k, :, k] = even
+        matrix[k[1:], :, k[:-1]] = -self.lower @ self.left[:-1]
+        matrix[k[:-1], :, k[1:]] = -self.upper[:-1] @ self.right[:-1]
+        self.matrix = matrix.reshape(4 * q, 4 * q)
 
     def solve(self, lu, piv, b: np.ndarray) -> np.ndarray:
         """S x = b, from the factors of `matrix`; b and x in kept order."""
@@ -488,15 +478,11 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     modulus, which leaves the Schur complement
     S = D_kept - C_kept,elim D_elim^-1 C_elim,kept on the 4 coherences of each
     odd harmonic. S is row-equilibrated (its diagonal grows like n*Omega/2
-    and delta_big, so raw rows span many decades) and LU-factorized; each
+    and delta_big, so raw rows span many decades) and LU-factorized, whole
+    or, when its layout is halved (module docstring), through `_Halving`,
+    which carries both right-hand sides through its level and back; each
     solve with it back-substitutes the eliminated class through its
-    diagonal, and the unpumped sector stays zero. Above 96 unknowns
-    (n_max >= 25) S is not factorized whole: its 4x4 blocks on every other
-    odd harmonic are eliminated first by one batched inverse (`_Halving`),
-    the LU is of the half left, 2(n_max + 1) unknowns at odd n_max (84 at
-    the default cap), and both solves carry their right-hand sides through
-    that level and back. OpenBLAS factorizes on one thread below 1e4
-    entries, which one level keeps up to n_max = 47.
+    diagonal, and the unpumped sector stays zero.
 
     The solution is polished by one refinement step: the residual of the
     pumped rows, all the correction reads, is accumulated in extended
@@ -520,7 +506,7 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     coupled = vals[lay.kept_slots]
     damped = vals[lay.elim_slots] / pivots[lay.elim_rows]
     m = lay.kept.size
-    schur = np.zeros(lay.schur_size, dtype=complex)
+    schur = np.zeros(12 * m if lay.halved else m * m, dtype=complex)
     schur[lay.schur_diag] = vals[lay.kept_diag]
     schur[lay.path_targets] -= np.add.reduceat(
         coupled[lay.path_kept] * damped[lay.path_elim], lay.path_starts)
@@ -528,8 +514,7 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
     entries = schur[lay.path_targets]
     scale = np.maximum.reduceat(np.abs(entries), lay.target_starts)
     schur[lay.path_targets] = entries / scale[lay.target_rows]
-    level = (None if lay.level_targets is None
-             else _Halving(schur.reshape(-1, 3, 4, 4), lay.level_targets))
+    level = _Halving(schur.reshape(-1, 3, 4, 4)) if lay.halved else None
     matrix = schur.reshape(m, m) if level is None else level.matrix
     lu, piv = sla.lu_factor(matrix, check_finite=False)
     extended = vals[lay.pumped_slots].astype(np.clongdouble)
@@ -584,6 +569,17 @@ def _mirror(rho: HarmonicDensityMatrix) -> HarmonicDensityMatrix:
     return HarmonicDensityMatrix(n_max=rho.n_max, coeffs=coeffs)
 
 
+def _check_ladder(n_cap, refine_tol) -> None:
+    """Refuse ladder settings refine cannot run: n_cap must be an integer
+    >= 5, so that the stop test has its two rungs, n_max = 3 and 5, and
+    refine_tol must be finite and >= 0."""
+    if isinstance(n_cap, bool) or not isinstance(n_cap, int) or n_cap < 5:
+        raise ParameterError(f"n_cap must be an integer >= 5, got {n_cap!r}")
+    if not 0.0 <= refine_tol < math.inf:
+        raise ParameterError(
+            f"refine_tol must be finite and >= 0, got {refine_tol!r}")
+
+
 def refine(params: NormalizedParams, omega: float, tol: float,
            n_cap: int = DEFAULT_N_CAP, start: int = 3):
     """Raise the truncation order until the dc upper population settles.
@@ -598,8 +594,9 @@ def refine(params: NormalizedParams, omega: float, tol: float,
     deepest odd rung <= n_cap, so two rungs always fit. The stop test is the
     same from any start: if k is the n_used of the ladder from 3, a start
     <= k - 2 stops at k with the identical solution, and a larger start
-    stops deeper. n_cap and start are integers and tol is finite and >= 0;
-    anything else is a ParameterError before the first solve.
+    stops deeper. n_cap and tol must pass `_check_ladder`, and start must
+    be an odd integer; anything else is a ParameterError before the first
+    solve.
 
     Equal beams (phi1 == phi2 exactly, A = 1) fold mirror pairs of velocity
     classes. There E(-z) = -E(z), so U = diag(1, -1, -1) maps the steady
@@ -613,11 +610,9 @@ def refine(params: NormalizedParams, omega: float, tol: float,
     a ladder that raises keeps nothing.
     """
     global _mirror_memo
-    for name, value in (("n_cap", n_cap), ("start", start)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if not 0.0 <= tol < math.inf:
-        raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_ladder(n_cap, tol)
+    if isinstance(start, bool) or not isinstance(start, int):
+        raise ParameterError(f"start must be an integer, got {start!r}")
     if start % 2 == 0:
         raise ParameterError(f"start must be an odd truncation, got {start}")
     top = n_cap if n_cap % 2 else n_cap - 1
@@ -630,7 +625,6 @@ def refine(params: NormalizedParams, omega: float, tol: float,
                 and memo_first <= first <= memo_n - 2):
             return mirrored, memo_n
     previous = None
-    last_change = None
     for n in range(first, n_cap + 1, 2):
         rho = solve_steady_state(SteadyStateProblem(params, omega, n))
         value = rho.dc(2, 2)
@@ -641,10 +635,6 @@ def refine(params: NormalizedParams, omega: float, tol: float,
                     _mirror_memo = (ladder, -omega, first, _mirror(rho), n)
                 return rho, n
         previous = value
-    if last_change is None:
-        raise TruncationError(
-            f"truncation cap {n_cap} too small to iterate; "
-            f"raise oracle.n_cap to at least 5")
     # a live tail at the edge harmonics says the truncation is too short,
     # not the tolerance too tight
     tail = float(np.abs(rho.coeffs[:, :, [0, -1]]).max())

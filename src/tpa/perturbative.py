@@ -134,11 +134,11 @@ def _series(params: NormalizedParams, d, low: int, high: int, omega=None):
             first, second = _faddeeva_moments(d, params.gamma_v_tilde)
             re_p, im_p, im2_p = first.real, first.imag, second.imag
         else:
-            # g1 ** 2 overflows with an error, not to an inf that zeroes
-            # the line
+            # scaled by g1, so that no square of it overflows
             g1 = 1.0 + params.gamma_v_tilde
-            w = g1 ** 2 + d * d
-            re_p, im_p, im2_p = g1 / w, d / w, 2.0 * g1 * d / (w * w)
+            t = d / g1
+            w = g1 + d * t
+            re_p, im_p, im2_p = 1.0 / w, t / w, 2.0 * t / (w * w)
         re_m, im_m, im2_m = re_p, im_p, im2_p
     a2 = params.a_ratio ** 2
     a4 = a2 * a2
@@ -165,19 +165,20 @@ def _peak_shift(params: NormalizedParams, a_ratio: float) -> float:
     -16 mu^2 x^2 ((1 + A^4) R3 + 4 A^2) and n3'(0) is 16 mu^2 (mu^2 - 1)
     (1 + A^2) x^3 (2 (1 + A^4) R3 + A^2 (R1 + R2 + 2)), in R_k = Re M_k(0):
     (1 + gamma_v)^-k on a Lorentzian or homogeneous profile, the Faddeeva
-    moments on a Gaussian one. At A = 0 their ratio is exactly 1.
+    moments on a Gaussian one. At A = 0 their ratio is exactly 1, which is
+    taken as such, so that an R3 that underflows to 0 gives no 0/0.
     """
     if params.kind == "gaussian":
         r1, r2, r3 = (m.real for m in _faddeeva_moments(
             0.0, params.gamma_v_tilde, 3))
     else:
-        # g1 ** 3 overflows with an error, not to an inf
-        g1 = 1.0 + params.gamma_v_tilde
-        r1, r2, r3 = 1.0 / g1, 1.0 / g1 ** 2, 1.0 / g1 ** 3
+        # powers of 1/g1, which underflow where powers of g1 would overflow
+        r1 = 1.0 / (1.0 + params.gamma_v_tilde)
+        r2, r3 = r1 * r1, r1 * r1 * r1
     a2 = a_ratio ** 2
     a4 = 1.0 + a2 ** 2
-    ratio = ((2.0 * a4 * r3 + a2 * (r1 + r2 + 2.0))
-             / (2.0 * a4 * r3 + 8.0 * a2))
+    ratio = 1.0 if a2 == 0.0 else ((2.0 * a4 * r3 + a2 * (r1 + r2 + 2.0))
+                                   / (2.0 * a4 * r3 + 8.0 * a2))
     return 2.0 * (1.0 + a2) * (params.mu ** 2 - 1.0) * params.x * ratio
 
 

@@ -1,9 +1,11 @@
 import math
+import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tpa import analytics as an
@@ -59,6 +61,68 @@ def test_width_rises_then_saturates_toward_two():
     assert an.width_fwhm(1.0, 1.0) > an.width_fwhm(1.0, 0.0)
     assert an.width_fwhm(1.0, 100.0) < an.width_fwhm(1.0, 2.0)
     assert abs(an.width_fwhm(1.0, 100.0) - 2.01) < 1e-3
+
+
+def _width_reference(a: float, gv: float) -> tuple:
+    """width_fwhm's closed form from the same float inputs, to 50 digits
+    (sqrt(w + q^2) + q cancels about 2 log10(1 + gv) of the digits
+    carried), and its relative condition number in A, |d ln W / d ln A|."""
+    with mpmath.workdps(50 + 2 * len(str(int(gv)))):
+        g1 = 1 + mpmath.mpf(gv)
+        w = g1 ** 2
+
+        def width(a):
+            f = (1 + a ** 4 - 4 * g1 * a ** 2) / (2 * (1 + a ** 4
+                                                     + 4 * g1 * a ** 2))
+            q = (w - 1) * f
+            return 2 * mpmath.sqrt(mpmath.sqrt(w + q * q) + q)
+
+        a = mpmath.mpf(a)
+        value = width(a)
+        return float(value), float(abs(mpmath.diff(width, a) * a / value))
+
+
+@given(a=st.just(0.0) | st.floats(0.0, 1.5),
+       log_gv=st.floats(-3.0, 300.0))
+@example(a=0.019904687276956188, log_gv=math.log10(630.0))
+def test_width_matches_a_high_precision_reference(a, log_gv):
+    # on wide profiles the closed form's sqrt(w + q^2) + q cancels for
+    # every A > 0, where q < 0, and w overflows from gv = 1.3e154; the
+    # width must neither lose digits nor overflow there. Where
+    # 4 (1 + gv) A^2 = 1 + A^4, f's numerator vanishes and the width's
+    # condition number in A grows to about (1 + gv) / 2: the rounding of
+    # A^2 alone then moves it by that times eps, which the bound admits
+    gv = 10.0 ** log_gv
+    reference, kappa = _width_reference(a, gv)
+    bound = 1e-15 + 2.0 * sys.float_info.epsilon * kappa
+    assert abs(an.width_fwhm(a, gv) - reference) <= bound * reference
+
+
+@pytest.mark.parametrize("gv", [1e-3, 1.0, 1e9, 1e75, 1e150, 1e300])
+def test_width_limits_of_the_beam_ratio(gv):
+    # a running wave keeps the whole Doppler width; any counter-propagating
+    # beam narrows the line to the sub-Doppler width 2 as gamma_v grows
+    assert an.width_fwhm(0.0, gv) == pytest.approx(2.0 * (1.0 + gv),
+                                                   rel=1e-15, abs=0)
+    if gv >= 1e75:
+        for a in (0.1, 0.5, 1.0, 1.5):
+            assert an.width_fwhm(a, gv) == pytest.approx(2.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("d", [0.0, 0.7])
+def test_lorentzian_profiles_hold_the_widest_doppler_widths(a, d):
+    # no power of 1 + gamma_v is formed, so every profile value stays a
+    # finite double, monotone in the width, out to 1e300
+    widths = [10.0 ** k for k in range(150, 301, 10)]
+    profiles = (lambda p: an.n2(p, d), lambda p: an.n3(p, d),
+                lambda p: averaged_population(p, 3), an.stark_shift)
+    for profile in profiles:
+        values = [profile(NormalizedParams.build(
+            x=1e-3, a_ratio=a, gamma_v_tilde=gv, mu=1.2, delta_tilde=d))
+            for gv in widths]
+        assert all(math.isfinite(v) for v in values)
+        assert values in (sorted(values), sorted(values, reverse=True))
 
 
 @given(x=_x, a=st.just(0.0) | _ratio, gv=_width, mu=_mu, d=_detuning)

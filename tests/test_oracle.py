@@ -533,10 +533,11 @@ def test_refine_argument_and_cap_errors(monkeypatch):
     for params in (p, lorentzian):
         with pytest.raises(ParameterError):
             averaging.oracle_average(params, refine_tol=math.nan)
+    # a cap below 5 leaves the stop test one rung, and is refused too
+    with pytest.raises(ParameterError, match="n_cap must be an integer >= 5"):
+        oracle.refine(p, 0.0, 1e-14, n_cap=3)
     assert solves == []
     monkeypatch.undo()
-    with pytest.raises(TruncationError):
-        oracle.refine(p, 0.0, 1e-14, n_cap=3)
     q = NormalizedParams.build(delta_tilde=0.5, a_ratio=0.5,
                                delta_big_tilde=100.0)
     with pytest.raises(TruncationError):
@@ -562,7 +563,7 @@ def test_truncation_failure_names_its_knobs():
     assert tail == pytest.approx(edge, rel=1e-3)
     assert tail > 1e-3
     assert "ladder started" not in message
-    with pytest.raises(TruncationError, match="raise oracle.n_cap"):
+    with pytest.raises(ParameterError, match="n_cap must be an integer >= 5"):
         oracle.refine(p, 0.0, 1e-14, n_cap=4)
     # a ladder that skipped its low rungs says where it started
     with pytest.raises(TruncationError) as failure:
@@ -704,12 +705,15 @@ def test_refine_start_is_clamped_below_the_cap(monkeypatch, n_cap, start):
     assert rungs == [7, 9] and n_used == 9
 
 
-def test_refine_start_leaves_small_caps_and_parity_checked():
+def test_refine_start_leaves_small_caps_and_parity_checked(monkeypatch):
+    def no_solve(problem):
+        raise AssertionError("solved before the settings were checked")
+    monkeypatch.setattr(oracle, "solve_steady_state", no_solve)
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
                                delta_big_tilde=100.0)
     for n_cap in (3, 4):
-        with pytest.raises(TruncationError, match="too small to iterate; "
-                           r"raise oracle\.n_cap to at least 5"):
+        with pytest.raises(ParameterError,
+                           match=f"n_cap must be an integer >= 5, got {n_cap}"):
             oracle.refine(p, 0.0, 1e-14, n_cap=n_cap, start=11)
     with pytest.raises(ParameterError, match="odd"):
         oracle.refine(p, 0.0, 1e-14, start=8)
@@ -722,6 +726,9 @@ def test_refine_start_leaves_small_caps_and_parity_checked():
     ({"start": 3.0}, "start must be an integer"),
     ({"start": True}, "start must be an integer"),
     ({"tol": math.inf}, "tol must be finite"),
+    # the stop test needs two rungs, n_max = 3 and 5
+    ({"n_cap": 3}, "n_cap must be an integer >= 5"),
+    ({"n_cap": 4}, "n_cap must be an integer >= 5"),
 ])
 def test_refine_rejects_bad_settings_before_any_solve(monkeypatch, setting,
                                                        match):
