@@ -11,16 +11,8 @@ are supported, parameterized by the half width at half maximum gamma_v:
 The weak-drive series averages in closed form on all three: the one
 formula `perturbative._series` reads the profile's resolvent moments, and
 `averaged_population` and the reference of `oracle_average` read it.
-Everything else is averaged by quadrature.
-
-The profile picks the quadrature rule. Gaussian quadratures use the
-trapezoid rule on |Omega| <= 8 sigma (sigma = gamma_v / sqrt(2 ln 2)): each
-level halves the step and evaluates f only at the new midpoints, so every
-node is reused, and the error falls geometrically in (pole distance)/h for
-integrands with poles off the real axis. Lorentzian quadratures use a tangent
-substitution Omega = gamma_v * tan(theta), which maps the weighted line
-integral to a plain integral of f(gamma_v tan theta)/pi over theta;
-Gauss-Legendre nodes with doubling then converge geometrically for smooth f.
+Everything else is averaged by quadrature, under the rule that `_average`
+picks for the profile; `velocity_average` and `oracle_average` both call it.
 
 Averaging the brute-force steady state needs care: the power-law Lorentzian
 wings reach velocity classes where high harmonics are stepwise resonant
@@ -63,7 +55,7 @@ import math
 from dataclasses import dataclass
 
 from . import oracle as oracle_mod
-from .core import (NormalizedParams, ParameterError, _check_profile,
+from .core import (_EPS, NormalizedParams, ParameterError, _check_profile,
                    _lazy_module)
 # imported by name, so a patch of averaging.upper_dc_series sees every call
 from .perturbative import _series, upper_dc_series
@@ -76,7 +68,6 @@ _MAX_NODES = 2048
 # The Gaussian weight beyond 8 standard deviations carries
 # erfc(8 / sqrt 2) ~ 1.2e-15 of the mass, below every tolerance in use.
 _GAUSS_WINDOW = 8.0
-_EPS = math.ulp(1.0)
 
 
 class QuadratureError(RuntimeError):
@@ -87,12 +78,12 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Quadrature policy: starting node count, window, tolerance.
 
-    The velocity profile picks the rule. nodes is the first level's
-    Gauss-Legendre node count for a Lorentzian profile and its interval
-    count (nodes + 1 points on |Omega| <= 8 sigma) for a Gaussian one; each
-    later level doubles it, up to 2,048, so nodes <= 1,024 leaves room for
-    the two levels a convergence test needs. domain_halfwidth, in units of
-    gamma_v, is read only by the Lorentzian difference scheme of
+    The velocity profile picks the rule (see `_average`). nodes is the
+    first level's Gauss-Legendre node count for a Lorentzian profile and its
+    interval count (nodes + 1 points on |Omega| <= 8 sigma) for a Gaussian
+    one; each later level doubles it, up to 2,048, so nodes <= 1,024 leaves
+    room for the two levels a convergence test needs. domain_halfwidth, in
+    units of gamma_v, is read only by the Lorentzian difference scheme of
     `oracle_average`, whose window it sets; a Lorentzian `velocity_average`
     integrates the whole line.
     """
@@ -119,26 +110,25 @@ DEFAULT_ORACLE_QUAD = QuadratureSpec(tol=1e-6)
 def _converge(sums, tol, abs_floor):
     """Run a node-doubling ladder until consecutive estimates agree.
 
-    `sums` yields (estimate, l1_mass) pairs. Convergence demands
-    |I_k - I_{k-1}| <= max(tol * max(|I_k|, abs_floor), 100 * eps * l1_mass);
-    the mass term stops the ladder from chasing roundoff when the integral
-    is tiny compared to the summed magnitudes (odd integrands, near
-    cancellations).
+    `sums` yields (estimate, l1_mass) pairs, at least two. Convergence
+    demands |I_k - I_{k-1}| <= max(tol * max(|I_k|, abs_floor),
+    100 * eps * l1_mass); the mass term stops the ladder from chasing
+    roundoff when the integral is tiny compared to the summed magnitudes
+    (odd integrands, near cancellations).
     """
     prev = None
-    last_gap = None
-    est = mass = 0.0
     for est, mass in sums:
         if prev is not None:
             last_gap = abs(est - prev)
-            if last_gap <= max(tol * max(abs(est), abs_floor),
-                               100.0 * _EPS * mass):
+            scale = max(abs(est), abs_floor)
+            if last_gap <= max(tol * scale, 100.0 * _EPS * mass):
                 return est
         prev = est
+    relative = last_gap / scale if scale else math.inf
     raise QuadratureError(
-        f"quadrature not converged at {_MAX_NODES} nodes; "
-        f"last estimate {est:.6e}"
-        + (f", last change {last_gap:.3e}" if last_gap is not None else ""))
+        f"quadrature not converged at {_MAX_NODES} nodes; last estimate "
+        f"{est:.6e}, last change {last_gap:.3e} ({relative:.3e} relative); "
+        f"loosen quadrature.tol (now {tol:g})")
 
 
 def _trapezoid_sums(f, gamma_v, start):
@@ -196,27 +186,44 @@ def _tan_map_sums(f, gamma_v, theta_max, start):
         m *= 2
 
 
+def _average(f, kind: str, gamma_v: float, quad: QuadratureSpec,
+             halfwidth: float, abs_floor: float) -> float:
+    """Average f(Omega) over the profile `kind` of HWHM gamma_v by the rule
+    that the profile picks; f takes an array of Omega values.
+
+      * homogeneous: f(0), no quadrature;
+      * gaussian: the nested trapezoid rule on |Omega| <= 8 sigma, sigma =
+        gamma_v / sqrt(2 ln 2): each level halves the step and evaluates f
+        only at the new midpoints, and the error falls geometrically in
+        (pole distance)/h for integrands with poles off the real axis;
+      * lorentzian: Gauss-Legendre in theta, doubling, on |Omega| <=
+        halfwidth * gamma_v (math.inf: the whole line), with Omega = gamma_v
+        tan(theta), which makes the weighted integral a plain one of
+        f(gamma_v tan theta)/pi; it converges geometrically for smooth f.
+
+    The levels stop as `_converge` says, with abs_floor.
+    """
+    if kind == "homogeneous":
+        return float(f(0.0))
+    if kind == "gaussian":
+        sums = _trapezoid_sums(f, gamma_v, quad.nodes)
+    else:
+        sums = _tan_map_sums(f, gamma_v, math.atan(halfwidth), quad.nodes)
+    return _converge(sums, quad.tol, abs_floor)
+
+
 def velocity_average(f, kind: str, gamma_v: float,
                      quad: QuadratureSpec | None = None) -> float:
     """Average f(Omega) over the velocity profile `kind` of HWHM gamma_v.
 
-    f takes an array of Omega values and returns their values. Homogeneous
-    media need no quadrature and return f(0). Gaussian profiles use the
-    nested trapezoid rule on |Omega| <= 8 sigma. Lorentzian profiles use the
-    tan-mapped Gauss-Legendre rule over the whole compactified line. kind
-    and gamma_v follow the rules of NormalizedParams: gamma_v is 0 if and
-    only if the kind is 'homogeneous'.
+    f takes an array of Omega values. The rule is `_average`'s, over the
+    whole line for a Lorentzian profile. kind and gamma_v follow the rules
+    of NormalizedParams: gamma_v is 0 if and only if the kind is
+    'homogeneous'.
     """
     _check_profile(kind, gamma_v)
-    if kind == "homogeneous":
-        return float(f(0.0))
-    if quad is None:
-        quad = QuadratureSpec()
-    if kind == "gaussian":
-        sums = _trapezoid_sums(f, gamma_v, quad.nodes)
-        return _converge(sums, quad.tol, 0.0)
-    sums = _tan_map_sums(f, gamma_v, 0.5 * math.pi, quad.nodes)
-    return _converge(sums, quad.tol, 0.0)
+    return _average(f, kind, gamma_v, QuadratureSpec() if quad is None
+                    else quad, math.inf, 0.0)
 
 
 def averaged_population(params: NormalizedParams, order: int = 2) -> float:
@@ -238,19 +245,20 @@ def oracle_average(params: NormalizedParams,
     """Velocity-averaged dc upper population of the brute-force steady state.
 
     Homogeneous media solve a single velocity class. Gaussian profiles
-    average the solver output directly under the nested trapezoid rule of
-    `velocity_average`, solving only the new nodes of each level. Lorentzian
-    profiles use the windowed difference scheme described in the module
-    docstring: the closed-form series through order 3 is the reference, and
-    only the solver's deviation from it is integrated over
-    |Omega| <= domain_halfwidth * gamma_v (default 10 widths). quad
-    defaults to DEFAULT_ORACLE_QUAD for both profiles. Each quadrature
-    level is solved in one inward sweep, as the module docstring describes.
+    average the solver output directly; Lorentzian ones use the windowed
+    difference scheme of the module docstring: the closed-form series
+    through order 3 is the reference, and only the solver's deviation from
+    it is integrated, over |Omega| <= domain_halfwidth * gamma_v (default
+    10 widths). The rules are `_average`'s, and quad defaults to
+    DEFAULT_ORACLE_QUAD for both profiles. Each level solves only its new
+    nodes, in one inward sweep, as the module docstring describes.
     """
-    info = {"n_used": 0, "reference": 0.0, "correction": 0.0}
     if quad is None:
         quad = DEFAULT_ORACLE_QUAD
     lorentzian = params.kind == "lorentzian"
+    reference = (_series(params, params.delta_tilde, 2, 3) if lorentzian
+                 else 0.0)
+    info = {"n_used": 0, "reference": reference, "correction": 0.0}
 
     def level(points):
         # one quadrature level, swept inward: each ladder starts two rungs
@@ -264,23 +272,14 @@ def oracle_average(params: NormalizedParams,
             rho, n_used = oracle_mod.refine(params, om, refine_tol, n_cap,
                                             start=start)
             info["n_used"] = max(info["n_used"], n_used)
-            start = max(3, n_used - 2)
+            start = n_used - 2
             values[k] = oracle_mod.dc_upper_population(rho)
             if lorentzian:
                 values[k] -= float(upper_dc_series(params, om, 3))
         return values.reshape(np.shape(points))
 
-    if not lorentzian:
-        value = velocity_average(level, params.kind, params.gamma_v_tilde,
-                                 quad)
-        info["correction"] = value
-        return (value, info) if return_info else value
-
-    reference = _series(params, params.delta_tilde, 2, 3)
-    sums = _tan_map_sums(level, params.gamma_v_tilde,
-                         math.atan(quad.domain_halfwidth), quad.nodes)
-    correction = _converge(sums, quad.tol, abs_floor=1e-3 * abs(reference))
-    info["reference"] = reference
-    info["correction"] = correction
-    value = reference + correction
+    info["correction"] = _average(level, params.kind, params.gamma_v_tilde,
+                                  quad, quad.domain_halfwidth,
+                                  1e-3 * abs(reference))
+    value = reference + info["correction"]
     return (value, info) if return_info else value

@@ -327,12 +327,8 @@ def _layout(n_max: int) -> _Layout:
 
     kept_slots, kept_cols, kept_starts, kept_rows = class_couplings(kept)
     elim_slots, elim_cols, elim_starts, elim_rows = class_couplings(elim)
-    # every path kept coupling k -> eliminated element -> its couplings
-    fan = np.diff(np.append(elim_starts, elim_slots.size))[kept_cols]
-    path_kept = np.repeat(np.arange(kept_slots.size), fan)
-    first = np.cumsum(fan) - fan
-    path_elim = (elim_starts[kept_cols][path_kept]
-                 + np.arange(path_kept.size) - first[path_kept])
+    # every path kept coupling -> eliminated element -> its couplings
+    path_kept, path_elim = np.nonzero(kept_cols[:, None] == elim_rows)
     target = kept_rows[path_kept] * kept.size + elim_cols[path_elim]
     order = np.argsort(target, kind="stable")
     target = target[order]

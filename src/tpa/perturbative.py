@@ -65,50 +65,53 @@ def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
       M1 = < 1 / (1 - i u) >   (real part: Lorentzian kernel average)
       M2 = -i dM1/d(delta),   M3 = -(i/2) dM2/d(delta)
 
-    computed from w(zeta), w'(zeta) and w''(zeta) with zeta = (delta + i) /
-    (sigma sqrt(2)). Each identity for w' and w'' cancels to a relative size
-    ~1/|zeta|^2, so at |zeta| >= 6 their asymptotic series are summed
-    instead, scaled by the homogeneous moments: in q = sigma^2 / (delta +
-    i)^2 = 1 / (2 zeta^2),
+    computed from w(zeta) and w'(zeta) = -2 zeta w + 2i/sqrt(pi), with
+    zeta = (delta + i) s and s = 1 / (sigma sqrt 2) = sqrt(ln 2) / gamma_v:
+
+      M1 = sqrt(pi) s w,   M2 = -i sqrt(pi) s^2 w',
+      M3 = -sqrt(pi) s^3 w''(zeta) / 2 = sqrt(pi) s^3 (w + zeta w'),
+
+    so no power of sigma overflows. Both w' and w + zeta w' cancel to a
+    relative size ~1/|zeta|^2, so at |zeta| >= 6 their asymptotic series
+    are summed instead, scaled by the homogeneous moments: in q = sigma^2 /
+    (delta + i)^2 = (1/zeta)^2 / 2,
 
       M2 = -S2(q) / (delta + i)^2,   M3 = -i S3(q) / (delta + i)^3
 
-    (S2, S3 as in `_asymptotic_sum`), which hold no power of sigma or zeta,
-    so a q that underflows gives the homogeneous moments. M1 and M2 stay
-    within 1e-12 of their exact values for any width: down to the
-    homogeneous limit, where |zeta| grows like 1/gamma_v (once zeta or
-    1/sigma overflows, or w underflows to 0, M1 is the pole 1/(1 - i
-    delta), where the asymptotic M2 and M3 end too), and up to wide
-    profiles, where a quadrature's node count grows like gamma_v because
-    the integrand stays unit width. So does M3 at delta = 0, where
-    `_peak_shift` reads it; elsewhere, below |zeta| = 6, it carries the
-    ~5e-15 relative error of w times up to |zeta|^4, within 1e-11.
+    (S2, S3 as in `_asymptotic_sum`), which hold no power of s or zeta, so a
+    q that underflows gives the homogeneous moments. M1 and M2 stay within
+    1e-12 of their exact values for any width: down to the homogeneous
+    limit, where |zeta| grows like 1/gamma_v (once zeta or s overflows, or
+    w underflows to 0, M1 is the pole 1/(1 - i delta) and q is 0, so the
+    asymptotic M2 and M3 end there too), and up to wide profiles, where a
+    quadrature's node count grows like gamma_v because the integrand stays
+    unit width. So does M3 at delta = 0, where `_peak_shift` reads it;
+    elsewhere, below |zeta| = 6, it carries the ~5e-15 relative error of w
+    times up to |zeta|^4, within 1e-11.
     """
-    sigma = gamma_v / math.sqrt(2.0 * math.log(2.0))
-    root2 = math.sqrt(2.0)
-    zeta = (delta + 1j) / (sigma * root2)
+    s = math.sqrt(math.log(2.0)) / gamma_v
+    zeta = (delta + 1j) * s
     # a Python complex from here on: numpy scalar arithmetic costs more
     # and rounds the same
     w = complex(special.wofz(zeta))
-    first = math.sqrt(0.5 * math.pi) / sigma * w
+    first = math.sqrt(math.pi) * s * w
     homogeneous = not (cmath.isfinite(zeta + first) and first != 0)
     if homogeneous:
         first = 1j / (delta + 1j)
     if homogeneous or abs(zeta) >= _ASYMPTOTIC_ZETA:
         pole = delta + 1j
         square = pole * pole
-        q = sigma * sigma / square
+        # (1/zeta)^2, never zeta * zeta, which overflows to nan
+        q = 0.0 if homogeneous else 0.5 * (1.0 / zeta) ** 2
         second = -_asymptotic_sum(q, False) / square
         if count == 2:
             return first, second
         return first, second, -1j * _asymptotic_sum(q, True) / (square * pole)
     w1 = -2.0 * zeta * w + 2j / math.sqrt(math.pi)
-    second = -1j * math.sqrt(0.5 * math.pi) / (sigma ** 2 * root2) * w1
+    second = -1j * math.sqrt(math.pi) * (s * s) * w1
     if count == 2:
         return first, second
-    third = (-math.sqrt(0.5 * math.pi) / (4.0 * sigma ** 3)
-             * (-2.0 * w - 2.0 * zeta * w1))
-    return first, second, third
+    return first, second, math.sqrt(math.pi) * (s * s * s) * (w + zeta * w1)
 
 
 def _series(params: NormalizedParams, d, low: int, high: int, omega=None):

@@ -109,18 +109,22 @@ def test_width_limits_of_the_beam_ratio(gv):
             assert an.width_fwhm(a, gv) == pytest.approx(2.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("a, kind", [
+    *(pytest.param(a, "lorentzian", id=f"{a}") for a in (0.0, 0.5, 1.0)),
+    *(pytest.param(a, "gaussian", id=f"{a}-gaussian") for a in (0.0, 0.5, 1.0)),
+])
 @pytest.mark.parametrize("d", [0.0, 0.7])
-def test_lorentzian_profiles_hold_the_widest_doppler_widths(a, d):
-    # no power of 1 + gamma_v is formed, so every profile value stays a
-    # finite double, monotone in the width, out to 1e300
+def test_lorentzian_profiles_hold_the_widest_doppler_widths(a, kind, d):
+    # no power of 1 + gamma_v (Lorentzian) or of sigma (Gaussian) is formed,
+    # so every profile value stays a finite double, monotone in the width,
+    # out to 1e300
     widths = [10.0 ** k for k in range(150, 301, 10)]
     profiles = (lambda p: an.n2(p, d), lambda p: an.n3(p, d),
                 lambda p: averaged_population(p, 3), an.stark_shift)
     for profile in profiles:
         values = [profile(NormalizedParams.build(
-            x=1e-3, a_ratio=a, gamma_v_tilde=gv, mu=1.2, delta_tilde=d))
-            for gv in widths]
+            x=1e-3, a_ratio=a, gamma_v_tilde=gv, mu=1.2, delta_tilde=d,
+            kind=kind)) for gv in widths]
         assert all(math.isfinite(v) for v in values)
         assert values in (sorted(values), sorted(values, reverse=True))
 

@@ -93,7 +93,9 @@ def test_velocity_average_reproduces_closed_moments():
 
 def test_wide_gaussian_node_ladder_exhausts():
     spec = QuadratureSpec(tol=1e-10)
-    with pytest.raises(QuadratureError):
+    # the message names the one setting that can help
+    with pytest.raises(QuadratureError,
+                       match=r"; loosen quadrature\.tol \(now 1e-10\)$"):
         velocity_average(lambda om: 1.0 / (1.0 + om ** 2), "gaussian", 100.0,
                          spec)
 

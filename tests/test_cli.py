@@ -742,23 +742,29 @@ def _scan_rows(tmp_path, doc):
 
 
 @pytest.mark.parametrize("observable", ["n2", "n2+n3", "n2max", "stark"])
-@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("a, kind", [
+    *(pytest.param(a, "lorentzian", id=f"{a}") for a in (0.0, 0.5)),
+    *(pytest.param(a, "gaussian", id=f"{a}-gaussian") for a in (0.0, 0.5)),
+])
 def test_wide_lorentzian_closed_scans_write_finite_values(tmp_path,
-                                                          observable, a):
-    # every Lorentzian closed value fits a double up to the widest Doppler
-    # width, where no power of 1 + gamma_v_tilde would
+                                                          observable, a,
+                                                          kind):
+    # every closed value fits a double up to the widest Doppler width,
+    # where no power of 1 + gamma_v_tilde (Lorentzian) or of sigma
+    # (Gaussian) would
     doc = _n2_doc(observable=observable,
                   sweep={"axis": "gamma_v_tilde", "start": 1e298,
                          "stop": 1e300, "count": 3},
                   fixed={"x": 1e-3, "mu": 1.2, "a_ratio": a,
-                         "delta_tilde": 0.7})
+                         "delta_tilde": 0.7},
+                  dist={"kind": kind})
     if observable in ("n2max", "stark"):
         del doc["fixed"]["delta_tilde"]
     code, rows = _scan_rows(tmp_path, doc)
     assert code == 0 and len(rows) == 3
     assert all(math.isfinite(value) for _, value in rows)
     point = NormalizedParams.build(x=1e-3, mu=1.2, a_ratio=a,
-                                   gamma_v_tilde=1e300)
+                                   gamma_v_tilde=1e300, kind=kind)
     if observable == "stark":
         assert rows[-1][1] == analytics.stark_shift(point)
     elif observable == "n2max":

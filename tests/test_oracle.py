@@ -431,6 +431,17 @@ def test_sector_coupling_fails_full_residual(monkeypatch, kind):
                                                dbig=100.0, n_max=n_max))
 
 
+def test_getrs_failure_is_a_solver_error(monkeypatch):
+    # a nonzero info from LAPACK means no solution, whole S or halved
+    monkeypatch.setattr(oracle, "_getrs", lambda: (
+        lambda lu, piv, b, overwrite_b=False: (b, 1)))
+    for n_max in (5, 25):
+        with pytest.raises(SolverError,
+                           match="LAPACK getrs failed with info 1"):
+            oracle.solve_steady_state(_problem(delta=0.3, a=0.8, omega=0.9,
+                                               dbig=100.0, n_max=n_max))
+
+
 @pytest.mark.parametrize("dbig", [1e2, -1e2, 1e4, -1e4])
 @pytest.mark.parametrize("phi", [0.5, 10.0])
 @pytest.mark.parametrize("omega", [0.0, 60.0])
