@@ -10,9 +10,9 @@ Three subcommands:
       Run the cross-check suites and print a report.
 
 Exit codes: 0 success, 1 failed validation, 2 usage or configuration error
-(a column value beyond double precision or an unwritable output path
-included), 3 numerical failure (solver, quadrature, or locator did not
-converge).
+(a config number or a column value beyond double precision, or an
+unwritable output path, included), 3 numerical failure (solver, quadrature,
+or locator did not converge).
 
 Scan configs are JSON with normalized (gamma = 1) parameters:
 
@@ -57,7 +57,7 @@ from ._version import __version__
 from .analytics import LocatorError
 from .averaging import DEFAULT_ORACLE_QUAD, QuadratureError, QuadratureSpec
 from .core import (_KINDS, NormalizedParams, ParameterError, _geomspace,
-                   _linspace)
+                   _linspace, _require_finite)
 from .oracle import (DEFAULT_N_CAP, DEFAULT_REFINE_TOL, OracleError,
                      _check_ladder)
 
@@ -113,20 +113,6 @@ class SpectrumScan:
     metadata: dict
 
 
-def _float_item(doc: dict, key: str, where: str) -> float:
-    """doc[key] as a finite float; no booleans."""
-    raw = doc[key]
-    try:
-        if isinstance(raw, bool):
-            raise TypeError
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{where}.{key} must be a number, got {raw!r}")
-    if not math.isfinite(value):
-        raise ParameterError(f"{where}.{key} must be finite, got {raw!r}")
-    return value
-
-
 def _check_keys(doc: dict, allowed, required, where: str) -> None:
     if not isinstance(doc, dict):
         raise ParameterError(f"{where} must be a mapping")
@@ -153,8 +139,8 @@ def parse_scan_config(doc: dict) -> ScanConfig:
     axis = sweep["axis"]
     if axis not in _AXES:
         raise ParameterError(f"sweep.axis must be one of {_AXES}, got {axis!r}")
-    start = _float_item(sweep, "start", "sweep")
-    stop = _float_item(sweep, "stop", "sweep")
+    start = _require_finite("sweep.start", sweep["start"])
+    stop = _require_finite("sweep.stop", sweep["stop"])
     if not math.isfinite(stop - start):
         raise ParameterError("sweep.stop - sweep.start overflows a double")
     count = sweep["count"]
@@ -166,7 +152,7 @@ def parse_scan_config(doc: dict) -> ScanConfig:
     fixed_doc = doc.get("fixed", {})
     allowed, required, _ = _OBSERVABLES[obs]
     _check_keys(fixed_doc, allowed, required, "fixed")
-    fixed = {k: _float_item(fixed_doc, k, "fixed") for k in fixed_doc}
+    fixed = {k: _require_finite(f"fixed.{k}", v) for k, v in fixed_doc.items()}
     if axis in fixed:
         raise ParameterError(f"sweep axis {axis!r} also appears in fixed")
     if axis not in allowed:
@@ -201,7 +187,7 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         _check_keys(block, defaults, (), name)
         options[name] = values = dict(defaults)
         for key, raw in block.items():
-            values[key] = (_float_item(block, key, name)
+            values[key] = (_require_finite(f"{name}.{key}", raw)
                            if isinstance(defaults[key], float) else raw)
         try:
             check(**values)
@@ -438,7 +424,8 @@ def main(argv=None) -> int:
                     doc = json.load(handle)
             except OSError as exc:
                 raise ParameterError(f"cannot read config: {exc}")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except ValueError as exc:
+                # not UTF-8, not JSON, or an integer over the digit limit
                 raise ParameterError(f"config is not valid UTF-8 JSON: {exc}")
             config = parse_scan_config(doc)
             scan = run_scan(config)

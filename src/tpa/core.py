@@ -19,13 +19,12 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["ParameterError", "NormalizedParams"]
 
 _KINDS = ("homogeneous", "lorentzian", "gaussian")
 _EPS = math.ulp(1.0)
-_TINY = math.ulp(0.0)
 
 
 class ParameterError(ValueError):
@@ -85,11 +84,23 @@ def _geomspace(start: float, stop: float, count: int) -> list:
     return [start] + [10.0 ** e for e in logs[1:-1]] + [stop]
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-    return value
+def _require_finite(name: str, value) -> float:
+    """value as a finite float: the one conversion of a number from outside.
+
+    Booleans, and whatever float() refuses, are not numbers; an integer
+    beyond double range is not repr'd, since it may have thousands of digits.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = None
+    except OverflowError:
+        raise ParameterError(f"{name} is beyond double precision") from None
+    if number is None or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ParameterError(f"{name} must be finite, got {number!r}")
+    return number
 
 
 def _check_profile(kind: str, gamma_v: float) -> None:
@@ -106,7 +117,7 @@ def _check_profile(kind: str, gamma_v: float) -> None:
 
 
 def _phi_squared(phi: float) -> float:
-    # the one rounding of phi_tilde**2 that build and the x rule share
+    # the one rounding of phi_tilde**2 that build and the derived x share
     try:
         return phi ** 2
     except OverflowError:
@@ -120,11 +131,11 @@ class NormalizedParams:
     delta_tilde     : two-photon detuning delta/gamma.
     gamma_v_tilde   : inhomogeneous HWHM gamma_v/gamma.
     x               : phi**2/(gamma*delta_big), the perturbative strength
-                      (signed; carries the sign of delta_big). It must equal
-                      phi_tilde**2/delta_big_tilde to rounding, since every
-                      form of the series, per velocity class and averaged,
-                      reads x, and the solver reads phi_tilde and
-                      delta_big_tilde.
+                      (signed; carries the sign of delta_big). It is not an
+                      argument: the constructor derives it as
+                      phi_tilde**2/delta_big_tilde, so the series, which
+                      read x, and the solver, which reads phi_tilde and
+                      delta_big_tilde, see one atom.
     a_ratio         : amplitude ratio A >= 0 of the backward wave
                       (0 traveling wave, 1 standing wave).
     mu              : ratio of the upper to the lower transition dipole, > 0.
@@ -137,7 +148,7 @@ class NormalizedParams:
 
     delta_tilde: float
     gamma_v_tilde: float
-    x: float
+    x: float = field(init=False)
     a_ratio: float
     mu: float
     phi_tilde: float
@@ -145,9 +156,12 @@ class NormalizedParams:
     kind: str = "homogeneous"
 
     def __post_init__(self):
-        for name in ("delta_tilde", "gamma_v_tilde", "x", "a_ratio", "mu",
+        for name in ("delta_tilde", "gamma_v_tilde", "a_ratio", "mu",
                      "phi_tilde", "delta_big_tilde"):
-            _require_finite(name, getattr(self, name))
+            value = getattr(self, name)
+            number = _require_finite(name, value)
+            if number is not value:  # a float passes as itself
+                object.__setattr__(self, name, number)
         _check_profile(self.kind, self.gamma_v_tilde)
         if self.delta_big_tilde == 0.0:
             raise ParameterError("delta_big_tilde must be nonzero")
@@ -155,17 +169,8 @@ class NormalizedParams:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
         if self.phi_tilde < 0.0 or self.a_ratio < 0.0:
             raise ParameterError("phi_tilde and a_ratio must be >= 0")
-        # build rounds phi_tilde**2 once and the quotient once, and this
-        # product rounds once more: a consistent set stays within 4 eps,
-        # plus the absolute rounding of subnormal quotients and products
-        phi_sq = _phi_squared(self.phi_tilde)
-        slack = (4.0 * _EPS * phi_sq + _TINY
-                 * (1.0 + abs(self.x) + abs(self.delta_big_tilde)))
-        if abs(self.x * self.delta_big_tilde - phi_sq) > slack:
-            raise ParameterError(
-                f"x = {self.x!r} contradicts phi_tilde**2 / delta_big_tilde "
-                f"= {phi_sq / self.delta_big_tilde!r}; give one of them to "
-                "NormalizedParams.build")
+        object.__setattr__(self, "x", _require_finite(
+            "x", _phi_squared(self.phi_tilde) / self.delta_big_tilde))
 
     @classmethod
     def build(cls, *, delta_tilde=0.0, gamma_v_tilde=0.0, a_ratio=0.0, mu=1.0,
@@ -179,21 +184,17 @@ class NormalizedParams:
         """
         if (delta_big_tilde is None) == (x is None):
             raise ParameterError("give exactly one of delta_big_tilde or x")
-        if x is None:
-            if delta_big_tilde == 0.0:
-                raise ParameterError("delta_big_tilde must be nonzero")
-            x = _phi_squared(phi_tilde) / delta_big_tilde
-        else:
+        if x is not None:
+            x = _require_finite("x", x)
             if x == 0.0:
                 raise ParameterError("x must be nonzero")
-            delta_big_tilde = _phi_squared(phi_tilde) / x
+            delta_big_tilde = _phi_squared(
+                _require_finite("phi_tilde", phi_tilde)) / x
         if kind is None:
             kind = "homogeneous" if gamma_v_tilde == 0.0 else "lorentzian"
-        return cls(delta_tilde=float(delta_tilde),
-                   gamma_v_tilde=float(gamma_v_tilde), x=float(x),
-                   a_ratio=float(a_ratio), mu=float(mu),
-                   phi_tilde=float(phi_tilde),
-                   delta_big_tilde=float(delta_big_tilde), kind=kind)
+        return cls(delta_tilde=delta_tilde, gamma_v_tilde=gamma_v_tilde,
+                   a_ratio=a_ratio, mu=mu, phi_tilde=phi_tilde,
+                   delta_big_tilde=delta_big_tilde, kind=kind)
 
     @property
     def phi1(self) -> float:

@@ -384,6 +384,13 @@ def test_main_rejects_nan_parameter(tmp_path, capsys):
     # the width's parameter sets obey the same rules as every observable's
     pytest.param(_width_doc(fixed={"a_ratio": -1.0}), id="width_a_ratio"),
     pytest.param(_n2_doc(observable=["n2"]), id="observable_list"),
+    # an integer beyond double range, in each kind of number the config holds
+    pytest.param(_n2_doc(sweep={"axis": "delta_tilde", "start": 10 ** 400,
+                                "stop": 3.0, "count": 25}),
+                 id="start_beyond_double"),
+    pytest.param(_n2_doc(fixed={"x": 10 ** 400}), id="x_beyond_double"),
+    pytest.param(_oracle_doc(quadrature={"tol": 10 ** 400}),
+                 id="tol_beyond_double"),
 ])
 def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
     cfg_path = tmp_path / "bad.json"
@@ -393,6 +400,23 @@ def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
                      "--out", str(out_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+def test_main_rejects_integer_over_the_digit_limit(tmp_path, capsys):
+    # json.load refuses an integer of more than 4,300 digits with a
+    # ValueError (from Python 3.10.7 and 3.11; before them, the number rule
+    # refuses it); json.dumps cannot write one, so the config is raw text
+    cfg_path = tmp_path / "digits.json"
+    out_path = tmp_path / "digits.csv"
+    cfg_path.write_text(json.dumps(_n2_doc(fixed={"x": 0})).replace(
+        '"x": 0', '"x": 1' + "0" * 4999))
+    assert cli.main(["scan", "--config", str(cfg_path),
+                     "--out", str(out_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_path.exists()
+    with pytest.raises(ParameterError,
+                       match="^fixed.x is beyond double precision$"):
+        cli.parse_scan_config(_n2_doc(fixed={"x": 10 ** 400}))
 
 
 def test_main_rejects_config_not_utf8(tmp_path, capsys):

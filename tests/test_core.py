@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tpa.core import NormalizedParams, ParameterError, epsilon_eff
+from tpa.core import (NormalizedParams, ParameterError, _phi_squared,
+                      epsilon_eff)
 
 from conftest import lorentzian_density
 
@@ -25,21 +26,26 @@ def test_distribution_kind_width_invariant():
 
 
 def test_parameter_rules():
-    base = dict(delta_tilde=0.5, gamma_v_tilde=2.0, x=1e-3, a_ratio=1.0,
-                mu=1.2, phi_tilde=1.0, delta_big_tilde=1e3,
-                kind="lorentzian")
+    base = dict(delta_tilde=0.5, gamma_v_tilde=2.0, a_ratio=1.0, mu=1.2,
+                phi_tilde=1.0, delta_big_tilde=1e3, kind="lorentzian")
     NormalizedParams(**base)
-    for name in ("delta_tilde", "gamma_v_tilde", "x", "a_ratio", "mu",
+    for name in ("delta_tilde", "gamma_v_tilde", "a_ratio", "mu",
                  "phi_tilde", "delta_big_tilde"):
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, True, "one", None):
             with pytest.raises(ParameterError, match=name):
                 NormalizedParams(**{**base, name: bad})
     for change in ({"delta_big_tilde": 0.0}, {"mu": 0.0}, {"mu": -1.0},
-                   {"phi_tilde": -1.0, "x": 1e-3}, {"a_ratio": -0.5}):
+                   {"phi_tilde": -1.0}, {"a_ratio": -0.5}):
         with pytest.raises(ParameterError):
             NormalizedParams(**{**base, **change})
     with pytest.raises(ParameterError):
         NormalizedParams.build(delta_big_tilde=0.0)
+    # one number rule: an integer beyond double range is named, not printed
+    for name, strength in (("delta_tilde", "x"), ("phi_tilde", "x"),
+                           ("x", "x"), ("delta_big_tilde", "delta_big_tilde")):
+        with pytest.raises(ParameterError,
+                           match=f"^{name} is beyond double precision$"):
+            NormalizedParams.build(**{strength: 1e-3, name: 10 ** 400})
 
 
 @given(phi=st.floats(-4.0, 4.0), x=st.floats(-8.0, 2.0),
@@ -47,32 +53,35 @@ def test_parameter_rules():
        delta=st.floats(-10.0, 10.0))
 def test_build_keeps_x_consistent_with_phi_and_delta_big(phi, x, dbig, sign,
                                                          delta):
-    # x = phi**2 / delta_big to rounding, from either input and after a
-    # change of delta_tilde; a direct construction that breaks it by 1e-9 is
-    # refused
+    # x is derived: phi**2 / delta_big bit for bit, from either input and
+    # after a change of delta_tilde; it is no constructor argument
     for p in (NormalizedParams.build(phi_tilde=10.0 ** phi, x=sign * 10.0 ** x),
               NormalizedParams.build(phi_tilde=10.0 ** phi,
                                      delta_big_tilde=sign * 10.0 ** dbig)):
-        assert dataclasses.replace(p, delta_tilde=delta).x == p.x
-        with pytest.raises(ParameterError, match="contradicts"):
-            dataclasses.replace(p, x=p.x * (1.0 + 1e-9))
+        for q in (p, dataclasses.replace(p, delta_tilde=delta)):
+            assert q.x == _phi_squared(q.phi_tilde) / q.delta_big_tilde
+        with pytest.raises(ValueError):
+            dataclasses.replace(p, x=p.x)
 
 
 def test_x_must_match_phi_and_delta_big():
     # the closed Lorentzian forms read x, the solver and the Gaussian
     # average phi_tilde and delta_big_tilde: one set, one atom
-    p = NormalizedParams.build(delta_tilde=0.5, gamma_v_tilde=2.0,
-                               a_ratio=1.0, mu=1.2, phi_tilde=1.0,
-                               delta_big_tilde=1e3)
-    with pytest.raises(ParameterError, match="contradicts"):
-        dataclasses.replace(p, x=1e-2)
+    base = dict(delta_tilde=0.5, gamma_v_tilde=2.0, a_ratio=1.0, mu=1.2,
+                phi_tilde=1.0, delta_big_tilde=1e3, kind="lorentzian")
+    assert NormalizedParams(**base).x == 1e-3
+    with pytest.raises(TypeError):
+        NormalizedParams(**base, x=1e-3)
     # no drive: x = 0 with phi_tilde = 0
     q = NormalizedParams.build(phi_tilde=0.0, delta_big_tilde=1e3)
     assert q.x == 0.0
     assert dataclasses.replace(q, delta_tilde=1.0).x == 0.0
-    # phi_tilde**2 and x subnormal: their absolute rounding is allowed for
+    # phi_tilde**2 and x subnormal
     for phi, dbig in ((8.56e-156, -50.0), (1e-160, 1e10)):
         NormalizedParams.build(phi_tilde=phi, delta_big_tilde=dbig)
+    # a subnormal delta_big makes phi**2 / delta_big overflow
+    with pytest.raises(ParameterError, match="^x must be finite"):
+        NormalizedParams.build(delta_big_tilde=1e-310)
 
 
 def test_density_normalization_and_center():
