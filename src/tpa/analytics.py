@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .core import NormalizedParams, ParameterError, _lazy_module, _linspace
+from .core import (NormalizedParams, ParameterError, _lazy_module, _linspace,
+                   _require_finite)
 from .perturbative import _peak_shift, _series
 
 optimize = _lazy_module("scipy.optimize")  # the locators, at their first call
@@ -157,10 +158,9 @@ def numeric_peak(curve, bracket_halfwidth: float) -> float:
     with h = 1e-4 of that bracket. Unlike a minimizer, which resolves a
     flat peak only to about sqrt(eps) * width, the root has no width floor.
     """
-    half = float(bracket_halfwidth)
+    half = _require_finite("bracket_halfwidth", bracket_halfwidth)
     if not half > 0.0:
-        raise ParameterError(
-            f"bracket_halfwidth must be positive, got {bracket_halfwidth}")
+        raise ParameterError(f"bracket_halfwidth must be positive, got {half}")
     for _ in range(12):
         grid = _linspace(-half, half, 33)
         values = [_value(curve, d) for d in grid]

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 from . import oracle as oracle_mod
 from .core import (_EPS, NormalizedParams, ParameterError, _check_profile,
-                   _lazy_module)
+                   _lazy_module, _require_finite, _require_int)
 # imported by name, so a patch of averaging.upper_dc_series sees every call
 from .perturbative import _series, upper_dc_series
 
@@ -93,15 +93,12 @@ class QuadratureSpec:
     tol: float = 1e-10
 
     def __post_init__(self):
-        nodes = self.nodes
-        if not isinstance(nodes, int) or not 8 <= nodes <= _MAX_NODES // 2:
-            raise ParameterError(f"nodes must be an integer in "
-                                 f"[8, {_MAX_NODES // 2}], got {nodes!r}")
+        _require_int("nodes", self.nodes, 8, _MAX_NODES // 2)
         for name in ("domain_halfwidth", "tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ParameterError(
-                    f"{name} must be positive and finite, got {value!r}")
+            value = _require_finite(name, getattr(self, name))
+            if not value > 0.0:
+                raise ParameterError(f"{name} must be positive, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 DEFAULT_ORACLE_QUAD = QuadratureSpec(tol=1e-6)
@@ -221,7 +218,7 @@ def velocity_average(f, kind: str, gamma_v: float,
     of NormalizedParams: gamma_v is 0 if and only if the kind is
     'homogeneous'.
     """
-    _check_profile(kind, gamma_v)
+    _check_profile(kind, _require_finite("gamma_v_tilde", gamma_v))
     return _average(f, kind, gamma_v, QuadratureSpec() if quad is None
                     else quad, math.inf, 0.0)
 

@@ -57,7 +57,7 @@ from ._version import __version__
 from .analytics import LocatorError
 from .averaging import DEFAULT_ORACLE_QUAD, QuadratureError, QuadratureSpec
 from .core import (_KINDS, NormalizedParams, ParameterError, _geomspace,
-                   _linspace, _require_finite)
+                   _linspace, _require_finite, _require_int)
 from .oracle import (DEFAULT_N_CAP, DEFAULT_REFINE_TOL, OracleError,
                      _check_ladder)
 
@@ -143,10 +143,7 @@ def parse_scan_config(doc: dict) -> ScanConfig:
     stop = _require_finite("sweep.stop", sweep["stop"])
     if not math.isfinite(stop - start):
         raise ParameterError("sweep.stop - sweep.start overflows a double")
-    count = sweep["count"]
-    if not isinstance(count, int) or not 2 <= count <= _MAX_SWEEP_COUNT:
-        raise ParameterError(f"sweep.count must be an integer in "
-                             f"[2, {_MAX_SWEEP_COUNT}], got {count!r}")
+    count = _require_int("sweep.count", sweep["count"], 2, _MAX_SWEEP_COUNT)
     grid = _linspace(start, stop, count)
 
     fixed_doc = doc.get("fixed", {})

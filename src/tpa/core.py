@@ -18,6 +18,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -101,6 +102,21 @@ def _require_finite(name: str, value) -> float:
     if not math.isfinite(number):
         raise ParameterError(f"{name} must be finite, got {number!r}")
     return number
+
+
+def _require_int(name: str, value, low, high=math.inf) -> int:
+    """value as an int in [low, high]: the one rule of an integer from outside.
+    numpy ints pass; booleans fail, and so do 19+ digits, which never print."""
+    if type(value) is int and low <= value <= high and abs(value) < 10 ** 18:
+        return value
+    whole = isinstance(value, numbers.Integral) and type(value) is not bool
+    big = whole and not -10 ** 18 < value < 10 ** 18
+    if whole and not big and low <= value <= high:
+        return int(value)
+    got = "an integer beyond 1e18" if big else value if whole else repr(value)
+    bound = (f" in [{low}, {high}]" if high < math.inf
+             else f" >= {low}" if low > -math.inf else "")
+    raise ParameterError(f"{name} must be an integer{bound}, got {got}")
 
 
 def _check_profile(kind: str, gamma_v: float) -> None:

@@ -62,7 +62,7 @@ import struct
 from dataclasses import dataclass
 
 from .core import (NormalizedParams, ParameterError, _lazy_module,
-                   _require_finite)
+                   _require_finite, _require_int)
 
 np = _lazy_module("numpy")  # at the first solve
 
@@ -140,13 +140,7 @@ class SteadyStateProblem:
 
     def __post_init__(self):
         _require_finite("omega", self.omega)
-        if (isinstance(self.n_max, bool)
-                or not isinstance(self.n_max, (int, np.integer))):
-            raise ParameterError(
-                f"n_max must be an integer, got {self.n_max!r}")
-        if self.n_max < 3:
-            raise ParameterError(
-                f"n_max must be >= 3 to hold the third harmonics, got {self.n_max}")
+        _require_int("n_max", self.n_max, 3)  # to hold the third harmonics
 
 
 @dataclass(frozen=True)
@@ -327,8 +321,12 @@ def _layout(n_max: int) -> _Layout:
 
     kept_slots, kept_cols, kept_starts, kept_rows = class_couplings(kept)
     elim_slots, elim_cols, elim_starts, elim_rows = class_couplings(elim)
-    # every path kept coupling -> eliminated element -> its couplings
-    path_kept, path_elim = np.nonzero(kept_cols[:, None] == elim_rows)
+    # every path kept coupling -> eliminated element -> its couplings, the
+    # run of elim_rows at its column (every eliminated row has one run)
+    runs = np.diff(elim_starts, append=elim_rows.size)[kept_cols]
+    path_kept = np.repeat(np.arange(kept_cols.size), runs)
+    path_elim = np.arange(runs.sum()) + np.repeat(
+        elim_starts[kept_cols] - np.cumsum(runs) + runs, runs)
     target = kept_rows[path_kept] * kept.size + elim_cols[path_elim]
     order = np.argsort(target, kind="stable")
     target = target[order]
@@ -569,9 +567,8 @@ def _check_ladder(n_cap, refine_tol) -> None:
     """Refuse ladder settings refine cannot run: n_cap must be an integer
     >= 5, so that the stop test has its two rungs, n_max = 3 and 5, and
     refine_tol must be finite and >= 0."""
-    if isinstance(n_cap, bool) or not isinstance(n_cap, int) or n_cap < 5:
-        raise ParameterError(f"n_cap must be an integer >= 5, got {n_cap!r}")
-    if not 0.0 <= refine_tol < math.inf:
+    _require_int("n_cap", n_cap, 5)
+    if not _require_finite("refine_tol", refine_tol) >= 0.0:
         raise ParameterError(
             f"refine_tol must be finite and >= 0, got {refine_tol!r}")
 
@@ -607,9 +604,7 @@ def refine(params: NormalizedParams, omega: float, tol: float,
     """
     global _mirror_memo
     _check_ladder(n_cap, tol)
-    if isinstance(start, bool) or not isinstance(start, int):
-        raise ParameterError(f"start must be an integer, got {start!r}")
-    if start % 2 == 0:
+    if _require_int("start", start, -math.inf) % 2 == 0:
         raise ParameterError(f"start must be an odd truncation, got {start}")
     top = n_cap if n_cap % 2 else n_cap - 1
     first = max(3, min(start, top - 2))

@@ -335,8 +335,9 @@ def test_numeric_peak_location():
     assert abs(got - 0.7) <= 1e-8
     with pytest.raises(an.LocatorError):
         an.numeric_peak(lambda d: d, bracket_halfwidth=4.0)
-    with pytest.raises(ParameterError):
-        an.numeric_peak(lambda d: -(d ** 2), bracket_halfwidth=0.0)
+    for bad in (0.0, True, "x", None):
+        with pytest.raises(ParameterError, match="^bracket_halfwidth must be"):
+            an.numeric_peak(lambda d: -(d ** 2), bracket_halfwidth=bad)
 
 
 def test_locators_refuse_non_finite_values():

@@ -32,11 +32,18 @@ def test_quadrature_spec_validation():
         QuadratureSpec(domain_halfwidth=0.0)
 
 
-@pytest.mark.parametrize("setting", [{"nodes": 32.5}, {"nodes": 32.0},
-                                     {"tol": math.inf}])
+@pytest.mark.parametrize("setting", [
+    {"nodes": 32.5}, {"nodes": 32.0}, {"tol": math.inf},
+    *({"nodes": bad} for bad in (True, 5.0, "5", None, 10 ** 400,
+                                 -10 ** 5000)),
+    *({name: bad} for name in ("tol", "domain_halfwidth")
+      for bad in (True, "x", None))])
 def test_quadrature_spec_takes_integer_nodes_and_finite_tol(setting):
-    with pytest.raises(ParameterError):
+    # each refusal names its field, and never prints a long integer
+    (name, _), = setting.items()
+    with pytest.raises(ParameterError, match=f"^{name} must be") as error:
         QuadratureSpec(**setting)
+    assert len(str(error.value)) <= 100
 
 
 def test_velocity_average_homogeneous_passthrough():
@@ -51,12 +58,12 @@ def test_velocity_average_rejects_unknown_kind():
 
 @pytest.mark.parametrize("kind, widths", [
     ("homogeneous", (1e-300, 1.0, -1.0)),
-    ("lorentzian", (0.0, -0.0, -1.0, math.inf, math.nan)),
-    ("gaussian", (0.0, -1.0, math.inf, math.nan)),
+    ("lorentzian", (0.0, -0.0, -1.0, math.inf, math.nan, True, "x", None)),
+    ("gaussian", (0.0, -1.0, math.inf, math.nan, True, "x", None)),
 ])
 def test_velocity_average_rejects_width_contradicting_kind(kind, widths):
     # the rule of NormalizedParams: gamma_v is 0 if and only if homogeneous,
-    # and never negative or non-finite
+    # and a number, never negative or non-finite
     for gv in widths:
         with pytest.raises(ParameterError, match="gamma_v_tilde"):
             velocity_average(lambda om: 1.0 + 0.0 * om, kind, gv)

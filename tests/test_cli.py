@@ -188,16 +188,33 @@ def test_config_validation_errors():
     (_n2_doc(dist="gaussian"), "dist must be a mapping"),
     (_oracle_doc(quadrature=[32]), "quadrature must be a mapping"),
     (_oracle_doc(oracle="deep"), "oracle must be a mapping"),
+    # the integer rule: no boolean or other number, and no integer of 19
+    # digits or more, which the message names without printing it
+    *((_n2_doc(sweep={"axis": "delta_tilde", "start": 0.0, "stop": 1.0,
+                      "count": bad}),
+       r"^sweep.count must be an integer in \[2, 1000000\], got ")
+      for bad in (True, 5.0, "5", None, 10 ** 400, -10 ** 5000)),
 ])
 def test_config_errors_name_the_rule(doc, match):
-    with pytest.raises(ParameterError, match=match):
+    with pytest.raises(ParameterError, match=match) as error:
         cli.parse_scan_config(doc)
+    assert len(str(error.value)) <= 100
 
 
 @pytest.mark.parametrize("block, key, value", [
     ("quadrature", "nodes", 32.5),
     ("quadrature", "tol", -1),
     ("oracle", "refine_tol", -1),
+    *(pytest.param(block, key, bad, id=f"{block}-{key}-{label}")
+      for block, key in (("quadrature", "nodes"), ("oracle", "n_cap"))
+      for label, bad in (("true", True), ("float", 5.0), ("str", "5"),
+                         ("null", None), ("400_digits", 10 ** 400),
+                         ("minus_400_digits", -10 ** 400))),
+    *(pytest.param(block, key, bad, id=f"{block}-{key}-{bad}")
+      for block, key in (("quadrature", "tol"),
+                         ("quadrature", "domain_halfwidth"),
+                         ("oracle", "refine_tol"))
+      for bad in (True, "x", None)),
 ])
 def test_option_errors_name_the_config_key(monkeypatch, tmp_path, capsys,
                                            block, key, value):
@@ -208,7 +225,9 @@ def test_option_errors_name_the_config_key(monkeypatch, tmp_path, capsys,
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_oracle_doc(**{block: {key: value}})))
     assert cli.main(["scan", "--config", str(path)]) == 2
-    assert f"error: {block}.{key} must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block}.{key} must be")
+    assert err.count("\n") == 1 and len(err) <= 100
 
 
 # Each closed observable as analytics gives it, at one parameter set.
@@ -391,6 +410,14 @@ def test_main_rejects_nan_parameter(tmp_path, capsys):
     pytest.param(_n2_doc(fixed={"x": 10 ** 400}), id="x_beyond_double"),
     pytest.param(_oracle_doc(quadrature={"tol": 10 ** 400}),
                  id="tol_beyond_double"),
+    # and an integer setting of 400 digits, which the message never prints
+    pytest.param(_n2_doc(sweep={"axis": "delta_tilde", "start": 0.0,
+                                "stop": 1.0, "count": 10 ** 400}),
+                 id="count_400_digits"),
+    pytest.param(_oracle_doc(quadrature={"nodes": 10 ** 400}),
+                 id="nodes_400_digits"),
+    pytest.param(_oracle_doc(oracle={"n_cap": 10 ** 400}),
+                 id="n_cap_400_digits"),
 ])
 def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
     cfg_path = tmp_path / "bad.json"
@@ -398,7 +425,9 @@ def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["scan", "--config", str(cfg_path),
                      "--out", str(out_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err) < 200
     assert not out_path.exists()
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,15 +39,39 @@ def test_problem_rejects_nonfinite_velocity(omega):
         oracle.refine(p, omega, 1e-14)
 
 
-@pytest.mark.parametrize("n_max", [5.5, 5.0, True, "5"])
+# Integers of 19 digits or more are refused unprinted, so a message stays
+# short even for one beyond the 4,300 digits that str() of an int allows.
+_NOT_SMALL_INTEGERS = (True, 5.0, "5", None, 10 ** 400, -10 ** 5000)
+
+
+def _value_id(value):
+    # pytest names a parameter by str(), which refuses 4,300 digits or more
+    if isinstance(value, int) and abs(value) > 10 ** 18:
+        return f"{'-' if value < 0 else ''}int_{value.bit_length()}_bits"
+    return None
+
+
+@pytest.mark.parametrize("n_max", [5.5, *_NOT_SMALL_INTEGERS], ids=_value_id)
 def test_problem_rejects_non_integer_truncation(n_max):
-    with pytest.raises(ParameterError, match="n_max must be an integer"):
+    with pytest.raises(ParameterError,
+                       match="n_max must be an integer") as error:
         _problem(n_max=n_max)
+    assert len(str(error.value)) <= 100
 
 
 def test_problem_accepts_numpy_scalars():
     pr = _problem(omega=np.float64(0.7), n_max=np.int64(5))
     assert oracle.solve_steady_state(pr).n_max == 5
+    # every integer setting takes numpy integers, with the same results
+    p = pr.params
+    want = oracle.refine(p, 0.7, 1e-14, n_cap=9, start=5)
+    got = oracle.refine(p, 0.7, 1e-14, n_cap=np.int64(9), start=np.int64(5))
+    assert got[1] == want[1] and np.array_equal(got[0].coeffs, want[0].coeffs)
+    f = lambda om: 1.0 / (1.0 + (0.3 - om) ** 2)
+    assert averaging.velocity_average(
+        f, "gaussian", 2.0, averaging.QuadratureSpec(nodes=np.int64(16))) == \
+        averaging.velocity_average(f, "gaussian", 2.0,
+                                   averaging.QuadratureSpec(nodes=16))
 
 
 def test_zero_drive_gives_ground_state():
@@ -254,6 +279,36 @@ def test_couplings_alternate_between_classes(n_max):
     # every row of both classes has couplings, one segment each
     assert lay.kept_starts.size == lay.kept.size
     assert lay.elim_starts.size == lay.elim.size
+
+
+def test_schur_paths_match_the_quadratic_construction():
+    # the reference pairs every kept coupling with every eliminated coupling
+    # whose row is its column, by one comparison of all pairs, and orders
+    # the paths by target entry, stably
+    for n_max in range(3, 50):
+        lay = oracle._layout(n_max)
+        m = lay.kept.size
+        kept_rows = np.repeat(np.arange(m), np.diff(
+            lay.kept_starts, append=lay.kept_cols.size))
+        path_kept, path_elim = np.nonzero(
+            lay.kept_cols[:, None] == lay.elim_rows)
+        target = kept_rows[path_kept] * m + lay.elim_cols[path_elim]
+        order = np.argsort(target, kind="stable")
+        assert np.array_equal(lay.path_kept, path_kept[order])
+        assert np.array_equal(lay.path_elim, path_elim[order])
+
+
+def test_layout_memory_grows_with_the_paths_not_their_square():
+    # the paths take memory in proportion to their number; a comparison of
+    # all pairs of couplings takes 55 MB at n_max = 301
+    oracle._layout.__wrapped__(5)  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        oracle._layout.__wrapped__(301)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def _record_factorizations(monkeypatch):
@@ -740,6 +795,12 @@ def test_refine_start_leaves_small_caps_and_parity_checked(monkeypatch):
     # the stop test needs two rungs, n_max = 3 and 5
     ({"n_cap": 3}, "n_cap must be an integer >= 5"),
     ({"n_cap": 4}, "n_cap must be an integer >= 5"),
+    # no other number, no integer of 19 digits or more, and no even start
+    *(({key: bad}, f"{key} must be an") for key in ("n_cap", "start")
+      for bad in _NOT_SMALL_INTEGERS[1:]),
+    ({"start": 10 ** 5000}, "start must be an"),
+    *(({"tol": bad}, "refine_tol must be a number")
+      for bad in (True, "x", None)),
 ])
 def test_refine_rejects_bad_settings_before_any_solve(monkeypatch, setting,
                                                        match):
@@ -748,8 +809,9 @@ def test_refine_rejects_bad_settings_before_any_solve(monkeypatch, setting,
     monkeypatch.setattr(oracle, "solve_steady_state", no_solve)
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
                                delta_big_tilde=100.0)
-    with pytest.raises(ParameterError, match=match):
+    with pytest.raises(ParameterError, match=match) as error:
         oracle.refine(p, 0.0, **{"tol": 1e-14, **setting})
+    assert len(str(error.value)) <= 100
 
 
 def test_single_beam_needs_no_sidebands():
