@@ -32,8 +32,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .core import (NormalizedParams, ParameterError, _lazy_module, _linspace,
-                   _require_finite)
+from .core import NormalizedParams, _lazy_module, _linspace, _require_finite
 from .perturbative import _peak_shift, _series
 
 optimize = _lazy_module("scipy.optimize")  # the locators, at their first call
@@ -54,8 +53,13 @@ def width_fwhm(a_ratio: float, gamma_v_tilde: float) -> float:
     A > 0 it tends to 2, the sub-Doppler limit, as gamma_v_tilde grows.
     There q < 0, and s is taken as w / (sqrt(w + q^2) - q), which does not
     cancel. Both are read off q / w and sqrt(w + q^2) / w, so w never
-    overflows.
+    overflows. Near 1 + A^4 = 4 (1 + gamma_v_tilde) A^2 the relative
+    condition number in A is about (1 + gamma_v_tilde)/2, so the last digits
+    follow the rounding of A^2 (6.3e-13 relative at gamma_v_tilde = 1e6).
+    Both arguments are numbers >= 0.
     """
+    a_ratio = _require_finite("a_ratio", a_ratio, 0.0)
+    gamma_v_tilde = _require_finite("gamma_v_tilde", gamma_v_tilde, 0.0)
     a4 = a_ratio ** 4
     g1 = 1.0 + gamma_v_tilde
     r = 1.0 / g1
@@ -123,12 +127,12 @@ def numeric_fwhm(curve) -> float:
     """FWHM of an even, single-peaked profile given only pointwise.
 
     Brackets the half-maximum crossing by doubling outward from 1, then
-    refines the root to 1e-8 (1 + |root|). The profile must be positive at
-    the center and even; a symmetry spot-check guards against misuse.
+    refines the root to 1e-8 (1 + |root|). The profile must be > 0 at the
+    center and even; a symmetry spot-check guards against misuse.
     """
     peak = _value(curve, 0.0)
     if not peak > 0.0:
-        raise LocatorError(f"profile center must be positive, got {peak!r}")
+        raise LocatorError(f"profile center must be > 0, got {peak!r}")
     target = 0.5 * peak
     hi = 1.0
     lo = 0.0
@@ -158,9 +162,8 @@ def numeric_peak(curve, bracket_halfwidth: float) -> float:
     with h = 1e-4 of that bracket. Unlike a minimizer, which resolves a
     flat peak only to about sqrt(eps) * width, the root has no width floor.
     """
-    half = _require_finite("bracket_halfwidth", bracket_halfwidth)
-    if not half > 0.0:
-        raise ParameterError(f"bracket_halfwidth must be positive, got {half}")
+    half = _require_finite("bracket_halfwidth", bracket_halfwidth, 0.0,
+                           strict=True)
     for _ in range(12):
         grid = _linspace(-half, half, 33)
         values = [_value(curve, d) for d in grid]

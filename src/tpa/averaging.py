@@ -85,7 +85,8 @@ class QuadratureSpec:
     room for the two levels a convergence test needs. domain_halfwidth, in
     units of gamma_v, is read only by the Lorentzian difference scheme of
     `oracle_average`, whose window it sets; a Lorentzian `velocity_average`
-    integrates the whole line.
+    integrates the whole line. domain_halfwidth and tol are numbers > 0; all
+    three are stored converted. `oracle.LadderSpec` is the ladder's twin.
     """
 
     nodes: int = 32
@@ -93,12 +94,11 @@ class QuadratureSpec:
     tol: float = 1e-10
 
     def __post_init__(self):
-        _require_int("nodes", self.nodes, 8, _MAX_NODES // 2)
+        object.__setattr__(self, "nodes", _require_int(
+            "nodes", self.nodes, 8, _MAX_NODES // 2))
         for name in ("domain_halfwidth", "tol"):
-            value = _require_finite(name, getattr(self, name))
-            if not value > 0.0:
-                raise ParameterError(f"{name} must be positive, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _require_finite(
+                name, getattr(self, name), 0.0, strict=True))
 
 
 DEFAULT_ORACLE_QUAD = QuadratureSpec(tol=1e-6)
@@ -218,7 +218,7 @@ def velocity_average(f, kind: str, gamma_v: float,
     of NormalizedParams: gamma_v is 0 if and only if the kind is
     'homogeneous'.
     """
-    _check_profile(kind, _require_finite("gamma_v_tilde", gamma_v))
+    _check_profile(kind, _require_finite("gamma_v_tilde", gamma_v, 0.0))
     return _average(f, kind, gamma_v, QuadratureSpec() if quad is None
                     else quad, math.inf, 0.0)
 
@@ -235,9 +235,8 @@ def averaged_population(params: NormalizedParams, order: int = 2) -> float:
 
 
 def oracle_average(params: NormalizedParams,
-                   quad: QuadratureSpec | None = None, *,
-                   n_cap: int = oracle_mod.DEFAULT_N_CAP,
-                   refine_tol: float = oracle_mod.DEFAULT_REFINE_TOL,
+                   quad: QuadratureSpec | None = None,
+                   ladder: oracle_mod.LadderSpec = oracle_mod.LadderSpec(), *,
                    return_info: bool = False):
     """Velocity-averaged dc upper population of the brute-force steady state.
 
@@ -248,7 +247,8 @@ def oracle_average(params: NormalizedParams,
     it is integrated, over |Omega| <= domain_halfwidth * gamma_v (default
     10 widths). The rules are `_average`'s, and quad defaults to
     DEFAULT_ORACLE_QUAD for both profiles. Each level solves only its new
-    nodes, in one inward sweep, as the module docstring describes.
+    nodes, in one inward sweep, as the module docstring describes; every
+    node's truncation ladder is `oracle.refine`'s under `ladder`.
     """
     if quad is None:
         quad = DEFAULT_ORACLE_QUAD
@@ -266,8 +266,7 @@ def oracle_average(params: NormalizedParams,
         start = 3
         for k in np.argsort(-np.abs(omegas), kind="stable"):
             om = float(omegas[k])
-            rho, n_used = oracle_mod.refine(params, om, refine_tol, n_cap,
-                                            start=start)
+            rho, n_used = oracle_mod.refine(params, om, ladder, start=start)
             info["n_used"] = max(info["n_used"], n_used)
             start = n_used - 2
             values[k] = oracle_mod.dc_upper_population(rho)

@@ -50,16 +50,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import analytics, averaging
 from ._version import __version__
 from .analytics import LocatorError
-from .averaging import DEFAULT_ORACLE_QUAD, QuadratureError, QuadratureSpec
+from .averaging import DEFAULT_ORACLE_QUAD, QuadratureError
 from .core import (_KINDS, NormalizedParams, ParameterError, _geomspace,
                    _linspace, _require_finite, _require_int)
-from .oracle import (DEFAULT_N_CAP, DEFAULT_REFINE_TOL, OracleError,
-                     _check_ladder)
+from .oracle import LadderSpec, OracleError
 
 _AXES = ("delta_tilde", "gamma_v_tilde", "a_ratio")
 # Sweep grids are held in memory; a million points is far beyond any figure.
@@ -82,13 +81,10 @@ _OBSERVABLES = {
                     "phi_tilde", "delta_big_tilde"}, {"delta_big_tilde"},
                    None),
 }
-# The option blocks of oracle_avg: their defaults, which a key left out
-# keeps, and the library check of the settings, which takes them as keywords.
-_OPTION_BLOCKS = {
-    "quadrature": (asdict(DEFAULT_ORACLE_QUAD), QuadratureSpec),
-    "oracle": ({"n_cap": DEFAULT_N_CAP, "refine_tol": DEFAULT_REFINE_TOL},
-               _check_ladder),
-}
+# The option blocks of oracle_avg as the library's settings objects: a
+# block is its default with the keys it gives replaced, checked by the
+# object's own constructor.
+_OPTION_BLOCKS = {"quadrature": DEFAULT_ORACLE_QUAD, "oracle": LadderSpec()}
 
 
 @dataclass(frozen=True)
@@ -177,17 +173,13 @@ def parse_scan_config(doc: dict) -> ScanConfig:
             f"{kind} profiles need gamma_v_tilde > 0 at every sweep point")
 
     options = {}
-    for name, (defaults, check) in _OPTION_BLOCKS.items():
+    for name, default in _OPTION_BLOCKS.items():
         block = doc.get(name, {})
         if name in doc and obs != "oracle_avg":
             raise ParameterError(f"'{name}' only applies to oracle_avg")
-        _check_keys(block, defaults, (), name)
-        options[name] = values = dict(defaults)
-        for key, raw in block.items():
-            values[key] = (_require_finite(f"{name}.{key}", raw)
-                           if isinstance(defaults[key], float) else raw)
+        _check_keys(block, asdict(default), (), name)
         try:
-            check(**values)
+            options[name] = replace(default, **block)
         except ParameterError as exc:
             raise ParameterError(f"{name}.{exc}") from None
 
@@ -202,7 +194,8 @@ def parse_scan_config(doc: dict) -> ScanConfig:
         "sweep": {"axis": axis, "start": start, "stop": stop, "count": count},
         "fixed": fixed,
         "dist": {"kind": kind},
-        **{name: options[name] for name in _OPTION_BLOCKS if name in doc},
+        **{name: asdict(options[name]) for name in _OPTION_BLOCKS
+           if name in doc},
     }
     cfg = ScanConfig(observable=obs, axis=axis, grid=grid, fixed=fixed,
                      kind=kind, options=options, out=out, metadata=metadata)
@@ -276,12 +269,11 @@ def run_scan(config: ScanConfig, workers: int = 1) -> SpectrumScan:
                              f"got {workers!r}")
     if config.observable == "oracle_avg":
         n_used = []
-        quad = QuadratureSpec(**config.options["quadrature"])
 
         def point(value):
             got, info = averaging.oracle_average(
-                _params_at(config, value), quad, **config.options["oracle"],
-                return_info=True)
+                _params_at(config, value), config.options["quadrature"],
+                config.options["oracle"], return_info=True)
             n_used.append(float(info["n_used"]))
             return got
         columns = {"oracle_avg": _column("oracle_avg", config.axis,

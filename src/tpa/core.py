@@ -85,12 +85,14 @@ def _geomspace(start: float, stop: float, count: int) -> list:
     return [start] + [10.0 ** e for e in logs[1:-1]] + [stop]
 
 
-def _require_finite(name: str, value) -> float:
-    """value as a finite float: the one conversion of a number from outside.
+def _require_finite(name: str, value, low=-math.inf, strict=False) -> float:
+    """value as a finite float >= low, or > low if strict: the number rule.
 
     Booleans, and whatever float() refuses, are not numbers; an integer
     beyond double range is not repr'd, since it may have thousands of digits.
     """
+    if type(value) is float and low < value < math.inf:
+        return value
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -101,6 +103,9 @@ def _require_finite(name: str, value) -> float:
         raise ParameterError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(number):
         raise ParameterError(f"{name} must be finite, got {number!r}")
+    if number <= low and (strict or number < low):
+        bound = ">" if strict else ">="
+        raise ParameterError(f"{name} must be {bound} {low:g}, got {number!r}")
     return number
 
 
@@ -120,13 +125,10 @@ def _require_int(name: str, value, low, high=math.inf) -> int:
 
 
 def _check_profile(kind: str, gamma_v: float) -> None:
-    """The velocity-profile rules: a known kind, and a HWHM gamma_v that is
-    finite, >= 0, and 0 if and only if the kind is 'homogeneous'."""
+    """The velocity-profile rules: a known kind, and a HWHM gamma_v (>= 0 by
+    the number rule) that is 0 if and only if the kind is 'homogeneous'."""
     if kind not in _KINDS:
         raise ParameterError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if not 0.0 <= gamma_v < math.inf:
-        raise ParameterError(
-            f"gamma_v_tilde must be finite and >= 0, got {gamma_v!r}")
     if (gamma_v == 0.0) != (kind == "homogeneous"):
         raise ParameterError(
             "gamma_v_tilde = 0 if and only if kind is 'homogeneous'")
@@ -138,6 +140,12 @@ def _phi_squared(phi: float) -> float:
         return phi ** 2
     except OverflowError:
         raise ParameterError(f"phi_tilde**2 overflows, got {phi!r}") from None
+
+
+# The numbers of NormalizedParams: name, lower bound, whether it is strict
+_BOUNDS = (("delta_tilde", -math.inf, False), ("gamma_v_tilde", 0.0, False),
+           ("a_ratio", 0.0, False), ("mu", 0.0, True),
+           ("phi_tilde", 0.0, False), ("delta_big_tilde", -math.inf, False))
 
 
 @dataclass(frozen=True)
@@ -172,19 +180,14 @@ class NormalizedParams:
     kind: str = "homogeneous"
 
     def __post_init__(self):
-        for name in ("delta_tilde", "gamma_v_tilde", "a_ratio", "mu",
-                     "phi_tilde", "delta_big_tilde"):
+        for name, low, strict in _BOUNDS:
             value = getattr(self, name)
-            number = _require_finite(name, value)
+            number = _require_finite(name, value, low, strict)
             if number is not value:  # a float passes as itself
                 object.__setattr__(self, name, number)
         _check_profile(self.kind, self.gamma_v_tilde)
         if self.delta_big_tilde == 0.0:
             raise ParameterError("delta_big_tilde must be nonzero")
-        if self.mu <= 0.0:
-            raise ParameterError(f"mu must be > 0, got {self.mu}")
-        if self.phi_tilde < 0.0 or self.a_ratio < 0.0:
-            raise ParameterError("phi_tilde and a_ratio must be >= 0")
         object.__setattr__(self, "x", _require_finite(
             "x", _phi_squared(self.phi_tilde) / self.delta_big_tilde))
 

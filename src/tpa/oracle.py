@@ -68,9 +68,6 @@ np = _lazy_module("numpy")  # at the first solve
 
 __all__ = ["OracleError"]
 
-DEFAULT_N_CAP = 41
-DEFAULT_REFINE_TOL = 1e-14
-
 # Largest defect |b - A c| a solve may leave, largest imaginary part the dc
 # upper population may carry, and largest entry of
 # HarmonicDensityMatrix.invariant_report that check_invariants accepts.
@@ -128,6 +125,21 @@ class TruncationError(OracleError):
 
 class ConsistencyError(OracleError):
     """A structural invariant of the solution is violated."""
+
+
+@dataclass(frozen=True)
+class LadderSpec:
+    """Truncation ladder policy of `refine`, stored converted: the deepest
+    rung n_cap, an integer >= 5 so that the stop test has its two rungs
+    n_max = 3 and 5, and the stop tolerance refine_tol, a number >= 0."""
+
+    n_cap: int = 41
+    refine_tol: float = 1e-14
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_cap", _require_int("n_cap", self.n_cap, 5))
+        object.__setattr__(self, "refine_tol", _require_finite(
+            "refine_tol", self.refine_tol, 0.0))
 
 
 @dataclass(frozen=True)
@@ -372,7 +384,7 @@ def _solver_inputs(p: NormalizedParams) -> bytes:
                         p.mu)
 
 
-@functools.lru_cache(maxsize=(DEFAULT_N_CAP - 1) // 2)  # one ladder's rungs
+@functools.lru_cache(maxsize=(LadderSpec.n_cap - 1) // 2)  # a ladder's rungs
 def _fixed_values(n_max: int, params: bytes) -> tuple:
     """The slot values with their couplings filled in, and M_ii - M_jj of
     each row's element for its free evolution; keyed by bits, so that -0.0
@@ -550,7 +562,7 @@ def solve_steady_state(problem: SteadyStateProblem) -> HarmonicDensityMatrix:
 # flips, as an index into the coefficient array.
 _FLIPPED = tuple(zip(*sorted(_ODD_PARITY)))
 # The mirror image of the last ladder refine settled at phi1 == phi2:
-# ((solver inputs, tol, n_cap), the velocity class -Omega it answers, the
+# ((solver inputs, LadderSpec), the velocity class -Omega it answers, the
 # ladder's first rung, the mirrored solution, n_used); see refine.
 _mirror_memo = None
 
@@ -563,56 +575,45 @@ def _mirror(rho: HarmonicDensityMatrix) -> HarmonicDensityMatrix:
     return HarmonicDensityMatrix(n_max=rho.n_max, coeffs=coeffs)
 
 
-def _check_ladder(n_cap, refine_tol) -> None:
-    """Refuse ladder settings refine cannot run: n_cap must be an integer
-    >= 5, so that the stop test has its two rungs, n_max = 3 and 5, and
-    refine_tol must be finite and >= 0."""
-    _require_int("n_cap", n_cap, 5)
-    if not _require_finite("refine_tol", refine_tol) >= 0.0:
-        raise ParameterError(
-            f"refine_tol must be finite and >= 0, got {refine_tol!r}")
-
-
-def refine(params: NormalizedParams, omega: float, tol: float,
-           n_cap: int = DEFAULT_N_CAP, start: int = 3):
+def refine(params: NormalizedParams, omega: float,
+           ladder: LadderSpec = LadderSpec(), start: int = 3):
     """Raise the truncation order until the dc upper population settles.
 
     Solves the velocity class Omega = omega on the ladder n_max = start,
-    start + 2, ..., n_cap and stops when the dc (2,2) coefficient changes by
-    less than tol (absolute) between consecutive truncations. Returns
-    (solution, n_used).
+    start + 2, ..., ladder.n_cap and stops when the dc (2,2) coefficient
+    changes by less than ladder.refine_tol (absolute) between consecutive
+    truncations. Returns (solution, n_used).
 
     start (odd) lets a caller skip the rungs a neighbouring velocity class
     showed to be unsettled; it is clamped to [3, top - 2], where top is the
     deepest odd rung <= n_cap, so two rungs always fit. The stop test is the
     same from any start: if k is the n_used of the ladder from 3, a start
     <= k - 2 stops at k with the identical solution, and a larger start
-    stops deeper. n_cap and tol must pass `_check_ladder`, and start must
-    be an odd integer; anything else is a ParameterError before the first
-    solve.
+    stops deeper. LadderSpec checks the ladder when it is built; start must
+    be an odd integer, or refine raises ParameterError before any solve.
 
     Equal beams (phi1 == phi2 exactly, A = 1) fold mirror pairs of velocity
     classes. There E(-z) = -E(z), so U = diag(1, -1, -1) maps the steady
     state at Omega onto the one at -Omega: c(i,j,n) -> U_ii U_jj c(i,j,-n).
     A ladder that settles at phi1 == phi2 keeps the mirror image of its
     solution, and the next call returns it with the same n_used, solving
-    nothing, if it asks for -Omega != 0 with the same solver inputs, tol and
-    n_cap, and its first rung lies between the kept ladder's first rung and
-    its n_used - 2: that ladder's stop test then stops at the same rung.
+    nothing, if it asks for -Omega != 0 with the same solver inputs and
+    ladder, and its first rung lies between the kept ladder's first rung
+    and its n_used - 2: that ladder's stop test then stops at the same rung.
     Any other call, every call at A != 1 among them, solves its ladder, and
     a ladder that raises keeps nothing.
     """
     global _mirror_memo
-    _check_ladder(n_cap, tol)
     if _require_int("start", start, -math.inf) % 2 == 0:
         raise ParameterError(f"start must be an odd truncation, got {start}")
+    n_cap, tol = ladder.n_cap, ladder.refine_tol
     top = n_cap if n_cap % 2 else n_cap - 1
     first = max(3, min(start, top - 2))
-    ladder = (_solver_inputs(params), tol, n_cap)
+    key = (_solver_inputs(params), ladder)
     memo, _mirror_memo = _mirror_memo, None
     if memo is not None and omega != 0.0:
-        memo_ladder, memo_omega, memo_first, mirrored, memo_n = memo
-        if (memo_ladder == ladder and omega == memo_omega
+        memo_key, memo_omega, memo_first, mirrored, memo_n = memo
+        if (memo_key == key and omega == memo_omega
                 and memo_first <= first <= memo_n - 2):
             return mirrored, memo_n
     previous = None
@@ -623,7 +624,7 @@ def refine(params: NormalizedParams, omega: float, tol: float,
             last_change = abs(value - previous)
             if last_change < tol:
                 if params.phi1 == params.phi2:
-                    _mirror_memo = (ladder, -omega, first, _mirror(rho), n)
+                    _mirror_memo = (key, -omega, first, _mirror(rho), n)
                 return rho, n
         previous = value
     # a live tail at the edge harmonics says the truncation is too short,

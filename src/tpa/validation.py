@@ -110,7 +110,7 @@ def _scaling_rows(level: str) -> list:
     rows = []
     params = NormalizedParams.build(delta_tilde=1.0, a_ratio=1.0, mu=1.0,
                                     phi_tilde=1.0, delta_big_tilde=1e3)
-    rho, _ = oracle.refine(params, 0.0, oracle.DEFAULT_REFINE_TOL)
+    rho, _ = oracle.refine(params, 0.0)
     got = oracle.dc_upper_population(rho)
     want = float(upper_dc_series(params, 0.0))
     rel = abs(got - want) / abs(want)

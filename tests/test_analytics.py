@@ -55,6 +55,15 @@ def test_width_examples():
     assert abs(an.width_fwhm(1.0, 1.0) - 2.2744) < 1e-3
     for a in (0.0, 0.5, 1.0):
         assert an.width_fwhm(a, 0.0) == pytest.approx(2.0, abs=1e-12)
+    # both arguments follow the number rule with the bound of
+    # NormalizedParams: finite, >= 0 and not a boolean
+    for args, name in (((1.0, -5.0), "gamma_v_tilde"),
+                       ((1.0, math.nan), "gamma_v_tilde"),
+                       ((-1.0, 2.0), "a_ratio"),
+                       ((1.0, math.inf), "gamma_v_tilde"),
+                       ((True, 2.0), "a_ratio")):
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            an.width_fwhm(*args)
 
 
 def test_width_rises_then_saturates_toward_two():
@@ -321,7 +330,7 @@ def test_numeric_width_on_unit_lorentzian():
 
 
 def test_numeric_width_guards():
-    with pytest.raises(an.LocatorError):
+    with pytest.raises(an.LocatorError, match="center must be > 0, got -1.0"):
         an.numeric_fwhm(lambda d: -1.0 / (1.0 + d ** 2))
     with pytest.raises(an.LocatorError):
         an.numeric_fwhm(lambda d: 1.0 / (1.0 + (d - 0.5) ** 2))
@@ -335,9 +344,11 @@ def test_numeric_peak_location():
     assert abs(got - 0.7) <= 1e-8
     with pytest.raises(an.LocatorError):
         an.numeric_peak(lambda d: d, bracket_halfwidth=4.0)
-    for bad in (0.0, True, "x", None):
+    for bad in (0.0, -1.0, True, "x", None):
         with pytest.raises(ParameterError, match="^bracket_halfwidth must be"):
             an.numeric_peak(lambda d: -(d ** 2), bracket_halfwidth=bad)
+    with pytest.raises(ParameterError, match="^bracket_halfwidth must be > 0"):
+        an.numeric_peak(lambda d: -(d ** 2), bracket_halfwidth=-0.0)
 
 
 def test_locators_refuse_non_finite_values():

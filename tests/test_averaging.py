@@ -310,7 +310,7 @@ def test_oracle_average_homogeneous_is_single_solve():
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.0,
                                phi_tilde=1.0, delta_big_tilde=300.0)
     value, info = oracle_average(p, return_info=True)
-    rho, n_used = oracle.refine(p, 0.0, 1e-14)
+    rho, n_used = oracle.refine(p, 0.0)
     assert value == pytest.approx(oracle.dc_upper_population(rho), rel=1e-14)
     assert set(info) == {"n_used", "reference", "correction"}
     assert info["n_used"] == n_used
@@ -332,6 +332,8 @@ def test_oracle_average_homogeneous_invariant_under_beam_exchange(
 @pytest.mark.parametrize("setting", [{"n_cap": 5.5}, {"n_cap": 41.0},
                                      {"refine_tol": math.inf}])
 def test_oracle_average_rejects_bad_ladder_settings(monkeypatch, setting):
+    # a bad setting never makes a LadderSpec, and the keywords that carried
+    # the settings before raise too, both before any solve
     def no_solve(problem):
         raise AssertionError("solved before the settings were checked")
     monkeypatch.setattr(oracle, "solve_steady_state", no_solve)
@@ -341,6 +343,8 @@ def test_oracle_average_rejects_bad_ladder_settings(monkeypatch, setting):
                                    delta_big_tilde=100.0, gamma_v_tilde=gv,
                                    kind=kind)
         with pytest.raises(ParameterError):
+            oracle_average(p, ladder=oracle.LadderSpec(**setting))
+        with pytest.raises(TypeError, match="unexpected keyword"):
             oracle_average(p, **setting)
 
 
@@ -419,8 +423,8 @@ def test_oracle_average_sweep_settles_each_node_at_or_past_its_fresh_ladder(
     calls = []
     refine = oracle.refine
 
-    def recorded(params, omega, tol, n_cap, start=3):
-        rho, n_used = refine(params, omega, tol, n_cap, start=start)
+    def recorded(params, omega, ladder, start=3):
+        rho, n_used = refine(params, omega, ladder, start=start)
         calls.append((omega, start, n_used, oracle.dc_upper_population(rho)))
         return rho, n_used
     monkeypatch.setattr(oracle, "refine", recorded)
@@ -435,7 +439,7 @@ def test_oracle_average_sweep_settles_each_node_at_or_past_its_fresh_ladder(
         else:
             assert abs(omega) <= abs(calls[k - 1][0])
             assert start == max(3, calls[k - 1][2] - 2)
-        rho, fresh = oracle.refine(p, omega, 1e-14)
+        rho, fresh = oracle.refine(p, omega)
         assert n_used >= fresh
         if n_used == fresh:
             assert dc == oracle.dc_upper_population(rho)
@@ -444,8 +448,8 @@ def test_oracle_average_sweep_settles_each_node_at_or_past_its_fresh_ladder(
     assert info["n_used"] == max(c[2] for c in calls)
     # the average over fresh ladders: deeper nodes move it only in roundoff
     monkeypatch.setattr(oracle, "refine",
-                        lambda params, omega, tol, n_cap, start=3:
-                        refine(params, omega, tol, n_cap))
+                        lambda params, omega, ladder, start=3:
+                        refine(params, omega, ladder))
     assert rel_err(value, oracle_average(p, quad)) < 1e-12
 
 
@@ -464,9 +468,9 @@ def test_oracle_average_folds_each_mirror_pair_into_one_ladder(
     solves, calls = [], []  # calls: (omega, whether it solved)
     refine, solve = oracle.refine, oracle.solve_steady_state
 
-    def recorded(params, omega, tol, n_cap, start=3):
+    def recorded(params, omega, ladder, start=3):
         before = len(solves)
-        result = refine(params, omega, tol, n_cap, start=start)
+        result = refine(params, omega, ladder, start=start)
         calls.append((omega, len(solves) > before))
         return result
     monkeypatch.setattr(oracle, "solve_steady_state",
@@ -488,9 +492,9 @@ def test_oracle_average_folds_each_mirror_pair_into_one_ladder(
         levels += 1
     assert levels >= 2
 
-    def unfolded(params, omega, tol, n_cap, start=3):
+    def unfolded(params, omega, ladder, start=3):
         oracle._mirror_memo = None
-        return refine(params, omega, tol, n_cap, start=start)
+        return refine(params, omega, ladder, start=start)
     monkeypatch.setattr(oracle, "refine", unfolded)
     assert oracle_average(p, quad) == folded
 
@@ -512,8 +516,8 @@ def test_oracle_average_gaussian_evaluates_each_node_once(monkeypatch):
     calls = []
     refine = oracle.refine
 
-    def recorded(params, omega, tol, n_cap, start=3):
-        rho, n_used = refine(params, omega, tol, n_cap, start=start)
+    def recorded(params, omega, ladder, start=3):
+        rho, n_used = refine(params, omega, ladder, start=start)
         calls.append((omega, oracle.dc_upper_population(rho)))
         return rho, n_used
     monkeypatch.setattr(oracle, "refine", recorded)

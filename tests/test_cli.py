@@ -275,18 +275,32 @@ def test_gaussian_closed_scan_follows_the_kind():
 def test_partial_quadrature_block_keeps_the_defaults():
     # a block that restates one default leaves the others at the
     # oracle_avg defaults, so it changes neither the metadata's tol nor
-    # any value
+    # any value; a config without blocks holds the default settings
+    # objects, and one that writes out every default runs the same scan
     doc = _oracle_doc(
         sweep={"axis": "delta_tilde", "start": 0.25, "stop": 0.5, "count": 2},
         fixed={"gamma_v_tilde": 2.0, "delta_big_tilde": 1e3,
                "phi_tilde": 1.0, "a_ratio": 1.0, "mu": 1.2},
         dist={"kind": "gaussian"})
-    plain = _render(cli.run_scan(cli.parse_scan_config(doc)))
+    config = cli.parse_scan_config(doc)
+    assert config.options == {"quadrature": averaging.DEFAULT_ORACLE_QUAD,
+                              "oracle": oracle.LadderSpec()}
+    assert "quadrature" not in config.metadata
+    plain = _render(cli.run_scan(config))
     block = _render(cli.run_scan(cli.parse_scan_config(
         dict(doc, quadrature={"nodes": 32}))))
     assert json.loads(block.splitlines()[0][2:])["quadrature"] == {
         "nodes": 32, "domain_halfwidth": 10.0, "tol": 1e-6}
     assert block.splitlines()[1:] == plain.splitlines()[1:]
+    full = _render(cli.run_scan(cli.parse_scan_config(dict(
+        doc, quadrature={"nodes": 32, "domain_halfwidth": 10, "tol": 1e-6},
+        oracle={"n_cap": np.int64(41), "refine_tol": 1e-14}))))
+    metadata = json.loads(full.splitlines()[0][2:])
+    assert metadata["quadrature"] == {"nodes": 32, "domain_halfwidth": 10.0,
+                                      "tol": 1e-6}
+    assert metadata["oracle"] == {"n_cap": 41, "refine_tol": 1e-14}
+    assert type(metadata["quadrature"]["domain_halfwidth"]) is float
+    assert full.splitlines()[1:] == plain.splitlines()[1:]
 
 
 def test_infinite_quadrature_window_rejected(tmp_path, capsys):
@@ -674,8 +688,8 @@ def test_oracle_scan_threads_write_the_same_bytes(monkeypatch):
     refine = oracle.refine
     ladders = {1.0: [], 0.0: []}
 
-    def recorded(params, omega, tol, n_cap, start=3):
-        rho, n_used = refine(params, omega, tol, n_cap, start=start)
+    def recorded(params, omega, ladder, start=3):
+        rho, n_used = refine(params, omega, ladder, start=start)
         ladders[params.a_ratio].append((omega, start, n_used))
         return rho, n_used
     monkeypatch.setattr(oracle, "refine", recorded)
@@ -844,7 +858,7 @@ def test_wide_width_scan_reaches_the_sub_doppler_limit(tmp_path):
 @pytest.mark.parametrize("block, message", [
     ({"n_cap": 3}, "oracle.n_cap must be an integer >= 5, got 3"),
     ({"refine_tol": -1e-3},
-     "oracle.refine_tol must be finite and >= 0, got -0.001"),
+     "oracle.refine_tol must be >= 0, got -0.001"),
 ])
 def test_oracle_block_errors_name_their_key(tmp_path, capsys, block,
                                             message):

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from tpa import averaging, cli, oracle
 from tpa.core import NormalizedParams, ParameterError
-from tpa.oracle import (ConsistencyError, HarmonicDensityMatrix, LinearSystem,
-                        SolverError, SteadyStateProblem, TruncationError)
+from tpa.oracle import (ConsistencyError, HarmonicDensityMatrix, LadderSpec,
+                        LinearSystem, SolverError, SteadyStateProblem,
+                        TruncationError)
 from tpa.perturbative import upper_dc_series
 
 from conftest import dense, fresh_python, reference_system, rel_err
@@ -36,7 +37,7 @@ def test_problem_rejects_nonfinite_velocity(omega):
     with pytest.raises(ParameterError, match="omega"):
         SteadyStateProblem(p, omega, 9)
     with pytest.raises(ParameterError, match="omega"):
-        oracle.refine(p, omega, 1e-14)
+        oracle.refine(p, omega)
 
 
 # Integers of 19 digits or more are refused unprinted, so a message stays
@@ -64,9 +65,12 @@ def test_problem_accepts_numpy_scalars():
     assert oracle.solve_steady_state(pr).n_max == 5
     # every integer setting takes numpy integers, with the same results
     p = pr.params
-    want = oracle.refine(p, 0.7, 1e-14, n_cap=9, start=5)
-    got = oracle.refine(p, 0.7, 1e-14, n_cap=np.int64(9), start=np.int64(5))
+    want = oracle.refine(p, 0.7, LadderSpec(9), start=5)
+    ladder = LadderSpec(np.int64(9))
+    assert type(ladder.n_cap) is int and ladder == LadderSpec(9)
+    got = oracle.refine(p, 0.7, ladder, start=np.int64(5))
     assert got[1] == want[1] and np.array_equal(got[0].coeffs, want[0].coeffs)
+    assert type(averaging.QuadratureSpec(nodes=np.int64(16)).nodes) is int
     f = lambda om: 1.0 / (1.0 + (0.3 - om) ** 2)
     assert averaging.velocity_average(
         f, "gaussian", 2.0, averaging.QuadratureSpec(nodes=np.int64(16))) == \
@@ -164,7 +168,7 @@ def test_assembly_cache_stays_bounded():
     cli.run_scan(cli.parse_scan_config(doc))
     info = oracle._fixed_values.cache_info()
     # one entry per (parameter set, n_max); the rungs of one ladder fit
-    assert info.maxsize == (oracle.DEFAULT_N_CAP - 1) // 2
+    assert info.maxsize == (LadderSpec.n_cap - 1) // 2
     assert 0 < info.currsize <= info.maxsize
     assert info.hits > 10 * info.misses
 
@@ -345,8 +349,9 @@ def test_strong_drive_ladder_factorizes_at_most_96_unknowns(monkeypatch):
     shapes = _record_factorizations(monkeypatch)
     with pytest.raises(TruncationError):
         oracle.refine(_problem(delta=0.5, a=1.0, mu=1.2, phi=3.0,
-                               dbig=100.0).params, 0.3, 0.0)
-    assert len(shapes) == (oracle.DEFAULT_N_CAP - 1) // 2
+                               dbig=100.0).params, 0.3,
+                      LadderSpec(refine_tol=0.0))
+    assert len(shapes) == (LadderSpec.n_cap - 1) // 2
     assert max(rows for rows, _ in shapes) <= 96
     assert shapes[-1] == (84, 84)
 
@@ -387,7 +392,7 @@ def counted_assemble(problem):
 oracle.assemble = counted_assemble
 p = NormalizedParams.build(delta_tilde=0.3, a_ratio=1.0, mu=1.2,
                            phi_tilde=3.0, delta_big_tilde=100.0)
-rho, n_used = oracle.refine(p, 0.7, 1e-14)
+rho, n_used = oracle.refine(p, 0.7)
 dc = rho.dc(2, 2)
 print(json.dumps([oracle.sla.calls, assembled, n_used, dc.real, dc.imag]))
 """
@@ -405,7 +410,7 @@ def test_sla_stand_in_sees_every_factorization():
     assert calls == len(assembled)
     p = NormalizedParams.build(delta_tilde=0.3, a_ratio=1.0, mu=1.2,
                                phi_tilde=3.0, delta_big_tilde=100.0)
-    rho, plain_n = oracle.refine(p, 0.7, 1e-14)
+    rho, plain_n = oracle.refine(p, 0.7)
     assert plain_n == n_used
     assert rho.dc(2, 2) == complex(re_dc, im_dc)
 
@@ -577,7 +582,7 @@ def test_beam_exchange_symmetry(delta, a, mu, phi, omega, dbig):
 def test_refine_stops_quickly_for_weak_drive():
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.0,
                                phi_tilde=0.01, delta_big_tilde=100.0)
-    rho, n_used = oracle.refine(p, 0.7, 1e-14)
+    rho, n_used = oracle.refine(p, 0.7)
     assert n_used == 5
     assert rho.n_max == 5
 
@@ -586,29 +591,34 @@ def test_refine_argument_and_cap_errors(monkeypatch):
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
                                delta_big_tilde=100.0)
     for bad in (-1e-3, math.nan):
-        with pytest.raises(ParameterError):
-            oracle.refine(p, 0.0, bad)
-    # a NaN tolerance is refused before the first solve, also through
-    # the velocity average
+        with pytest.raises(ParameterError, match="^refine_tol must be"):
+            LadderSpec(refine_tol=bad)
+    # the settings are a LadderSpec: the keywords that carried them before
+    # raise before the first solve, in refine and in the velocity average
     solves = []
     monkeypatch.setattr(oracle, "solve_steady_state",
                         lambda problem: solves.append(problem))
     lorentzian = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
                                         delta_big_tilde=100.0,
                                         gamma_v_tilde=1.0)
-    for params in (p, lorentzian):
-        with pytest.raises(ParameterError):
-            averaging.oracle_average(params, refine_tol=math.nan)
+    for removed in ({"n_cap": 41}, {"refine_tol": 1e-14}):
+        for params in (p, lorentzian):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                averaging.oracle_average(params, **removed)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            oracle.refine(p, 0.0, **removed)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        oracle.refine(p, 0.0, tol=1e-14)
     # a cap below 5 leaves the stop test one rung, and is refused too
     with pytest.raises(ParameterError, match="n_cap must be an integer >= 5"):
-        oracle.refine(p, 0.0, 1e-14, n_cap=3)
+        LadderSpec(n_cap=3)
     assert solves == []
     monkeypatch.undo()
     q = NormalizedParams.build(delta_tilde=0.5, a_ratio=0.5,
                                delta_big_tilde=100.0)
     with pytest.raises(TruncationError):
         # an exact-zero tolerance can never be met by the strict criterion
-        oracle.refine(q, 0.3, 0.0, n_cap=7)
+        oracle.refine(q, 0.3, LadderSpec(7, 0.0))
 
 
 def test_truncation_failure_names_its_knobs():
@@ -617,7 +627,7 @@ def test_truncation_failure_names_its_knobs():
     p = NormalizedParams.build(delta_tilde=0.0, a_ratio=1.0, phi_tilde=30.0,
                                delta_big_tilde=100.0)
     with pytest.raises(TruncationError) as failure:
-        oracle.refine(p, 0.0, 1e-14, n_cap=8)
+        oracle.refine(p, 0.0, LadderSpec(8))
     message = str(failure.value)
     assert "at n_max = 7;" in message
     assert "oracle.n_cap (now 8)" in message
@@ -630,10 +640,10 @@ def test_truncation_failure_names_its_knobs():
     assert tail > 1e-3
     assert "ladder started" not in message
     with pytest.raises(ParameterError, match="n_cap must be an integer >= 5"):
-        oracle.refine(p, 0.0, 1e-14, n_cap=4)
+        LadderSpec(4)
     # a ladder that skipped its low rungs says where it started
     with pytest.raises(TruncationError) as failure:
-        oracle.refine(p, 0.0, 1e-14, n_cap=15, start=11)
+        oracle.refine(p, 0.0, LadderSpec(15), start=11)
     message = str(failure.value)
     assert "at n_max = 15;" in message
     assert "ladder started at n_max = 11;" in message
@@ -655,8 +665,8 @@ def test_refine_from_a_later_rung_stops_at_or_past_the_fresh_ladder(
     # and settles on its solution; one started higher settles deeper
     p = NormalizedParams.build(delta_tilde=delta, a_ratio=a, mu=mu,
                                phi_tilde=phi, delta_big_tilde=sign * dbig)
-    fresh, k = oracle.refine(p, omega, 1e-14)
-    rho, n_used = oracle.refine(p, omega, 1e-14, start=start)
+    fresh, k = oracle.refine(p, omega)
+    rho, n_used = oracle.refine(p, omega, start=start)
     if start <= k - 2:
         assert n_used == k
         assert rho.dc(2, 2) == fresh.dc(2, 2)
@@ -684,12 +694,12 @@ def test_equal_beams_fold_the_mirror_class_onto_the_settled_ladder(
     p = NormalizedParams.build(delta_tilde=delta, a_ratio=1.0, mu=mu,
                                phi_tilde=phi, delta_big_tilde=sign * dbig)
     oracle._mirror_memo = None
-    _, k = oracle.refine(p, omega, 1e-14)
+    _, k = oracle.refine(p, omega)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "solve_steady_state", _no_solve)
-        folded, n_folded = oracle.refine(p, -omega, 1e-14, start=k - 2)
+        folded, n_folded = oracle.refine(p, -omega, start=k - 2)
     oracle._mirror_memo = None
-    fresh, n_fresh = oracle.refine(p, -omega, 1e-14, start=k - 2)
+    fresh, n_fresh = oracle.refine(p, -omega, start=k - 2)
     assert n_folded == n_fresh == k
     # the dc population as the averages read it: the mirror and the fresh
     # solve round apart by at most 1 ulp (bit for bit on most draws; at
@@ -717,16 +727,20 @@ def _mirror_solves(monkeypatch, settled, asked, omega=1.5):
 
 def test_mirror_fold_needs_equal_beams_and_the_same_ladder(monkeypatch):
     # only the exact mirror of the last settled ladder folds; a call that
-    # differs in the beams, the parameters, tol, n_cap, or starts below the
-    # settled ladder's first rung or above its n_used - 2, solves
+    # differs in the beams, the parameters, the ladder's tol or cap, or
+    # starts below the settled ladder's first rung or above its n_used - 2,
+    # solves; an equal LadderSpec is the same ladder
     kw = dict(delta_tilde=0.5, mu=1.2, phi_tilde=2.0, delta_big_tilde=100.0)
     p = NormalizedParams.build(a_ratio=1.0, **kw)
-    same = dict(params=p, tol=1e-14, n_cap=41, start=7)
+    same = dict(params=p, ladder=LadderSpec(), start=7)
     solves, k = _mirror_solves(monkeypatch, same, same)
     assert solves == 0 and k >= 11
+    equal = dict(same, ladder=LadderSpec(41, 1e-14))
+    assert _mirror_solves(monkeypatch, same, equal)[0] == 0
     shifted = NormalizedParams.build(a_ratio=1.0, **dict(kw, delta_tilde=0.6))
-    for asked in (dict(same, params=shifted), dict(same, tol=1e-13),
-                  dict(same, n_cap=39), dict(same, start=5),
+    for asked in (dict(same, params=shifted),
+                  dict(same, ladder=LadderSpec(refine_tol=1e-13)),
+                  dict(same, ladder=LadderSpec(39)), dict(same, start=5),
                   dict(same, start=k)):
         assert _mirror_solves(monkeypatch, same, asked)[0] > 0
     unequal = dict(same, params=NormalizedParams.build(a_ratio=0.999, **kw))
@@ -736,12 +750,12 @@ def test_mirror_fold_needs_equal_beams_and_the_same_ladder(monkeypatch):
 def test_a_ladder_that_raises_keeps_no_mirror(monkeypatch):
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.0,
                                phi_tilde=0.01, delta_big_tilde=100.0)
-    oracle.refine(p, 0.7, 1e-14)
+    oracle.refine(p, 0.7)
     assert oracle._mirror_memo is not None
     # an exact-zero tolerance is never met: the ladder raises and drops the
     # mirror the settled ladder kept, so its own mirror raises too
     with pytest.raises(TruncationError):
-        oracle.refine(p, 0.7, 0.0, n_cap=7)
+        oracle.refine(p, 0.7, LadderSpec(7, 0.0))
     assert oracle._mirror_memo is None
     rungs = []
     solve = oracle.solve_steady_state
@@ -749,9 +763,9 @@ def test_a_ladder_that_raises_keeps_no_mirror(monkeypatch):
                         lambda problem: rungs.append(problem.n_max)
                         or solve(problem))
     with pytest.raises(TruncationError):
-        oracle.refine(p, -0.7, 0.0, n_cap=7)
+        oracle.refine(p, -0.7, LadderSpec(7, 0.0))
     assert rungs == [3, 5, 7]
-    oracle.refine(p, -0.7, 1e-14)
+    oracle.refine(p, -0.7)
     assert rungs[3:] == [3, 5]
 
 
@@ -767,7 +781,7 @@ def test_refine_start_is_clamped_below_the_cap(monkeypatch, n_cap, start):
     monkeypatch.setattr(oracle, "solve_steady_state",
                         lambda problem: rungs.append(problem.n_max)
                         or solve(problem))
-    _, n_used = oracle.refine(p, 0.7, 1e-14, n_cap=n_cap, start=start)
+    _, n_used = oracle.refine(p, 0.7, LadderSpec(n_cap), start=start)
     assert rungs == [7, 9] and n_used == 9
 
 
@@ -780,9 +794,9 @@ def test_refine_start_leaves_small_caps_and_parity_checked(monkeypatch):
     for n_cap in (3, 4):
         with pytest.raises(ParameterError,
                            match=f"n_cap must be an integer >= 5, got {n_cap}"):
-            oracle.refine(p, 0.0, 1e-14, n_cap=n_cap, start=11)
+            oracle.refine(p, 0.0, LadderSpec(n_cap), start=11)
     with pytest.raises(ParameterError, match="odd"):
-        oracle.refine(p, 0.0, 1e-14, start=8)
+        oracle.refine(p, 0.0, start=8)
 
 
 @pytest.mark.parametrize("setting, match", [
@@ -791,7 +805,7 @@ def test_refine_start_leaves_small_caps_and_parity_checked(monkeypatch):
     ({"n_cap": True}, "n_cap must be an integer"),
     ({"start": 3.0}, "start must be an integer"),
     ({"start": True}, "start must be an integer"),
-    ({"tol": math.inf}, "tol must be finite"),
+    ({"refine_tol": math.inf}, "tol must be finite"),
     # the stop test needs two rungs, n_max = 3 and 5
     ({"n_cap": 3}, "n_cap must be an integer >= 5"),
     ({"n_cap": 4}, "n_cap must be an integer >= 5"),
@@ -799,7 +813,7 @@ def test_refine_start_leaves_small_caps_and_parity_checked(monkeypatch):
     *(({key: bad}, f"{key} must be an") for key in ("n_cap", "start")
       for bad in _NOT_SMALL_INTEGERS[1:]),
     ({"start": 10 ** 5000}, "start must be an"),
-    *(({"tol": bad}, "refine_tol must be a number")
+    *(({"refine_tol": bad}, "refine_tol must be a number")
       for bad in (True, "x", None)),
 ])
 def test_refine_rejects_bad_settings_before_any_solve(monkeypatch, setting,
@@ -807,10 +821,14 @@ def test_refine_rejects_bad_settings_before_any_solve(monkeypatch, setting,
     def no_solve(problem):
         raise AssertionError("solved before the settings were checked")
     monkeypatch.setattr(oracle, "solve_steady_state", no_solve)
+    # the cap and the tolerance are refused by LadderSpec, start by refine
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0,
                                delta_big_tilde=100.0)
     with pytest.raises(ParameterError, match=match) as error:
-        oracle.refine(p, 0.0, **{"tol": 1e-14, **setting})
+        if "start" in setting:
+            oracle.refine(p, 0.0, **setting)
+        else:
+            oracle.refine(p, 0.0, LadderSpec(**setting))
     assert len(str(error.value)) <= 100
 
 
