@@ -14,8 +14,9 @@ read off them:
     and a direct peak locator (numeric_peak), the bracketed root of the
     line's slope, for profiles only available pointwise.
 
-Both locators refine a brentq root, and raise LocatorError on a nan or inf
-profile value or a bracket without a sign change.
+Both locators refine a root by Brent's method (`_brentq`, scipy's brentq
+written out), and raise LocatorError on a nan or inf profile value, a
+bracket without a sign change or a root that does not converge.
 
 Everything is normalized: detunings and widths in units of gamma, x
 dimensionless, mu the ratio of the two transition dipoles. The profiles take
@@ -24,7 +25,8 @@ two-photon detuning is their second argument, so one parameter set serves a
 whole line. n2, n3, n2_max and stark_shift follow its kind; width_fwhm is
 the Lorentzian/homogeneous closed form. n2 and n3 take one real detuning
 and give one float, so a line is one call per detuning; an array of
-detunings is a TypeError. The profiles load no numpy.
+detunings is a TypeError. Neither the profiles nor the locators load
+numpy or scipy.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .core import NormalizedParams, _lazy_module, _linspace, _require_finite
+from .core import NormalizedParams, _linspace, _require_finite
 from .perturbative import _peak_shift, _series
-
-optimize = _lazy_module("scipy.optimize")  # the locators, at their first call
 
 __all__ = ["LocatorError", "width_fwhm", "stark_shift"]
 
@@ -114,13 +114,61 @@ def _value(curve, d: float) -> float:
     return value
 
 
-def _root(f, lo: float, hi: float, xtol: float, rtol: float) -> float:
-    """brentq root of f in [lo, hi]; a bracket without a sign change is a
-    LocatorError."""
-    try:
-        return optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol)
-    except ValueError as exc:
-        raise LocatorError(f"no root in [{lo:.6g}, {hi:.6g}]: {exc}")
+def _brentq(f, lo: float, hi: float, xtol: float, rtol: float) -> float:
+    """Root of f in [lo, hi] by Brent's method (Algorithms for Minimization
+    Without Derivatives, 1973, ch. 4).
+
+    Step for step the C brentq of scipy.optimize, so it makes the same
+    evaluations and returns the same root: each step interpolates (secant)
+    or extrapolates (inverse quadratic) from the last iterates, or bisects
+    the bracket when that step is not short enough, and it stops when half
+    the bracket is within (xtol + rtol |x|) / 2 of the best iterate x. A
+    bracket without a sign change, or 100 steps without convergence, is a
+    LocatorError.
+    """
+    xpre, xcur = lo, hi
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise LocatorError(f"no root in [{lo:.6g}, {hi:.6g}]: f has the "
+                           f"same sign at both ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise LocatorError(f"no convergence in [{lo:.6g}, {hi:.6g}] after 100 "
+                       f"steps")
 
 
 def numeric_fwhm(curve) -> float:
@@ -143,7 +191,7 @@ def numeric_fwhm(curve) -> float:
         hi *= 2.0
     else:
         raise LocatorError("no half-maximum crossing within bracket ladder")
-    root = _root(lambda d: _value(curve, d) - target, lo, hi, 1e-8, 1e-8)
+    root = _brentq(lambda d: _value(curve, d) - target, lo, hi, 1e-8, 1e-8)
     mirrored = _value(curve, -root)
     if abs(mirrored - target) > 1e-6 * peak:
         raise LocatorError(
@@ -171,8 +219,9 @@ def numeric_peak(curve, bracket_halfwidth: float) -> float:
         if 0 < k < len(grid) - 1:
             lo, hi = grid[k - 1], grid[k + 1]
             h = 1e-4 * (hi - lo)
-            return _root(lambda d: _value(curve, d + h) - _value(curve, d - h),
-                         lo, hi, 1e-12 * h, 4.0 * sys.float_info.epsilon)
+            return _brentq(
+                lambda d: _value(curve, d + h) - _value(curve, d - h),
+                lo, hi, 1e-12 * h, 4.0 * sys.float_info.epsilon)
         half *= 4.0
     raise LocatorError("peak keeps escaping the bracket; profile may be "
                        "monotonic")

@@ -218,7 +218,8 @@ def velocity_average(f, kind: str, gamma_v: float,
     of NormalizedParams: gamma_v is 0 if and only if the kind is
     'homogeneous'.
     """
-    _check_profile(kind, _require_finite("gamma_v_tilde", gamma_v, 0.0))
+    gamma_v = _require_finite("gamma_v_tilde", gamma_v, 0.0)
+    _check_profile(kind, gamma_v)
     return _average(f, kind, gamma_v, QuadratureSpec() if quad is None
                     else quad, math.inf, 0.0)
 

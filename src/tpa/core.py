@@ -88,8 +88,10 @@ def _geomspace(start: float, stop: float, count: int) -> list:
 def _require_finite(name: str, value, low=-math.inf, strict=False) -> float:
     """value as a finite float >= low, or > low if strict: the number rule.
 
-    Booleans, and whatever float() refuses, are not numbers; an integer
-    beyond double range is not repr'd, since it may have thousands of digits.
+    Booleans, text and bytes (which float() reads), and whatever float()
+    refuses, are not numbers; an integer beyond double range is not repr'd,
+    since it may have thousands of digits, and a refused value shows at
+    most 60 characters of its repr.
     """
     if type(value) is float and low < value < math.inf:
         return value
@@ -99,8 +101,10 @@ def _require_finite(name: str, value, low=-math.inf, strict=False) -> float:
         number = None
     except OverflowError:
         raise ParameterError(f"{name} is beyond double precision") from None
-    if number is None or isinstance(value, bool):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
+    # an exact int, the usual number from outside, skips the type test
+    if number is None or (type(value) is not int
+                          and isinstance(value, (bool, str, bytes, bytearray))):
+        raise ParameterError(f"{name} must be a number, got {value!r:.60}")
     if not math.isfinite(number):
         raise ParameterError(f"{name} must be finite, got {number!r}")
     if number <= low and (strict or number < low):
@@ -111,14 +115,16 @@ def _require_finite(name: str, value, low=-math.inf, strict=False) -> float:
 
 def _require_int(name: str, value, low, high=math.inf) -> int:
     """value as an int in [low, high]: the one rule of an integer from outside.
-    numpy ints pass; booleans fail, and so do 19+ digits, which never print."""
+    numpy ints pass; booleans fail, and so do 19+ digits, which never print;
+    another refused value shows at most 60 characters of its repr."""
     if type(value) is int and low <= value <= high and abs(value) < 10 ** 18:
         return value
     whole = isinstance(value, numbers.Integral) and type(value) is not bool
     big = whole and not -10 ** 18 < value < 10 ** 18
     if whole and not big and low <= value <= high:
         return int(value)
-    got = "an integer beyond 1e18" if big else value if whole else repr(value)
+    got = ("an integer beyond 1e18" if big else value if whole
+           else f"{value!r:.60}")
     bound = (f" in [{low}, {high}]" if high < math.inf
              else f" >= {low}" if low > -math.inf else "")
     raise ParameterError(f"{name} must be an integer{bound}, got {got}")

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import optimize
 
 from tpa import analytics as an
+from tpa import cli
 from tpa.averaging import (QuadratureSpec, averaged_population,
                            oracle_average, velocity_average)
 from tpa.core import NormalizedParams, ParameterError
@@ -368,6 +370,57 @@ def test_locators_refuse_non_finite_values():
     with pytest.raises(an.LocatorError, match="no root"):
         an.numeric_peak(lambda d: -0.01 * d * d
                         + 1e-3 * math.sin(2.0 * math.pi * d / 0.25), 4.0)
+
+
+def _logged(f, log):
+    def g(d):
+        log.append(d)
+        return f(d)
+    return g
+
+
+def test_brentq_is_scipys_root_bit_for_bit(monkeypatch):
+    # the port makes scipy's evaluations, in order, and returns its root:
+    # on figure 4's 24 half-maximum functions (homogeneous at gamma_v = 0,
+    # Gaussian beyond) and on numeric_peak's slope functions of Lorentzian
+    # and Gaussian n2 + n3 lines
+    port = an._brentq
+    roots = []
+
+    def both(f, lo, hi, xtol, rtol):
+        theirs, ours = [], []
+        want = optimize.brentq(_logged(f, theirs), lo, hi, xtol=xtol,
+                               rtol=rtol)
+        got = port(_logged(f, ours), lo, hi, xtol, rtol)
+        assert (got, ours) == (want, theirs)
+        roots.append(got)
+        return got
+
+    monkeypatch.setattr(an, "_brentq", both)
+    cli.run_figure(4)
+    assert len(roots) == 24
+    for kind in ("lorentzian", "gaussian"):
+        for gv in (0.3, 2.0, 20.0):
+            for a in (0.0, 0.5, 1.0):
+                p = NormalizedParams.build(x=1e-3, a_ratio=a, mu=1.4,
+                                           gamma_v_tilde=gv, kind=kind)
+                an.numeric_peak(lambda d: an.n2(p, d) + an.n3(p, d), 1.0)
+    assert len(roots) == 24 + 18
+
+
+def test_brentq_failures_are_locator_errors():
+    # no sign change and no convergence are LocatorErrors (exit 3), where
+    # scipy's brentq raises ValueError and RuntimeError
+    with pytest.raises(an.LocatorError, match=r"^no root in \[-1, 2\]"):
+        an._brentq(lambda d: d * d + 1.0, -1.0, 2.0, 1e-12, 1e-15)
+    # a step at 1/3 in a bracket of width 2e300 needs ~1,000 bisections,
+    # where scipy's brentq gives up too
+    with pytest.raises(an.LocatorError, match="after 100 steps"):
+        an._brentq(lambda d: -1.0 if d < 1.0 / 3.0 else 1.0, -1e300, 1e300,
+                   5e-324, 4.0 * sys.float_info.epsilon)
+    with pytest.raises(RuntimeError, match="Failed to converge"):
+        optimize.brentq(lambda d: -1.0 if d < 1.0 / 3.0 else 1.0, -1e300,
+                        1e300, xtol=5e-324)
 
 
 @given(w=st.floats(1.0, 1e3), c=st.floats(-0.999, 0.999))

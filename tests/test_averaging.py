@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal
 import random
 
 import mpmath
@@ -13,7 +14,8 @@ from tpa.averaging import (QuadratureError, QuadratureSpec,
                            averaged_population, oracle_average,
                            velocity_average)
 from tpa.core import NormalizedParams, ParameterError
-from tpa.perturbative import _faddeeva_moments, _series, upper_dc_series
+from tpa.perturbative import (_WEIDEMAN_A, _WEIDEMAN_L, _faddeeva_moments,
+                              _series, _wofz, upper_dc_series)
 
 from conftest import fresh_python, rel_err
 
@@ -37,7 +39,7 @@ def test_quadrature_spec_validation():
     *({"nodes": bad} for bad in (True, 5.0, "5", None, 10 ** 400,
                                  -10 ** 5000)),
     *({name: bad} for name in ("tol", "domain_halfwidth")
-      for bad in (True, "x", None))])
+      for bad in (True, "x", "1e-6", b"1e-6", None))])
 def test_quadrature_spec_takes_integer_nodes_and_finite_tol(setting):
     # each refusal names its field, and never prints a long integer
     (name, _), = setting.items()
@@ -58,8 +60,9 @@ def test_velocity_average_rejects_unknown_kind():
 
 @pytest.mark.parametrize("kind, widths", [
     ("homogeneous", (1e-300, 1.0, -1.0)),
-    ("lorentzian", (0.0, -0.0, -1.0, math.inf, math.nan, True, "x", None)),
-    ("gaussian", (0.0, -1.0, math.inf, math.nan, True, "x", None)),
+    ("lorentzian", (0.0, -0.0, -1.0, math.inf, math.nan, True, "x", "2.0",
+                    None)),
+    ("gaussian", (0.0, -1.0, math.inf, math.nan, True, "x", b"2.0", None)),
 ])
 def test_velocity_average_rejects_width_contradicting_kind(kind, widths):
     # the rule of NormalizedParams: gamma_v is 0 if and only if homogeneous,
@@ -69,6 +72,15 @@ def test_velocity_average_rejects_width_contradicting_kind(kind, widths):
             velocity_average(lambda om: 1.0 + 0.0 * om, kind, gv)
         with pytest.raises(ParameterError, match="gamma_v_tilde"):
             NormalizedParams.build(x=1e-3, gamma_v_tilde=gv, kind=kind)
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+def test_velocity_average_takes_the_converted_width(kind):
+    # the number rule converts the width, and the average uses what it
+    # returned: a Decimal, which float() reads, averages as its float
+    f = lambda om: 1.0 / (1.0 + om * om)
+    assert (velocity_average(f, kind, Decimal("2.0"))
+            == velocity_average(f, kind, 2.0))
 
 
 def test_velocity_average_preserves_unit_mass():
@@ -195,9 +207,8 @@ def test_faddeeva_moments_match_mpmath(delta):
     # from the homogeneous limit, where |zeta| ~ 1/gamma_v is huge, to
     # widths of 100 where zeta sits near the real axis. The third moment
     # is read at delta = 0, where it holds 1e-12. Elsewhere, below
-    # |zeta| = 6, w'' inherits the ~5e-15 relative error of scipy's w
-    # times up to |zeta|^4: 7.5e-12 at delta = -20, gamma_v = 3.2
-    # (|zeta| = 5.3)
+    # |zeta| = 6, w'' inherits the ~1e-15 relative error of w times up to
+    # |zeta|^4: 5.4e-13 at delta = -20, gamma_v = 3.2 (|zeta| = 5.3)
     third_tol = 1e-12 if delta == 0.0 else 1e-11
     for gv in np.geomspace(1e-10, 100.0, 25):
         got = _faddeeva_moments(delta, float(gv), 3)
@@ -205,6 +216,42 @@ def test_faddeeva_moments_match_mpmath(delta):
         assert got[:2] == _faddeeva_moments(delta, float(gv))
         for g, w, tol in zip(got, want, (1e-12, 1e-12, third_tol)):
             assert rel_err(g, w) <= tol, (gv, g, w)
+
+
+def _w_reference(z):
+    """The Faddeeva function w(z) from mpmath, at 40 digits."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(-z * z) * mpmath.erfc(-1j * z))
+
+
+def test_wofz_matches_mpmath():
+    # at the zeta = (delta + i) s of the Gaussian moments, s = sqrt(ln 2) /
+    # gamma_v, on both sides of |zeta| = 6, and near the real axis
+    scales = math.sqrt(math.log(2.0)) / np.geomspace(1e-3, 1e3, 13)
+    points = [(sign * d + 1j) * s for s in scales
+              for d in np.geomspace(1e-3, 1e3, 13) for sign in (1.0, -1.0)]
+    points += [complex(x, y) for x in np.linspace(-8.0, 8.0, 17)
+               for y in (1e-12, 1e-6, 1e-2)]
+    inside = [abs(z) < 6.0 for z in points]
+    assert any(inside) and not all(inside)
+    for z in points:
+        assert rel_err(_wofz(z), _w_reference(z)) <= 2e-15, z
+
+
+def test_wofz_coefficients_are_weidemans():
+    # Weideman's program cef: a 0, then exp(-t^2) (L^2 + t^2) at
+    # t = L tan(k pi / 4N), |k| < 2N; entries 1 to N of its FFT are
+    # a_1 ... a_N
+    n = len(_WEIDEMAN_A)
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    assert _WEIDEMAN_L == scale
+    t = scale * np.tan(np.arange(-m + 1, m) * np.pi / m / 2.0)
+    f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
+    want = (np.fft.fft(np.fft.fftshift(f)).real / (2 * m))[n:0:-1]
+    gap = np.max(np.abs(np.array(_WEIDEMAN_A) - want))
+    assert gap <= 4.0 * math.ulp(np.max(np.abs(want)))
 
 
 _PROFILE_DRAWS = dict(a=st.floats(0.0, 2.0), mu=st.floats(0.3, 2.5),

@@ -306,9 +306,10 @@ def test_partial_quadrature_block_keeps_the_defaults():
 def test_infinite_quadrature_window_rejected(tmp_path, capsys):
     # the Lorentzian window is finite; an infinite one would be written into
     # the metadata although no run could use it
-    for halfwidth in (math.inf, "inf"):
+    # (the text "inf", which float() reads, is no number at all)
+    for halfwidth, rule in ((math.inf, "finite"), ("inf", "a number")):
         with pytest.raises(ParameterError,
-                           match="quadrature.domain_halfwidth must be finite"):
+                           match=f"quadrature.domain_halfwidth must be {rule}"):
             cli.parse_scan_config(
                 _oracle_doc(quadrature={"domain_halfwidth": halfwidth}))
     with pytest.raises(ParameterError, match="domain_halfwidth"):
@@ -432,6 +433,11 @@ def test_main_rejects_nan_parameter(tmp_path, capsys):
                  id="nodes_400_digits"),
     pytest.param(_oracle_doc(oracle={"n_cap": 10 ** 400}),
                  id="n_cap_400_digits"),
+    # and text of 5,000 characters where a number or a count belongs
+    pytest.param(_n2_doc(fixed={"x": "1" * 5000}), id="x_long_text"),
+    pytest.param(_n2_doc(sweep={"axis": "delta_tilde", "start": 0.0,
+                                "stop": 1.0, "count": "5" * 5000}),
+                 id="count_long_text"),
 ])
 def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
     cfg_path = tmp_path / "bad.json"
@@ -443,6 +449,22 @@ def test_main_boundary_inputs_exit_2(tmp_path, capsys, doc):
     assert err.startswith("error:") and err.count("\n") == 1
     assert len(err) < 200
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    (_n2_doc(fixed={"x": "1e-3"}), "fixed.x"),
+    (_n2_doc(sweep={"axis": "delta_tilde", "start": "-3", "stop": 3.0,
+                    "count": 25}), "sweep.start"),
+    (_oracle_doc(quadrature={"tol": "1e-6"}), "quadrature.tol"),
+])
+def test_main_refuses_numbers_written_as_text(tmp_path, capsys, doc, key):
+    cfg_path = tmp_path / "text.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["scan", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "text.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{key} must be a number, got '" in err
+    assert not (tmp_path / "text.csv").exists()
 
 
 def test_main_rejects_integer_over_the_digit_limit(tmp_path, capsys):
@@ -519,27 +541,36 @@ _CLOSED_SCANS = {
               "sweep": {"axis": "a_ratio", "start": 0.0, "stop": 1.0,
                         "count": 21},
               "fixed": {"x": 1e-3, "gamma_v_tilde": 1.0}},
+    "gaussian stark": {"observable": "stark",
+                       "sweep": {"axis": "gamma_v_tilde", "start": 0.0,
+                                 "stop": 2.0, "count": 3},
+                       "fixed": {"x": 1e-3, "a_ratio": 1.0, "mu": 1.4},
+                       "dist": {"kind": "gaussian"}},
+    "gaussian n2+n3": _n2_doc(observable="n2+n3",
+                              dist={"kind": "gaussian"}),
 }
+_CLOSED_FIGURES = (2, 3, 4, 5)
 
 
 def test_closed_scans_load_neither_numpy_nor_scipy(tmp_path):
-    # a fresh `tpa scan` of each closed observable, and figures 2 and 3,
-    # leave numpy unexecuted and scipy unimported, and write the bytes that
-    # the same runs write in this process, where numpy is loaded
+    # a fresh `tpa scan` of each closed observable, on Lorentzian and
+    # Gaussian profiles, and every figure leave numpy unexecuted and scipy
+    # unimported, and write the bytes that the same runs write in this
+    # process, where numpy is loaded
     argvs = []
     for k, doc in enumerate(_CLOSED_SCANS.values()):
         cfg_path = tmp_path / f"scan{k}.json"
         cfg_path.write_text(json.dumps(doc))
         argvs.append(["scan", "--config", str(cfg_path),
                       "--out", str(tmp_path / f"scan{k}.csv")])
-    for fig in (2, 3):
+    for fig in _CLOSED_FIGURES:
         argvs.append(["figure", "--fig", str(fig),
                       "--out", str(tmp_path / f"fig{fig}.csv")])
     assert _loaded_after(_NUMPY_OR_SCIPY, *argvs) == set()
     for k, doc in enumerate(_CLOSED_SCANS.values()):
         here = _render(cli.run_scan(cli.parse_scan_config(doc)))
         assert (tmp_path / f"scan{k}.csv").read_bytes() == here.encode()
-    for fig in (2, 3):
+    for fig in _CLOSED_FIGURES:
         here = _render(cli.run_figure(fig))
         assert (tmp_path / f"fig{fig}.csv").read_bytes() == here.encode()
 

@@ -31,9 +31,14 @@ def test_parameter_rules():
     NormalizedParams(**base)
     for name in ("delta_tilde", "gamma_v_tilde", "a_ratio", "mu",
                  "phi_tilde", "delta_big_tilde"):
-        for bad in (math.nan, math.inf, -math.inf, True, "one", None):
+        for bad in (math.nan, math.inf, -math.inf, True, "one", "0.5",
+                    b"0.5", None):
             with pytest.raises(ParameterError, match=name):
                 NormalizedParams(**{**base, name: bad})
+    # float() reads text, but text is not a number
+    for change in ({"x": "1e-3"}, {"x": 1e-3, "a_ratio": "0.5"}):
+        with pytest.raises(ParameterError, match="must be a number, got '"):
+            NormalizedParams.build(**change)
     for change in ({"delta_big_tilde": 0.0}, {"mu": 0.0}, {"mu": -1.0},
                    {"phi_tilde": -1.0}, {"a_ratio": -0.5}):
         with pytest.raises(ParameterError):

@@ -814,7 +814,7 @@ def test_refine_start_leaves_small_caps_and_parity_checked(monkeypatch):
       for bad in _NOT_SMALL_INTEGERS[1:]),
     ({"start": 10 ** 5000}, "start must be an"),
     *(({"refine_tol": bad}, "refine_tol must be a number")
-      for bad in (True, "x", None)),
+      for bad in (True, "x", "1e-14", None)),
 ])
 def test_refine_rejects_bad_settings_before_any_solve(monkeypatch, setting,
                                                        match):
