@@ -11,8 +11,19 @@ are supported, parameterized by the half width at half maximum gamma_v:
 The weak-drive series averages in closed form on all three: the one
 formula `perturbative._series` reads the profile's resolvent moments, and
 `averaged_population` and the reference of `oracle_average` read it.
+A Gaussian `oracle_average` is closed in Omega too: the dc population of
+the steady state at one truncation is c0 + sum_k alpha_k / (Omega - p_k)
+(`oracle.pole_expansion`), and each pole averages over the whole line as
+i sqrt(pi) s w(p s), s = sqrt(ln 2)/gamma_v, with the same Faddeeva w as
+the series (`perturbative._resolvent_average`; the conjugate below the
+axis). Its truncation ladder runs on the average itself, and the last rung
+is checked against two direct solves (`_gaussian_oracle`). A rung costs
+one eigendecomposition of m = 9 n_max - 1 unknowns, about m^3, and from
+m = 80 (n_max >= 9) OpenBLAS runs it on several threads, so an average
+costs more the stronger the drive that sets its last rung.
 Everything else is averaged by quadrature, under the rule that `_average`
-picks for the profile; `velocity_average` and `oracle_average` both call it.
+picks for the profile; `velocity_average` and the Lorentzian
+`oracle_average` both call it.
 
 Averaging the brute-force steady state needs care: the power-law Lorentzian
 wings reach velocity classes where high harmonics are stepwise resonant
@@ -31,9 +42,11 @@ every gamma_v. So at strong drive the value leans on the series, and as
 gamma_v -> 0 it does not tend to the homogeneous solve: the tail's mass
 stays near Omega = 0, where solver and series differ.
 
-`oracle_average` evaluates the new nodes of a quadrature level at once and
-sweeps them inward, in descending |Omega|: slow atoms need the deepest
-truncations, so each velocity class starts its truncation ladder at two
+A Lorentzian `oracle_average` (and `_class_values`, the per-class values
+a Gaussian one is validated against) evaluates the new nodes of a
+quadrature level at once and sweeps them inward, in descending |Omega|:
+slow atoms need the deepest truncations, so each velocity class starts its
+truncation ladder at two
 rungs below the n_used of the class before it (from n_max = 3 at a level's
 first class), and skips rungs that are known to be unsettled. A ladder that
 starts low enough settles where a fresh one would, on the identical
@@ -58,13 +71,17 @@ from . import oracle as oracle_mod
 from .core import (_EPS, NormalizedParams, ParameterError, _check_profile,
                    _lazy_module, _require_finite, _require_int)
 # imported by name, so a patch of averaging.upper_dc_series sees every call
-from .perturbative import _series, upper_dc_series
+from .perturbative import _resolvent_average, _series, upper_dc_series
 
 np = _lazy_module("numpy")  # at the first quadrature
 
 __all__ = ["QuadratureError", "averaged_population", "oracle_average"]
 
 _MAX_NODES = 2048
+# Relative gap, times min(1, |x|), that the pole expansion of a Gaussian
+# `oracle_average` may leave against a direct solve: 256 eps, about 9 times
+# the largest measured (see `_gaussian_oracle`).
+_POLE_GAP = 256 * _EPS
 # The Gaussian weight beyond 8 standard deviations carries
 # erfc(8 / sqrt 2) ~ 1.2e-15 of the mass, below every tolerance in use.
 _GAUSS_WINDOW = 8.0
@@ -85,8 +102,10 @@ class QuadratureSpec:
     room for the two levels a convergence test needs. domain_halfwidth, in
     units of gamma_v, is read only by the Lorentzian difference scheme of
     `oracle_average`, whose window it sets; a Lorentzian `velocity_average`
-    integrates the whole line. domain_halfwidth and tol are numbers > 0; all
-    three are stored converted. `oracle.LadderSpec` is the ladder's twin.
+    integrates the whole line. A Gaussian `oracle_average` reads none of
+    the three: it averages in closed form. domain_halfwidth and tol are
+    numbers > 0; all three are stored converted. `oracle.LadderSpec` is the
+    ladder's twin.
     """
 
     nodes: int = 32
@@ -235,33 +254,22 @@ def averaged_population(params: NormalizedParams, order: int = 2) -> float:
     return _series(params, float(params.delta_tilde), 2, order)
 
 
-def oracle_average(params: NormalizedParams,
-                   quad: QuadratureSpec | None = None,
-                   ladder: oracle_mod.LadderSpec = oracle_mod.LadderSpec(), *,
-                   return_info: bool = False):
-    """Velocity-averaged dc upper population of the brute-force steady state.
+def _class_values(params: NormalizedParams, ladder: oracle_mod.LadderSpec,
+                  info: dict | None = None):
+    """f(Omega) for `_average`: the dc upper population of each velocity
+    class of an array of Omega values from its own `oracle.refine` ladder,
+    less the order-3 series on a Lorentzian profile.
 
-    Homogeneous media solve a single velocity class. Gaussian profiles
-    average the solver output directly; Lorentzian ones use the windowed
-    difference scheme of the module docstring: the closed-form series
-    through order 3 is the reference, and only the solver's deviation from
-    it is integrated, over |Omega| <= domain_halfwidth * gamma_v (default
-    10 widths). The rules are `_average`'s, and quad defaults to
-    DEFAULT_ORACLE_QUAD for both profiles. Each level solves only its new
-    nodes, in one inward sweep, as the module docstring describes; every
-    node's truncation ladder is `oracle.refine`'s under `ladder`.
+    Each call is one quadrature level, swept inward as the module docstring
+    describes: each ladder starts two rungs below where its outer neighbour
+    settled; the hint is local to the call, so every level starts its
+    ladders afresh from 3. The deepest n_used goes to info["n_used"].
     """
-    if quad is None:
-        quad = DEFAULT_ORACLE_QUAD
     lorentzian = params.kind == "lorentzian"
-    reference = (_series(params, params.delta_tilde, 2, 3) if lorentzian
-                 else 0.0)
-    info = {"n_used": 0, "reference": reference, "correction": 0.0}
+    if info is None:
+        info = {"n_used": 0}
 
     def level(points):
-        # one quadrature level, swept inward: each ladder starts two rungs
-        # below where its outer neighbour settled; the hint is local to
-        # this call, so every level starts its ladders afresh from 3
         omegas = np.asarray(points, dtype=float).reshape(-1)
         values = np.empty_like(omegas)
         start = 3
@@ -274,9 +282,95 @@ def oracle_average(params: NormalizedParams,
             if lorentzian:
                 values[k] -= float(upper_dc_series(params, om, 3))
         return values.reshape(np.shape(points))
+    return level
 
-    info["correction"] = _average(level, params.kind, params.gamma_v_tilde,
-                                  quad, quad.domain_halfwidth,
+
+def _pole_average(pole: complex, s: float) -> complex:
+    """<1 / (Omega - pole)> over the Gaussian of s = sqrt(ln 2) / gamma_v,
+    on either side of the real axis: below it, the conjugate of the
+    average at the conjugate pole."""
+    if pole.imag > 0.0:
+        return _resolvent_average(pole, s)[0]
+    return _resolvent_average(pole.conjugate(), s)[0].conjugate()
+
+
+def _gaussian_oracle(params: NormalizedParams,
+                     ladder: oracle_mod.LadderSpec) -> tuple:
+    """The Gaussian average of the steady state, exact in Omega, and the
+    truncation it settled at: (value, n_used).
+
+    Each rung n_max = 3, 5, ..., ladder.n_cap averages every pole of
+    `oracle.pole_expansion` in closed form and stops when the average moves
+    by less than ladder.refine_tol, the test `oracle.refine` applies to one
+    velocity class. The last expansion is then checked against direct
+    solves at Omega = 0 and Omega = sigma: the eigendecomposition leaves a
+    relative gap near eps / min(1, |x|), as the dc population is O(x^2)
+    while its pole terms cancel from O(x) at weak drive, and a gap above
+    _POLE_GAP / min(1, |x|) relative raises SolverError.
+    """
+    s = math.sqrt(math.log(2.0)) / params.gamma_v_tilde
+    previous = None
+    for n_max in range(3, ladder.n_cap + 1, 2):
+        c0, residues, poles = oracle_mod.pole_expansion(params, n_max)
+        value = (c0 + sum(r * _pole_average(p, s) for r, p in
+                          zip(residues.tolist(), poles.tolist()))).real
+        if previous is not None:
+            change = abs(value - previous)
+            if change < ladder.refine_tol:
+                break
+        previous = value
+    else:
+        raise oracle_mod.TruncationError(
+            f"Gaussian average not settled to {ladder.refine_tol:g} at "
+            f"n_max = {n_max}; last change {change:.3e}; raise oracle.n_cap "
+            f"(now {ladder.n_cap}) or loosen oracle.refine_tol")
+    sigma = params.gamma_v_tilde / math.sqrt(2.0 * math.log(2.0))
+    weak = min(1.0, abs(params.x))
+    for omega in (0.0, sigma):
+        direct = oracle_mod.solve_steady_state(
+            oracle_mod.SteadyStateProblem(params, omega, n_max)).dc(2, 2)
+        gap = abs(c0 + np.sum(residues / (omega - poles)) - direct)
+        # "not <=" so that a NaN gap raises too
+        if not gap * weak <= _POLE_GAP * abs(direct):
+            raise oracle_mod.SolverError(
+                f"pole expansion at n_max = {n_max} misses the direct solve "
+                f"at Omega = {omega:.6g} by {gap:.3e}, above the bound "
+                f"{_POLE_GAP * abs(direct) / weak:.3e}; loosen "
+                f"oracle.refine_tol (now {ladder.refine_tol:g}) to stop at a "
+                f"shallower truncation")
+    return value, n_max
+
+
+def oracle_average(params: NormalizedParams,
+                   quad: QuadratureSpec | None = None,
+                   ladder: oracle_mod.LadderSpec = oracle_mod.LadderSpec(), *,
+                   return_info: bool = False):
+    """Velocity-averaged dc upper population of the brute-force steady state.
+
+    Homogeneous media solve a single velocity class. Gaussian profiles
+    average the steady state's pole expansion in closed form over the whole
+    line (`_gaussian_oracle`), with its truncation ladder under `ladder`,
+    and read no quadrature. Lorentzian ones use the windowed difference
+    scheme of the module docstring: the closed-form series through order 3
+    is the reference, and only the solver's deviation from it is
+    integrated, over |Omega| <= domain_halfwidth * gamma_v (default 10
+    widths), by the rule of `_average` under quad (default
+    DEFAULT_ORACLE_QUAD), each node from its own `oracle.refine` ladder
+    (`_class_values`). info["n_used"] is the deepest truncation used.
+    """
+    if params.kind == "gaussian":
+        value, n_used = _gaussian_oracle(params, ladder)
+        info = {"n_used": n_used, "reference": 0.0, "correction": value}
+        return (value, info) if return_info else value
+    if quad is None:
+        quad = DEFAULT_ORACLE_QUAD
+    lorentzian = params.kind == "lorentzian"
+    reference = (_series(params, params.delta_tilde, 2, 3) if lorentzian
+                 else 0.0)
+    info = {"n_used": 0, "reference": reference, "correction": 0.0}
+    info["correction"] = _average(_class_values(params, ladder, info),
+                                  params.kind, params.gamma_v_tilde, quad,
+                                  quad.domain_halfwidth,
                                   1e-3 * abs(reference))
     value = reference + info["correction"]
     return (value, info) if return_info else value

@@ -31,11 +31,13 @@ NormalizedParams, so its rules hold at each point of every observable.
 Every observable follows dist.kind, except that "width", the closed
 Lorentzian/homogeneous width, refuses gaussian. "quadrature" and "oracle"
 only apply to the oracle_avg observable; keys left out of either block keep
-the defaults shown above. The quadrature rule follows dist.kind (a nested
-trapezoid rule starting from `nodes` intervals for gaussian, tan-mapped
-Gauss-Legendre for lorentzian, which alone uses domain_halfwidth); `nodes`
-is at most 1024. CSV output starts with a '#'-prefixed JSON metadata line
-and keeps 17 significant digits.
+the defaults shown above. Only a lorentzian oracle_avg reads the
+quadrature block (tan-mapped Gauss-Legendre, windowed by domain_halfwidth);
+a gaussian one averages the steady state's pole expansion in closed form
+and records the block without reading it. `nodes` is at most 1024. The
+n_used column is the deepest truncation used: of the per-class ladders,
+or of the ladder a gaussian average runs on itself. CSV output starts
+with a '#'-prefixed JSON metadata line and keeps 17 significant digits.
 
 Importing this module loads neither numpy nor scipy, and neither do figures
 2 and 3 and a closed-form scan of a lorentzian or homogeneous profile: they

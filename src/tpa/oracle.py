@@ -45,6 +45,14 @@ shows up as a defect. Hermiticity, trace, parity and population range are
 checked on the solution rather than imposed. Only the diagonal depends on
 Omega; the rest comes from a small cache keyed by the parameter set.
 
+Because it does so linearly, A(Omega) = A(0) - i Omega diag(n/2), one
+eigendecomposition per truncation gives the dc upper population of every
+velocity class at once (`pole_expansion`): the n = 0 rows of the pumped
+sector hold no Omega and, in the diagonal eliminated class, eliminate
+exactly; the others, scaled by 1/(-i n/2), leave (K + Omega I) x = g, and
+K = V diag(lambda) V^-1 turns the dc population into c0 + sum_k
+alpha_k / (Omega - p_k) with poles p_k = -lambda_k.
+
 numpy and scipy.linalg are the module attributes `np` and `sla`, loaded
 lazily at the first solve, so that importing tpa for a closed-form scan
 loads neither. Every factorization reads sla.lu_factor through that attribute, so a
@@ -108,6 +116,17 @@ def _getrs():
     so that a stand-in for `sla` need carry only lu_factor.
     """
     return _lazy_module("scipy.linalg").get_lapack_funcs("getrs",
+                                                         dtype=complex)
+
+
+@functools.cache
+def _geev():
+    """The LAPACK eigensolver behind scipy.linalg.eig, called with its
+    minimal workspace: eig queries the blocked one, whose matrix products
+    OpenBLAS runs on several threads from about m = 60, where the idle
+    helper threads then spin (module docstring); unblocked, a whole average
+    stays on one core up to m = 62 (n_max = 7) at no cost in wall time."""
+    return _lazy_module("scipy.linalg").get_lapack_funcs("geev",
                                                          dtype=complex)
 
 
@@ -420,6 +439,64 @@ def assemble(problem: SteadyStateProblem) -> LinearSystem:
     b[_index(1, 1, 0, nmax)] = -1.0  # pump: gamma fills the ground state
     return LinearSystem(cols=lay.cols, vals=vals, starts=lay.starts, rhs=b,
                         n_max=nmax)
+
+
+@functools.lru_cache(maxsize=(LadderSpec.n_cap - 1) // 2)
+def _sector(n_max: int) -> tuple:
+    """The pumped sector as one dense matrix, for `pole_expansion`.
+
+    Returns (order, flat, m): the pumped rows in the order of the matrix,
+    its m rows at n != 0 first and its 5 rows at n = 0 last; the flat
+    position in that q x q matrix of each slot of lay.pumped_slots; and m.
+    """
+    lay = _layout(n_max)
+    at_zero = lay.half_n[lay.pumped] == 0
+    order = np.concatenate((lay.pumped[~at_zero], lay.pumped[at_zero]))
+    position = np.full(lay.starts.size, -1)
+    position[order] = np.arange(order.size)
+    row_of = np.repeat(np.arange(lay.starts.size),
+                       np.diff(lay.starts, append=lay.cols.size))
+    slots = lay.pumped_slots
+    flat = (position[row_of[slots]] * order.size
+            + position[lay.cols[slots]])
+    return order, flat, order.size - 5
+
+
+def pole_expansion(params: NormalizedParams, n_max: int) -> tuple:
+    """The dc upper population at truncation n_max as a function of Omega,
+    c0 + sum_k residues[k] / (Omega - poles[k]); returns (c0, residues,
+    poles), the m = 9 n_max - 1 poles of the module docstring.
+
+    The pumped-sector operator at Omega = 0 is the row-slot system of
+    `assemble`. Its 5 rows at n = 0 (populations, rho12, rho21) carry the
+    pump and no Omega, and their block is diagonal, so they are eliminated
+    exactly; c0 is what the pump leaves in (2,2,0) alone, 0 as the pump
+    fills the ground state. The remaining rows, scaled by 1/(-i n/2), give
+    (K + Omega I) x = g, and one eigendecomposition K = V diag(lambda) V^-1
+    (LAPACK geev, `_geev`) gives the poles p_k = -lambda_k and, with V^-1 g
+    from one LU solve, the residues.
+    """
+    system = assemble(SteadyStateProblem(params, 0.0, n_max))
+    lay = _layout(n_max)
+    order, flat, m = _sector(n_max)
+    q = order.size
+    a = np.zeros(q * q, dtype=complex)
+    a[flat] = system.vals[lay.pumped_slots]
+    a = a.reshape(q, q)
+    pivots = a.diagonal()[m:]
+    pump = system.rhs[order[m:]] / pivots
+    damped = a[m:, :m] / pivots[:, None]  # D_0^-1 C_0R
+    scale = -1j * lay.half_n[order[:m]]
+    operator = (a[:m, :m] - a[:m, m:] @ damped) / scale[:, None]
+    g = -(a[:m, m:] @ pump) / scale
+    lam, _, vecs, info = _geev()(operator, compute_vl=False,
+                                 overwrite_a=True)
+    if info != 0:
+        raise SolverError(f"LAPACK geev failed with info {info}")
+    upper = int(np.flatnonzero(order[m:] == _index(2, 2, 0, n_max))[0])
+    lu, piv = sla.lu_factor(vecs, check_finite=False)
+    residues = -(damped[upper] @ vecs) * _lu_solve(lu, piv, g)
+    return complex(pump[upper]), residues, -lam
 
 
 def _lu_solve(lu, piv, b):

@@ -19,7 +19,9 @@ per velocity class and for every average:
   * the averages read it at the profile's moments: residues for a
     Lorentzian or homogeneous profile, the Faddeeva function w for a
     Gaussian one (`_faddeeva_moments`, with w from Weideman's series,
-    `_wofz`), in plain complex arithmetic, without numpy or scipy;
+    `_wofz`), in plain complex arithmetic, without numpy or scipy; the
+    Gaussian average of one pole, `_resolvent_average`, also averages each
+    pole of the solver's steady state (`averaging.oracle_average`);
   * `_peak_shift` is the first-order displacement of its peak,
     -n3'(0)/n2''(0), read off the same moments at line center.
 
@@ -85,6 +87,26 @@ def _wofz(z: complex) -> complex:
     return (2.0 * p / lz + 1.0 / math.sqrt(math.pi)) / lz
 
 
+def _resolvent_average(pole: complex, s: float) -> tuple:
+    """The Gaussian average <1 / (Omega - pole)> for Im pole > 0, and w.
+
+    Omega is drawn from the Gaussian of HWHM gamma_v, s = sqrt(ln 2) /
+    gamma_v; the average is i sqrt(pi) s w(zeta) with zeta = pole s, the
+    plasma dispersion function (Fried & Conte, The Plasma Dispersion
+    Function, 1961). Returns (average, w(zeta)). Once zeta or the product
+    overflows, or w underflows to 0, the profile is narrower than a double
+    resolves next to the pole, and the average is the homogeneous -1/pole,
+    returned with w None; it is written i (i / pole), so that -i times it
+    is i / pole bit for bit.
+    """
+    zeta = pole * s
+    w = _wofz(zeta)
+    average = 1j * (math.sqrt(math.pi) * s * w)
+    if cmath.isfinite(zeta + average) and average != 0:
+        return average, w
+    return 1j * (1j / pole), None
+
+
 def _asymptotic_sum(q: complex, weighted: bool) -> complex:
     """S2(q) = sum_{k>=1} (2k-1)!! q^(k-1), or with `weighted` S3(q) =
     sum_{k>=1} k (2k-1)!! q^(k-1), through k = _ASYMPTOTIC_TERMS (Horner
@@ -111,10 +133,11 @@ def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
       M1 = sqrt(pi) s w,   M2 = -i sqrt(pi) s^2 w',
       M3 = -sqrt(pi) s^3 w''(zeta) / 2 = sqrt(pi) s^3 (w + zeta w'),
 
-    so no power of sigma overflows. Both w' and w + zeta w' cancel to a
-    relative size ~1/|zeta|^2, so at |zeta| >= 6 their asymptotic series
-    are summed instead, scaled by the homogeneous moments: in q = sigma^2 /
-    (delta + i)^2 = (1/zeta)^2 / 2,
+    so no power of sigma overflows; M1 is -i times the average of the pole
+    1 / (Omega - (delta + i)), `_resolvent_average`. Both w' and w + zeta w'
+    cancel to a relative size ~1/|zeta|^2, so at |zeta| >= 6 their
+    asymptotic series are summed instead, scaled by the homogeneous
+    moments: in q = sigma^2 / (delta + i)^2 = (1/zeta)^2 / 2,
 
       M2 = -S2(q) / (delta + i)^2,   M3 = -i S3(q) / (delta + i)^3
 
@@ -131,14 +154,12 @@ def _faddeeva_moments(delta: float, gamma_v: float, count: int = 2) -> tuple:
     |zeta| = 5.3).
     """
     s = math.sqrt(math.log(2.0)) / gamma_v
-    zeta = (delta + 1j) * s
-    w = _wofz(zeta)
-    first = math.sqrt(math.pi) * s * w
-    homogeneous = not (cmath.isfinite(zeta + first) and first != 0)
-    if homogeneous:
-        first = 1j / (delta + 1j)
+    pole = delta + 1j
+    average, w = _resolvent_average(pole, s)
+    first = -1j * average  # the product with +-i is exact
+    homogeneous = w is None
+    zeta = pole * s
     if homogeneous or abs(zeta) >= _ASYMPTOTIC_ZETA:
-        pole = delta + 1j
         square = pole * pole
         # (1/zeta)^2, never zeta * zeta, which overflows to nan
         q = 0.0 if homogeneous else 0.5 * (1.0 / zeta) ** 2

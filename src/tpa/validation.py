@@ -1,6 +1,6 @@
 """Self-check suites tying the solver, the series, and the closed forms together.
 
-Four independent cross-checks, each pitting two implementations against one
+Five independent cross-checks, each pitting two implementations against one
 another rather than against stored numbers:
 
   * structural: randomized steady-state solves must satisfy the residual,
@@ -10,6 +10,8 @@ another rather than against stored numbers:
   * scaling: the solver must approach the perturbative series at the
     expansion rate as the intermediate-state detuning grows, for one
     velocity class and averaged over a Lorentzian and a Gaussian profile;
+  * poles: the Gaussian average of the solver's pole expansion must match
+    quadrature over velocity classes solved one by one;
   * moments: the closed order-2 and order-3 averages of the series must
     match quadrature of the per-velocity series, on Lorentzian and Gaussian
     profiles;
@@ -146,6 +148,30 @@ def _averaged_scaling_row(kind: str) -> ValidationRow:
         f"exponent {slope:.3f}")
 
 
+def _pole_rows(level: str) -> list:
+    """The Gaussian `oracle_average`, a closed average of the steady state's
+    poles, against the trapezoid rule (`velocity_average`, tol 1e-10) over
+    velocity classes that each climb their own `oracle.refine` ladder, at
+    weak and strong drive and beam ratios 0.5 and 1; full level only."""
+    if level != "full":
+        return []
+    quad = averaging.QuadratureSpec(tol=1e-10)
+    gaps = []
+    for phi, dbig in ((1.0, 1e3), (3.0, 100.0)):
+        for a in (0.5, 1.0):
+            p = NormalizedParams.build(delta_tilde=0.5, gamma_v_tilde=2.0,
+                                       a_ratio=a, mu=1.2, phi_tilde=phi,
+                                       delta_big_tilde=dbig, kind="gaussian")
+            want = averaging.velocity_average(
+                averaging._class_values(p, oracle.LadderSpec()), p.kind,
+                p.gamma_v_tilde, quad)
+            gaps.append(abs(averaging.oracle_average(p) - want) / abs(want))
+    return [ValidationRow("gaussian pole average vs per-class quadrature",
+                          max(gaps) <= 1e-9,
+                          f"worst rel gap {max(gaps):.2e} over "
+                          f"{len(gaps)} points")]
+
+
 def _moment_rows(level: str) -> list:
     """The closed series averages against quadrature of the per-velocity
     series: the order-2 term and the order-3 term, each scaled by
@@ -223,6 +249,7 @@ def run_validation(level: str = "fast") -> ValidationReport:
     rows = []
     rows.extend(_structural_rows(level, rng))
     rows.extend(_scaling_rows(level))
+    rows.extend(_pole_rows(level))
     rows.extend(_moment_rows(level))
     rows.extend(_locator_rows(level))
     return ValidationReport(level=level, rows=rows)

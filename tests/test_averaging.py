@@ -6,7 +6,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tpa import analytics, averaging, oracle
@@ -17,7 +17,7 @@ from tpa.core import NormalizedParams, ParameterError
 from tpa.perturbative import (_WEIDEMAN_A, _WEIDEMAN_L, _faddeeva_moments,
                               _series, _wofz, upper_dc_series)
 
-from conftest import fresh_python, rel_err
+from conftest import fresh_python, reference_system, rel_err
 
 
 def test_quadrature_spec_validation():
@@ -515,6 +515,14 @@ def test_oracle_average_folds_each_mirror_pair_into_one_ladder(
     solves, calls = [], []  # calls: (omega, whether it solved)
     refine, solve = oracle.refine, oracle.solve_steady_state
 
+    def average():
+        # a Gaussian oracle_average reads no velocity class, so its
+        # per-class ladders are those of the reference the tests hold it to
+        if kind == "lorentzian":
+            return oracle_average(p, quad)
+        return velocity_average(averaging._class_values(
+            p, oracle.LadderSpec()), kind, gamma_v, quad)
+
     def recorded(params, omega, ladder, start=3):
         before = len(solves)
         result = refine(params, omega, ladder, start=start)
@@ -524,7 +532,7 @@ def test_oracle_average_folds_each_mirror_pair_into_one_ladder(
                         lambda problem: solves.append(problem)
                         or solve(problem))
     monkeypatch.setattr(oracle, "refine", recorded)
-    folded = oracle_average(p, quad)
+    folded = average()
     if kind == "lorentzian":
         sizes = [nodes * 2 ** k for k in range(8)]
     else:
@@ -543,7 +551,7 @@ def test_oracle_average_folds_each_mirror_pair_into_one_ladder(
         oracle._mirror_memo = None
         return refine(params, omega, ladder, start=start)
     monkeypatch.setattr(oracle, "refine", unfolded)
-    assert oracle_average(p, quad) == folded
+    assert average() == folded
 
 
 def test_oracle_average_gaussian_matches_series():
@@ -553,52 +561,132 @@ def test_oracle_average_gaussian_matches_series():
     assert rel_err(oracle_average(p), averaged_population(p, order=3)) < 1e-3
 
 
-def test_oracle_average_gaussian_evaluates_each_node_once(monkeypatch):
-    # the nested trapezoid rule: nodes + 1 points on |Omega| <= 8 sigma,
-    # then each level solves only the midpoints of the grid so far
-    nodes = 16
+def test_oracle_average_gaussian_walks_the_pole_ladder(monkeypatch):
+    # one pole expansion per rung n_max = 3, 5, ..., n_used and no per-class
+    # ladder; the last rung checked by exactly two direct solves, at
+    # Omega = 0 and sigma; the value is the closed average of each pole
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
                                phi_tilde=1.0, delta_big_tilde=1e3,
                                gamma_v_tilde=0.5, kind="gaussian")
-    calls = []
-    refine = oracle.refine
+    rungs, solves = [], []
+    expansion, solve = oracle.pole_expansion, oracle.solve_steady_state
 
-    def recorded(params, omega, ladder, start=3):
-        rho, n_used = refine(params, omega, ladder, start=start)
-        calls.append((omega, oracle.dc_upper_population(rho)))
-        return rho, n_used
-    monkeypatch.setattr(oracle, "refine", recorded)
-    value = oracle_average(p, QuadratureSpec(nodes=nodes, tol=1e-6))
-    monkeypatch.undo()
-    omegas = np.array([om for om, _ in calls])
-    assert len(set(omegas.tolist())) == len(omegas)
-    # the accepted level has 2^k nodes intervals, k >= 1
-    k = ((len(omegas) - 1) // nodes).bit_length() - 1
-    assert k >= 1 and len(omegas) == 2 ** k * nodes + 1
+    def no_refine(*args, **kwargs):
+        raise AssertionError("a Gaussian average walked a per-class ladder")
+    monkeypatch.setattr(oracle, "refine", no_refine)
+    monkeypatch.setattr(oracle, "pole_expansion", lambda params, n_max:
+                        rungs.append(expansion(params, n_max)) or rungs[-1])
+    monkeypatch.setattr(oracle, "solve_steady_state",
+                        lambda problem: solves.append(problem)
+                        or solve(problem))
+    value, info = oracle_average(p, QuadratureSpec(nodes=8, tol=1e-3),
+                                 return_info=True)
+    n_used = info["n_used"]
+    assert n_used == 7  # the weak_gauss physics settles at 7
+    assert [poles.size for _, _, poles in rungs] == [
+        9 * n - 1 for n in range(3, n_used + 1, 2)]
     sigma = p.gamma_v_tilde / math.sqrt(2.0 * math.log(2.0))
-    grid = np.sort(omegas[:nodes + 1])
-    assert grid[0] == pytest.approx(-8.0 * sigma, rel=1e-15)
-    assert grid[-1] == pytest.approx(8.0 * sigma, rel=1e-15)
-    done = nodes + 1
-    while done < len(omegas):
-        new = np.sort(omegas[done:done + len(grid) - 1])
-        assert np.allclose(new, 0.5 * (grid[:-1] + grid[1:]),
-                           rtol=0.0, atol=1e-13 * sigma)
-        done += len(new)
-        grid = np.sort(np.concatenate([grid, new]))
-    # the value is the trapezoid sum over the accepted grid
-    order = np.argsort(omegas)
-    h = 16.0 * sigma / (len(omegas) - 1)
-    weights = (h * np.exp(-0.5 * (omegas[order] / sigma) ** 2)
-               / (sigma * math.sqrt(2.0 * math.pi)))
+    assert [(q.omega, q.n_max) for q in solves] == [(0.0, n_used),
+                                                    (sigma, n_used)]
+    assert info == {"n_used": n_used, "reference": 0.0, "correction": value}
+    # the quadrature block is not read: the default one gives the same bits
+    monkeypatch.undo()
+    assert oracle_average(p) == value
+    # each pole averaged as i sqrt(pi) s w(p s), its conjugate below the axis
+    c0, residues, poles = rungs[-1]
+    s = math.sqrt(math.log(2.0)) / p.gamma_v_tilde
+    terms = [r * 1j * math.sqrt(math.pi) * s * _w_reference(q * s)
+             if q.imag > 0 else (r.conjugate() * 1j * math.sqrt(math.pi) * s
+                                 * _w_reference(q.conjugate() * s)).conjugate()
+             for r, q in zip(residues.tolist(), poles.tolist())]
+    assert rel_err(value, (c0 + sum(terms)).real) < 1e-12
+    # and a pole form that misses the direct solves raises, naming the knob
+    monkeypatch.setattr(oracle, "pole_expansion", lambda params, n_max: (
+        lambda c0, r, q: (c0, r * (1.0 + 1e-9), q))(*expansion(params,
+                                                               n_max)))
+    with pytest.raises(oracle.SolverError, match="oracle.refine_tol"):
+        oracle_average(p)
+
+
+def test_gaussian_oracle_ladder_exhaustion_names_its_knobs():
+    # a strong drive that the rungs up to n_max = 5 cannot settle
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+                               phi_tilde=3.0, delta_big_tilde=100.0,
+                               gamma_v_tilde=2.0, kind="gaussian")
+    with pytest.raises(oracle.TruncationError,
+                       match=r"^Gaussian average not settled .* n_max = 5; "
+                             r"last change .*oracle\.n_cap \(now 5\) or "
+                             r"loosen oracle\.refine_tol$"):
+        oracle_average(p, ladder=oracle.LadderSpec(n_cap=5))
+
+
+def test_wide_gaussian_oracle_average_matches_a_trapezoid_of_direct_solves():
+    # gamma_v = 100 exhausted the 2,048-node trapezoid of per-class ladders;
+    # the pole average settles at n_max = 5. A trapezoid of dense direct
+    # solves at that truncation agrees: step 1/5 on |Omega| <= 8 sigma
+    # (6,801 nodes), folded onto
+    # Omega >= 0, as the dc population is even in Omega at A = 1, and on
+    # the pumped sector, the one the pump reaches; a step of 1/10 moves the
+    # sum by 3e-14 (relative)
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+                               phi_tilde=1.0, delta_big_tilde=1e3,
+                               gamma_v_tilde=100.0, kind="gaussian")
+    value, info = oracle_average(p, return_info=True)
+    assert info["n_used"] == 5
+    assert value == pytest.approx(3.7799e-5, rel=1e-4)
+    matrix, rhs = reference_system(oracle.SteadyStateProblem(p, 0.0, 5))
+    n = np.tile(np.arange(-5, 6), 9)
+    odd = np.repeat([(i, j) in {(0, 1), (1, 0), (0, 2), (2, 0)}
+                     for i in range(3) for j in range(3)], 11)
+    pumped = np.flatnonzero(odd == (n % 2 == 1))
+    matrix, rhs = matrix[np.ix_(pumped, pumped)], rhs[pumped, None]
+    advection = np.diag(-0.5j * n[pumped])
+    upper = int(np.flatnonzero(pumped == 8 * 11 + 5)[0])  # c(2, 2, 0)
+    sigma = p.gamma_v_tilde / math.sqrt(2.0 * math.log(2.0))
+    omegas = np.linspace(0.0, 8.0 * sigma, 3401)
+    weights = np.exp(-0.5 * (omegas / sigma) ** 2)
     weights[[0, -1]] *= 0.5
-    dc = np.array([v for _, v in calls])[order]
-    assert rel_err(value, float(np.sum(weights * dc))) <= 1e-13
+    weights *= 2.0 * omegas[1] / (sigma * math.sqrt(2.0 * math.pi))
+    total = 0.0
+    for chunk in np.array_split(np.arange(omegas.size), 20):
+        systems = matrix + omegas[chunk, None, None] * advection
+        dc = np.linalg.solve(systems, np.broadcast_to(
+            rhs, (chunk.size,) + rhs.shape))[:, upper, 0]
+        total += float(np.sum(weights[chunk] * dc.real))
+    assert rel_err(value, total) < 1e-11
+
+
+@settings(max_examples=50)
+@given(delta=st.floats(-2.0, 2.0), phi=st.floats(0.3, 5.0),
+       log_dbig=st.floats(2.0, 3.0), log_gv=st.floats(-1.0, 1.0),
+       a=st.floats(0.0, 1.2), mu=st.floats(0.6, 1.6))
+def test_gaussian_pole_average_matches_per_class_quadrature(
+        delta, phi, log_dbig, log_gv, a, mu):
+    # the closed average of the pole expansion against the trapezoid rule
+    # at tol 1e-10 over velocity classes that each climb their own ladder.
+    # At strong drive that reference can fail itself, its 2,048 nodes short
+    # of 1e-10 on wide profiles or a class ladder unsettled at n_max = 41;
+    # there the pole average, checked against its direct solves, must still
+    # give a population
+    p = NormalizedParams.build(delta_tilde=delta, a_ratio=a, mu=mu,
+                               phi_tilde=phi, delta_big_tilde=10.0 ** log_dbig,
+                               gamma_v_tilde=10.0 ** log_gv, kind="gaussian")
+    got = oracle_average(p)
+    try:
+        want = velocity_average(
+            averaging._class_values(p, oracle.LadderSpec()), p.kind,
+            p.gamma_v_tilde, QuadratureSpec(tol=1e-10))
+    except (QuadratureError, oracle.TruncationError) as exc:
+        event(f"per-class reference raised {type(exc).__name__}")
+        assert 0.0 < got < 1.0
+        return
+    event("compared")
+    assert rel_err(got, want) <= 1e-9
 
 
 def test_oracle_average_converges_on_wide_gaussian():
-    # at gamma_v = 10 the integrand is narrow next to the profile; the
-    # trapezoid step still converges within 2,048 intervals
+    # at gamma_v = 10 the line is narrow next to the profile, and the pole
+    # average still meets the closed series
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
                                phi_tilde=1.0, delta_big_tilde=1e3,
                                gamma_v_tilde=10.0, kind="gaussian")

@@ -322,7 +322,8 @@ def test_infinite_quadrature_window_rejected(tmp_path, capsys):
 
 
 def test_gaussian_quadrature_block_runs(tmp_path, capsys):
-    # the rule follows dist.kind, so a block that sets only tol applies as is
+    # a Gaussian oracle_avg reads no quadrature block, but a block that sets
+    # only tol is parsed and recorded as is
     cfg_path = tmp_path / "gauss.json"
     cfg_path.write_text(json.dumps(_oracle_doc(
         sweep={"axis": "delta_tilde", "start": 0.0, "stop": 0.5, "count": 2},
@@ -516,17 +517,6 @@ def _loaded_after(modules, *argvs):
     done = fresh_python("-c", script, json.dumps(argvs))
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
-
-
-def test_closed_scans_load_no_scipy(tmp_path):
-    cfg_path = tmp_path / "scan.json"
-    cfg_path.write_text(json.dumps(_n2_doc(observable="n2+n3")))
-    loaded = _loaded_after(
-        _SCIPY_AT_USE,
-        ["scan", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")],
-        ["figure", "--fig", "2", "--out", str(tmp_path / "f2.csv")],
-        ["figure", "--fig", "3", "--out", str(tmp_path / "f3.csv")])
-    assert loaded == set()
 
 
 _CLOSED_SCANS = {

@@ -158,13 +158,15 @@ def test_assembly_cache_keys_every_input(name):
 
 
 def test_assembly_cache_stays_bounded():
+    # the per-class ladders of a Lorentzian average assemble every rung from
+    # the cached couplings of its parameter set
     oracle._fixed_values.cache_clear()
     doc = {"observable": "oracle_avg",
            "sweep": {"axis": "delta_tilde", "start": 0.0, "stop": 0.5,
                      "count": 2},
            "fixed": {"delta_big_tilde": 1e3, "gamma_v_tilde": 2.0,
                      "a_ratio": 1.0, "mu": 1.2},
-           "dist": {"kind": "gaussian"}}
+           "dist": {"kind": "lorentzian"}}
     cli.run_scan(cli.parse_scan_config(doc))
     info = oracle._fixed_values.cache_info()
     # one entry per (parameter set, n_max); the rungs of one ladder fit

@@ -20,9 +20,11 @@ def test_fast_level_passes():
 def test_full_level_adds_averaged_scaling():
     report = run_validation("full")
     assert report.passed
-    assert len(report.rows) == 7
+    assert len(report.rows) == 8
     assert any("averaged" in row.name for row in report.rows)
     assert any("gaussian" in row.name for row in report.rows)
+    names = [row.name for row in report.rows]
+    assert "gaussian pole average vs per-class quadrature" in names
 
 
 def test_gaussian_averaged_scaling_row():
