@@ -17,7 +17,8 @@ the steady state at one truncation is c0 + sum_k alpha_k / (Omega - p_k)
 i sqrt(pi) s w(p s), s = sqrt(ln 2)/gamma_v, with the same Faddeeva w as
 the series (`perturbative._resolvent_average`; the conjugate below the
 axis). Its truncation ladder runs on the average itself, and the last rung
-is checked against two direct solves (`_gaussian_oracle`). A rung costs
+is checked against two direct solves (`_gaussian_oracle`); where it misses
+them, at |x| below about 2e-7, the average is a quadrature. A rung costs
 one eigendecomposition of m = 9 n_max - 1 unknowns, about m^3, and from
 m = 80 (n_max >= 9) OpenBLAS runs it on several threads, so an average
 costs more the stronger the drive that sets its last rung.
@@ -78,10 +79,9 @@ np = _lazy_module("numpy")  # at the first quadrature
 __all__ = ["QuadratureError", "averaged_population", "oracle_average"]
 
 _MAX_NODES = 2048
-# Relative gap, times min(1, |x|), that the pole expansion of a Gaussian
-# `oracle_average` may leave against a direct solve: 256 eps, about 9 times
-# the largest measured (see `_gaussian_oracle`).
-_POLE_GAP = 256 * _EPS
+# Relative gap to a direct solve that a Gaussian pole form may leave: the
+# accuracy to which the per-class quadrature holds the pole average.
+_POLE_GAP = 1e-9
 # The Gaussian weight beyond 8 standard deviations carries
 # erfc(8 / sqrt 2) ~ 1.2e-15 of the mass, below every tolerance in use.
 _GAUSS_WINDOW = 8.0
@@ -102,8 +102,8 @@ class QuadratureSpec:
     room for the two levels a convergence test needs. domain_halfwidth, in
     units of gamma_v, is read only by the Lorentzian difference scheme of
     `oracle_average`, whose window it sets; a Lorentzian `velocity_average`
-    integrates the whole line. A Gaussian `oracle_average` reads none of
-    the three: it averages in closed form. domain_halfwidth and tol are
+    integrates the whole line. A Gaussian `oracle_average` reads nodes and
+    tol only where its closed form falls back. domain_halfwidth and tol are
     numbers > 0; all three are stored converted. `oracle.LadderSpec` is the
     ladder's twin.
     """
@@ -285,35 +285,28 @@ def _class_values(params: NormalizedParams, ladder: oracle_mod.LadderSpec,
     return level
 
 
-def _pole_average(pole: complex, s: float) -> complex:
-    """<1 / (Omega - pole)> over the Gaussian of s = sqrt(ln 2) / gamma_v,
-    on either side of the real axis: below it, the conjugate of the
-    average at the conjugate pole."""
-    if pole.imag > 0.0:
-        return _resolvent_average(pole, s)[0]
-    return _resolvent_average(pole.conjugate(), s)[0].conjugate()
-
-
 def _gaussian_oracle(params: NormalizedParams,
-                     ladder: oracle_mod.LadderSpec) -> tuple:
-    """The Gaussian average of the steady state, exact in Omega, and the
-    truncation it settled at: (value, n_used).
+                     ladder: oracle_mod.LadderSpec, info: dict):
+    """The Gaussian average of the steady state, exact in Omega, and its
+    truncation in info["n_used"]; or None where the pole form is off.
 
     Each rung n_max = 3, 5, ..., ladder.n_cap averages every pole of
     `oracle.pole_expansion` in closed form and stops when the average moves
     by less than ladder.refine_tol, the test `oracle.refine` applies to one
     velocity class. The last expansion is then checked against direct
-    solves at Omega = 0 and Omega = sigma: the eigendecomposition leaves a
-    relative gap near eps / min(1, |x|), as the dc population is O(x^2)
-    while its pole terms cancel from O(x) at weak drive, and a gap above
-    _POLE_GAP / min(1, |x|) relative raises SolverError.
+    solves at Omega = 0 and Omega = sigma. The form misses them by about
+    0.8 eps / |x| relative at weak drive (`oracle` module docstring); a
+    gap above _POLE_GAP relative, or a NaN, gives None.
     """
     s = math.sqrt(math.log(2.0)) / params.gamma_v_tilde
     previous = None
     for n_max in range(3, ladder.n_cap + 1, 2):
         c0, residues, poles = oracle_mod.pole_expansion(params, n_max)
-        value = (c0 + sum(r * _pole_average(p, s) for r, p in
-                          zip(residues.tolist(), poles.tolist()))).real
+        means = (_resolvent_average(p, s)[0] if p.imag > 0.0
+                 else _resolvent_average(p.conjugate(), s)[0].conjugate()
+                 for p in poles.tolist())
+        value = (c0 + sum(r * mean for r, mean in
+                          zip(residues.tolist(), means))).real
         if previous is not None:
             change = abs(value - previous)
             if change < ladder.refine_tol:
@@ -325,52 +318,42 @@ def _gaussian_oracle(params: NormalizedParams,
             f"n_max = {n_max}; last change {change:.3e}; raise oracle.n_cap "
             f"(now {ladder.n_cap}) or loosen oracle.refine_tol")
     sigma = params.gamma_v_tilde / math.sqrt(2.0 * math.log(2.0))
-    weak = min(1.0, abs(params.x))
     for omega in (0.0, sigma):
         direct = oracle_mod.solve_steady_state(
             oracle_mod.SteadyStateProblem(params, omega, n_max)).dc(2, 2)
         gap = abs(c0 + np.sum(residues / (omega - poles)) - direct)
-        # "not <=" so that a NaN gap raises too
-        if not gap * weak <= _POLE_GAP * abs(direct):
-            raise oracle_mod.SolverError(
-                f"pole expansion at n_max = {n_max} misses the direct solve "
-                f"at Omega = {omega:.6g} by {gap:.3e}, above the bound "
-                f"{_POLE_GAP * abs(direct) / weak:.3e}; loosen "
-                f"oracle.refine_tol (now {ladder.refine_tol:g}) to stop at a "
-                f"shallower truncation")
-    return value, n_max
+        if not gap <= _POLE_GAP * abs(direct):  # a NaN fails too
+            return None
+    info["n_used"] = n_max
+    return value
 
 
 def oracle_average(params: NormalizedParams,
-                   quad: QuadratureSpec | None = None,
+                   quad: QuadratureSpec = DEFAULT_ORACLE_QUAD,
                    ladder: oracle_mod.LadderSpec = oracle_mod.LadderSpec(), *,
                    return_info: bool = False):
     """Velocity-averaged dc upper population of the brute-force steady state.
 
     Homogeneous media solve a single velocity class. Gaussian profiles
     average the steady state's pole expansion in closed form over the whole
-    line (`_gaussian_oracle`), with its truncation ladder under `ladder`,
-    and read no quadrature. Lorentzian ones use the windowed difference
-    scheme of the module docstring: the closed-form series through order 3
-    is the reference, and only the solver's deviation from it is
-    integrated, over |Omega| <= domain_halfwidth * gamma_v (default 10
-    widths), by the rule of `_average` under quad (default
-    DEFAULT_ORACLE_QUAD), each node from its own `oracle.refine` ladder
-    (`_class_values`). info["n_used"] is the deepest truncation used.
+    line (`_gaussian_oracle`), with its truncation ladder under `ladder`.
+    Where that form misses its direct solves, and on Lorentzian profiles,
+    the solver is averaged by the rule of `_average` under quad, each node
+    from its own `oracle.refine` ladder (`_class_values`). Lorentzian ones
+    use the windowed difference scheme of the module docstring: the
+    closed-form series through order 3 is the reference, and only the
+    solver's deviation from it is integrated, over |Omega| <=
+    domain_halfwidth * gamma_v (default 10 widths). info["n_used"] is the
+    deepest truncation used.
     """
-    if params.kind == "gaussian":
-        value, n_used = _gaussian_oracle(params, ladder)
-        info = {"n_used": n_used, "reference": 0.0, "correction": value}
-        return (value, info) if return_info else value
-    if quad is None:
-        quad = DEFAULT_ORACLE_QUAD
-    lorentzian = params.kind == "lorentzian"
-    reference = (_series(params, params.delta_tilde, 2, 3) if lorentzian
-                 else 0.0)
-    info = {"n_used": 0, "reference": reference, "correction": 0.0}
-    info["correction"] = _average(_class_values(params, ladder, info),
-                                  params.kind, params.gamma_v_tilde, quad,
-                                  quad.domain_halfwidth,
-                                  1e-3 * abs(reference))
-    value = reference + info["correction"]
+    info = {"n_used": 0}
+    value = (_gaussian_oracle(params, ladder, info)
+             if params.kind == "gaussian" else None)
+    if value is None:
+        reference = (_series(params, params.delta_tilde, 2, 3)
+                     if params.kind == "lorentzian" else 0.0)
+        value = reference + _average(
+            _class_values(params, ladder, info), params.kind,
+            params.gamma_v_tilde, quad, quad.domain_halfwidth,
+            1e-3 * abs(reference))
     return (value, info) if return_info else value

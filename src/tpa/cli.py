@@ -31,12 +31,13 @@ NormalizedParams, so its rules hold at each point of every observable.
 Every observable follows dist.kind, except that "width", the closed
 Lorentzian/homogeneous width, refuses gaussian. "quadrature" and "oracle"
 only apply to the oracle_avg observable; keys left out of either block keep
-the defaults shown above. Only a lorentzian oracle_avg reads the
-quadrature block (tan-mapped Gauss-Legendre, windowed by domain_halfwidth);
-a gaussian one averages the steady state's pole expansion in closed form
-and records the block without reading it. `nodes` is at most 1024. The
-n_used column is the deepest truncation used: of the per-class ladders,
-or of the ladder a gaussian average runs on itself. CSV output starts
+the defaults shown above. A lorentzian oracle_avg reads the quadrature
+block (tan-mapped Gauss-Legendre, windowed by domain_halfwidth); a gaussian
+one averages the steady state's pole expansion in closed form, and reads
+the block (the trapezoid rule) only where that form misses its direct
+solves, at weak drive. `nodes` is at most 1024. The n_used column is the
+deepest truncation used: of the per-class ladders, or of the ladder a
+gaussian closed average runs on itself. CSV output starts
 with a '#'-prefixed JSON metadata line and keeps 17 significant digits.
 
 Importing this module loads neither numpy nor scipy, and neither do figures

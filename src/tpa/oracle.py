@@ -51,7 +51,9 @@ velocity class at once (`pole_expansion`): the n = 0 rows of the pumped
 sector hold no Omega and, in the diagonal eliminated class, eliminate
 exactly; the others, scaled by 1/(-i n/2), leave (K + Omega I) x = g, and
 K = V diag(lambda) V^-1 turns the dc population into c0 + sum_k
-alpha_k / (Omega - p_k) with poles p_k = -lambda_k.
+alpha_k / (Omega - p_k) with poles p_k = -lambda_k. At weak drive the pole
+terms are O(x) and cancel to the O(x^2) population, so the sum misses a
+direct solve by about 0.8 eps / |x| relative, where a solve holds ~eps.
 
 numpy and scipy.linalg are the module attributes `np` and `sla`, loaded
 lazily at the first solve, so that importing tpa for a closed-form scan
@@ -108,26 +110,19 @@ sla = _lazy_module("scipy.linalg")
 
 
 @functools.cache
-def _getrs():
-    """The LAPACK routine behind scipy.linalg.lu_solve, called on the factors
-    of sla.lu_factor without the wrapper's per-call checks.
+def _lapack(name: str):
+    """The complex LAPACK routine `name`, called without scipy.linalg's
+    wrapper checks: getrs, behind lu_solve, on the factors of
+    sla.lu_factor, and geev, behind eig, with its minimal workspace. eig
+    queries the blocked one, whose matrix products OpenBLAS runs on several
+    threads from about m = 60, where the idle helper threads then spin
+    (module docstring); unblocked, a whole average stays on one core up to
+    m = 62 (n_max = 7) at no cost in wall time.
 
-    Built at the first solve from scipy.linalg itself, not through `sla`,
-    so that a stand-in for `sla` need carry only lu_factor.
+    Built at first use from scipy.linalg itself, not through `sla`, so that
+    a stand-in for `sla` need carry only lu_factor.
     """
-    return _lazy_module("scipy.linalg").get_lapack_funcs("getrs",
-                                                         dtype=complex)
-
-
-@functools.cache
-def _geev():
-    """The LAPACK eigensolver behind scipy.linalg.eig, called with its
-    minimal workspace: eig queries the blocked one, whose matrix products
-    OpenBLAS runs on several threads from about m = 60, where the idle
-    helper threads then spin (module docstring); unblocked, a whole average
-    stays on one core up to m = 62 (n_max = 7) at no cost in wall time."""
-    return _lazy_module("scipy.linalg").get_lapack_funcs("geev",
-                                                         dtype=complex)
+    return _lazy_module("scipy.linalg").get_lapack_funcs(name, dtype=complex)
 
 
 class OracleError(RuntimeError):
@@ -473,7 +468,7 @@ def pole_expansion(params: NormalizedParams, n_max: int) -> tuple:
     exactly; c0 is what the pump leaves in (2,2,0) alone, 0 as the pump
     fills the ground state. The remaining rows, scaled by 1/(-i n/2), give
     (K + Omega I) x = g, and one eigendecomposition K = V diag(lambda) V^-1
-    (LAPACK geev, `_geev`) gives the poles p_k = -lambda_k and, with V^-1 g
+    (LAPACK geev, `_lapack`) gives the poles p_k = -lambda_k and, with V^-1 g
     from one LU solve, the residues.
     """
     system = assemble(SteadyStateProblem(params, 0.0, n_max))
@@ -489,8 +484,8 @@ def pole_expansion(params: NormalizedParams, n_max: int) -> tuple:
     scale = -1j * lay.half_n[order[:m]]
     operator = (a[:m, :m] - a[:m, m:] @ damped) / scale[:, None]
     g = -(a[:m, m:] @ pump) / scale
-    lam, _, vecs, info = _geev()(operator, compute_vl=False,
-                                 overwrite_a=True)
+    lam, _, vecs, info = _lapack("geev")(operator, compute_vl=False,
+                                         overwrite_a=True)
     if info != 0:
         raise SolverError(f"LAPACK geev failed with info {info}")
     upper = int(np.flatnonzero(order[m:] == _index(2, 2, 0, n_max))[0])
@@ -501,7 +496,7 @@ def pole_expansion(params: NormalizedParams, n_max: int) -> tuple:
 
 def _lu_solve(lu, piv, b):
     """x with A x = b, from sla.lu_factor's factors of A, through getrs."""
-    x, info = _getrs()(lu, piv, b, overwrite_b=True)
+    x, info = _lapack("getrs")(lu, piv, b, overwrite_b=True)
     if info != 0:
         raise SolverError(f"LAPACK getrs failed with info {info}")
     return x

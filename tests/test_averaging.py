@@ -10,9 +10,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tpa import analytics, averaging, oracle
-from tpa.averaging import (QuadratureError, QuadratureSpec,
-                           averaged_population, oracle_average,
-                           velocity_average)
+from tpa.averaging import (DEFAULT_ORACLE_QUAD, QuadratureError,
+                           QuadratureSpec, averaged_population,
+                           oracle_average, velocity_average)
 from tpa.core import NormalizedParams, ParameterError
 from tpa.perturbative import (_WEIDEMAN_A, _WEIDEMAN_L, _faddeeva_moments,
                               _series, _wofz, upper_dc_series)
@@ -359,8 +359,7 @@ def test_oracle_average_homogeneous_is_single_solve():
     value, info = oracle_average(p, return_info=True)
     rho, n_used = oracle.refine(p, 0.0)
     assert value == pytest.approx(oracle.dc_upper_population(rho), rel=1e-14)
-    assert set(info) == {"n_used", "reference", "correction"}
-    assert info["n_used"] == n_used
+    assert info == {"n_used": n_used}
 
 
 @given(delta=st.floats(-3.0, 3.0), a=st.floats(0.3, 3.0),
@@ -402,7 +401,14 @@ def test_oracle_average_lorentzian_matches_series():
     value, info = oracle_average(p, return_info=True)
     closed = averaged_population(p, order=3)
     assert rel_err(value, closed) < 1e-3
-    assert info["reference"] == pytest.approx(closed, rel=1e-12)
+    # the closed series through order 3 plus the quadrature of the
+    # solver's deviation from it, bit for bit
+    reference = averaging._series(p, p.delta_tilde, 2, 3)
+    assert reference == pytest.approx(closed, rel=1e-12)
+    assert value == reference + averaging._average(
+        averaging._class_values(p, oracle.LadderSpec()), p.kind,
+        p.gamma_v_tilde, DEFAULT_ORACLE_QUAD, 10.0, 1e-3 * abs(reference))
+    assert set(info) == {"n_used"}
     assert info["n_used"] >= 3
 
 
@@ -516,8 +522,9 @@ def test_oracle_average_folds_each_mirror_pair_into_one_ladder(
     refine, solve = oracle.refine, oracle.solve_steady_state
 
     def average():
-        # a Gaussian oracle_average reads no velocity class, so its
-        # per-class ladders are those of the reference the tests hold it to
+        # a Gaussian oracle_average at this drive reads no velocity class,
+        # so its per-class ladders are those of the reference the tests hold
+        # it to, and of its weak-drive quadrature
         if kind == "lorentzian":
             return oracle_average(p, quad)
         return velocity_average(averaging._class_values(
@@ -588,8 +595,9 @@ def test_oracle_average_gaussian_walks_the_pole_ladder(monkeypatch):
     sigma = p.gamma_v_tilde / math.sqrt(2.0 * math.log(2.0))
     assert [(q.omega, q.n_max) for q in solves] == [(0.0, n_used),
                                                     (sigma, n_used)]
-    assert info == {"n_used": n_used, "reference": 0.0, "correction": value}
-    # the quadrature block is not read: the default one gives the same bits
+    assert info == {"n_used": n_used}
+    # the pole route reads no quadrature block: the default gives the same
+    # bits
     monkeypatch.undo()
     assert oracle_average(p) == value
     # each pole averaged as i sqrt(pi) s w(p s), its conjugate below the axis
@@ -600,12 +608,24 @@ def test_oracle_average_gaussian_walks_the_pole_ladder(monkeypatch):
                                  * _w_reference(q.conjugate() * s)).conjugate()
              for r, q in zip(residues.tolist(), poles.tolist())]
     assert rel_err(value, (c0 + sum(terms)).real) < 1e-12
-    # and a pole form that misses the direct solves raises, naming the knob
+    # and a pole form that misses the direct solves falls back to the
+    # per-class quadrature under the quadrature block, bit for bit, with
+    # the per-class n_used
+    refined = []
+    refine = oracle.refine
+    monkeypatch.setattr(oracle, "refine", lambda *args, **kwargs:
+                        refined.append(args) or refine(*args, **kwargs))
     monkeypatch.setattr(oracle, "pole_expansion", lambda params, n_max: (
-        lambda c0, r, q: (c0, r * (1.0 + 1e-9), q))(*expansion(params,
+        lambda c0, r, q: (c0, r * (1.0 + 1e-8), q))(*expansion(params,
                                                                n_max)))
-    with pytest.raises(oracle.SolverError, match="oracle.refine_tol"):
-        oracle_average(p)
+    value, info = oracle_average(p, return_info=True)
+    assert refined
+    monkeypatch.undo()
+    per_class = {"n_used": 0}
+    assert value == averaging._average(
+        averaging._class_values(p, oracle.LadderSpec(), per_class), p.kind,
+        p.gamma_v_tilde, DEFAULT_ORACLE_QUAD, 10.0, 0.0)
+    assert info == per_class and per_class["n_used"] >= 3
 
 
 def test_gaussian_oracle_ladder_exhaustion_names_its_knobs():
@@ -681,6 +701,21 @@ def test_gaussian_pole_average_matches_per_class_quadrature(
         assert 0.0 < got < 1.0
         return
     event("compared")
+    assert rel_err(got, want) <= 1e-9
+
+
+@pytest.mark.parametrize("phi", [1e-2, 1e-4, 1e-8])
+def test_weak_drive_gaussian_oracle_average_is_a_population(phi):
+    # x = 1e-7, 1e-11, 1e-19: the pole terms cancel to the O(x^2)
+    # population, and the average still meets the per-class quadrature
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+                               phi_tilde=phi, delta_big_tilde=1e3,
+                               gamma_v_tilde=2.0, kind="gaussian")
+    got = oracle_average(p)
+    want = velocity_average(
+        averaging._class_values(p, oracle.LadderSpec()), p.kind,
+        p.gamma_v_tilde, QuadratureSpec(tol=1e-10))
+    assert got > 0.0
     assert rel_err(got, want) <= 1e-9
 
 

@@ -322,8 +322,9 @@ def test_infinite_quadrature_window_rejected(tmp_path, capsys):
 
 
 def test_gaussian_quadrature_block_runs(tmp_path, capsys):
-    # a Gaussian oracle_avg reads no quadrature block, but a block that sets
-    # only tol is parsed and recorded as is
+    # a Gaussian oracle_avg reads the quadrature block only where its
+    # closed form falls back, but a block that sets only tol is parsed and
+    # recorded as is
     cfg_path = tmp_path / "gauss.json"
     cfg_path.write_text(json.dumps(_oracle_doc(
         sweep={"axis": "delta_tilde", "start": 0.0, "stop": 0.5, "count": 2},
@@ -334,6 +335,21 @@ def test_gaussian_quadrature_block_runs(tmp_path, capsys):
     assert json.loads(lines[0][2:])["quadrature"] == {
         "nodes": 32, "domain_halfwidth": 10.0, "tol": 1e-5}
     assert len(lines) == 4
+
+
+def test_weak_drive_gaussian_oracle_scan_writes_populations(tmp_path, capsys):
+    # at phi_tilde = 1e-8 (x = 1e-19) the pole terms cancel to a population
+    # of 5e-37, which the per-class quadrature gives
+    cfg_path = tmp_path / "weak.json"
+    cfg_path.write_text(json.dumps(_oracle_doc(
+        sweep={"axis": "delta_tilde", "start": 0.0, "stop": 0.5, "count": 2},
+        fixed={"delta_big_tilde": 1e3, "phi_tilde": 1e-8,
+               "gamma_v_tilde": 2.0, "a_ratio": 1.0, "mu": 1.2},
+        dist={"kind": "gaussian"})))
+    assert cli.main(["scan", "--config", str(cfg_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 2
+    assert all(float(row.split(",")[1]) > 0.0 for row in rows)
 
 
 def test_sweep_axis_cannot_repeat_in_fixed():

@@ -493,15 +493,35 @@ def test_sector_coupling_fails_full_residual(monkeypatch, kind):
                                                dbig=100.0, n_max=n_max))
 
 
+def _failing(routine, fail):
+    # oracle._lapack with `routine` returning info 1 after `fail`'s outputs
+    lapack = oracle._lapack
+    return lambda name: ((lambda *args, **kwargs: fail(*args) + (1,))
+                         if name == routine else lapack(name))
+
+
 def test_getrs_failure_is_a_solver_error(monkeypatch):
     # a nonzero info from LAPACK means no solution, whole S or halved
-    monkeypatch.setattr(oracle, "_getrs", lambda: (
-        lambda lu, piv, b, overwrite_b=False: (b, 1)))
+    monkeypatch.setattr(oracle, "_lapack",
+                        _failing("getrs", lambda lu, piv, b: (b,)))
     for n_max in (5, 25):
         with pytest.raises(SolverError,
                            match="LAPACK getrs failed with info 1"):
             oracle.solve_steady_state(_problem(delta=0.3, a=0.8, omega=0.9,
                                                dbig=100.0, n_max=n_max))
+
+
+def test_geev_failure_is_a_solver_error(monkeypatch):
+    # no eigendecomposition, no pole expansion, and no Gaussian average
+    monkeypatch.setattr(oracle, "_lapack", _failing(
+        "geev", lambda a: (a.diagonal(), None, np.eye(len(a)))))
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+                               phi_tilde=1.0, delta_big_tilde=1e3,
+                               gamma_v_tilde=2.0, kind="gaussian")
+    with pytest.raises(SolverError, match="^LAPACK geev failed with info 1$"):
+        oracle.pole_expansion(p, 5)
+    with pytest.raises(SolverError, match="^LAPACK geev failed with info 1$"):
+        averaging.oracle_average(p)
 
 
 @pytest.mark.parametrize("dbig", [1e2, -1e2, 1e4, -1e4])
