@@ -13,15 +13,18 @@ formula `perturbative._series` reads the profile's resolvent moments, and
 `averaged_population` and the reference of `oracle_average` read it.
 A Gaussian `oracle_average` is closed in Omega too: the dc population of
 the steady state at one truncation is c0 + sum_k alpha_k / (Omega - p_k)
-(`oracle.pole_expansion`), and each pole averages over the whole line as
-i sqrt(pi) s w(p s), s = sqrt(ln 2)/gamma_v, with the same Faddeeva w as
-the series (`perturbative._resolvent_average`; the conjugate below the
-axis). Its truncation ladder runs on the average itself, and the last rung
-is checked against two direct solves (`_gaussian_oracle`); where it misses
-them, at |x| below about 2e-7, the average is a quadrature. A rung costs
-one eigendecomposition of m = 9 n_max - 1 unknowns, about m^3, and from
-m = 80 (n_max >= 9) OpenBLAS runs it on several threads, so an average
-costs more the stronger the drive that sets its last rung.
+(`oracle.pole_expansion`), and each pole above the real axis averages over
+the whole line as i sqrt(pi) s w(p s), s = sqrt(ln 2)/gamma_v, with the
+same Faddeeva w as the series (`perturbative._resolvent_average`). The
+poles come in conjugate pairs with conjugate residues, so a pair averages
+as 2 Re(alpha <1 / (Omega - p)>), one w call for its pole above the axis.
+Its truncation ladder runs on the average itself, and the last rung is
+checked against two direct solves (`_gaussian_oracle`); where it misses
+them, at |x| below about 1e-7 at A = 1 and 1e-6 at A <= 0.1, the average
+is a quadrature. A rung costs one real eigendecomposition of
+m = 9 n_max - 1 unknowns, about m^3, and from m = 98 (n_max >= 11)
+OpenBLAS runs it on several threads, so an average costs more the
+stronger the drive that sets its last rung.
 Everything else is averaged by quadrature, under the rule that `_average`
 picks for the profile; `velocity_average` and the Lorentzian
 `oracle_average` both call it.
@@ -290,23 +293,22 @@ def _gaussian_oracle(params: NormalizedParams,
     """The Gaussian average of the steady state, exact in Omega, and its
     truncation in info["n_used"]; or None where the pole form is off.
 
-    Each rung n_max = 3, 5, ..., ladder.n_cap averages every pole of
-    `oracle.pole_expansion` in closed form and stops when the average moves
+    Each rung n_max = 3, 5, ..., ladder.n_cap averages the poles of
+    `oracle.pole_expansion` in closed form, each conjugate pair as twice
+    the real part of its upper pole's term, and stops when the average moves
     by less than ladder.refine_tol, the test `oracle.refine` applies to one
     velocity class. The last expansion is then checked against direct
     solves at Omega = 0 and Omega = sigma. The form misses them by about
-    0.8 eps / |x| relative at weak drive (`oracle` module docstring); a
+    0.4 eps / |x| relative at weak drive (`oracle` module docstring); a
     gap above _POLE_GAP relative, or a NaN, gives None.
     """
     s = math.sqrt(math.log(2.0)) / params.gamma_v_tilde
     previous = None
     for n_max in range(3, ladder.n_cap + 1, 2):
         c0, residues, poles = oracle_mod.pole_expansion(params, n_max)
-        means = (_resolvent_average(p, s)[0] if p.imag > 0.0
-                 else _resolvent_average(p.conjugate(), s)[0].conjugate()
-                 for p in poles.tolist())
-        value = (c0 + sum(r * mean for r, mean in
-                          zip(residues.tolist(), means))).real
+        value = c0 + 2.0 * sum(
+            (r * _resolvent_average(p, s)[0]).real
+            for r, p in zip(residues[::2].tolist(), poles[::2].tolist()))
         if previous is not None:
             change = abs(value - previous)
             if change < ladder.refine_tol:

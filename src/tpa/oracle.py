@@ -49,11 +49,24 @@ Because it does so linearly, A(Omega) = A(0) - i Omega diag(n/2), one
 eigendecomposition per truncation gives the dc upper population of every
 velocity class at once (`pole_expansion`): the n = 0 rows of the pumped
 sector hold no Omega and, in the diagonal eliminated class, eliminate
-exactly; the others, scaled by 1/(-i n/2), leave (K + Omega I) x = g, and
-K = V diag(lambda) V^-1 turns the dc population into c0 + sum_k
-alpha_k / (Omega - p_k) with poles p_k = -lambda_k. At weak drive the pole
+exactly; the others, scaled by 1/(-i n/2), leave (K + Omega I) x = g, read
+as dc = c0 - h x, and K = V diag(lambda) V^-1 turns the dc population into
+c0 + sum_k alpha_k / (Omega - p_k) with poles p_k = -lambda_k. K is real
+up to a unitary change of basis. rho is Hermitian, c(i,j,n) =
+conj c(j,i,-n), so with P the mirror (i,j,n) -> (j,i,-n) of the rows,
+P K P = conj K, P g = conj g and h P = conj h. P is a symmetric involution
+with no fixed row at n != 0, so U = exp(-i pi/4) (I + i P) / sqrt 2 is
+unitary with conj U = P U, and U^H K U = Re K - (Im K) P, U^H g =
+Re g - Im g and h U = Re h + Im h are real: the construction that makes a
+centrohermitian matrix, with the exchange matrix for P, unitarily similar
+to a real one (A. Lee, Linear Algebra Appl. 29, 205 (1980)). So one real
+eigendecomposition gives the poles, in exact conjugate pairs with
+conjugate residues. Each pole lies at least 2 gamma / n_max off the real
+axis, as the Hermitian part of A(a + ib), -gamma + b diag(n/2), is
+negative definite for |b| < 2 gamma / n_max. At weak drive the pole
 terms are O(x) and cancel to the O(x^2) population, so the sum misses a
-direct solve by about 0.8 eps / |x| relative, where a solve holds ~eps.
+direct solve by about 0.4 eps / |x| relative at A = 1, and by more as
+A -> 0, where a solve holds ~eps.
 
 numpy and scipy.linalg are the module attributes `np` and `sla`, loaded
 lazily at the first solve, so that importing tpa for a closed-form scan
@@ -110,19 +123,21 @@ sla = _lazy_module("scipy.linalg")
 
 
 @functools.cache
-def _lapack(name: str):
-    """The complex LAPACK routine `name`, called without scipy.linalg's
+def _lapack(name: str, dtype):
+    """The LAPACK routine `name` for `dtype`, called without scipy.linalg's
     wrapper checks: getrs, behind lu_solve, on the factors of
-    sla.lu_factor, and geev, behind eig, with its minimal workspace. eig
-    queries the blocked one, whose matrix products OpenBLAS runs on several
-    threads from about m = 60, where the idle helper threads then spin
-    (module docstring); unblocked, a whole average stays on one core up to
-    m = 62 (n_max = 7) at no cost in wall time.
+    sla.lu_factor, complex in a solve and real in `pole_expansion`, and the
+    real geev, behind eig, with its minimal workspace. eig queries the
+    blocked one, whose matrix products OpenBLAS runs on several threads,
+    where the idle helper threads then spin (module docstring). Unblocked,
+    geev stays on one core up to m = 80 (n_max = 9), at no cost in wall
+    time; from m = 98 (n_max = 11) its QR sweeps run threaded, and on 2
+    cores it takes about twice its wall time in CPU time.
 
     Built at first use from scipy.linalg itself, not through `sla`, so that
     a stand-in for `sla` need carry only lu_factor.
     """
-    return _lazy_module("scipy.linalg").get_lapack_funcs(name, dtype=complex)
+    return _lazy_module("scipy.linalg").get_lapack_funcs(name, dtype=dtype)
 
 
 class OracleError(RuntimeError):
@@ -440,9 +455,11 @@ def assemble(problem: SteadyStateProblem) -> LinearSystem:
 def _sector(n_max: int) -> tuple:
     """The pumped sector as one dense matrix, for `pole_expansion`.
 
-    Returns (order, flat, m): the pumped rows in the order of the matrix,
-    its m rows at n != 0 first and its 5 rows at n = 0 last; the flat
-    position in that q x q matrix of each slot of lay.pumped_slots; and m.
+    Returns (order, flat, m, mirror): the pumped rows in the order of the
+    matrix, its m rows at n != 0 first and its 5 rows at n = 0 last; the
+    flat position in that q x q matrix of each slot of lay.pumped_slots; m;
+    and the position among the m rows of the Hermitian mirror (j,i,-n) of
+    each row (i,j,n).
     """
     lay = _layout(n_max)
     at_zero = lay.half_n[lay.pumped] == 0
@@ -454,26 +471,34 @@ def _sector(n_max: int) -> tuple:
     slots = lay.pumped_slots
     flat = (position[row_of[slots]] * order.size
             + position[lay.cols[slots]])
-    return order, flat, order.size - 5
+    m = order.size - 5
+    return order, flat, m, position[lay.mirror.ravel()[order[:m]]]
 
 
 def pole_expansion(params: NormalizedParams, n_max: int) -> tuple:
     """The dc upper population at truncation n_max as a function of Omega,
     c0 + sum_k residues[k] / (Omega - poles[k]); returns (c0, residues,
-    poles), the m = 9 n_max - 1 poles of the module docstring.
+    poles), the m = 9 n_max - 1 poles of the module docstring in conjugate
+    pairs: each pole above the real axis, then its conjugate with the
+    conjugate residue.
 
     The pumped-sector operator at Omega = 0 is the row-slot system of
     `assemble`. Its 5 rows at n = 0 (populations, rho12, rho21) carry the
     pump and no Omega, and their block is diagonal, so they are eliminated
     exactly; c0 is what the pump leaves in (2,2,0) alone, 0 as the pump
     fills the ground state. The remaining rows, scaled by 1/(-i n/2), give
-    (K + Omega I) x = g, and one eigendecomposition K = V diag(lambda) V^-1
-    (LAPACK geev, `_lapack`) gives the poles p_k = -lambda_k and, with V^-1 g
-    from one LU solve, the residues.
+    (K + Omega I) x = g, read as dc = c0 - h x. Rotated as the module
+    docstring says, K is B = Re K - (Im K) P, g is Re g - Im g and h is
+    Re h + Im h, all real, and one real eigendecomposition
+    B = W diag(lambda) W^-1 (LAPACK geev, `_lapack`) gives the poles
+    p = -lambda and, with W^-1 (Re g - Im g) from one real LU solve, the
+    residues. geev stores a pair lambda = a +- ib, b > 0, as the columns
+    w_j +- i w_j+1 of its real W; a real lambda, which the bound of the
+    module docstring rules out, raises SolverError.
     """
     system = assemble(SteadyStateProblem(params, 0.0, n_max))
     lay = _layout(n_max)
-    order, flat, m = _sector(n_max)
+    order, flat, m, mirror = _sector(n_max)
     q = order.size
     a = np.zeros(q * q, dtype=complex)
     a[flat] = system.vals[lay.pumped_slots]
@@ -484,19 +509,30 @@ def pole_expansion(params: NormalizedParams, n_max: int) -> tuple:
     scale = -1j * lay.half_n[order[:m]]
     operator = (a[:m, :m] - a[:m, m:] @ damped) / scale[:, None]
     g = -(a[:m, m:] @ pump) / scale
-    lam, _, vecs, info = _lapack("geev")(operator, compute_vl=False,
-                                         overwrite_a=True)
+    wr, wi, _, vecs, info = _lapack("geev", float)(
+        operator.real - operator.imag[:, mirror], compute_vl=False,
+        overwrite_a=True)
     if info != 0:
         raise SolverError(f"LAPACK geev failed with info {info}")
+    if not wi.all():
+        raise SolverError(
+            f"real eigenvalue {float(wr[wi == 0][0])!r} of the pole operator at "
+            f"n_max = {n_max}, which the damping rules out")
     upper = int(np.flatnonzero(order[m:] == _index(2, 2, 0, n_max))[0])
     lu, piv = sla.lu_factor(vecs, check_finite=False)
-    residues = -(damped[upper] @ vecs) * _lu_solve(lu, piv, g)
-    return complex(pump[upper]), residues, -lam
+    z = _lu_solve(lu, piv, g.real - g.imag)
+    h = (damped[upper].real + damped[upper].imag) @ vecs
+    # the pole -a + ib above the axis, of the vector w_j - i w_j+1
+    above = wi[::2] * 1j - wr[::2]
+    residues = -0.5 * (h[::2] - 1j * h[1::2]) * (z[::2] + 1j * z[1::2])
+    return (float(pump[upper].real),
+            np.stack((residues, residues.conj()), axis=1).ravel(),
+            np.stack((above, above.conj()), axis=1).ravel())
 
 
 def _lu_solve(lu, piv, b):
     """x with A x = b, from sla.lu_factor's factors of A, through getrs."""
-    x, info = _lapack("getrs")(lu, piv, b, overwrite_b=True)
+    x, info = _lapack("getrs", lu.dtype)(lu, piv, b, overwrite_b=True)
     if info != 0:
         raise SolverError(f"LAPACK getrs failed with info {info}")
     return x

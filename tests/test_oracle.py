@@ -496,8 +496,8 @@ def test_sector_coupling_fails_full_residual(monkeypatch, kind):
 def _failing(routine, fail):
     # oracle._lapack with `routine` returning info 1 after `fail`'s outputs
     lapack = oracle._lapack
-    return lambda name: ((lambda *args, **kwargs: fail(*args) + (1,))
-                         if name == routine else lapack(name))
+    return lambda name, dtype: ((lambda *args, **kwargs: fail(*args) + (1,))
+                                if name == routine else lapack(name, dtype))
 
 
 def test_getrs_failure_is_a_solver_error(monkeypatch):
@@ -514,7 +514,8 @@ def test_getrs_failure_is_a_solver_error(monkeypatch):
 def test_geev_failure_is_a_solver_error(monkeypatch):
     # no eigendecomposition, no pole expansion, and no Gaussian average
     monkeypatch.setattr(oracle, "_lapack", _failing(
-        "geev", lambda a: (a.diagonal(), None, np.eye(len(a)))))
+        "geev", lambda a: (a.diagonal(), np.ones(len(a)), None,
+                           np.eye(len(a)))))
     p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
                                phi_tilde=1.0, delta_big_tilde=1e3,
                                gamma_v_tilde=2.0, kind="gaussian")
@@ -522,6 +523,61 @@ def test_geev_failure_is_a_solver_error(monkeypatch):
         oracle.pole_expansion(p, 5)
     with pytest.raises(SolverError, match="^LAPACK geev failed with info 1$"):
         averaging.oracle_average(p)
+    # a real eigenvalue is a pole on the real axis, which the damping rules
+    # out: geev's first pair a +- ib returned as the real a, twice
+    monkeypatch.undo()
+    lapack, real = oracle._lapack, []
+
+    def one_real(name, dtype):
+        def geev(*args, **kwargs):
+            wr, wi, vl, vr, info = lapack(name, dtype)(*args, **kwargs)
+            wi[:2] = 0.0
+            real.append(float(wr[0]))
+            return wr, wi, vl, vr, info
+        return geev if name == "geev" else lapack(name, dtype)
+    monkeypatch.setattr(oracle, "_lapack", one_real)
+    message = ("real eigenvalue {!r} of the pole operator at n_max = {}, "
+               "which the damping rules out")
+    with pytest.raises(SolverError) as error:
+        oracle.pole_expansion(p, 5)
+    assert str(error.value) == message.format(real[-1], 5)
+    with pytest.raises(SolverError) as error:
+        averaging.oracle_average(p)  # at its first rung
+    assert str(error.value) == message.format(real[-1], 3)
+
+
+@settings(max_examples=50)
+@given(n_max=st.sampled_from([3, 7, 13]),
+       delta=st.floats(-3.0, 3.0, **_finite),
+       a=st.floats(0.3, 1.2, **_finite).filter(lambda a: a != 1.0),
+       mu=st.floats(0.6, 1.6, **_finite).filter(lambda mu: mu != 1.0),
+       log_x=st.floats(-3.0, -0.6, **_finite),
+       dbig=st.floats(100.0, 1e3, **_finite),
+       sign=st.sampled_from([-1.0, 1.0]),
+       omegas=st.lists(st.floats(-30.0, 30.0, **_finite), min_size=1,
+                       max_size=3))
+def test_pole_expansion_is_real_in_conjugate_pairs(
+        n_max, delta, a, mu, log_x, dbig, sign, omegas):
+    # rho is Hermitian, so the pole operator is unitarily real: its poles
+    # come in exact conjugate pairs, above the axis first, with conjugate
+    # residues. The Hermitian part of A(a + ib), -gamma + b diag(n/2), keeps
+    # every pole 2 gamma / n_max off the real axis. The pole sum holds a
+    # direct solve to 1e-12 of the size of its terms: at weak drive they
+    # cancel to the population, which then carries about eps / x relative
+    p = NormalizedParams.build(
+        delta_tilde=delta, a_ratio=a, mu=mu, delta_big_tilde=sign * dbig,
+        phi_tilde=math.sqrt(10.0 ** log_x * dbig))
+    c0, residues, poles = oracle.pole_expansion(p, n_max)
+    assert poles.size == residues.size == 9 * n_max - 1
+    assert np.array_equal(poles[1::2], poles[::2].conj())
+    assert np.array_equal(residues[1::2], residues[::2].conj())
+    assert (poles[::2].imag > 0.0).all()
+    assert np.abs(poles.imag).min() >= 2.0 / n_max * (1.0 - 1e-8)
+    for omega in omegas:
+        terms = residues / (omega - poles)
+        direct = oracle.solve_steady_state(
+            SteadyStateProblem(p, omega, n_max)).dc(2, 2)
+        assert abs(c0 + terms.sum() - direct) <= 1e-12 * np.abs(terms).sum()
 
 
 @pytest.mark.parametrize("dbig", [1e2, -1e2, 1e4, -1e4])
