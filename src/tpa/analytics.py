@@ -23,10 +23,10 @@ dimensionless, mu the ratio of the two transition dipoles. The profiles take
 NormalizedParams, the one parameter set of the solver and the series; the
 two-photon detuning is their second argument, so one parameter set serves a
 whole line. n2, n3, n2_max and stark_shift follow its kind; width_fwhm is
-the Lorentzian/homogeneous closed form. n2 and n3 take one real detuning
-and give one float, so a line is one call per detuning; an array of
-detunings is a TypeError. Neither the profiles nor the locators load
-numpy or scipy.
+the Lorentzian/homogeneous closed form. n2 and n3 take one real detuning,
+under the number rule of `core._require_finite`, and give one float, so a
+line is one call per detuning; an array of detunings is a TypeError.
+Neither the profiles nor the locators load numpy or scipy.
 """
 
 from __future__ import annotations
@@ -71,9 +71,20 @@ def width_fwhm(a_ratio: float, gamma_v_tilde: float) -> float:
             else 2.0 / math.sqrt(root - v))
 
 
+def _detuning(value) -> float:
+    """The detuning of n2 or n3 under the number rule, with an array of
+    detunings a TypeError: a line is one call per detuning."""
+    if getattr(value, "ndim", 0):
+        raise TypeError(f"delta_tilde must be one detuning, got an array of "
+                        f"shape {value.shape}")
+    return _require_finite("delta_tilde", value)
+
+
 def n2(p: NormalizedParams, delta_tilde):
     """Velocity-averaged order-2 profile versus two-photon detuning."""
-    return _series(p, float(delta_tilde), 2, 2)
+    if type(delta_tilde) is not float or not math.isfinite(delta_tilde):
+        delta_tilde = _detuning(delta_tilde)  # a finite float passes as is
+    return _series(p, delta_tilde, 2, 2)
 
 
 def n2_max(p: NormalizedParams) -> float:
@@ -83,7 +94,9 @@ def n2_max(p: NormalizedParams) -> float:
 
 def n3(p: NormalizedParams, delta_tilde):
     """Velocity-averaged order-3 profile: the odd light-shift term."""
-    return _series(p, float(delta_tilde), 3, 3)
+    if type(delta_tilde) is not float or not math.isfinite(delta_tilde):
+        delta_tilde = _detuning(delta_tilde)
+    return _series(p, delta_tilde, 3, 3)
 
 
 def stark_shift(p: NormalizedParams) -> float:

@@ -12,17 +12,19 @@ The weak-drive series averages in closed form on all three: the one
 formula `perturbative._series` reads the profile's resolvent moments, and
 `averaged_population` and the reference of `oracle_average` read it.
 A Gaussian `oracle_average` is closed in Omega too: the dc population of
-the steady state at one truncation is c0 + sum_k alpha_k / (Omega - p_k)
-(`oracle.pole_expansion`), and each pole above the real axis averages over
-the whole line as i sqrt(pi) s w(p s), s = sqrt(ln 2)/gamma_v, with the
-same Faddeeva w as the series (`perturbative._resolvent_average`). The
-poles come in conjugate pairs with conjugate residues, so a pair averages
-as 2 Re(alpha <1 / (Omega - p)>), one w call for its pole above the axis.
-Its truncation ladder runs on the average itself, and the last rung is
-checked against two direct solves (`_gaussian_oracle`); where it misses
-them, at |x| below about 1e-7 at A = 1 and 1e-6 at A <= 0.1, the average
-is a quadrature. A rung costs one real eigendecomposition of
-m = 9 n_max - 1 unknowns, about m^3, and from m = 98 (n_max >= 11)
+the steady state at one truncation is 2 Re sum_k alpha_k / (Omega - p_k)
+over the poles p_k above the real axis (`oracle.pole_expansion`; their
+conjugates below it carry the conjugate residues, and no constant is
+left), and each pole term averages over the whole line as
+alpha i sqrt(pi) s w(p s), s = sqrt(ln 2)/gamma_v, with the same Faddeeva
+w as the series (`perturbative._resolvent_average`): one w call per
+conjugate pair. Its truncation ladder runs on the average itself, the
+one ladder that a velocity class climbs too (`oracle._climb`), and the
+last rung is checked against two direct solves (`_gaussian_oracle`);
+where it misses them, at |x| below about 1e-7 at A = 1 and 1e-6 at
+A <= 0.1, the average is a quadrature. A rung costs one real
+eigendecomposition of m = 9 n_max - 1 unknowns at the odd n_max it climbs
+(9 n_max at even n_max), about m^3, and from m = 98 (n_max >= 11)
 OpenBLAS runs it on several threads, so an average costs more the
 stronger the drive that sets its last rung.
 Everything else is averaged by quadrature, under the rule that `_average`
@@ -293,37 +295,29 @@ def _gaussian_oracle(params: NormalizedParams,
     """The Gaussian average of the steady state, exact in Omega, and its
     truncation in info["n_used"]; or None where the pole form is off.
 
-    Each rung n_max = 3, 5, ..., ladder.n_cap averages the poles of
-    `oracle.pole_expansion` in closed form, each conjugate pair as twice
-    the real part of its upper pole's term, and stops when the average moves
-    by less than ladder.refine_tol, the test `oracle.refine` applies to one
-    velocity class. The last expansion is then checked against direct
-    solves at Omega = 0 and Omega = sigma. The form misses them by about
-    0.4 eps / |x| relative at weak drive (`oracle` module docstring); a
-    gap above _POLE_GAP relative, or a NaN, gives None.
+    Each rung n_max = 3, 5, ..., ladder.n_cap averages the pole form of
+    `oracle.pole_expansion` in closed form, 2 Re sum_k residues[k]
+    <1 / (Omega - poles[k])> over its poles above the real axis, and the
+    ladder (`oracle._climb`, the one `oracle.refine` climbs for a velocity
+    class) stops when the average moves by less than ladder.refine_tol. The
+    last expansion is then checked against direct solves at Omega = 0 and
+    Omega = sigma. The form misses them by about 0.4 eps / |x| relative at
+    weak drive (`oracle` module docstring); a gap above _POLE_GAP relative,
+    or a NaN, gives None.
     """
     s = math.sqrt(math.log(2.0)) / params.gamma_v_tilde
-    previous = None
-    for n_max in range(3, ladder.n_cap + 1, 2):
-        c0, residues, poles = oracle_mod.pole_expansion(params, n_max)
-        value = c0 + 2.0 * sum(
-            (r * _resolvent_average(p, s)[0]).real
-            for r, p in zip(residues[::2].tolist(), poles[::2].tolist()))
-        if previous is not None:
-            change = abs(value - previous)
-            if change < ladder.refine_tol:
-                break
-        previous = value
-    else:
-        raise oracle_mod.TruncationError(
-            f"Gaussian average not settled to {ladder.refine_tol:g} at "
-            f"n_max = {n_max}; last change {change:.3e}; raise oracle.n_cap "
-            f"(now {ladder.n_cap}) or loosen oracle.refine_tol")
+
+    def rung(n_max):
+        residues, poles = expansion = oracle_mod.pole_expansion(params, n_max)
+        return 2.0 * sum((r * _resolvent_average(p, s)[0]).real for r, p in
+                         zip(residues.tolist(), poles.tolist())), expansion
+    value, (residues, poles), n_max = oracle_mod._climb(
+        rung, 3, ladder, "Gaussian average")
     sigma = params.gamma_v_tilde / math.sqrt(2.0 * math.log(2.0))
     for omega in (0.0, sigma):
         direct = oracle_mod.solve_steady_state(
             oracle_mod.SteadyStateProblem(params, omega, n_max)).dc(2, 2)
-        gap = abs(c0 + np.sum(residues / (omega - poles)) - direct)
+        gap = abs(2.0 * np.sum(residues / (omega - poles)).real - direct)
         if not gap <= _POLE_GAP * abs(direct):  # a NaN fails too
             return None
     info["n_used"] = n_max

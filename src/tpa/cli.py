@@ -265,7 +265,7 @@ def _closed_column(cfg: ScanConfig) -> list:
 def run_scan(config: ScanConfig, workers: int = 1) -> SpectrumScan:
     """Evaluate the configured observable over the sweep grid, serially.
 
-    workers must be 1: bench/ passes it, and ROADMAP item 2 removes it.
+    workers must be 1: bench/ passes it, and ROADMAP item 7 removes it.
     """
     if workers != 1:
         raise ParameterError(f"run_scan is serial: workers must be 1, "

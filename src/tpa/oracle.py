@@ -49,10 +49,11 @@ Because it does so linearly, A(Omega) = A(0) - i Omega diag(n/2), one
 eigendecomposition per truncation gives the dc upper population of every
 velocity class at once (`pole_expansion`): the n = 0 rows of the pumped
 sector hold no Omega and, in the diagonal eliminated class, eliminate
-exactly; the others, scaled by 1/(-i n/2), leave (K + Omega I) x = g, read
-as dc = c0 - h x, and K = V diag(lambda) V^-1 turns the dc population into
-c0 + sum_k alpha_k / (Omega - p_k) with poles p_k = -lambda_k. K is real
-up to a unitary change of basis. rho is Hermitian, c(i,j,n) =
+exactly, and the pump they hold leaves no constant in (2,2,0); the others,
+scaled by 1/(-i n/2), leave (K + Omega I) x = g, read as dc = -h x, and
+K = V diag(lambda) V^-1 turns the dc population into
+sum_k alpha_k / (Omega - p_k) with poles p_k = -lambda_k. K is real up to
+a unitary change of basis. rho is Hermitian, c(i,j,n) =
 conj c(j,i,-n), so with P the mirror (i,j,n) -> (j,i,-n) of the rows,
 P K P = conj K, P g = conj g and h P = conj h. P is a symmetric involution
 with no fixed row at n != 0, so U = exp(-i pi/4) (I + i P) / sqrt 2 is
@@ -61,9 +62,11 @@ Re g - Im g and h U = Re h + Im h are real: the construction that makes a
 centrohermitian matrix, with the exchange matrix for P, unitarily similar
 to a real one (A. Lee, Linear Algebra Appl. 29, 205 (1980)). So one real
 eigendecomposition gives the poles, in exact conjugate pairs with
-conjugate residues. Each pole lies at least 2 gamma / n_max off the real
-axis, as the Hermitian part of A(a + ib), -gamma + b diag(n/2), is
-negative definite for |b| < 2 gamma / n_max. At weak drive the pole
+conjugate residues, and at real Omega the dc population is
+2 Re sum_k alpha_k / (Omega - p_k) over the poles above the axis. Each
+pole lies at least 2 gamma / n_max off the real axis, as the Hermitian part
+of A(a + ib), -gamma + b diag(n/2), is negative definite for
+|b| < 2 gamma / n_max. At weak drive the pole
 terms are O(x) and cancel to the O(x^2) population, so the sum misses a
 direct solve by about 0.4 eps / |x| relative at A = 1, and by more as
 A -> 0, where a solve holds ~eps.
@@ -309,6 +312,13 @@ class _Layout:
     pumped_starts: np.ndarray
     banned: np.ndarray  # (3, 3, 2n_max+1) mask of the c(i,j,n) parity zeroes
     mirror: np.ndarray  # (3, 3, 2n_max+1) flat index of c(j,i,-n)
+    # The pumped sector as one dense q x q matrix, for pole_expansion: its
+    # rows at n != 0 first, then the 5 at n = 0, of which (2,2,0) is the
+    # last; the flat position of each slot of pumped_slots in it; and the
+    # position among the rows at n != 0 of the mirror of each of them.
+    pole_rows: np.ndarray
+    pole_flat: np.ndarray
+    pole_mirror: np.ndarray
 
 
 def _segments(rows: np.ndarray) -> np.ndarray:
@@ -390,6 +400,13 @@ def _layout(n_max: int) -> _Layout:
         stored, stored_diag = targets, diagonal * (m + 1)
     for a in (cols, starts):
         a.flags.writeable = False  # shared by every system of this order
+    mirror = np.arange(dim).reshape(3, 3, nh).transpose(1, 0, 2)[:, :, ::-1]
+    at_zero = np.tile(n == 0, 9)
+    pole_rows = np.concatenate((np.flatnonzero(pumped & ~at_zero),
+                                np.flatnonzero(pumped & at_zero)))
+    place = np.full(dim, -1)
+    place[pole_rows] = np.arange(pole_rows.size)
+    pumped_slots = np.flatnonzero(pumped[row_of])
     return _Layout(
         cols=cols, starts=starts, couplings=couplings, kinds=kinds[couplings],
         half_n=np.tile(0.5 * n, 9), elim=elim, kept=kept,
@@ -400,11 +417,12 @@ def _layout(n_max: int) -> _Layout:
         path_elim=path_elim[order], path_starts=path_starts,
         path_targets=stored, target_rows=rows, target_starts=_segments(rows),
         schur_diag=stored_diag, halved=halved,
-        pumped=np.flatnonzero(pumped),
-        pumped_slots=np.flatnonzero(pumped[row_of]),
-        pumped_starts=_segments(row_of[pumped[row_of]]),
-        banned=banned.reshape(3, 3, nh), mirror=np.arange(dim).reshape(
-            3, 3, nh).transpose(1, 0, 2)[:, :, ::-1])
+        pumped=np.flatnonzero(pumped), pumped_slots=pumped_slots,
+        pumped_starts=_segments(row_of[pumped_slots]),
+        banned=banned.reshape(3, 3, nh), mirror=mirror, pole_rows=pole_rows,
+        pole_flat=(place[row_of[pumped_slots]] * pole_rows.size
+                   + place[cols[pumped_slots]]),
+        pole_mirror=place[mirror.ravel()[pole_rows[:-5]]])
 
 
 def _solver_inputs(p: NormalizedParams) -> bytes:
@@ -451,45 +469,21 @@ def assemble(problem: SteadyStateProblem) -> LinearSystem:
                         n_max=nmax)
 
 
-@functools.lru_cache(maxsize=(LadderSpec.n_cap - 1) // 2)
-def _sector(n_max: int) -> tuple:
-    """The pumped sector as one dense matrix, for `pole_expansion`.
-
-    Returns (order, flat, m, mirror): the pumped rows in the order of the
-    matrix, its m rows at n != 0 first and its 5 rows at n = 0 last; the
-    flat position in that q x q matrix of each slot of lay.pumped_slots; m;
-    and the position among the m rows of the Hermitian mirror (j,i,-n) of
-    each row (i,j,n).
-    """
-    lay = _layout(n_max)
-    at_zero = lay.half_n[lay.pumped] == 0
-    order = np.concatenate((lay.pumped[~at_zero], lay.pumped[at_zero]))
-    position = np.full(lay.starts.size, -1)
-    position[order] = np.arange(order.size)
-    row_of = np.repeat(np.arange(lay.starts.size),
-                       np.diff(lay.starts, append=lay.cols.size))
-    slots = lay.pumped_slots
-    flat = (position[row_of[slots]] * order.size
-            + position[lay.cols[slots]])
-    m = order.size - 5
-    return order, flat, m, position[lay.mirror.ravel()[order[:m]]]
-
-
 def pole_expansion(params: NormalizedParams, n_max: int) -> tuple:
-    """The dc upper population at truncation n_max as a function of Omega,
-    c0 + sum_k residues[k] / (Omega - poles[k]); returns (c0, residues,
-    poles), the m = 9 n_max - 1 poles of the module docstring in conjugate
-    pairs: each pole above the real axis, then its conjugate with the
-    conjugate residue.
+    """The dc upper population at truncation n_max as a function of real
+    Omega, 2 Re sum_k residues[k] / (Omega - poles[k]); returns (residues,
+    poles) for the poles above the real axis, half of the module
+    docstring's m = 9 n_max - 1 at odd n_max (9 n_max at even n_max), whose
+    conjugates below the axis carry the conjugate residues.
 
     The pumped-sector operator at Omega = 0 is the row-slot system of
-    `assemble`. Its 5 rows at n = 0 (populations, rho12, rho21) carry the
-    pump and no Omega, and their block is diagonal, so they are eliminated
-    exactly; c0 is what the pump leaves in (2,2,0) alone, 0 as the pump
-    fills the ground state. The remaining rows, scaled by 1/(-i n/2), give
-    (K + Omega I) x = g, read as dc = c0 - h x. Rotated as the module
-    docstring says, K is B = Re K - (Im K) P, g is Re g - Im g and h is
-    Re h + Im h, all real, and one real eigendecomposition
+    `assemble`, placed as a dense matrix by `_layout`. Its 5 rows at n = 0
+    (populations, rho12, rho21) carry the pump and no Omega, and their block
+    is diagonal, so they are eliminated exactly; the pump fills the ground
+    state and leaves no constant in (2,2,0). The remaining rows, scaled by
+    1/(-i n/2), give (K + Omega I) x = g, read as dc = -h x. Rotated as the
+    module docstring says, K is B = Re K - (Im K) P, g is Re g - Im g and h
+    is Re h + Im h, all real, and one real eigendecomposition
     B = W diag(lambda) W^-1 (LAPACK geev, `_lapack`) gives the poles
     p = -lambda and, with W^-1 (Re g - Im g) from one real LU solve, the
     residues. geev stores a pair lambda = a +- ib, b > 0, as the columns
@@ -498,19 +492,18 @@ def pole_expansion(params: NormalizedParams, n_max: int) -> tuple:
     """
     system = assemble(SteadyStateProblem(params, 0.0, n_max))
     lay = _layout(n_max)
-    order, flat, m, mirror = _sector(n_max)
-    q = order.size
+    q = lay.pole_rows.size
+    m = q - 5
     a = np.zeros(q * q, dtype=complex)
-    a[flat] = system.vals[lay.pumped_slots]
+    a[lay.pole_flat] = system.vals[lay.pumped_slots]
     a = a.reshape(q, q)
     pivots = a.diagonal()[m:]
-    pump = system.rhs[order[m:]] / pivots
     damped = a[m:, :m] / pivots[:, None]  # D_0^-1 C_0R
-    scale = -1j * lay.half_n[order[:m]]
+    scale = -1j * lay.half_n[lay.pole_rows[:m]]
     operator = (a[:m, :m] - a[:m, m:] @ damped) / scale[:, None]
-    g = -(a[:m, m:] @ pump) / scale
+    g = -(a[:m, m:] @ (system.rhs[lay.pole_rows[m:]] / pivots)) / scale
     wr, wi, _, vecs, info = _lapack("geev", float)(
-        operator.real - operator.imag[:, mirror], compute_vl=False,
+        operator.real - operator.imag[:, lay.pole_mirror], compute_vl=False,
         overwrite_a=True)
     if info != 0:
         raise SolverError(f"LAPACK geev failed with info {info}")
@@ -518,16 +511,12 @@ def pole_expansion(params: NormalizedParams, n_max: int) -> tuple:
         raise SolverError(
             f"real eigenvalue {float(wr[wi == 0][0])!r} of the pole operator at "
             f"n_max = {n_max}, which the damping rules out")
-    upper = int(np.flatnonzero(order[m:] == _index(2, 2, 0, n_max))[0])
     lu, piv = sla.lu_factor(vecs, check_finite=False)
     z = _lu_solve(lu, piv, g.real - g.imag)
-    h = (damped[upper].real + damped[upper].imag) @ vecs
+    h = (damped[-1].real + damped[-1].imag) @ vecs  # row (2,2,0)
     # the pole -a + ib above the axis, of the vector w_j - i w_j+1
-    above = wi[::2] * 1j - wr[::2]
-    residues = -0.5 * (h[::2] - 1j * h[1::2]) * (z[::2] + 1j * z[1::2])
-    return (float(pump[upper].real),
-            np.stack((residues, residues.conj()), axis=1).ravel(),
-            np.stack((above, above.conj()), axis=1).ravel())
+    return (-0.5 * (h[::2] - 1j * h[1::2]) * (z[::2] + 1j * z[1::2]),
+            wi[::2] * 1j - wr[::2])
 
 
 def _lu_solve(lu, piv, b):
@@ -683,6 +672,30 @@ def _mirror(rho: HarmonicDensityMatrix) -> HarmonicDensityMatrix:
     return HarmonicDensityMatrix(n_max=rho.n_max, coeffs=coeffs)
 
 
+def _climb(rung, first: int, ladder: LadderSpec, what: str,
+           detail=lambda result: ""):
+    """The truncation ladder, written once for `refine` and the Gaussian
+    average: rung(n_max) -> (value, result) on n_max = first, first + 2,
+    ..., ladder.n_cap; returns (value, result, n_max) of the first rung whose
+    value moved by less than ladder.refine_tol (absolute) from the rung
+    before. first <= ladder.n_cap - 2, so that two rungs fit. An exhausted
+    ladder raises TruncationError naming `what`, with detail(result) of its
+    last rung after the last change.
+    """
+    previous = None
+    for n_max in range(first, ladder.n_cap + 1, 2):
+        value, result = rung(n_max)
+        if previous is not None:
+            change = abs(value - previous)
+            if change < ladder.refine_tol:
+                return value, result, n_max
+        previous = value
+    raise TruncationError(
+        f"{what} not settled to {ladder.refine_tol:g} at n_max = {n_max}; "
+        f"last change {change:.3e}{detail(result)}; raise oracle.n_cap "
+        f"(now {ladder.n_cap}) or loosen oracle.refine_tol")
+
+
 def refine(params: NormalizedParams, omega: float,
            ladder: LadderSpec = LadderSpec(), start: int = 3):
     """Raise the truncation order until the dc upper population settles.
@@ -690,7 +703,7 @@ def refine(params: NormalizedParams, omega: float,
     Solves the velocity class Omega = omega on the ladder n_max = start,
     start + 2, ..., ladder.n_cap and stops when the dc (2,2) coefficient
     changes by less than ladder.refine_tol (absolute) between consecutive
-    truncations. Returns (solution, n_used).
+    truncations (`_climb`). Returns (solution, n_used).
 
     start (odd) lets a caller skip the rungs a neighbouring velocity class
     showed to be unsettled; it is clamped to [3, top - 2], where top is the
@@ -714,8 +727,7 @@ def refine(params: NormalizedParams, omega: float,
     global _mirror_memo
     if _require_int("start", start, -math.inf) % 2 == 0:
         raise ParameterError(f"start must be an odd truncation, got {start}")
-    n_cap, tol = ladder.n_cap, ladder.refine_tol
-    top = n_cap if n_cap % 2 else n_cap - 1
+    top = ladder.n_cap if ladder.n_cap % 2 else ladder.n_cap - 1
     first = max(3, min(start, top - 2))
     key = (_solver_inputs(params), ladder)
     memo, _mirror_memo = _mirror_memo, None
@@ -724,26 +736,22 @@ def refine(params: NormalizedParams, omega: float,
         if (memo_key == key and omega == memo_omega
                 and memo_first <= first <= memo_n - 2):
             return mirrored, memo_n
-    previous = None
-    for n in range(first, n_cap + 1, 2):
-        rho = solve_steady_state(SteadyStateProblem(params, omega, n))
-        value = rho.dc(2, 2)
-        if previous is not None:
-            last_change = abs(value - previous)
-            if last_change < tol:
-                if params.phi1 == params.phi2:
-                    _mirror_memo = (key, -omega, first, _mirror(rho), n)
-                return rho, n
-        previous = value
-    # a live tail at the edge harmonics says the truncation is too short,
-    # not the tolerance too tight
-    tail = float(np.abs(rho.coeffs[:, :, [0, -1]]).max())
-    started = f"; ladder started at n_max = {first}" if first > 3 else ""
-    raise TruncationError(
-        f"dc population not settled to {tol:g} at n_max = {rho.n_max}; "
-        f"last change {last_change:.3e}, largest edge harmonic "
-        f"|c(i,j,+-{rho.n_max})| {tail:.3e}{started}; raise oracle.n_cap "
-        f"(now {n_cap}) or loosen oracle.refine_tol")
+
+    def rung(n_max):
+        rho = solve_steady_state(SteadyStateProblem(params, omega, n_max))
+        return rho.dc(2, 2), rho
+
+    def edge(rho):
+        # a live tail at the edge harmonics says the truncation is too
+        # short, not the tolerance too tight
+        tail = float(np.abs(rho.coeffs[:, :, [0, -1]]).max())
+        started = f"; ladder started at n_max = {first}" if first > 3 else ""
+        return (f", largest edge harmonic |c(i,j,+-{rho.n_max})| "
+                f"{tail:.3e}{started}")
+    _, rho, n_used = _climb(rung, first, ladder, "dc population", edge)
+    if params.phi1 == params.phi2:
+        _mirror_memo = (key, -omega, first, _mirror(rho), n_used)
+    return rho, n_used
 
 
 def dc_upper_population(rho: HarmonicDensityMatrix) -> float:

@@ -178,16 +178,25 @@ def test_peak_value_sits_at_line_center():
 @pytest.mark.parametrize("kind, gv", [("homogeneous", 0.0),
                                       ("lorentzian", 1.5), ("gaussian", 1.5)])
 def test_profiles_take_one_detuning(kind, gv):
-    # a real scalar, numpy's included, gives a float; a line is one call per
-    # detuning, and an array of detunings is refused on every kind
+    # a real scalar, numpy's included, gives a float of the same bits; a
+    # line is one call per detuning, and an array of detunings is refused
+    # on every kind. Text, bytes, booleans, nan and +-inf are not a
+    # detuning under the number rule, though float() reads them
     p = NormalizedParams.build(x=1e-3, a_ratio=0.7, gamma_v_tilde=gv,
                                mu=1.2, kind=kind)
     for profile in (an.n2, an.n3):
         assert type(profile(p, np.float64(0.5))) is float
         assert profile(p, np.float64(0.5)) == profile(p, 0.5)
+        single = np.float32(0.3)
+        assert profile(p, single) == profile(p, float(single))
         assert type(profile(p, 1)) is float
+        assert profile(p, 1) == profile(p, 1.0)
         with pytest.raises(TypeError):
             profile(p, np.array([0.5, 1.0]))
+        for bad in ("1.5", True, b"2", bytearray(b"2"), math.nan, math.inf,
+                    -math.inf, np.float64(math.nan)):
+            with pytest.raises(ParameterError, match="^delta_tilde must be"):
+                profile(p, bad)
 
 
 @given(x=_x, a=st.just(0.0) | _ratio, gv=_width, mu=_mu, d=_detuning)

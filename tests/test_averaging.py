@@ -590,8 +590,8 @@ def test_oracle_average_gaussian_walks_the_pole_ladder(monkeypatch):
                                  return_info=True)
     n_used = info["n_used"]
     assert n_used == 7  # the weak_gauss physics settles at 7
-    assert [poles.size for _, _, poles in rungs] == [
-        9 * n - 1 for n in range(3, n_used + 1, 2)]
+    assert [poles.size for _, poles in rungs] == [
+        (9 * n - 1) // 2 for n in range(3, n_used + 1, 2)]
     sigma = p.gamma_v_tilde / math.sqrt(2.0 * math.log(2.0))
     assert [(q.omega, q.n_max) for q in solves] == [(0.0, n_used),
                                                     (sigma, n_used)]
@@ -600,14 +600,14 @@ def test_oracle_average_gaussian_walks_the_pole_ladder(monkeypatch):
     # bits
     monkeypatch.undo()
     assert oracle_average(p) == value
-    # each pole averaged as i sqrt(pi) s w(p s), its conjugate below the axis
-    c0, residues, poles = rungs[-1]
+    # each pole above the axis averaged as i sqrt(pi) s w(p s), and its
+    # conjugate below the axis as the conjugate: twice the real part
+    residues, poles = rungs[-1]
+    assert poles.imag.min() >= 2.0 / n_used * (1.0 - 1e-8)
     s = math.sqrt(math.log(2.0)) / p.gamma_v_tilde
     terms = [r * 1j * math.sqrt(math.pi) * s * _w_reference(q * s)
-             if q.imag > 0 else (r.conjugate() * 1j * math.sqrt(math.pi) * s
-                                 * _w_reference(q.conjugate() * s)).conjugate()
              for r, q in zip(residues.tolist(), poles.tolist())]
-    assert rel_err(value, (c0 + sum(terms)).real) < 1e-12
+    assert rel_err(value, 2.0 * sum(terms).real) < 1e-12
     # and a pole form that misses the direct solves falls back to the
     # per-class quadrature under the quadrature block, bit for bit, with
     # the per-class n_used
@@ -616,8 +616,7 @@ def test_oracle_average_gaussian_walks_the_pole_ladder(monkeypatch):
     monkeypatch.setattr(oracle, "refine", lambda *args, **kwargs:
                         refined.append(args) or refine(*args, **kwargs))
     monkeypatch.setattr(oracle, "pole_expansion", lambda params, n_max: (
-        lambda c0, r, q: (c0, r * (1.0 + 1e-8), q))(*expansion(params,
-                                                               n_max)))
+        lambda r, q: (r * (1.0 + 1e-8), q))(*expansion(params, n_max)))
     value, info = oracle_average(p, return_info=True)
     assert refined
     monkeypatch.undo()
@@ -704,11 +703,20 @@ def test_gaussian_pole_average_matches_per_class_quadrature(
     assert rel_err(got, want) <= 1e-9
 
 
-@pytest.mark.parametrize("phi", [1e-2, 1e-4, 1e-8])
-def test_weak_drive_gaussian_oracle_average_is_a_population(phi):
-    # x = 1e-7, 1e-11, 1e-19: the pole terms cancel to the O(x^2)
-    # population, and the average still meets the per-class quadrature
-    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+_WEAK_PHI = (0.0316, 1e-2, 1e-4, 1e-8)
+
+
+@pytest.mark.parametrize("phi, a", [
+    *(pytest.param(phi, 1.0, id=str(phi)) for phi in _WEAK_PHI),
+    *(pytest.param(phi, 0.1, id=f"{phi}-a0.1") for phi in _WEAK_PHI)])
+def test_weak_drive_gaussian_oracle_average_is_a_population(phi, a):
+    # x ~ 1e-6, 1e-7, 1e-11, 1e-19: the pole terms cancel to the O(x^2)
+    # population, and the average still meets the per-class quadrature on
+    # both sides of the hand-over to it. x ~ 1e-6 takes the pole form at
+    # both beam ratios and the weaker drives the quadrature, to which a
+    # weak second beam (A = 0.1) hands over about ten times sooner as x
+    # falls
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=a, mu=1.2,
                                phi_tilde=phi, delta_big_tilde=1e3,
                                gamma_v_tilde=2.0, kind="gaussian")
     got = oracle_average(p)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from tpa import averaging, cli, oracle
 from tpa.core import NormalizedParams, ParameterError
@@ -559,25 +559,36 @@ def test_geev_failure_is_a_solver_error(monkeypatch):
 def test_pole_expansion_is_real_in_conjugate_pairs(
         n_max, delta, a, mu, log_x, dbig, sign, omegas):
     # rho is Hermitian, so the pole operator is unitarily real: its poles
-    # come in exact conjugate pairs, above the axis first, with conjugate
-    # residues. The Hermitian part of A(a + ib), -gamma + b diag(n/2), keeps
-    # every pole 2 gamma / n_max off the real axis. The pole sum holds a
-    # direct solve to 1e-12 of the size of its terms: at weak drive they
+    # come in exact conjugate pairs with conjugate residues, and the pole
+    # form returns the half above the axis. The Hermitian part of
+    # A(a + ib), -gamma + b diag(n/2), keeps every pole 2 gamma / n_max off
+    # the real axis. Twice the real part of the sum holds a direct solve to
+    # 1e-12 of the size of the terms of both halves: at weak drive they
     # cancel to the population, which then carries about eps / x relative
     p = NormalizedParams.build(
         delta_tilde=delta, a_ratio=a, mu=mu, delta_big_tilde=sign * dbig,
         phi_tilde=math.sqrt(10.0 ** log_x * dbig))
-    c0, residues, poles = oracle.pole_expansion(p, n_max)
-    assert poles.size == residues.size == 9 * n_max - 1
-    assert np.array_equal(poles[1::2], poles[::2].conj())
-    assert np.array_equal(residues[1::2], residues[::2].conj())
-    assert (poles[::2].imag > 0.0).all()
-    assert np.abs(poles.imag).min() >= 2.0 / n_max * (1.0 - 1e-8)
+    residues, poles = oracle.pole_expansion(p, n_max)
+    assert poles.size == residues.size == (9 * n_max - 1) // 2
+    assert poles.imag.min() >= 2.0 / n_max * (1.0 - 1e-8)
     for omega in omegas:
         terms = residues / (omega - poles)
         direct = oracle.solve_steady_state(
             SteadyStateProblem(p, omega, n_max)).dc(2, 2)
-        assert abs(c0 + terms.sum() - direct) <= 1e-12 * np.abs(terms).sum()
+        assert (abs(2.0 * terms.sum().real - direct)
+                <= 1e-12 * 2.0 * np.abs(terms).sum())
+
+
+@pytest.mark.parametrize("n_max, poles", [(4, 18), (5, 22), (6, 27)])
+def test_pole_count_follows_the_parity_of_the_truncation(n_max, poles):
+    # the pumped sector holds 9 n_max + 4 rows at odd n_max and 9 n_max + 5
+    # at even n_max; its 5 rows at n = 0 eliminate, and half the poles of
+    # the rest lie above the axis
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=0.7, mu=1.2,
+                               phi_tilde=1.0, delta_big_tilde=1e3)
+    residues, above = oracle.pole_expansion(p, n_max)
+    assert above.size == residues.size == poles
+    assert above.imag.min() >= 2.0 / n_max * (1.0 - 1e-8)
 
 
 @pytest.mark.parametrize("dbig", [1e2, -1e2, 1e4, -1e4])
@@ -727,6 +738,48 @@ def test_truncation_failure_names_its_knobs():
     assert "ladder started at n_max = 11;" in message
     assert "oracle.n_cap (now 15)" in message
     assert "oracle.refine_tol" in message
+
+
+@settings(max_examples=200)
+@given(values=st.lists(st.floats(-1.0, 1.0, **_finite), min_size=20,
+                       max_size=20),
+       tol=st.sampled_from([0.0, 1e-3, 0.1, 0.5]), n_cap=st.integers(5, 41),
+       start=st.integers(-3, 21).map(lambda j: 2 * j + 1))
+def test_ladder_stops_at_the_first_settled_rung(values, tol, n_cap, start):
+    # the one truncation ladder of refine and the Gaussian average, on a
+    # synthetic rung sequence: from any start that refine's clamp leaves, it
+    # climbs the odd rungs and stops at the first whose value moved by less
+    # than refine_tol; an exhausted ladder names what it climbed and both
+    # knobs, with its caller's detail on the last rung
+    ladder = LadderSpec(n_cap, tol)
+    top = n_cap if n_cap % 2 else n_cap - 1
+    first = max(3, min(start, top - 2))
+    climbed = []
+
+    def rung(n_max):
+        climbed.append(n_max)
+        return values[(n_max - 3) // 2], f"rung {n_max}"
+    rungs = list(range(first, n_cap + 1, 2))
+    settled = [n for before, n in zip(rungs, rungs[1:]) if abs(
+        values[(n - 3) // 2] - values[(before - 3) // 2]) < tol]
+    if settled:
+        event("settled")
+        n = settled[0]
+        assert oracle._climb(rung, first, ladder, "synthetic value") == (
+            values[(n - 3) // 2], f"rung {n}", n)
+        assert climbed == rungs[:rungs.index(n) + 1]
+        return
+    event("exhausted")
+    with pytest.raises(TruncationError) as failure:
+        oracle._climb(rung, first, ladder, "synthetic value",
+                      lambda result: f", detail of {result}")
+    last = rungs[-1]
+    change = abs(values[(last - 3) // 2] - values[(last - 5) // 2])
+    assert str(failure.value) == (
+        f"synthetic value not settled to {tol:g} at n_max = {last}; last "
+        f"change {change:.3e}, detail of rung {last}; raise oracle.n_cap "
+        f"(now {n_cap}) or loosen oracle.refine_tol")
+    assert climbed == rungs
 
 
 @settings(max_examples=40)
