@@ -17,16 +17,15 @@ over the poles p_k above the real axis (`oracle.pole_expansion`; their
 conjugates below it carry the conjugate residues, and no constant is
 left), and each pole term averages over the whole line as
 alpha i sqrt(pi) s w(p s), s = sqrt(ln 2)/gamma_v, with the same Faddeeva
-w as the series (`perturbative._resolvent_average`): one w call per
-conjugate pair. Its truncation ladder runs on the average itself, the
-one ladder that a velocity class climbs too (`oracle._climb`), and the
-last rung is checked against two direct solves (`_gaussian_oracle`);
-where it misses them, at |x| below about 1e-7 at A = 1 and 1e-6 at
-A <= 0.1, the average is a quadrature. A rung costs one real
-eigendecomposition of m = 9 n_max - 1 unknowns at the odd n_max it climbs
-(9 n_max at even n_max), about m^3, and from m = 98 (n_max >= 11)
-OpenBLAS runs it on several threads, so an average costs more the
-stronger the drive that sets its last rung.
+w as the series (`perturbative._resolvent_average`), evaluated for all the
+poles of a rung as one array (`_pole_average`). Its truncation ladder runs
+on the average itself, the one ladder that a velocity class climbs too
+(`oracle._climb`), and the last rung is checked against two direct solves
+(`_gaussian_oracle`); where it misses them, at |x| below about 1e-7 at
+A = 1 and 1e-6 at A <= 0.1, the average is a quadrature. A rung costs one
+real eigendecomposition of m = 9 n_max - 1 unknowns at the odd n_max it
+climbs (9 n_max at even n_max), about m^3 on one OpenBLAS thread, so an
+average costs more the stronger the drive that sets its last rung.
 Everything else is averaged by quadrature, under the rule that `_average`
 picks for the profile; `velocity_average` and the Lorentzian
 `oracle_average` both call it.
@@ -187,9 +186,10 @@ def _gauss_legendre(m: int) -> tuple:
     """Nodes and weights of the m-point Gauss-Legendre rule, read-only.
 
     Computed once per node count: leggauss solves an eigenproblem, which
-    OpenBLAS runs on several threads at every node count in use.
+    OpenBLAS would thread at every node count in use (`oracle._OneThread`).
     """
-    rule = np.polynomial.legendre.leggauss(m)
+    with oracle_mod._OneThread():
+        rule = np.polynomial.legendre.leggauss(m)
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -290,6 +290,14 @@ def _class_values(params: NormalizedParams, ladder: oracle_mod.LadderSpec,
     return level
 
 
+def _pole_average(residues, poles, s: float) -> float:
+    """2 Re sum_k residues[k] <1 / (Omega - poles[k])> over the Gaussian of
+    s = sqrt(ln 2) / gamma_v, the poles as one array."""
+    with np.errstate(all="ignore"):
+        averages = _resolvent_average(poles, s)[0]
+    return 2.0 * float((residues @ averages).real)
+
+
 def _gaussian_oracle(params: NormalizedParams,
                      ladder: oracle_mod.LadderSpec, info: dict):
     """The Gaussian average of the steady state, exact in Omega, and its
@@ -308,9 +316,8 @@ def _gaussian_oracle(params: NormalizedParams,
     s = math.sqrt(math.log(2.0)) / params.gamma_v_tilde
 
     def rung(n_max):
-        residues, poles = expansion = oracle_mod.pole_expansion(params, n_max)
-        return 2.0 * sum((r * _resolvent_average(p, s)[0]).real for r, p in
-                         zip(residues.tolist(), poles.tolist())), expansion
+        expansion = oracle_mod.pole_expansion(params, n_max)
+        return _pole_average(*expansion, s), expansion
     value, (residues, poles), n_max = oracle_mod._climb(
         rung, 3, ladder, "Gaussian average")
     sigma = params.gamma_v_tilde / math.sqrt(2.0 * math.log(2.0))

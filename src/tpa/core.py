@@ -41,18 +41,21 @@ def _lazy_module(name: str):
     returned as it is. A submodule is found without importing its package:
     importlib.util.find_spec("scipy.linalg") would import scipy, and with
     it numpy, so the submodule is looked up in the package's directory,
-    which find_spec of a top-level name reports without importing it. Once
-    loaded, the module is a plain module again, and attribute reads cost
-    what they cost on an imported one.
+    which find_spec of a top-level name reports without importing it. A
+    missing module raises ModuleNotFoundError; a loaded one is a plain
+    module again, and attribute reads cost what they cost on an imported one.
     """
     if name in sys.modules:
         return sys.modules[name]
     parent, _, _ = name.rpartition(".")
     if parent and parent not in sys.modules:
-        where = importlib.util.find_spec(parent).submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(name, where)
+        package = importlib.util.find_spec(parent)
+        spec = package and importlib.machinery.PathFinder.find_spec(
+            name, package.submodule_search_locations)
     else:
         spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     loader = importlib.util.LazyLoader(spec.loader)
     spec.loader = loader
     module = importlib.util.module_from_spec(spec)

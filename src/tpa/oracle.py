@@ -73,9 +73,9 @@ A -> 0, where a solve holds ~eps.
 
 numpy and scipy.linalg are the module attributes `np` and `sla`, loaded
 lazily at the first solve, so that importing tpa for a closed-form scan
-loads neither. Every factorization reads sla.lu_factor through that attribute, so a
-stand-in assigned to it (bench/tracer.py's LAPACK proxy, which counts and
-times the factorizations) sees each one.
+loads neither. Every solve's factorization reads sla.lu_factor through that
+attribute, so a stand-in assigned to it (bench/tracer.py's LAPACK proxy,
+which counts and times them) sees each one; a pole rung's goes through gesv.
 
 All quantities are in normalized (gamma = 1) units.
 """
@@ -128,19 +128,43 @@ sla = _lazy_module("scipy.linalg")
 @functools.cache
 def _lapack(name: str, dtype):
     """The LAPACK routine `name` for `dtype`, called without scipy.linalg's
-    wrapper checks: getrs, behind lu_solve, on the factors of
-    sla.lu_factor, complex in a solve and real in `pole_expansion`, and the
-    real geev, behind eig, with its minimal workspace. eig queries the
-    blocked one, whose matrix products OpenBLAS runs on several threads,
-    where the idle helper threads then spin (module docstring). Unblocked,
-    geev stays on one core up to m = 80 (n_max = 9), at no cost in wall
-    time; from m = 98 (n_max = 11) its QR sweeps run threaded, and on 2
-    cores it takes about twice its wall time in CPU time.
+    wrapper checks: getrs on the factors of sla.lu_factor; and the real
+    geev with its minimal workspace (eig's blocked one is slower on one
+    thread) and gesv, which a pole rung calls in `_OneThread`.
 
     Built at first use from scipy.linalg itself, not through `sla`, so that
     a stand-in for `sla` need carry only lu_factor.
     """
     return _lazy_module("scipy.linalg").get_lapack_funcs(name, dtype=dtype)
+
+
+class _OneThread:
+    """Runs the numpy and scipy wheels' OpenBLAS builds, which thread geev,
+    matrix products and leggauss from m ~ 100 while idle helpers spin, on one
+    thread: entry sets openblas_set_num_threads_local(1) in each (loaded by
+    ctypes at first use), exit restores it, also on an exception."""
+
+    setters = None  # found at the first use
+
+    def __enter__(self):
+        if _OneThread.setters is None:
+            import ctypes
+            from pathlib import Path
+            _OneThread.setters = []
+            for path in sorted(Path(np.__file__).parents[1].glob(
+                    "*.libs/libscipy_openblas*.so")):
+                try:
+                    library = ctypes.CDLL(str(path))
+                    setter = library.openblas_set_num_threads_local
+                except (OSError, AttributeError):
+                    continue
+                setter.argtypes, setter.restype = (ctypes.c_int,), ctypes.c_int
+                _OneThread.setters.append(setter)
+        self.previous = [setter(1) for setter in self.setters]
+
+    def __exit__(self, *exc_info):
+        for setter, count in zip(self.setters, self.previous):
+            setter(count)
 
 
 class OracleError(RuntimeError):
@@ -312,13 +336,18 @@ class _Layout:
     pumped_starts: np.ndarray
     banned: np.ndarray  # (3, 3, 2n_max+1) mask of the c(i,j,n) parity zeroes
     mirror: np.ndarray  # (3, 3, 2n_max+1) flat index of c(j,i,-n)
-    # The pumped sector as one dense q x q matrix, for pole_expansion: its
-    # rows at n != 0 first, then the 5 at n = 0, of which (2,2,0) is the
-    # last; the flat position of each slot of pumped_slots in it; and the
-    # position among the rows at n != 0 of the mirror of each of them.
-    pole_rows: np.ndarray
+    # pole_expansion's places of Re and Im of each pumped slot: in B (rows
+    # at n != 0, column-major) times 1 / (-n/2) of the row, or in a complex
+    # 14 x 14 block after B over the 8 coherences at n = +-1 (the corner:
+    # positions among the m rows, mirrors, place in B, -i n/2) and, from 9,
+    # the 5 rows at n = 0, whose right-hand side goes in column 8.
     pole_flat: np.ndarray
-    pole_mirror: np.ndarray
+    pole_scale: np.ndarray
+    corner: np.ndarray
+    corner_mirror: np.ndarray
+    corner_b: np.ndarray
+    corner_scale: np.ndarray
+    zero_rows: np.ndarray
 
 
 def _segments(rows: np.ndarray) -> np.ndarray:
@@ -402,11 +431,19 @@ def _layout(n_max: int) -> _Layout:
         a.flags.writeable = False  # shared by every system of this order
     mirror = np.arange(dim).reshape(3, 3, nh).transpose(1, 0, 2)[:, :, ::-1]
     at_zero = np.tile(n == 0, 9)
-    pole_rows = np.concatenate((np.flatnonzero(pumped & ~at_zero),
-                                np.flatnonzero(pumped & at_zero)))
+    lead = np.flatnonzero(pumped & ~at_zero)
+    zero = np.flatnonzero(pumped & at_zero)
     place = np.full(dim, -1)
-    place[pole_rows] = np.arange(pole_rows.size)
+    place[lead] = np.arange(lead.size)
+    flip = place[mirror.ravel()[lead]]
+    corner = np.flatnonzero(np.abs(np.tile(n, 9)[lead]) == 1)
+    at_corner = np.full(dim, -1)
+    at_corner[np.concatenate((lead[corner], zero))] = np.r_[:8, 9:14]
     pumped_slots = np.flatnonzero(pumped[row_of])
+    row, col = row_of[pumped_slots], cols[pumped_slots]
+    inside = (at_corner[row] >= 0) & (at_corner[col] >= 0)
+    r, c, q = place[row], place[col], lead.size
+    at = q * q + 2 * (at_corner[row] * 14 + at_corner[col])
     return _Layout(
         cols=cols, starts=starts, couplings=couplings, kinds=kinds[couplings],
         half_n=np.tile(0.5 * n, 9), elim=elim, kept=kept,
@@ -418,11 +455,15 @@ def _layout(n_max: int) -> _Layout:
         path_targets=stored, target_rows=rows, target_starts=_segments(rows),
         schur_diag=stored_diag, halved=halved,
         pumped=np.flatnonzero(pumped), pumped_slots=pumped_slots,
-        pumped_starts=_segments(row_of[pumped_slots]),
-        banned=banned.reshape(3, 3, nh), mirror=mirror, pole_rows=pole_rows,
-        pole_flat=(place[row_of[pumped_slots]] * pole_rows.size
-                   + place[cols[pumped_slots]]),
-        pole_mirror=place[mirror.ravel()[pole_rows[:-5]]])
+        pumped_starts=_segments(row),
+        banned=banned.reshape(3, 3, nh), mirror=mirror,
+        pole_flat=np.stack((
+            np.where(inside, at, flip[c] * q + r),
+            np.where(inside, at + 1, c * q + r)), axis=1).ravel(),
+        pole_scale=np.repeat(-2.0 / np.where(inside, -2, n[row % nh]), 2),
+        corner=corner, corner_mirror=np.searchsorted(corner, flip[corner]),
+        corner_b=(corner * q + corner[:, None]).ravel(),
+        corner_scale=-0.5j * n[lead[corner] % nh], zero_rows=zero)
 
 
 def _solver_inputs(p: NormalizedParams) -> bytes:
@@ -477,45 +518,50 @@ def pole_expansion(params: NormalizedParams, n_max: int) -> tuple:
     conjugates below the axis carry the conjugate residues.
 
     The pumped-sector operator at Omega = 0 is the row-slot system of
-    `assemble`, placed as a dense matrix by `_layout`. Its 5 rows at n = 0
-    (populations, rho12, rho21) carry the pump and no Omega, and their block
-    is diagonal, so they are eliminated exactly; the pump fills the ground
-    state and leaves no constant in (2,2,0). The remaining rows, scaled by
-    1/(-i n/2), give (K + Omega I) x = g, read as dc = -h x. Rotated as the
-    module docstring says, K is B = Re K - (Im K) P, g is Re g - Im g and h
-    is Re h + Im h, all real, and one real eigendecomposition
-    B = W diag(lambda) W^-1 (LAPACK geev, `_lapack`) gives the poles
-    p = -lambda and, with W^-1 (Re g - Im g) from one real LU solve, the
-    residues. geev stores a pair lambda = a +- ib, b > 0, as the columns
+    `assemble`. Its 5 rows at n = 0 (populations, rho12, rho21) carry the
+    pump and no Omega, and their block is diagonal, so they are eliminated
+    exactly; the pump fills the ground state and leaves no constant in
+    (2,2,0). The remaining rows, scaled by 1/(-i n/2), give
+    (K + Omega I) x = g, read as dc = -h x. Rotated as the module docstring
+    says, K is B = Re K - (Im K) P, g is Re g - Im g and h is Re h + Im h,
+    all real: a slot value v lands in B as Im v / (-n/2), and at the mirror
+    of its column as Re v / (-n/2), but in the 8 x 8 block of coherences at
+    n = +-1 that the elimination updates. Real geev, B = W diag(lambda)
+    W^-1, gives the poles p = -lambda, and one real gesv W^-1 (Re g - Im g)
+    the residues. geev stores a pair lambda = a +- ib, b > 0, as columns
     w_j +- i w_j+1 of its real W; a real lambda, which the bound of the
     module docstring rules out, raises SolverError.
     """
     system = assemble(SteadyStateProblem(params, 0.0, n_max))
     lay = _layout(n_max)
-    q = lay.pole_rows.size
-    m = q - 5
-    a = np.zeros(q * q, dtype=complex)
-    a[lay.pole_flat] = system.vals[lay.pumped_slots]
-    a = a.reshape(q, q)
-    pivots = a.diagonal()[m:]
-    damped = a[m:, :m] / pivots[:, None]  # D_0^-1 C_0R
-    scale = -1j * lay.half_n[lay.pole_rows[:m]]
-    operator = (a[:m, :m] - a[:m, m:] @ damped) / scale[:, None]
-    g = -(a[:m, m:] @ (system.rhs[lay.pole_rows[m:]] / pivots)) / scale
-    wr, wi, _, vecs, info = _lapack("geev", float)(
-        operator.real - operator.imag[:, lay.pole_mirror], compute_vl=False,
-        overwrite_a=True)
+    m = lay.pumped.size - 5
+    b = np.zeros(m * m + 392)
+    b[lay.pole_flat] = (system.vals[lay.pumped_slots].view(float)
+                        * lay.pole_scale)
+    block = b[m * m:].view(complex).reshape(14, 14)
+    block[9:, 8] = system.rhs[lay.zero_rows]
+    pivots = block.diagonal()[9:]
+    damped = block[9:, :9] / pivots[:, None]  # D_0^-1 C_0R and D_0^-1 b_0
+    k = (block[:8, :9] - block[:8, 9:] @ damped) / lay.corner_scale[:, None]
+    b[lay.corner_b] = (k.real[:, :8] - k.imag[:, lay.corner_mirror]).ravel()
+    with _OneThread():
+        wr, wi, _, vecs, info = _lapack("geev", float)(
+            b[:m * m].reshape(m, m).T, compute_vl=False, overwrite_a=True)
+        if info != 0:
+            raise SolverError(f"LAPACK geev failed with info {info}")
+        if not wi.all():
+            raise SolverError(
+                f"real eigenvalue {float(wr[wi == 0][0])!r} of the pole "
+                f"operator at n_max = {n_max}, which the damping rules out")
+        h = (damped[-1, :8].real + damped[-1, :8].imag) @ vecs[lay.corner]
+        z = np.zeros(m)
+        z[lay.corner] = k[:, 8].real - k[:, 8].imag  # g
+        *_, z, info = _lapack("gesv", float)(vecs, z, overwrite_a=True,
+                                             overwrite_b=True)
     if info != 0:
-        raise SolverError(f"LAPACK geev failed with info {info}")
-    if not wi.all():
-        raise SolverError(
-            f"real eigenvalue {float(wr[wi == 0][0])!r} of the pole operator at "
-            f"n_max = {n_max}, which the damping rules out")
-    lu, piv = sla.lu_factor(vecs, check_finite=False)
-    z = _lu_solve(lu, piv, g.real - g.imag)
-    h = (damped[-1].real + damped[-1].imag) @ vecs  # row (2,2,0)
+        raise SolverError(f"LAPACK gesv failed with info {info}")
     # the pole -a + ib above the axis, of the vector w_j - i w_j+1
-    return (-0.5 * (h[::2] - 1j * h[1::2]) * (z[::2] + 1j * z[1::2]),
+    return (-0.5 * h.view(complex).conj() * z.view(complex),
             wi[::2] * 1j - wr[::2])
 
 

@@ -97,11 +97,15 @@ def _resolvent_average(pole: complex, s: float) -> tuple:
     overflows, or w underflows to 0, the profile is narrower than a double
     resolves next to the pole, and the average is the homogeneous -1/pole,
     returned with w None; it is written i (i / pole), so that -i times it
-    is i / pole bit for bit.
+    is i / pole bit for bit. An array of poles (under the caller's
+    np.errstate) gives arrays, each average falling back alone.
     """
     zeta = pole * s
     w = _wofz(zeta)
     average = 1j * (math.sqrt(math.pi) * s * w)
+    if not isinstance(average, complex):
+        return np.where(np.isfinite(zeta + average) & (average != 0),
+                        average, 1j * (1j / pole)), w
     if cmath.isfinite(zeta + average) and average != 0:
         return average, w
     return 1j * (1j / pole), None

@@ -1,7 +1,11 @@
+import importlib.util
 import io
 import json
 import math
 import os
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,9 +520,10 @@ def test_main_rejects_config_not_utf8(tmp_path, capsys):
 # A module of each scipy subpackage that only a call into it loads.
 _SCIPY_AT_USE = ("scipy.linalg._basic", "scipy.special._ufuncs",
                  "scipy.optimize._optimize")
-# Modules that only executing numpy (2.x and 1.x) or importing scipy loads;
-# the lazy stand-in for numpy itself sits in sys.modules from the start.
-_NUMPY_OR_SCIPY = ("numpy._core", "numpy.core", "scipy")
+# Modules that only executing numpy (2.x and 1.x) or importing scipy loads,
+# and ctypes, which numpy and the solver's one-thread switch import; the
+# lazy stand-in for numpy itself sits in sys.modules from the start.
+_NUMPY_OR_SCIPY = ("numpy._core", "numpy.core", "scipy", "ctypes")
 
 
 def _loaded_after(modules, *argvs):
@@ -579,6 +584,40 @@ def test_closed_scans_load_neither_numpy_nor_scipy(tmp_path):
     for fig in _CLOSED_FIGURES:
         here = _render(cli.run_figure(fig))
         assert (tmp_path / f"fig{fig}.csv").read_bytes() == here.encode()
+
+
+def _setup_probe_docs():
+    """The config that bench/run.py's set-up probe parses on each
+    workload, at seed 1: the first scan of the seed's first unit."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads",
+        Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # for its dataclass
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return {name: next(job.doc for job in next(workloads.units(
+        name, random.Random(1))) if job.doc is not None)
+        for name in workloads.WORKLOADS}
+
+
+def test_setup_probe_loads_neither_numpy_nor_scipy():
+    # the benchmark's setup_s times a fresh `from tpa import cli` and one
+    # parse, which on every workload must leave numpy unexecuted and scipy
+    # and ctypes unimported
+    docs = _setup_probe_docs()
+    assert sorted(docs) == ["closed_form", "strong_lorentz", "weak_gauss"]
+    script = ("import json, sys\n"
+              "from tpa import cli\n"
+              "for doc in json.loads(sys.argv[1]):\n"
+              "    cli.parse_scan_config(doc)\n"
+              f"print(json.dumps([m for m in {_NUMPY_OR_SCIPY!r}\n"
+              "                  if m in sys.modules]))\n")
+    done = fresh_python("-c", script, json.dumps(list(docs.values())))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 _MAX = cli._MAX_SWEEP_COUNT

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tpa.core import (NormalizedParams, ParameterError, _phi_squared,
-                      epsilon_eff)
+from tpa.core import (NormalizedParams, ParameterError, _lazy_module,
+                      _phi_squared, epsilon_eff)
 
 from conftest import lorentzian_density
 
@@ -141,3 +142,18 @@ def test_epsilon_eff_takes_largest_scale():
         delta_big_tilde=100.0, delta_tilde=0.2)) == pytest.approx(0.01)
     assert epsilon_eff(NormalizedParams.build(
         delta_big_tilde=-200.0, gamma_v_tilde=5.0)) == pytest.approx(0.025)
+
+
+@pytest.mark.parametrize("name", [
+    "tpa_no_such_module_xyz",  # top level
+    "tpa_no_such_package_xyz.sub",  # below a package that is missing
+    "json.tpa_no_such_module_xyz",  # below a package that exists
+])
+def test_lazy_module_names_a_missing_module(name):
+    # a module that is not found is an import error naming it, not an
+    # AttributeError of the missing spec, and leaves no stand-in behind
+    with pytest.raises(ModuleNotFoundError,
+                       match=f"^No module named '{name}'$") as error:
+        _lazy_module(name)
+    assert error.value.name == name
+    assert name not in sys.modules

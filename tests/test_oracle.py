@@ -546,6 +546,67 @@ def test_geev_failure_is_a_solver_error(monkeypatch):
     assert str(error.value) == message.format(real[-1], 3)
 
 
+class _Setter:
+    """Stand-in for openblas_set_num_threads_local: sets its one thread
+    count and returns the count before."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __call__(self, count):
+        previous, self.count = self.count, count
+        return previous
+
+
+def test_one_thread_sets_one_and_restores_the_count(monkeypatch):
+    setters = [_Setter(0), _Setter(4)]
+    monkeypatch.setattr(oracle._OneThread, "setters", setters)
+
+    def counts():
+        return [setter.count for setter in setters]
+    with oracle._OneThread():
+        assert counts() == [1, 1]
+        with oracle._OneThread():
+            assert counts() == [1, 1]
+        assert counts() == [1, 1]
+    assert counts() == [0, 4]
+    with pytest.raises(ZeroDivisionError):
+        with oracle._OneThread():
+            1 / 0
+    assert counts() == [0, 4]
+    # geev and gesv of every rung, and leggauss, run on one thread
+    seen, lapack = [], oracle._lapack
+    monkeypatch.setattr(oracle, "_lapack", lambda name, dtype: (
+        lambda *args, **kwargs: seen.append((name, counts()))
+        or lapack(name, dtype)(*args, **kwargs)))
+    p = NormalizedParams.build(delta_tilde=0.5, a_ratio=1.0, mu=1.2,
+                               phi_tilde=1.0, delta_big_tilde=1e3)
+    oracle.pole_expansion(p, 5)
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda m: (
+        seen.append(("leggauss", counts())) or leggauss(m)))
+    averaging._gauss_legendre.__wrapped__(8)
+    assert seen == [("geev", [1, 1]), ("gesv", [1, 1]),
+                    ("leggauss", [1, 1])]
+    assert counts() == [0, 4]
+
+
+def test_one_thread_without_openblas_changes_nothing(monkeypatch, tmp_path):
+    # beside a numpy whose wheel holds a file that does not load and a
+    # library without the symbol, no setter is found and the body runs
+    import _ctypes
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    (libs / "libscipy_openblas64_-0.so").write_text("not a library")
+    (libs / "libscipy_openblas-1.so").symlink_to(_ctypes.__file__)
+    monkeypatch.setattr(oracle, "np", SimpleNamespace(
+        __file__=str(tmp_path / "numpy" / "__init__.py")))
+    monkeypatch.setattr(oracle._OneThread, "setters", None)
+    with oracle._OneThread():
+        pass
+    assert oracle._OneThread.setters == []
+
+
 @settings(max_examples=50)
 @given(n_max=st.sampled_from([3, 7, 13]),
        delta=st.floats(-3.0, 3.0, **_finite),
